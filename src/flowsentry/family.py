@@ -3,7 +3,7 @@
 Everything in this module operates on a network that has already been pruned to
 its s-t walks (see graph.prune_to_st_paths). The pipeline is:
 
-    labels0 = classify_edges(net)           # nu per edge + critical set
+    labels0 = classify_edges(net)           # min(nu, lam+2) per edge + critical set
     sub     = calibrate(net, labels0)       # drop edges useless for <=1 failure
     labels  = classify_edges(sub.network)   # final labels on the subgraph
     caps, f_H = build_auxiliary(sub, labels)
@@ -12,10 +12,17 @@ its s-t walks (see graph.prune_to_st_paths). The pipeline is:
 
 or just build_flow_family(net), which runs the lot and cross-checks the
 invariants that make the later oracle answers trustworthy.
+
+nu(e) is the merge-flow value of e = (u, v): the s-t max-flow once u is merged
+into s and v into t. Only its comparisons with lam, lam+1 and ">lam+1" are ever
+read, so it is stored as min(nu, lam+2). Each merged cut is a cut of G that
+separates e's endpoints and a max-flow of G is feasible there with value lam,
+so two augmenting rounds from that flow decide the capped value.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError
@@ -42,7 +49,11 @@ NON_CRITICAL = "non-critical"
 
 @dataclass(frozen=True)
 class CriticalityLabels:
-    """Per-edge merge-flow values and the derived critical set."""
+    """Per-edge merge-flow values and the derived critical set.
+
+    nu[e] is min(nu(e), lam+2), or NU_UNBOUNDED for an edge that crosses no
+    s-t partition; e is critical exactly when nu[e] == lam.
+    """
 
     nu: dict[int, int]
     critical: frozenset[int]
@@ -65,42 +76,43 @@ class CalibratedSubgraph:
     network: FlowNetwork
 
 
-def merged_network(net: FlowNetwork, eid: int) -> FlowNetwork | None:
-    """Network with eid's tail merged into s and its head merged into t.
+def _augment(g: DirectedMultigraph, flow: dict[int, int], alive, sources, sinks) -> bool:
+    """Push one unit along a shortest path from sources to sinks in the unit residual.
 
-    Every edge incident to the tail is re-pointed at s, every edge incident to
-    the head at t (eid itself becomes an s->t edge). Self-loops created by the
-    merge are dropped. Returns None when the merge is degenerate (tail == t,
-    head == s, or a self-loop): such an edge crosses no s-t partition, so its
-    merge-flow value is unbounded.
+    The residual has a forward arc for every live edge with flow 0 and a
+    reverse arc for every live edge with flow 1; an edge is live when its
+    EdgeId is in alive. The path's edges are toggled in place. Returns False,
+    leaving flow untouched, when no vertex of sinks is reachable.
     """
-    u, v = net.graph.edges[eid]
-    if u == v or u == net.t or v == net.s:
-        return None
-    g = DirectedMultigraph(net.n)
-    for j, (a, b) in net.graph.edges.items():
-        a2 = net.s if a == u else (net.t if a == v else a)
-        b2 = net.s if b == u else (net.t if b == v else b)
-        if a2 == b2:
-            continue
-        g.add_edge(a2, b2, eid=j)
-    return FlowNetwork(g, net.s, net.t)
-
-
-def merge_flow_value(net: FlowNetwork, eid: int, value_limit: int | None = None) -> int:
-    """nu(e): the min cut size among cuts forced to separate e's endpoints.
-
-    Computed as a max-flow on the merged network. value_limit caps the search
-    (callers that only need a threshold test pass lam+2).
-    """
-    merged = merged_network(net, eid)
-    if merged is None:
-        return NU_UNBOUNDED
-    return max_flow(merged, value_limit=value_limit).value
+    edges = g.edges
+    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(sources)
+    queue = deque(parent)
+    while queue:
+        x = queue.popleft()
+        arcs = [(e, edges[e][1]) for e in g.out_edges(x) if not flow[e]]
+        arcs += [(e, edges[e][0]) for e in g.in_edges(x) if flow[e]]
+        for eid, y in arcs:
+            if y in parent or eid not in alive:
+                continue
+            parent[y] = (x, eid)
+            if y in sinks:
+                while parent[y] is not None:
+                    y, eid = parent[y]
+                    flow[eid] ^= 1
+                return True
+            queue.append(y)
+    return False
 
 
 def classify_edges(net: FlowNetwork) -> CriticalityLabels:
-    """Compute nu for every edge and split edges into critical/non-critical.
+    """Compute min(nu, lam+2) for every edge and split edges into critical/non-critical.
+
+    nu(e) for e = (u, v) is the max-flow from {s, u} to {t, v} in G. Every
+    such cut is an s-t cut of G separating e's endpoints, so nu(e) >= lam,
+    and the reference max-flow is feasible there with value lam: at most two
+    augmenting rounds from it decide min(nu, lam+2), all the callers read.
+    Edges that cross no s-t partition (tail t, head s, or a self-loop) get
+    NU_UNBOUNDED.
 
     Two independent tests are run and must agree: nu(e) == lam, and the
     residual test (saturated under a reference max-flow with endpoints in
@@ -108,16 +120,23 @@ def classify_edges(net: FlowNetwork) -> CriticalityLabels:
     """
     f_ref = max_flow(net)
     lam = f_ref.value
+    g, s, t = net.graph, net.s, net.t
     nu: dict[int, int] = {}
     critical = set()
     scc = ResidualGraph(net, f_ref).scc_ids() if lam > 0 else None
     for eid in sorted(net.edges):
-        nu[eid] = merge_flow_value(net, eid)
+        u, v = net.edges[eid]
+        if u == v or u == t or v == s:
+            nu[eid] = NU_UNBOUNDED
+        else:
+            flow = dict(f_ref.values)
+            nu[eid] = lam
+            while nu[eid] < lam + 2 and _augment(g, flow, net.edges, (s, u), (t, v)):
+                nu[eid] += 1
         by_nu = lam > 0 and nu[eid] == lam
         if scc is None:
             by_residual = False
         else:
-            u, v = net.graph.edges[eid]
             by_residual = f_ref.values[eid] == 1 and scc[u] != scc[v]
         if by_nu != by_residual:
             raise InternalInvariantError(
@@ -132,24 +151,49 @@ def classify_edges(net: FlowNetwork) -> CriticalityLabels:
 def calibrate(net: FlowNetwork, labels: CriticalityLabels) -> CalibratedSubgraph:
     """Delete every edge whose nu exceeds lam+1, evaluated in the shrinking subgraph.
 
-    Edges are visited in ascending EdgeId order and deleted immediately. One
-    pass reaches the fixpoint: nu is monotone non-increasing under deletion,
-    so an edge kept at visit time (nu <= lam+1) can never become deletable
-    later. build_flow_family re-classifies the survivors and asserts the
-    fixpoint property as a certificate.
+    labels must be classify_edges(net); its nu is min(nu, lam+2), which is
+    all the threshold test needs. Edges are visited in ascending EdgeId order
+    and deleted immediately. One pass reaches the fixpoint: nu is monotone
+    non-increasing under deletion, so an edge kept at visit time
+    (nu <= lam+1) can never become deletable later. build_flow_family
+    re-classifies the survivors and asserts the fixpoint property as a
+    certificate.
+
+    The subgraph is an alive mask over net plus one max-flow of it, and nu is
+    warm-started from that flow as in classify_edges. A deleted edge
+    (u, v) with nu > lam+1 is not critical, so the subgraph without it still
+    has a max-flow of value lam; its difference with the flow minus the edge
+    holds a residual u -> v path, and one augmentation along it restores a
+    max-flow.
     """
     lam = labels.lam
-    current = net
+    g, s, t = net.graph, net.s, net.t
+    # nu can only shrink as edges go away, so anything already in range
+    # stays in range; only the out-of-range edges need a recheck.
+    recheck = [eid for eid in sorted(net.edges) if labels.nu[eid] > lam + 1]
+    flow = dict(max_flow(net).values) if recheck else {}
+    alive = set(net.edges)
     removed: list[int] = []
-    for eid in sorted(net.edges):
-        # nu can only shrink as edges go away, so anything already in range
-        # stays in range; only the out-of-range edges need a recheck.
-        if labels.nu[eid] <= lam + 1:
-            continue
-        nu_cur = merge_flow_value(current, eid, value_limit=lam + 2)
-        if nu_cur > lam + 1:
-            current = current.without_edges([eid])
-            removed.append(eid)
+    for eid in recheck:
+        u, v = net.edges[eid]
+        # An edge that crosses no s-t partition stays unbounded in every subgraph.
+        if labels.nu[eid] != NU_UNBOUNDED:
+            probe = dict(flow)
+            sources, sinks = (s, u), (t, v)
+            if not (
+                _augment(g, probe, alive, sources, sinks)
+                and _augment(g, probe, alive, sources, sinks)
+            ):
+                continue
+        alive.discard(eid)
+        removed.append(eid)
+        if flow[eid]:
+            flow[eid] = 0
+            if not _augment(g, flow, alive, (u,), (v,)):
+                raise InternalInvariantError(
+                    f"no flow reroutes around deleted edge {eid}"
+                )
+    current = net.without_edges(removed) if removed else net
     kept = frozenset(current.edges)
     sub = CalibratedSubgraph(
         kept=kept, pruned=frozenset(removed), lam=lam, network=current

@@ -25,13 +25,15 @@ def random_net(rng: random.Random, n_max=10, m_max=24):
     return make_net(n, edges, s=s, t=t)
 
 
-def brute_max_flow_value(net):
-    """Independent max-flow value: min crossing-edge count over all s-side
-    vertex subsets (max-flow min-cut duality). Exponential; keep n small."""
-    n = net.n
+def brute_min_cut(net, inside, outside):
+    """Min crossing-edge count over all vertex subsets that hold every vertex
+    of inside and none of outside; None when no such subset exists.
+    Exponential; keep n small."""
+    need = sum(1 << x for x in set(inside))
+    forbid = sum(1 << x for x in set(outside))
     best = None
-    for mask in range(1 << n):
-        if not (mask >> net.s) & 1 or (mask >> net.t) & 1:
+    for mask in range(1 << net.n):
+        if mask & need != need or mask & forbid:
             continue
         crossing = sum(
             1
@@ -40,6 +42,20 @@ def brute_max_flow_value(net):
         )
         best = crossing if best is None else min(best, crossing)
     return best
+
+
+def brute_max_flow_value(net):
+    """Independent max-flow value: min crossing-edge count over all s-side
+    vertex subsets (max-flow min-cut duality)."""
+    return brute_min_cut(net, (net.s,), (net.t,))
+
+
+def brute_nu(net, eid):
+    """Independent merge-flow value of edge (u, v): min crossing-edge count
+    over vertex subsets holding s and u but neither t nor v. None when no
+    such subset exists (tail t, head s, or a self-loop)."""
+    u, v = net.edges[eid]
+    return brute_min_cut(net, (net.s, u), (net.t, v))
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from flowsentry.family import (
     peel_family_A,
 )
 from flowsentry.graph import prune_to_st_paths
-from conftest import brute_max_flow_value, make_net, random_net
+from conftest import brute_max_flow_value, brute_nu, make_net, random_net
 
 
 def built(net):
@@ -70,6 +70,39 @@ class TestClassify:
                     f"edge {eid}: lam={labels.lam} after-deletion={drop}"
                 )
 
+    def test_nu_is_capped_merge_flow_value(self):
+        # The corpus is not pruned: it holds lam = 0 networks, edges out of t
+        # or into s, self-loops, and edges whose nu exceeds the lam+2 cap.
+        rng = random.Random(4003)
+        seen = {"lam0": 0, "unbounded": 0, "capped": 0}
+        for _ in range(60):
+            net = random_net(rng)
+            labels = classify_edges(net)
+            assert labels.lam == brute_max_flow_value(net)
+            seen["lam0"] += labels.lam == 0
+            for eid in net.edges:
+                want = brute_nu(net, eid)
+                if want is None:
+                    assert labels.nu[eid] == NU_UNBOUNDED
+                    seen["unbounded"] += 1
+                else:
+                    assert labels.nu[eid] == min(want, labels.lam + 2), (
+                        f"edge {eid}: nu={want} lam={labels.lam} got {labels.nu[eid]}"
+                    )
+                    seen["capped"] += want > labels.lam + 2
+        assert all(seen.values()), seen
+
+
+def reference_calibrate(net, lam):
+    """Kept set of the sequential deletion rule, with nu recomputed from
+    scratch by brute force in the current subgraph at every visit."""
+    current = net
+    for eid in sorted(net.edges):
+        nu = brute_nu(current, eid)
+        if nu is None or nu > lam + 1:
+            current = current.without_edges([eid])
+    return frozenset(current.edges)
+
 
 class TestCalibrate:
     def test_diamond_keeps_everything(self, diamond):
@@ -100,6 +133,21 @@ class TestCalibrate:
         sub = calibrate(net, classify_edges(net))
         assert 1 in sub.pruned
         assert 0 in sub.kept
+
+    def test_matches_from_scratch_reference(self):
+        rng = random.Random(4004)
+        lams = set()
+        for _ in range(60):
+            net = random_net(rng)
+            labels = classify_edges(net)
+            sub = calibrate(net, labels)
+            lams.add(labels.lam)
+            assert sub.kept == reference_calibrate(net, labels.lam)
+            assert sub.pruned == frozenset(net.edges) - sub.kept
+            assert sub.network.edges == {e: net.edges[e] for e in sub.kept}
+            if not sub.pruned:
+                assert sub.network is net
+        assert 0 in lams and max(lams) >= 2, lams
 
     def test_preserves_single_failure_values(self):
         # Calibration soundness: max-flow of G-e and of subgraph-e agree for
