@@ -8,7 +8,6 @@ from .flows import (
     IntFlow,
     ResidualGraph,
     UnitFlow,
-    hoffman_feasible,
     max_flow,
     solve_circulation,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "crossing_edges",
     "decreases_by_k",
     "generate",
-    "hoffman_feasible",
     "max_flow",
     "mincut_partition_k",
     "mincut_size_k",

@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
 """
 
 import argparse
+import gc
 import hashlib
 import pickle
 import struct
@@ -21,14 +22,14 @@ from .kfault import (
 from .oracles import SensitivityOracle
 from .verify import run_verify
 
-# Oracle file layout, version 1 (stability across versions not promised):
+# Oracle file layout, version 2 (stability across versions not promised):
 #   8 bytes   magic b"FLOWSNTY"
 #   u16 LE    format version
 #   u16 LE    k the failure oracle was built for
 #   32 bytes  sha256 of the graph file bytes the oracle was built from
 #   rest      pickle of {"sensitivity": ..., "kfault": ...}
 ORACLE_MAGIC = b"FLOWSNTY"
-ORACLE_VERSION = 1
+ORACLE_VERSION = 2
 
 
 def _read_text(path: str) -> str:
@@ -76,7 +77,15 @@ def load_oracle(path: str, digest: bytes):
         raise ValueError(
             f"{path} was built from a different graph file; rebuild it"
         )
-    payload = pickle.loads(blob[44:])
+    # Unpickling makes thousands of containers and no cyclic garbage; GC
+    # passes during it are pure cost, set by what was allocated before.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        payload = pickle.loads(blob[44:])
+    finally:
+        if enabled:
+            gc.enable()
     return k, payload["sensitivity"], payload["kfault"]
 
 

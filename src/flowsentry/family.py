@@ -104,7 +104,7 @@ def _augment(g: DirectedMultigraph, flow: dict[int, int], alive, sources, sinks)
     return False
 
 
-def classify_edges(net: FlowNetwork) -> CriticalityLabels:
+def classify_edges(net: FlowNetwork, f_ref: IntFlow | None = None) -> CriticalityLabels:
     """Compute min(nu, lam+2) for every edge and split edges into critical/non-critical.
 
     nu(e) for e = (u, v) is the max-flow from {s, u} to {t, v} in G. Every
@@ -117,8 +117,10 @@ def classify_edges(net: FlowNetwork) -> CriticalityLabels:
     Two independent tests are run and must agree: nu(e) == lam, and the
     residual test (saturated under a reference max-flow with endpoints in
     distinct residual SCCs). Disagreement means a solver bug, not bad input.
+    ``f_ref`` is the reference max-flow of net when the caller already has it.
     """
-    f_ref = max_flow(net)
+    if f_ref is None:
+        f_ref = max_flow(net)
     lam = f_ref.value
     g, s, t = net.graph, net.s, net.t
     nu: dict[int, int] = {}
@@ -312,13 +314,6 @@ class FlowFamily:
 
     def canonical_flow(self, eid: int) -> UnitFlow:
         return self.flow(self.canonical[eid])
-
-    def all_flows(self):
-        """(key, flow) pairs over the whole of B = A + B_extra."""
-        for i, f in enumerate(self.A):
-            yield ("A", i), f
-        for i, g in enumerate(self.B_extra):
-            yield ("B", i), g
 
 
 def null_sets(

@@ -172,17 +172,14 @@ class ResidualGraph:
 
     Each unsaturated edge contributes a forward arc, each flow-carrying
     edge a reverse arc; both remember their originating EdgeId, so deleting
-    an EdgeId removes every arc it produced. With ``st_arc=True`` an
-    artificial s->t arc (EdgeId None) is appended, which models the
-    one-unit value decrease used by rerouting queries.
+    an EdgeId removes every arc it produced.
     """
 
-    __slots__ = ("net", "flow", "arcs", "_out")
+    __slots__ = ("net", "arcs", "_out")
 
-    def __init__(self, net: FlowNetwork, flow: IntFlow, st_arc: bool = False):
+    def __init__(self, net: FlowNetwork, flow: IntFlow):
         flow.check()
         self.net = net
-        self.flow = flow
         arcs: list[Arc] = []
         for eid in sorted(net.edges):
             u, v = net.edges[eid]
@@ -190,19 +187,11 @@ class ResidualGraph:
                 arcs.append(Arc(u, v, eid, False))
             if flow.values[eid] > 0:
                 arcs.append(Arc(v, u, eid, True))
-        if st_arc:
-            arcs.append(Arc(net.s, net.t, ARTIFICIAL, False))
         self.arcs = arcs
         out: list[list[int]] = [[] for _ in range(net.n)]
         for idx, a in enumerate(arcs):
             out[a.tail].append(idx)
         self._out = out
-
-    def out_arcs(self, v: int) -> list[int]:
-        return self._out[v]
-
-    def arcs_for_edge(self, eid: int) -> list[int]:
-        return [i for i, a in enumerate(self.arcs) if a.eid == eid]
 
     def reachable(self, src: int, banned_eids=()) -> set[int]:
         banned = set(banned_eids)
@@ -219,56 +208,12 @@ class ResidualGraph:
                     queue.append(a.head)
         return seen
 
-    def path_arcs(self, x: int, y: int, banned_eids=()) -> list[int] | None:
-        """Deterministic BFS path x -> y as arc indices, or None."""
-        banned = set(banned_eids)
-        if x == y:
-            return []
-        parent: dict[int, tuple[int, int]] = {x: (-1, -1)}
-        queue = deque([x])
-        while queue:
-            v = queue.popleft()
-            for idx in self._out[v]:
-                a = self.arcs[idx]
-                if a.eid in banned or a.head in parent:
-                    continue
-                parent[a.head] = (v, idx)
-                if a.head == y:
-                    path = []
-                    w = y
-                    while w != x:
-                        v2, i2 = parent[w]
-                        path.append(i2)
-                        w = v2
-                    path.reverse()
-                    return path
-                queue.append(a.head)
-        return None
-
-    def cycle_through(self, arc_idx: int, banned_eids=()) -> list[int] | None:
-        """A simple cycle containing the given arc in the residual minus the
-        banned EdgeIds, or None when its endpoints are not strongly
-        connected there."""
-        a = self.arcs[arc_idx]
-        if a.eid in set(banned_eids):
-            raise ValueError("target arc is banned")
-        back = self.path_arcs(a.head, a.tail, banned_eids)
-        if back is None:
-            return None
-        return [arc_idx] + back
-
-    def scc_ids(self, banned_eids=()) -> list[int]:
-        banned = set(banned_eids)
+    def scc_ids(self) -> list[int]:
         succ: list[list[int]] = [[] for _ in range(self.net.n)]
         for a in self.arcs:
-            if a.eid not in banned:
-                succ[a.tail].append(a.head)
+            succ[a.tail].append(a.head)
         succ = [sorted(set(v)) for v in succ]
         return scc_from_adjacency(self.net.n, succ)
-
-
-def residual(net: FlowNetwork, flow: IntFlow, st_arc: bool = False) -> ResidualGraph:
-    return ResidualGraph(net, flow, st_arc=st_arc)
 
 
 def cancel_flow_cycles(net: FlowNetwork, f: IntFlow) -> IntFlow:
@@ -421,33 +366,3 @@ def solve_circulation(inst: CirculationInstance) -> dict[int, int] | None:
     for aid, orig in orig_of.items():
         out[orig] += result.values[aid]
     return out
-
-
-def hoffman_feasible(inst: CirculationInstance) -> bool:
-    """Feasibility by exhaustive cut conditions; verification oracle only.
-
-    True iff demands sum to zero and every vertex bipartition (A,B)
-    satisfies d(B) + lower(B->A) <= upper(A->B). Exponential in n, so it
-    refuses instances with more than 20 vertices.
-    """
-    g = inst.graph
-    n = g.n
-    if n > 20:
-        raise ValueError(f"hoffman_feasible is exponential; n={n} exceeds 20")
-    if sum(inst.d(v) for v in range(n)) != 0:
-        return False
-    edge_items = sorted(g.edges.items())
-    for mask in range(1 << n):
-        # A = vertices with bit set, B = rest
-        d_b = sum(inst.d(v) for v in range(n) if not (mask >> v) & 1)
-        lo_ba = hi_ab = 0
-        for eid, (u, v) in edge_items:
-            u_in_a = (mask >> u) & 1
-            v_in_a = (mask >> v) & 1
-            if u_in_a and not v_in_a:
-                hi_ab += inst.hi(eid)
-            elif v_in_a and not u_in_a:
-                lo_ba += inst.lo(eid)
-        if d_b + lo_ba > hi_ab:
-            return False
-    return True

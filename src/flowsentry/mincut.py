@@ -362,10 +362,11 @@ def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutOracleStruct:
     must stay in play. The reference flow is cycle-canceled so its path
     decomposition exists.
     """
-    labels = classify_edges(net)
+    f = max_flow(net)
+    labels = classify_edges(net, f)
     if labels.lam < 1:
         raise ValueError("mincut oracle needs lam >= 1")
-    f = cancel_flow_cycles(net, max_flow(net))
+    f = cancel_flow_cycles(net, f)
     edge_paths = decompose_into_paths(net, f)
     classes = build_classes(net, f)
     strip = build_strip_graph(net, classes, labels, f)

@@ -58,6 +58,36 @@ def brute_nu(net, eid):
     return brute_min_cut(net, (net.s, u), (net.t, v))
 
 
+def hoffman_feasible(inst):
+    """Feasibility of a CirculationInstance by exhaustive cut conditions.
+
+    True iff demands sum to zero and every vertex bipartition (A,B)
+    satisfies d(B) + lower(B->A) <= upper(A->B). Exponential in n, so it
+    refuses instances with more than 20 vertices.
+    """
+    g = inst.graph
+    n = g.n
+    if n > 20:
+        raise ValueError(f"hoffman_feasible is exponential; n={n} exceeds 20")
+    if sum(inst.d(v) for v in range(n)) != 0:
+        return False
+    edge_items = sorted(g.edges.items())
+    for mask in range(1 << n):
+        # A = vertices with bit set, B = rest
+        d_b = sum(inst.d(v) for v in range(n) if not (mask >> v) & 1)
+        lo_ba = hi_ab = 0
+        for eid, (u, v) in edge_items:
+            u_in_a = (mask >> u) & 1
+            v_in_a = (mask >> v) & 1
+            if u_in_a and not v_in_a:
+                hi_ab += inst.hi(eid)
+            elif v_in_a and not u_in_a:
+                lo_ba += inst.lo(eid)
+        if d_b + lo_ba > hi_ab:
+            return False
+    return True
+
+
 @pytest.fixture
 def diamond():
     # s=0, a=1, b=2, t=3; EdgeIds 0=(s,a), 1=(a,t), 2=(s,b), 3=(b,t)

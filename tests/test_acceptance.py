@@ -14,11 +14,7 @@ import pytest
 
 from flowsentry.bruteforce import brute_force
 from flowsentry.family import build_flow_family
-from flowsentry.flows import (
-    CirculationInstance,
-    hoffman_feasible,
-    solve_circulation,
-)
+from flowsentry.flows import CirculationInstance, solve_circulation
 from flowsentry.generators import (
     gen_bottleneck,
     gen_diamond,
@@ -42,7 +38,7 @@ from flowsentry.mincut import (
 )
 from flowsentry.oracles import SensitivityOracle
 
-from conftest import make_net, reconstruct_flow
+from conftest import hoffman_feasible, make_net, reconstruct_flow
 
 # Documented constant for the min-cut structure's footprint: stored words
 # are at most MINCUT_WORDS_PER_LAM_N * lam * n. Measured maximum over the
@@ -135,7 +131,7 @@ def test_ac02_family_b_exactness(corpus200):
             checked_edges += 1
     for lam in range(1, 6):
         bb = build_flow_family(gen_bottleneck(lam))
-        flows = [f.values for _, f in bb.family.all_flows()]
+        flows = [f.values for f in (*bb.family.A, *bb.family.B_extra)]
         assert len(flows) == 2 * lam + 1
         for i, j in itertools.combinations(range(len(flows)), 2):
             assert flows[i] != flows[j]
@@ -154,7 +150,7 @@ def test_ac03_size_bounds(corpus200):
             assert len(fam.nullmin1[("A", i)]) <= 2 * n
         for nullset in fam.nullsets.values():
             assert len(nullset) <= 3 * n
-        members = [f for _, f in fam.all_flows()]
+        members = [*fam.A, *fam.B_extra]
         for f1, f2 in itertools.combinations(members, 2):
             disagree = sum(
                 1 for eid in bf.sub.kept if f1.values[eid] != f2.values[eid]

@@ -1,11 +1,13 @@
 """CLI surface: gen/build/query/verify, exit codes, oracle files."""
 
+import gc
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
-from flowsentry.cli import main
+from flowsentry.cli import load_oracle, main
 from flowsentry.graph import parse_network
 from flowsentry.oracles import SensitivityOracle
 
@@ -185,6 +187,18 @@ class TestBuildAndOracleFile:
         assert direct[0] == loaded[0] == 0
         assert direct[1] == loaded[1]
 
+    def test_load_keeps_gc_setting(self, bottleneck_file, tmp_path, capsys):
+        ob = tmp_path / "oracle.bin"
+        run(capsys, "build", "-g", str(bottleneck_file), "-o", str(ob))
+        digest = hashlib.sha256(bottleneck_file.read_bytes()).digest()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                load_oracle(str(ob), digest)
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
     def test_stored_k_wins(self, bottleneck_file, tmp_path, capsys):
         ob = tmp_path / "oracle.bin"
         run(capsys, "build", "-g", str(bottleneck_file), "-k", "3",
@@ -208,6 +222,20 @@ class TestBuildAndOracleFile:
                            "--oracle", str(ob), "-q", str(qf))
         assert code == 2
         assert "different graph" in err
+
+    def test_old_format_version_exits_2(self, bottleneck_file, tmp_path,
+                                        capsys):
+        ob = tmp_path / "oracle.bin"
+        run(capsys, "build", "-g", str(bottleneck_file), "-o", str(ob))
+        blob = bytearray(ob.read_bytes())
+        blob[8:10] = (1).to_bytes(2, "little")
+        ob.write_bytes(bytes(blob))
+        qf = tmp_path / "q.txt"
+        qf.write_text("MF2 1 3\n")
+        code, _, err = run(capsys, "query", "-g", str(bottleneck_file),
+                           "--oracle", str(ob), "-q", str(qf))
+        assert code == 2
+        assert "format version 1, this build reads version 2" in err
 
     def test_corrupt_file_exits_2(self, bottleneck_file, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

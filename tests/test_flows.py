@@ -4,20 +4,17 @@ import networkx as nx
 import pytest
 
 from flowsentry.flows import (
-    ARTIFICIAL,
     CirculationInstance,
     IntFlow,
     ResidualGraph,
     UnitFlow,
     cancel_flow_cycles,
     decompose_into_paths,
-    hoffman_feasible,
     max_flow,
-    residual,
     solve_circulation,
 )
 from flowsentry.graph import DirectedMultigraph
-from conftest import brute_max_flow_value, make_net, random_net
+from conftest import brute_max_flow_value, hoffman_feasible, make_net, random_net
 
 
 def nx_max_flow_value(net):
@@ -88,63 +85,46 @@ def test_max_flow_matches_cut_duality_on_random_graphs():
 
 def test_residual_of_saturating_flow(diamond):
     f = max_flow(diamond)
-    r = residual(diamond, f)
+    r = ResidualGraph(diamond, f)
     assert all(a.is_reverse for a in r.arcs)
     assert len(r.arcs) == 4
 
 
 def test_residual_of_zero_flow(diamond):
     f = UnitFlow(diamond, {})
-    r = residual(diamond, f)
+    r = ResidualGraph(diamond, f)
     assert all(not a.is_reverse for a in r.arcs)
     assert [(a.tail, a.head) for a in r.arcs] == list(diamond.edges.values())
 
 
 def test_residual_bottleneck_shape(bottleneck):
     f = max_flow(bottleneck)
-    r = residual(bottleneck, f)
+    r = ResidualGraph(bottleneck, f)
     forward = [a for a in r.arcs if not a.is_reverse]
     assert [a.eid for a in forward] == [4]  # only b3 unsaturated
     assert len([a for a in r.arcs if a.is_reverse]) == 4
 
 
-def test_residual_artificial_arc(diamond):
-    r = residual(diamond, max_flow(diamond), st_arc=True)
-    art = r.arcs[-1]
-    assert (art.tail, art.head, art.eid) == (diamond.s, diamond.t, ARTIFICIAL)
-
-
 def test_residual_rejects_infeasible_flow(diamond):
     bad = IntFlow(diamond, {0: 1})  # edge into a with no edge out
     with pytest.raises(ValueError):
-        residual(diamond, bad)
+        ResidualGraph(diamond, bad)
 
 
 def test_augmenting_path_exists_iff_not_maximum(diamond):
     partial = max_flow(diamond, value_limit=1)
-    assert residual(diamond, partial).path_arcs(diamond.s, diamond.t) is not None
+    assert diamond.t in ResidualGraph(diamond, partial).reachable(diamond.s)
     full = max_flow(diamond)
-    assert residual(diamond, full).path_arcs(diamond.s, diamond.t) is None
+    assert diamond.t not in ResidualGraph(diamond, full).reachable(diamond.s)
 
 
 def test_residual_banned_edges_vanish_from_traversal(bottleneck):
     f = max_flow(bottleneck)
-    r = residual(bottleneck, f)
+    r = ResidualGraph(bottleneck, f)
     t = bottleneck.t
     assert 1 in r.reachable(t)  # x reachable from t via b1 or b2 reversed
-    path = r.path_arcs(t, 1, banned_eids=(2,))
-    assert path is not None and all(r.arcs[i].eid != 2 for i in path)
+    assert 1 in r.reachable(t, banned_eids=(2,))  # via b2 reversed
     assert r.reachable(t, banned_eids=(2, 3)) == {t}
-
-
-def test_cycle_through_arc(bottleneck):
-    f = max_flow(bottleneck)  # saturates a1,a2,b1,b2
-    r = residual(bottleneck, f)
-    (b2_rev,) = [i for i, a in enumerate(r.arcs) if a.eid == 3 and a.is_reverse]
-    cycle = r.cycle_through(b2_rev, banned_eids=(2,))
-    assert cycle is not None and cycle[0] == b2_rev
-    # rerouted onto b3: the cycle is t->x (b2 reversed), x->t (b3 forward)
-    assert [r.arcs[i].eid for i in cycle] == [3, 4]
 
 
 def test_cancel_noop_on_acyclic(diamond):

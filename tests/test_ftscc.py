@@ -1,4 +1,10 @@
+"""Fault-tolerant strong connectivity: the residual traversals the
+dual-failure queries run, and the sparse SCC certificate the family size
+bounds lean on (a verification-only witness, kept here)."""
+
 import random
+from collections import deque
+from dataclasses import dataclass
 
 import networkx as nx
 import pytest
@@ -6,28 +12,121 @@ import pytest
 from flowsentry.errors import QueryError
 from flowsentry.flows import (
     ARTIFICIAL,
+    Arc,
     IntFlow,
     ResidualGraph,
     cancel_flow_cycles,
     max_flow,
 )
-from flowsentry.ftscc import (
-    build_certificate,
-    build_ft_index,
+from flowsentry.graph import scc_from_adjacency
+from flowsentry.oracles import (
     cycle_through_arc_without,
+    incidence,
     strongly_connected_without,
 )
 
 from conftest import make_net, random_net
 
 
+@dataclass(frozen=True)
+class SccCertificate:
+    """Arc subset of a host preserving its SCC partition.
+
+    ``arcs`` are indices into ``host.arcs``: per non-singleton SCC, a
+    BFS out-tree and a BFS in-tree rooted at the component's smallest
+    vertex. Two trees of at most k-1 arcs each certify a k-vertex
+    component, so the total stays under 2n.
+    """
+
+    host: ResidualGraph
+    arcs: tuple[int, ...]
+
+    def scc_ids(self) -> list[int]:
+        """SCC id per vertex using only the certificate's arcs."""
+        n = self.host.net.n
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for idx in self.arcs:
+            a = self.host.arcs[idx]
+            succ[a.tail].append(a.head)
+        succ = [sorted(set(v)) for v in succ]
+        return scc_from_adjacency(n, succ)
+
+
+def _tree_arcs(arcs_of_comp, root, members, backward):
+    """BFS tree arc indices over one component's induced arcs."""
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in members}
+    for idx, a in arcs_of_comp:
+        if backward:
+            adj[a.head].append((idx, a.tail))
+        else:
+            adj[a.tail].append((idx, a.head))
+    seen = {root}
+    picked: list[int] = []
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for idx, w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                picked.append(idx)
+                queue.append(w)
+    assert seen == members, "component not spanned; SCC ids are inconsistent"
+    return picked
+
+
+def build_certificate(host: ResidualGraph) -> SccCertificate:
+    n = host.net.n
+    comp = host.scc_ids()
+    members: dict[int, set[int]] = {}
+    for v in range(n):
+        members.setdefault(comp[v], set()).add(v)
+    # arcs whose endpoints share a component, grouped by that component
+    by_comp: dict[int, list[tuple[int, Arc]]] = {}
+    for idx, a in enumerate(host.arcs):
+        if comp[a.tail] == comp[a.head]:
+            by_comp.setdefault(comp[a.tail], []).append((idx, a))
+    picked: set[int] = set()
+    for cid, verts in sorted(members.items()):
+        if len(verts) < 2:
+            continue
+        root = min(verts)
+        induced = by_comp.get(cid, [])
+        picked.update(_tree_arcs(induced, root, verts, backward=False))
+        picked.update(_tree_arcs(induced, root, verts, backward=True))
+    assert len(picked) <= 2 * n
+    cert = SccCertificate(host=host, arcs=tuple(sorted(picked)))
+    assert cert.scc_ids() == comp, "certificate changed the SCC partition"
+    return cert
+
+
+def _with_st_arc(host, st_arc):
+    # the artificial s->t arc as the last arc; certificates and scc_ids
+    # read only host.arcs
+    if st_arc:
+        host.arcs.append(Arc(host.net.s, host.net.t, ARTIFICIAL, False))
+    return host
+
+
 def zero_host(net, st_arc=False):
-    return ResidualGraph(net, IntFlow(net, {}), st_arc=st_arc)
+    return _with_st_arc(ResidualGraph(net, IntFlow(net, {})), st_arc)
+
+
+def max_unit_flow(net):
+    return cancel_flow_cycles(net, max_flow(net))
 
 
 def flow_host(net, st_arc=False):
-    f = cancel_flow_cycles(net, max_flow(net))
-    return ResidualGraph(net, f, st_arc=st_arc)
+    return _with_st_arc(ResidualGraph(net, max_unit_flow(net)), st_arc)
+
+
+def connected(net, f, x, y, failed):
+    return strongly_connected_without(net, incidence(net), f.values, x, y,
+                                      failed)
+
+
+def cycle(net, f, target, failed, st_arc=False):
+    return cycle_through_arc_without(net, incidence(net), f.values, target,
+                                     failed, st_arc)
 
 
 def brute_scc_pairs(host, banned_eid):
@@ -94,41 +193,43 @@ class TestIndexQueries:
     def test_bottleneck_hand_trace(self, bottleneck):
         # flow saturating a1,a2,b1,b2 leaves b3 as the only forward 1->2 arc
         f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
-        idx = build_ft_index(ResidualGraph(bottleneck, f))
-        assert strongly_connected_without(idx, 1, 2, 4) is False
-        assert strongly_connected_without(idx, 1, 2, 2) is True
-        assert strongly_connected_without(idx, 1, 2, 3) is True
+        assert connected(bottleneck, f, 1, 2, 4) is False
+        assert connected(bottleneck, f, 1, 2, 2) is True
+        assert connected(bottleneck, f, 1, 2, 3) is True
 
     def test_diamond_branches_never_connected(self, diamond):
-        idx = build_ft_index(flow_host(diamond))
+        f = max_unit_flow(diamond)
         for eid in diamond.edges:
-            assert strongly_connected_without(idx, 1, 2, eid) is False
+            assert connected(diamond, f, 1, 2, eid) is False
 
     def test_same_vertex(self, diamond):
-        idx = build_ft_index(flow_host(diamond))
-        assert strongly_connected_without(idx, 2, 2, 0) is True
+        assert connected(diamond, max_unit_flow(diamond), 2, 2, 0) is True
 
     def test_unknown_edge_rejected(self, diamond):
-        idx = build_ft_index(flow_host(diamond))
+        f = max_unit_flow(diamond)
         with pytest.raises(QueryError):
-            strongly_connected_without(idx, 0, 1, 99)
+            connected(diamond, f, 0, 1, 99)
         with pytest.raises(QueryError):
-            strongly_connected_without(idx, 0, 1, ARTIFICIAL)
+            connected(diamond, f, 0, 1, ARTIFICIAL)
         with pytest.raises(QueryError):
-            strongly_connected_without(idx, -1, 1, 0)
+            connected(diamond, f, -1, 1, 0)
 
     def test_exhaustive_agreement(self):
         rng = random.Random(7003)
         checked = 0
         for _ in range(50):
             net = random_net(rng, n_max=8, m_max=16)
-            host = flow_host(net, st_arc=bool(rng.getrandbits(1)))
-            idx = build_ft_index(host)
+            f = max_unit_flow(net)
+            host = ResidualGraph(net, f)
+            # the traversal reads a missing edge as carrying 0
+            support = {e: 1 for e in f.support()}
+            inc = incidence(net)
             for eid in sorted(net.edges):
                 comp = brute_scc_pairs(host, eid)
                 for x in range(net.n):
                     for y in range(net.n):
-                        got = strongly_connected_without(idx, x, y, eid)
+                        got = strongly_connected_without(
+                            net, inc, support, x, y, eid)
                         assert got == (comp[x] == comp[y]), (x, y, eid)
                         checked += 1
         assert checked > 5000
@@ -137,37 +238,28 @@ class TestIndexQueries:
 class TestCycleExtraction:
     def test_bottleneck_reroute(self, bottleneck):
         f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
-        idx = build_ft_index(ResidualGraph(bottleneck, f))
-        cycle = cycle_through_arc_without(idx, 3, 2)
-        assert cycle is not None
-        assert [(a.tail, a.head, a.eid) for a in cycle] == \
+        found = cycle(bottleneck, f, 3, 2)
+        assert found is not None
+        assert [(a.tail, a.head, a.eid) for a in found] == \
             [(2, 1, 3), (1, 2, 4)]
 
     def test_diamond_needs_artificial_arc(self, diamond):
-        plain = build_ft_index(flow_host(diamond))
-        assert cycle_through_arc_without(plain, 1, 2) is None
-        aug = build_ft_index(flow_host(diamond, st_arc=True))
-        cycle = cycle_through_arc_without(aug, 1, 2, artificial_st=True)
-        assert cycle is not None
-        assert [(a.tail, a.head, a.eid) for a in cycle] == \
+        f = max_unit_flow(diamond)
+        assert cycle(diamond, f, 1, 2) is None
+        found = cycle(diamond, f, 1, 2, st_arc=True)
+        assert found is not None
+        assert [(a.tail, a.head, a.eid) for a in found] == \
             [(3, 1, 1), (1, 0, 0), (0, 3, ARTIFICIAL)]
 
     def test_zero_flow_target_rejected(self, bottleneck):
         f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
-        idx = build_ft_index(ResidualGraph(bottleneck, f))
         with pytest.raises(QueryError):
-            cycle_through_arc_without(idx, 4, 2)
+            cycle(bottleneck, f, 4, 2)
 
     def test_target_equals_failed_rejected(self, bottleneck):
         f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
-        idx = build_ft_index(ResidualGraph(bottleneck, f))
         with pytest.raises(QueryError):
-            cycle_through_arc_without(idx, 2, 2)
-
-    def test_wrong_index_flag_asserts(self, diamond):
-        idx = build_ft_index(flow_host(diamond))
-        with pytest.raises(AssertionError):
-            cycle_through_arc_without(idx, 1, 2, artificial_st=True)
+            cycle(bottleneck, f, 2, 2)
 
     def test_cycle_properties_random(self):
         rng = random.Random(7004)
@@ -175,24 +267,37 @@ class TestCycleExtraction:
         for _ in range(60):
             net = random_net(rng, n_max=8, m_max=16)
             use_st = bool(rng.getrandbits(1))
-            host = flow_host(net, st_arc=use_st)
-            idx = build_ft_index(host)
-            carrying = [e for e in sorted(net.edges) if host.flow[e] > 0]
+            f = max_unit_flow(net)
+            inc = incidence(net)
+            carrying = [e for e in sorted(net.edges) if f[e] > 0]
             for target in carrying:
                 for failed in sorted(net.edges):
                     if failed == target:
                         continue
-                    cycle = cycle_through_arc_without(
-                        idx, target, failed, artificial_st=use_st)
-                    if cycle is None:
+                    arcs = cycle_through_arc_without(
+                        net, inc, f.values, target, failed, use_st)
+                    if arcs is None:
                         continue
                     found += 1
-                    tails = [a.tail for a in cycle]
+                    if use_st and cycle_through_arc_without(
+                            net, inc, f.values, target, failed) is None:
+                        assert any(a.eid is ARTIFICIAL for a in arcs)
+                    tails = [a.tail for a in arcs]
                     assert len(set(tails)) == len(tails), "not simple"
-                    assert all(a.eid != failed for a in cycle)
+                    assert all(a.eid != failed for a in arcs)
                     assert any(a.eid == target and a.is_reverse
-                               for a in cycle)
-                    for a, b in zip(cycle, cycle[1:]):
+                               for a in arcs)
+                    for a in arcs:
+                        if a.eid is ARTIFICIAL:
+                            assert use_st
+                            assert (a.tail, a.head) == (net.s, net.t)
+                        else:
+                            # a residual arc of f: reverse iff edge carries
+                            u, v = net.edges[a.eid]
+                            assert f[a.eid] == (1 if a.is_reverse else 0)
+                            assert (a.tail, a.head) == \
+                                ((v, u) if a.is_reverse else (u, v))
+                    for a, b in zip(arcs, arcs[1:]):
                         assert a.head == b.tail
-                    assert cycle[-1].head == cycle[0].tail
+                    assert arcs[-1].head == arcs[0].tail
         assert found > 50

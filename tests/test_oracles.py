@@ -1,9 +1,11 @@
 import itertools
+import pickle
 import random
 
 import pytest
 
-from flowsentry.errors import QueryError
+from flowsentry.errors import InternalInvariantError, QueryError
+from flowsentry.generators import gen_random
 from flowsentry.oracles import FlowDiff, SensitivityOracle
 
 from conftest import (
@@ -218,3 +220,27 @@ class TestDisconnected:
         assert o.report_flow_diff_single(0) == FlowDiff(frozenset(), 0)
         assert o.report_flow_diff_dual(0, 1) == FlowDiff(frozenset(), 0)
         assert o.mincut_size_dual(0, 1) == 0
+
+
+class TestStoredEncoding:
+    def test_pickled_size_stays_small(self):
+        # flows, null sets, canonical and min-cut tables and one incidence
+        # list, about 47 KB here; a residual copy per flow would be ~20x
+        o = SensitivityOracle(gen_random(40, 1))
+        assert len(pickle.dumps(o)) < 150_000
+
+    def test_tampered_canonical_flow_raises(self, diamond):
+        # f-tilde sends its unit into a over edge 0; with edge 0 failed, a
+        # has no residual arc out, so edge 1's unit cannot be rerouted,
+        # artificial arc or not
+        o = SensitivityOracle(diamond)
+        o.built.family.canonical[0] = o._rep_key
+        with pytest.raises(InternalInvariantError, match="no rerouting cycle"):
+            o.report_flow_diff_dual(0, 1)
+
+    def test_tampered_null_set_raises(self, diamond):
+        o = SensitivityOracle(diamond)
+        key = o.built.family.canonical[0]
+        o.built.family.nullsets[key] = frozenset(range(100))
+        with pytest.raises(InternalInvariantError, match="bound is 24"):
+            o.report_flow_diff_single(0)
