@@ -8,6 +8,7 @@ final residual reachability set. Slow and obviously correct is the
 point; every acceptance check compares against this.
 """
 
+from .errors import InternalInvariantError
 from .graph import FlowNetwork
 
 
@@ -15,8 +16,8 @@ def brute_force(net: FlowNetwork, failures=()) -> tuple[int, frozenset]:
     """(max-flow value, min-cut source side) of the network minus failures.
 
     The returned source side is a valid partition witness: the number of
-    surviving edges crossing it equals the value (asserted here, which
-    doubles as a duality self-check on every call).
+    surviving edges crossing it equals the value (checked here, also under
+    python -O, which doubles as a duality self-check on every call).
     """
     banned = set(failures)
     capacity: dict[tuple[int, int], int] = {}
@@ -69,5 +70,6 @@ def brute_force(net: FlowNetwork, failures=()) -> tuple[int, frozenset]:
         for eid, (u, v) in net.edges.items()
         if eid not in banned and u in source_side and v not in source_side
     )
-    assert crossing == value, "max-flow/min-cut duality broke in the oracle"
+    if crossing != value:
+        raise InternalInvariantError("max-flow/min-cut duality broke")
     return value, source_side

@@ -14,6 +14,7 @@ from .errors import ParseError, QueryError
 from .generators import FAMILIES, generate
 from .graph import parse_network, serialize_network
 from .kfault import (
+    ENUMERATION_VERTEX_CAP,
     build_kfault_oracle,
     mincut_partition_k,
     mincut_size_k,
@@ -98,7 +99,13 @@ def cmd_gen(args) -> int:
 def cmd_build(args) -> int:
     net, digest = _load_net(args.graph)
     sens = SensitivityOracle(net)
-    kf = build_kfault_oracle(net, args.k)
+    kf = None
+    if net.n > ENUMERATION_VERTEX_CAP:
+        print(f"note: k-fault oracle skipped: n={net.n} exceeds the "
+              f"{ENUMERATION_VERTEX_CAP}-vertex enumeration cap; "
+              "MCK/MCKP/RQ queries need a smaller graph", file=sys.stderr)
+    else:
+        kf = build_kfault_oracle(net, args.k)
     save_oracle(args.output, args.k, digest, sens, kf)
     return 0
 

@@ -2,11 +2,18 @@
 
 The oracle enumerates every minimal (s,t)-cut of size at most L = lam+k,
 then augments the graph once per cut so that the cut becomes minimum in
-the augmented graph, and keeps a min-cut structure for each. A query
-for a failure set F takes the minimum of lam_E - |F0| over subsets
-F0 of F and entries whose structure confirms the drop; that reproduces
-min(lam, min over minimal cuts Z of |Z minus F|), which is the max-flow
-of G - F.
+the augmented graph, and keeps a min-cut structure for each. The answer
+for a failure set F is min(lam, min over minimal cuts Z of |Z minus F|),
+which is the max-flow of G - F.
+
+A query is one pass over the entries. A set F0 of failed edges lowers
+an entry's cut by |F0| exactly when every edge of F0 is critical there
+and no strip path orders two of them, so an entry offers lam_E - |F0|
+for the lexicographically first largest such F0 among its critical
+failed edges. Ties go to the deepest drop, then the first F0, then
+construction order, and the partition query reports that entry's nearest
+min-cut. When nothing drops, it reports the smallest min-cut source side
+among the entries, which is the residual-reachable set of any max-flow.
 
 Everything here works on the raw input network: minimal cuts of size up
 to lam+k may use edges that walk-pruning or calibration would remove,
@@ -16,15 +23,15 @@ so neither is applied.
 import itertools
 from dataclasses import dataclass
 
-from .errors import QueryError
-from .flows import ResidualGraph, max_flow
+from .errors import InternalInvariantError, QueryError
+from .flows import max_flow
 from .graph import DirectedMultigraph, FlowNetwork, reachable_set, reaches
 from .mincut import (
     CutPartition,
     MinCutOracleStruct,
     build_mincut_oracle_raw,
     crossing_edges,
-    decreases_by_k,
+    precedes,
     report_nmc_after,
 )
 
@@ -65,7 +72,8 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
         rest = net.graph.without_edges(z)
         a = frozenset(reachable_set(rest, net.s))
         b = frozenset(range(n)) - a
-        assert net.t in b, "a cut that does not cut"
+        if net.t not in b:
+            raise InternalInvariantError("a cut that does not cut")
         out.append((z, CutPartition(source_side=a, sink_side=b)))
     return out
 
@@ -133,10 +141,10 @@ def build_kfault_oracle(net: FlowNetwork, k: int) -> KFaultOracle:
         seen_partitions.add(part.source_side)
         aug, added = _augment(net, part, limit + 1)
         lam_e = max_flow(aug).value
-        assert lam_e == len(z), \
-            f"augmentation broke the cut value: {lam_e} != {len(z)}"
-        assert frozenset(crossing_edges(aug, part.source_side)) == z, \
-            "augmented edges cross the originating partition"
+        if lam_e != len(z):
+            raise InternalInvariantError(f"augmented cut {lam_e} != {len(z)}")
+        if frozenset(crossing_edges(aug, part.source_side)) != z:
+            raise InternalInvariantError("augmented edges cross the cut")
         if lam_e == 0:
             # the empty cut of a disconnected instance needs no oracle
             entries.append(AugmentedEntry(z, part, added, 0, None))
@@ -156,73 +164,59 @@ def _check_failures(o: KFaultOracle, failures) -> tuple[int, ...]:
     for eid in f:
         if eid not in o.net.edges:
             raise QueryError(f"unknown edge {eid}")
-    return f
+    return tuple(sorted(f))
 
 
-def _improvements(o: KFaultOracle, f: tuple[int, ...]):
-    """(value, subset, entry) for every subset of f an entry certifies.
+def _first_antichain(ps, fc: list[int]) -> tuple[int, ...]:
+    """Lexicographically first largest subset of fc no strip path orders."""
+    for size in range(len(fc), 1, -1):
+        for combo in itertools.combinations(fc, size):
+            if not any(precedes(ps, a, b) or precedes(ps, b, a)
+                       for a, b in itertools.combinations(combo, 2)):
+                return combo
+    return (fc[0],)
 
-    A subset F0 counts when the entry's structure confirms the min-cut
-    of its augmented graph drops by exactly |F0| under F0, giving the
-    candidate value lam_e - |F0|. Iteration order is deterministic and
-    checks larger subsets first, so when several candidates tie at the
-    final value the partition query reports the cut certified by the
-    deepest drop; within a size, subsets go lexicographically and
-    entries in construction order.
-    """
-    subsets = []
-    for size in range(len(f), 0, -1):
-        for combo in itertools.combinations(sorted(f), size):
-            subsets.append(combo)
-    for combo in subsets:
-        for entry in o.entries:
-            if entry.oracle is None:
-                continue
-            if decreases_by_k(entry.oracle, combo, len(combo)):
-                yield entry.lam_e - len(combo), combo, entry
+
+def _deepest_drop(o: KFaultOracle, f: tuple[int, ...]):
+    """(q, combo, entry) for sorted failures f; entry is None when nothing
+    drops below lam, else entry certifies q = lam_E - |combo|."""
+    best, win = (o.lam,), (None, None)
+    for entry in o.entries:
+        if entry.oracle is None:
+            continue
+        critical = entry.oracle.labels.critical
+        fc = [e for e in f if e in critical]
+        if not fc or entry.lam_e - len(fc) > best[0]:
+            continue
+        combo = _first_antichain(entry.oracle.paths, fc)
+        key = (entry.lam_e - len(combo), -len(combo), combo)
+        if key < best:  # (lam,) sorts before every key of value lam
+            best, win = key, (combo, entry)
+    return (best[0],) + win
 
 
 def mincut_size_k(o: KFaultOracle, failures) -> int:
     """Max-flow (= min-cut) value of the network minus the failures."""
-    f = _check_failures(o, failures)
-    q = o.lam
-    for value, _, _ in _improvements(o, f):
-        q = min(q, value)
-    return q
+    return _deepest_drop(o, _check_failures(o, failures))[0]
 
 
 def mincut_partition_k(o: KFaultOracle, failures) -> CutPartition:
     """A concrete min-cut partition of the network minus the failures."""
     f = _check_failures(o, failures)
-    q = mincut_size_k(o, f)
-    if q == o.lam:
-        # no failure subset certifies a drop: any base min-cut still works,
-        # and none of its edges can be failed (that would have dropped it)
-        part = _base_partition(o)
-        cross = crossing_edges(o.net, part.source_side)
-        assert not set(cross) & set(f), "failed edge crosses a surviving cut"
-        assert len(cross) == q
-        return part
-    for value, combo, entry in _improvements(o, f):
-        if value != q:
-            continue
+    q, combo, entry = _deepest_drop(o, f)
+    if entry is None:
+        part = min((e.partition for e in o.entries if e.lam_e == o.lam),
+                   key=lambda p: len(p.source_side))
+    else:
         part = report_nmc_after(entry.oracle, combo)
-        cross = crossing_edges(o.net, part.source_side)
-        survivors = [eid for eid in cross if eid not in f]
-        assert len(survivors) == q, \
-            f"reported partition crosses {len(survivors)} != {q}"
-        return part
-    raise AssertionError("minimizer disappeared between passes")
-
-
-def _base_partition(o: KFaultOracle) -> CutPartition:
-    f = max_flow(o.net)
-    res = ResidualGraph(o.net, f)
-    a = frozenset(res.reachable(o.net.s))
-    assert o.net.t not in a
-    return CutPartition(
-        source_side=a, sink_side=frozenset(range(o.net.n)) - a
-    )
+    cross = crossing_edges(o.net, part.source_side)
+    survivors = [eid for eid in cross if eid not in f]
+    if entry is None and len(survivors) != len(cross):
+        raise InternalInvariantError("failed edge crosses a surviving cut")
+    if len(survivors) != q:
+        raise InternalInvariantError(
+            f"reported partition crosses {len(survivors)} != {q}")
+    return part
 
 
 def reachable_under_failures(o: KFaultOracle, failures) -> bool:

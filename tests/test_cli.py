@@ -237,6 +237,28 @@ class TestBuildAndOracleFile:
         assert code == 2
         assert "format version 1, this build reads version 2" in err
 
+    def test_large_graph_skips_kfault(self, tmp_path, capsys):
+        graph = tmp_path / "g30.txt"
+        run(capsys, "gen", "--family", "random", "--size", "30",
+            "--seed", "1", "-o", str(graph))
+        ob = tmp_path / "oracle.bin"
+        code, _, err = run(capsys, "build", "-g", str(graph), "-o", str(ob))
+        assert code == 0
+        assert "k-fault oracle skipped: n=30" in err
+        want = SensitivityOracle(parse_network(graph.read_text()))
+        qf = tmp_path / "q.txt"
+        qf.write_text("MF 1\n")
+        code, out, _ = run(capsys, "query", "-g", str(graph),
+                           "--oracle", str(ob), "-q", str(qf))
+        assert code == 0
+        assert out.strip() == \
+            f"MF 1 => {want.report_flow_diff_single(0).new_value}"
+        qf.write_text("MCK 1 1\n")
+        code, _, err = run(capsys, "query", "-g", str(graph),
+                           "--oracle", str(ob), "-q", str(qf))
+        assert code == 2
+        assert "n=30 exceeds 22" in err
+
     def test_corrupt_file_exits_2(self, bottleneck_file, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage-not-an-oracle")

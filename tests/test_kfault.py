@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from flowsentry.errors import QueryError
+import flowsentry.kfault
+from flowsentry.errors import InternalInvariantError, QueryError
+from flowsentry.flows import ResidualGraph, max_flow
+from flowsentry.generators import gen_random
 from flowsentry.graph import DirectedMultigraph, FlowNetwork, reaches
 from flowsentry.kfault import (
     build_kfault_oracle,
@@ -12,6 +16,7 @@ from flowsentry.kfault import (
     mincut_size_k,
     reachable_under_failures,
 )
+from flowsentry.mincut import CutPartition, decreases_by_k, report_nmc_after
 
 from conftest import brute_max_flow_value, make_net, random_net
 
@@ -227,3 +232,96 @@ class TestReachability:
         assert reachable_under_failures(o, []) is False
         part = mincut_partition_k(o, [0, 1])
         assert net.s in part.source_side and net.t in part.sink_side
+
+
+def reference_improvements(o, f):
+    """(value, subset, entry) for every subset of f an entry certifies.
+
+    The two-pass query the oracle once ran, kept as a reference: every
+    subset against every entry through decreases_by_k, larger subsets
+    first, lexicographic within a size, entries in construction order.
+    """
+    for size in range(len(f), 0, -1):
+        for combo in itertools.combinations(sorted(f), size):
+            for entry in o.entries:
+                if entry.oracle is None:
+                    continue
+                if decreases_by_k(entry.oracle, combo, size):
+                    yield entry.lam_e - size, combo, entry
+
+
+def reference_size(o, f):
+    return min([o.lam] + [v for v, _, _ in reference_improvements(o, f)])
+
+
+def reference_base_side(net):
+    """Source side of the residual-reachable min-cut of a fresh max-flow."""
+    return frozenset(ResidualGraph(net, max_flow(net)).reachable(net.s))
+
+
+def reference_source_side(o, f):
+    q = reference_size(o, f)
+    if q == o.lam:
+        return reference_base_side(o.net)
+    for value, combo, entry in reference_improvements(o, f):
+        if value == q:
+            return report_nmc_after(entry.oracle, combo).source_side
+    raise AssertionError("minimizer disappeared between passes")
+
+
+def reference_corpus():
+    return [gen_random(n, seed) for n in (6, 8, 10, 12)
+            for seed in range(1, 7)]
+
+
+class TestOnePassQuery:
+    def test_matches_two_pass_reference(self):
+        lams = set()
+        checked = 0
+        for net in reference_corpus():
+            o = build_kfault_oracle(net, 3)
+            lams.add(o.lam)
+            eids = sorted(net.edges)
+            for size in range(0, 4):
+                for combo in itertools.combinations(eids, size):
+                    q = reference_size(o, combo)
+                    assert mincut_size_k(o, combo) == q, combo
+                    assert reachable_under_failures(o, combo) == (q >= 1)
+                    got = mincut_partition_k(o, combo).source_side
+                    assert got == reference_source_side(o, combo), combo
+                    checked += 1
+        assert 0 in lams and max(lams) >= 3
+        assert checked > 5000
+
+    def test_no_max_flow_at_query_time(self, bottleneck, monkeypatch):
+        o = build_kfault_oracle(bottleneck, 3)
+
+        def refuse(net):
+            raise AssertionError("max_flow called at query time")
+
+        monkeypatch.setattr(flowsentry.kfault, "max_flow", refuse)
+        assert mincut_partition_k(o, [2]).source_side == frozenset({0})
+        assert mincut_partition_k(o, []).source_side == frozenset({0})
+        assert mincut_partition_k(o, [0, 2, 3]).source_side == \
+            frozenset({0, 1})
+
+    def test_base_partition_is_residual_reachable(self):
+        rng = random.Random(9007)
+        nets = reference_corpus()
+        nets += [random_net(rng, n_max=7, m_max=12) for _ in range(20)]
+        for net in nets:
+            o = build_kfault_oracle(net, 2)
+            assert mincut_partition_k(o, []).source_side == \
+                reference_base_side(net)
+
+    def test_tampered_partition_raises(self, bottleneck):
+        o = build_kfault_oracle(bottleneck, 2)
+        wrong = CutPartition(source_side=frozenset({0, 1}),
+                             sink_side=frozenset({2}))
+        entries = tuple(
+            dataclasses.replace(e, partition=wrong) if e.lam_e == o.lam else e
+            for e in o.entries
+        )
+        tampered = dataclasses.replace(o, entries=entries)
+        with pytest.raises(InternalInvariantError):
+            mincut_partition_k(tampered, [])
