@@ -23,14 +23,16 @@ from .kfault import (
 from .oracles import SensitivityOracle
 from .verify import run_verify
 
-# Oracle file layout, version 2 (stability across versions not promised):
+# Oracle file layout, version 3 (stability across versions not promised):
 #   8 bytes   magic b"FLOWSNTY"
 #   u16 LE    format version
 #   u16 LE    k the failure oracle was built for
 #   32 bytes  sha256 of the graph file bytes the oracle was built from
-#   rest      pickle of {"sensitivity": ..., "kfault": ...}
+#   32 bytes  sha256 of the payload
+#   rest      payload: pickle of {"sensitivity": ..., "kfault": ...}
 ORACLE_MAGIC = b"FLOWSNTY"
-ORACLE_VERSION = 2
+ORACLE_VERSION = 3
+_HEADER = 76
 
 
 def _read_text(path: str) -> str:
@@ -59,6 +61,7 @@ def save_oracle(path: str, k: int, digest: bytes, sens, kf) -> None:
         fh.write(ORACLE_MAGIC)
         fh.write(struct.pack("<HH", ORACLE_VERSION, k))
         fh.write(digest)
+        fh.write(hashlib.sha256(payload).digest())
         fh.write(payload)
 
 
@@ -68,6 +71,9 @@ def load_oracle(path: str, digest: bytes):
         blob = fh.read()
     if blob[:8] != ORACLE_MAGIC:
         raise ValueError(f"{path} is not a flowsentry oracle file")
+    corrupt = ValueError(f"{path} is a corrupt oracle file; rebuild it")
+    if len(blob) < _HEADER:
+        raise corrupt
     version, k = struct.unpack_from("<HH", blob, 8)
     if version != ORACLE_VERSION:
         raise ValueError(
@@ -78,12 +84,16 @@ def load_oracle(path: str, digest: bytes):
         raise ValueError(
             f"{path} was built from a different graph file; rebuild it"
         )
+    if hashlib.sha256(blob[_HEADER:]).digest() != blob[44:_HEADER]:
+        raise corrupt
     # Unpickling makes thousands of containers and no cyclic garbage; GC
     # passes during it are pure cost, set by what was allocated before.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        payload = pickle.loads(blob[44:])
+        payload = pickle.loads(blob[_HEADER:])
+    except Exception as exc:
+        raise corrupt from exc
     finally:
         if enabled:
             gc.enable()

@@ -23,7 +23,7 @@ so two augmenting rounds from that flow decide the capped value.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InternalInvariantError
 from .flows import (
@@ -43,9 +43,6 @@ from .graph import DirectedMultigraph, FlowNetwork
 # accepts, small enough to stay an ordinary int.
 NU_UNBOUNDED = 1 << 60
 
-CRITICAL = "critical"
-NON_CRITICAL = "non-critical"
-
 
 @dataclass(frozen=True)
 class CriticalityLabels:
@@ -58,12 +55,6 @@ class CriticalityLabels:
     nu: dict[int, int]
     critical: frozenset[int]
     lam: int
-
-    def label(self, eid: int) -> str:
-        return CRITICAL if eid in self.critical else NON_CRITICAL
-
-    def is_critical(self, eid: int) -> bool:
-        return eid in self.critical
 
 
 @dataclass(frozen=True)
@@ -293,27 +284,20 @@ class FlowFamily:
     A[0] is the representative flow f-tilde. B_extra[i] is f-tilde with the
     edges of paths[i] zeroed (value lam-1). nullsets/nullmin1 map FlowKeys to
     frozen EdgeId sets; canonical maps each kept EdgeId to the FlowKey of a
-    max-flow of the calibrated subgraph minus that edge.
+    max-flow of the calibrated subgraph minus that edge. The flows themselves
+    are build-time objects: the oracles keep only the tables.
     """
 
     A: tuple[UnitFlow, ...]
     B_extra: tuple[UnitFlow, ...]
     paths: tuple[tuple[int, ...], ...]
-    representative: int
     nullsets: dict[FlowKey, frozenset[int]]
     nullmin1: dict[FlowKey, frozenset[int]]
     canonical: dict[int, FlowKey]
 
     @property
     def f_tilde(self) -> UnitFlow:
-        return self.A[self.representative]
-
-    def flow(self, key: FlowKey) -> UnitFlow:
-        kind, idx = key
-        return self.A[idx] if kind == "A" else self.B_extra[idx]
-
-    def canonical_flow(self, eid: int) -> UnitFlow:
-        return self.flow(self.canonical[eid])
+        return self.A[0]
 
 
 def null_sets(
@@ -394,7 +378,6 @@ def extend_family_B(
         A=tuple(A),
         B_extra=tuple(b_extra),
         paths=tuple(tuple(p) for p in paths),
-        representative=0,
         nullsets=nulls,
         nullmin1=min1,
         canonical=canonical,

@@ -62,6 +62,10 @@ class DirectedMultigraph:
             self._out, self._in = out, inc
         return self._out, self._in
 
+    def __getstate__(self):
+        # the adjacency lists are a cache that _adjacency rebuilds on demand
+        return None, {"n": self.n, "edges": self.edges, "_out": None, "_in": None}
+
     def out_edges(self, u: int) -> list[int]:
         """EdgeIds leaving u, ascending."""
         return self._adjacency()[0][u]

@@ -89,34 +89,32 @@ def _on_st_path(net: FlowNetwork, z, eid) -> bool:
 class AugmentedEntry:
     """One minimal cut Z, frozen as a min-cut of an augmented graph.
 
-    added maps the new EdgeIds (absent from the base graph) to their
-    endpoints: limit+1 parallel edges s->a for every other source-side
-    vertex a, and b->t for every other sink-side vertex b, which makes
-    any (s,t)-cut avoiding Z cost more than limit. lam_e is |Z|, the
-    min-cut value of the augmented graph.
+    The augmented graph (see _augment) is a build-time object; the entry
+    keeps Z, its canonical partition, lam_e = |Z|, the min-cut value of
+    the augmented graph, and the min-cut structure built over it (None
+    for the empty cut of a disconnected instance).
     """
 
     z: frozenset[int]
     partition: CutPartition
-    added: dict[int, tuple[int, int]]
     lam_e: int
     oracle: MinCutOracleStruct
 
 
-def _augment(net: FlowNetwork, part: CutPartition, copies: int) -> tuple[
-        FlowNetwork, dict[int, tuple[int, int]]]:
+def _augment(net: FlowNetwork, part: CutPartition, copies: int) -> FlowNetwork:
+    """net plus copies parallel edges s->a for every other source-side
+    vertex a, and b->t for every other sink-side vertex b, with fresh
+    EdgeIds; with copies > limit, any (s,t)-cut avoiding the partition's
+    crossing set costs more than limit."""
     edges = dict(net.edges)
     next_id = max(edges, default=-1) + 1
-    added = {}
     pairs = [(net.s, a) for a in sorted(part.source_side) if a != net.s]
     pairs += [(b, net.t) for b in sorted(part.sink_side) if b != net.t]
     for u, v in pairs:
         for _ in range(copies):
             edges[next_id] = (u, v)
-            added[next_id] = (u, v)
             next_id += 1
-    g = DirectedMultigraph(net.n, edges)
-    return FlowNetwork(g, net.s, net.t), added
+    return FlowNetwork(DirectedMultigraph(net.n, edges), net.s, net.t)
 
 
 @dataclass(frozen=True)
@@ -139,18 +137,19 @@ def build_kfault_oracle(net: FlowNetwork, k: int) -> KFaultOracle:
         if part.source_side in seen_partitions:
             continue
         seen_partitions.add(part.source_side)
-        aug, added = _augment(net, part, limit + 1)
-        lam_e = max_flow(aug).value
-        if lam_e != len(z):
-            raise InternalInvariantError(f"augmented cut {lam_e} != {len(z)}")
+        aug = _augment(net, part, limit + 1)
         if frozenset(crossing_edges(aug, part.source_side)) != z:
             raise InternalInvariantError("augmented edges cross the cut")
-        if lam_e == 0:
-            # the empty cut of a disconnected instance needs no oracle
-            entries.append(AugmentedEntry(z, part, added, 0, None))
+        if not z:
+            # nothing crosses: the empty cut of a disconnected instance,
+            # which needs no oracle
+            entries.append(AugmentedEntry(z, part, 0, None))
             continue
         oracle = build_mincut_oracle_raw(aug)
-        entries.append(AugmentedEntry(z, part, added, lam_e, oracle))
+        if oracle.lam != len(z):
+            raise InternalInvariantError(
+                f"augmented cut {oracle.lam} != {len(z)}")
+        entries.append(AugmentedEntry(z, part, oracle.lam, oracle))
     return KFaultOracle(net=net, k=k, lam=lam, limit=limit,
                         entries=tuple(entries))
 

@@ -33,9 +33,6 @@ class EquivalenceClasses:
     source_class: int
     sink_class: int
 
-    def members(self, cls: int) -> frozenset[int]:
-        return frozenset(v for v, c in enumerate(self.class_of) if c == cls)
-
 
 @dataclass(frozen=True)
 class StripGraph:
@@ -241,7 +238,6 @@ def build_path_system(
 class MinCutOracleStruct:
     """Bundle answering decrease-by-k and NMC queries for one network."""
 
-    net: FlowNetwork
     lam: int
     classes: EquivalenceClasses
     strip: StripGraph
@@ -333,26 +329,30 @@ def report_nmc_after(o: MinCutOracleStruct, F) -> CutPartition:
                 break
     a = frozenset(side)
     return CutPartition(
-        source_side=a, sink_side=frozenset(range(o.net.n)) - a
+        source_side=a, sink_side=frozenset(range(len(o.classes.class_of))) - a
+    )
+
+
+def _assemble(net: FlowNetwork, labels: CriticalityLabels, f: IntFlow,
+              edge_paths, known) -> MinCutOracleStruct:
+    """Classes, strip graph and path system of a reference max-flow f with
+    path decomposition edge_paths."""
+    classes = build_classes(net, f)
+    strip = build_strip_graph(net, classes, labels, f)
+    return MinCutOracleStruct(
+        lam=labels.lam,
+        classes=classes,
+        strip=strip,
+        paths=build_path_system(strip, classes, labels, edge_paths, net),
+        labels=labels,
+        known=frozenset(known if known is not None else net.edges),
     )
 
 
 def build_mincut_oracle(bf: BuiltFamily, known=None) -> MinCutOracleStruct:
     """O_MINCUT over the calibrated subgraph of a built family."""
-    net = bf.sub.network
-    f = bf.family.f_tilde
-    classes = build_classes(net, f)
-    strip = build_strip_graph(net, classes, bf.labels, f)
-    paths = build_path_system(strip, classes, bf.labels, bf.family.paths, net)
-    return MinCutOracleStruct(
-        net=net,
-        lam=bf.sub.lam,
-        classes=classes,
-        strip=strip,
-        paths=paths,
-        labels=bf.labels,
-        known=frozenset(known) if known is not None else frozenset(net.edges),
-    )
+    return _assemble(bf.sub.network, bf.labels, bf.family.f_tilde,
+                     bf.family.paths, known)
 
 
 def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutOracleStruct:
@@ -367,16 +367,4 @@ def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutOracleStruct:
     if labels.lam < 1:
         raise ValueError("mincut oracle needs lam >= 1")
     f = cancel_flow_cycles(net, f)
-    edge_paths = decompose_into_paths(net, f)
-    classes = build_classes(net, f)
-    strip = build_strip_graph(net, classes, labels, f)
-    paths = build_path_system(strip, classes, labels, edge_paths, net)
-    return MinCutOracleStruct(
-        net=net,
-        lam=labels.lam,
-        classes=classes,
-        strip=strip,
-        paths=paths,
-        labels=labels,
-        known=frozenset(net.edges),
-    )
+    return _assemble(net, labels, f, decompose_into_paths(net, f), None)

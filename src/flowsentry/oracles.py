@@ -2,11 +2,13 @@
 
 ``SensitivityOracle`` is built once over a raw network. It walk-prunes
 the graph and builds the flow family and the min-cut structure over the
-calibrated subgraph. What it keeps is the paper's encoding: the stored
-flows, their null sets, the canonical table and the min-cut tables, plus
-one incidence list of the walk-pruned graph. Queries then run on lookups
-plus at most two BFS traversals of the residual of one stored flow, which
-reads each edge's flow bit from the stored flow as it goes.
+calibrated subgraph, then keeps only the paper's encoding: the null sets
+of the 2*lam+1 family flows, the canonical table, the min-cut path
+tables, and the walk-pruned graph with its incidence list. No flow is
+stored: a family flow carries edge x exactly when x is kept by
+calibration and not in the flow's null set. Queries run on lookups plus
+at most two BFS traversals of the residual of one family flow, reading
+each edge's flow bit from the null set as they go.
 
 Conventions the queries rely on:
   * edges outside every (s,t)-walk, and edges removed by calibration,
@@ -27,19 +29,25 @@ from .errors import InternalInvariantError, QueryError
 from .family import build_flow_family
 from .flows import ARTIFICIAL, Arc
 from .graph import FlowNetwork, prune_to_st_paths
-from .mincut import build_mincut_oracle, decreases_by_k
+from .mincut import build_mincut_oracle, precedes
 
 log = logging.getLogger(__name__)
 
 
+# f-tilde, the flow every answer is a delta against, is A[0].
+F_TILDE = ("A", 0)
+
+
 # ---- residual traversals ----
 #
-# A flow is an EdgeId -> bit map in which a missing edge carries 0, so a
-# calibrated-subgraph flow reads as its zero extension to the walk-pruned
-# net. An edge carrying 0 gives a forward residual arc, one carrying 1 a
-# reverse arc. Arcs out of a vertex are scanned in ascending EdgeId order,
-# forward before reverse, and the optional artificial s->t arc last: that
-# order fixes the reported cycle.
+# A flow is a (kept, null) pair of EdgeId sets: it carries edge x exactly
+# when x is in kept and not in null, so a calibrated-subgraph flow reads
+# as its zero extension to the walk-pruned net. An edge carrying 0 gives
+# a forward residual arc, one carrying 1 a reverse arc. Arcs out of a
+# vertex are scanned in ascending EdgeId order, forward before reverse,
+# and the optional artificial s->t arc last: that order fixes the
+# reported cycle. The artificial arc's EdgeId is in no kept set, so it
+# reads as a forward arc.
 
 
 def incidence(net: FlowNetwork) -> list[list[tuple[int, int, bool]]]:
@@ -53,10 +61,10 @@ def incidence(net: FlowNetwork) -> list[list[tuple[int, int, bool]]]:
     return inc
 
 
-def _search(net, inc, flow, src, dst, failed, st_arc=False):
-    """BFS parent map from src until dst is found in the residual of flow
-    minus edge failed, or None; parent[w] = (x, eid, is_reverse) is the
-    arc x->w that found w."""
+def _search(net, inc, kept, null, src, dst, failed, st_arc=False):
+    """BFS parent map from src until dst is found in the residual of the
+    flow (kept, null) minus edge failed, or None; parent[w] =
+    (x, eid, is_reverse) is the arc x->w that found w."""
     parent = {src: None}
     if src == dst:
         return parent
@@ -68,7 +76,7 @@ def _search(net, inc, flow, src, dst, failed, st_arc=False):
             arcs = arcs + [(ARTIFICIAL, net.t, False)]
         for eid, w, rev in arcs:
             if w in parent or eid == failed or (
-                    eid is not ARTIFICIAL and flow.get(eid, 0) != rev):
+                    eid in kept and eid not in null) != rev:
                 continue
             parent[w] = (x, eid, rev)
             if w == dst:
@@ -77,33 +85,33 @@ def _search(net, inc, flow, src, dst, failed, st_arc=False):
     return None
 
 
-def strongly_connected_without(net: FlowNetwork, inc, flow, x, y,
+def strongly_connected_without(net: FlowNetwork, inc, kept, null, x, y,
                                failed) -> bool:
-    """Whether x and y are strongly connected in the residual of flow on
-    net minus edge failed; inc is incidence(net)."""
+    """Whether x and y are strongly connected in the residual of the flow
+    (kept, null) on net minus edge failed; inc is incidence(net)."""
     if not (0 <= x < net.n and 0 <= y < net.n):
         raise QueryError(f"vertex out of range: {x}, {y}")
     if failed not in net.edges:
         raise QueryError(f"unknown failed edge {failed!r}")
-    return _search(net, inc, flow, x, y, failed) is not None and \
-        _search(net, inc, flow, y, x, failed) is not None
+    return _search(net, inc, kept, null, x, y, failed) is not None and \
+        _search(net, inc, kept, null, y, x, failed) is not None
 
 
-def cycle_through_arc_without(net: FlowNetwork, inc, flow, target, failed,
-                              st_arc: bool = False):
+def cycle_through_arc_without(net: FlowNetwork, inc, kept, null, target,
+                              failed, st_arc: bool = False):
     """Simple cycle, as a tuple of Arcs, through the reverse arc of target
-    in the residual of flow on net minus edge failed, starting with that
-    arc; None when there is none. st_arc adds the artificial s->t arc,
-    which models releasing one unit of value."""
+    in the residual of the flow (kept, null) on net minus edge failed,
+    starting with that arc; None when there is none. st_arc adds the
+    artificial s->t arc, which models releasing one unit of value."""
     for eid in (failed, target):
         if eid not in net.edges:
             raise QueryError(f"unknown edge {eid!r}")
     if target == failed:
         raise QueryError("target edge coincides with the failed edge")
-    if flow.get(target, 0) == 0:
+    if target not in kept or target in null:
         raise QueryError(f"edge {target} carries no flow; it has no reverse arc")
     u, v = net.edges[target]
-    parent = _search(net, inc, flow, u, v, failed, st_arc)
+    parent = _search(net, inc, kept, null, u, v, failed, st_arc)
     if parent is None:
         return None
     cycle = [Arc(v, u, target, True)]
@@ -117,7 +125,7 @@ def cycle_through_arc_without(net: FlowNetwork, inc, flow, target, failed,
 
 @dataclass(frozen=True)
 class FlowDiff:
-    """Delta encoding of a post-failure max-flow.
+    """Delta encoding of a post-failure max-flow against f-tilde.
 
     The reconstruction sends one unit on edge x iff f-tilde does XOR
     x is in ``toggled``. It is feasible in the walk-pruned network minus
@@ -127,14 +135,17 @@ class FlowDiff:
 
     toggled: frozenset[int]
     new_value: int
-    base: str = "f~"
 
 
 class SensitivityOracle:
-    """Single- and dual-failure query oracle for one network."""
+    """Single- and dual-failure query oracle for one network.
+
+    Every EdgeId of the input network is in exactly one of
+    ``pruned_net.edges`` and ``walk_dropped``; only the calibrated
+    subgraph's edges, ``kept``, affect any answer.
+    """
 
     def __init__(self, net: FlowNetwork):
-        self.net = net
         pruned, info = prune_to_st_paths(net)
         self.pruned_net = pruned
         self.walk_dropped = info.removed
@@ -143,31 +154,26 @@ class SensitivityOracle:
         self.incidence = incidence(pruned)
         if info.disconnected:
             self.lam = 0
-            self.built = None
-            self.mincut = None
-            self.no_effect = frozenset(net.edges)
-            self.union_min1 = frozenset()
+            self.kept = self.critical = self.union_min1 = frozenset()
+            self.canonical, self.nullsets, self.nullmin1 = {}, {}, {}
+            self.paths = None
             return
         bf = build_flow_family(pruned)
-        self.built = bf
-        self.lam = bf.sub.lam
-        self.mincut = build_mincut_oracle(bf)
-        self.no_effect = frozenset(self.walk_dropped | bf.sub.pruned)
         fam = bf.family
-        self.union_min1 = frozenset().union(
-            *(fam.nullmin1[("A", i)] for i in range(len(fam.A)))
-        )
+        self.lam = bf.sub.lam
+        self.kept = bf.sub.kept
+        self.critical = bf.labels.critical
+        self.canonical = fam.canonical
+        self.nullsets = fam.nullsets
+        # queries read null(f, min+1) only of members of A: the canonical
+        # flow of a non-critical edge is one
+        self.nullmin1 = {k: s for k, s in fam.nullmin1.items() if k[0] == "A"}
+        self.union_min1 = frozenset().union(*self.nullmin1.values())
+        self.paths = build_mincut_oracle(bf).paths
 
     def _known(self, eid: int) -> None:
-        if eid not in self.net.edges:
+        if eid not in self.pruned_net.edges and eid not in self.walk_dropped:
             raise QueryError(f"unknown edge {eid}")
-
-    def _kept(self, eid: int) -> bool:
-        return eid not in self.no_effect
-
-    @property
-    def _rep_key(self):
-        return ("A", self.built.family.representative)
 
     # ---- single failure ----
 
@@ -177,29 +183,27 @@ class SensitivityOracle:
         self._known(x)
         if e == x:
             raise QueryError("edge x does not survive the failure of e")
-        if self.lam == 0:
+        if x not in self.kept:
             return 0
-        fam = self.built.family
-        if not self._kept(e) or fam.f_tilde.values.get(e, 0) == 0:
-            return fam.f_tilde.values.get(x, 0)
-        return fam.canonical_flow(e).values.get(x, 0)
+        key = F_TILDE
+        if e in self.kept and e not in self.nullsets[F_TILDE]:
+            key = self.canonical[e]
+        return 0 if x in self.nullsets[key] else 1
 
     def report_flow_diff_single(self, e: int) -> FlowDiff:
         """Max-flow after e fails, as a delta against f-tilde."""
         self._known(e)
         if self.lam == 0:
             return FlowDiff(frozenset(), 0)
-        fam = self.built.family
-        if not self._kept(e) or fam.f_tilde.values.get(e, 0) == 0:
+        if e not in self.kept or e in self.nullsets[F_TILDE]:
             return FlowDiff(frozenset(), self.lam)
-        diff = fam.nullsets[self._rep_key] ^ fam.nullsets[fam.canonical[e]]
+        diff = self.nullsets[F_TILDE] ^ self.nullsets[self.canonical[e]]
         bound = 6 * self.pruned_net.n
         if len(diff) > bound:
             raise InternalInvariantError(
                 f"flow diff of edge {e} has {len(diff)} edges, bound is {bound}"
             )
-        crit = self.built.labels.is_critical(e)
-        return FlowDiff(diff, self.lam - (1 if crit else 0))
+        return FlowDiff(diff, self.lam - (1 if e in self.critical else 0))
 
     # ---- dual failure ----
 
@@ -211,7 +215,7 @@ class SensitivityOracle:
             raise QueryError("dual-failure query needs two distinct edges")
         if self.lam == 0:
             return FlowDiff(frozenset(), 0)
-        live = [x for x in (e, e2) if self._kept(x)]
+        live = [x for x in (e, e2) if x in self.kept]
         if not live:
             return FlowDiff(frozenset(), self.lam)
         if len(live) == 1:
@@ -222,18 +226,17 @@ class SensitivityOracle:
                     e, e2, e, e2,
                 )
             return self.report_flow_diff_single(live[0])
-        fam = self.built.family
-        key = fam.canonical[e]
-        f = fam.flow(key).values
-        val_f = self.lam - (1 if self.built.labels.is_critical(e) else 0)
-        base = fam.nullsets[self._rep_key] ^ fam.nullsets[key]
-        if f.get(e2, 0) == 0:
+        null = self.nullsets[self.canonical[e]]
+        val_f = self.lam - (1 if e in self.critical else 0)
+        base = self.nullsets[F_TILDE] ^ null
+        if e2 in null:
             return FlowDiff(base, val_f)
-        net, inc = self.pruned_net, self.incidence
-        cycle = cycle_through_arc_without(net, inc, f, e2, e)
+        net, inc, kept = self.pruned_net, self.incidence, self.kept
+        cycle = cycle_through_arc_without(net, inc, kept, null, e2, e)
         value = val_f
         if cycle is None:
-            cycle = cycle_through_arc_without(net, inc, f, e2, e, st_arc=True)
+            cycle = cycle_through_arc_without(net, inc, kept, null, e2, e,
+                                              st_arc=True)
             if cycle is None:
                 raise InternalInvariantError(
                     "no rerouting cycle even after releasing one unit of value"
@@ -252,28 +255,31 @@ class SensitivityOracle:
             raise QueryError("dual-failure query needs two distinct edges")
         if self.lam == 0:
             return 0
-        live = [x for x in (e, e2) if self._kept(x)]
-        crit = self.built.labels.is_critical
+        live = [x for x in (e, e2) if x in self.kept]
+        crit = self.critical
         if not live:
             return self.lam
         if len(live) == 1:
-            return self.lam - (1 if crit(live[0]) else 0)
-        c1, c2 = crit(e), crit(e2)
+            return self.lam - (1 if live[0] in crit else 0)
+        c1, c2 = e in crit, e2 in crit
         if c1 or c2:
-            if c1 and c2 and decreases_by_k(self.mincut, (e, e2), 2):
+            # both critical: the drop is 2 iff they lie in one min-cut,
+            # that is iff no strip path orders them
+            if c1 and c2 and not (precedes(self.paths, e, e2)
+                                  or precedes(self.paths, e2, e)):
                 return self.lam - 2
             return self.lam - 1
         # both non-critical: the drop happens iff the second failure cannot
         # be routed around in the residual of the flow avoiding the first
-        fam = self.built.family
-        key = fam.canonical[e]
+        key = self.canonical[e]
         u, v = self.pruned_net.edges[e2]
         if (
             e in self.union_min1
             and e2 in self.union_min1
-            and e2 not in fam.nullmin1[key]
+            and e2 not in self.nullmin1[key]
             and not strongly_connected_without(
-                self.pruned_net, self.incidence, fam.flow(key).values, u, v, e
+                self.pruned_net, self.incidence, self.kept,
+                self.nullsets[key], u, v, e
             )
         ):
             return self.lam - 1

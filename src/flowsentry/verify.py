@@ -15,15 +15,16 @@ import time
 from dataclasses import dataclass, field
 
 from .bruteforce import brute_force
+from .family import build_flow_family
 from .flows import IntFlow
-from .graph import FlowNetwork
+from .graph import FlowNetwork, prune_to_st_paths
 from .kfault import (
     build_kfault_oracle,
     mincut_partition_k,
     mincut_size_k,
     reachable_under_failures,
 )
-from .oracles import SensitivityOracle
+from .oracles import F_TILDE, SensitivityOracle
 
 PROFILES = (
     "exhaustive-1",
@@ -101,12 +102,11 @@ class VerificationReport:
 
 def _reconstructed_flow(oracle, diff, failures):
     """Apply a FlowDiff; returns the flow or a reason string."""
-    pruned = oracle.pruned_net
-    ft = oracle.built.family.f_tilde if oracle.built is not None else None
+    pruned, kept = oracle.pruned_net, oracle.kept
 
     def bit(eid):
-        base = ft.values.get(eid, 0) if ft is not None else 0
-        return base ^ (1 if eid in diff.toggled else 0)
+        base = eid in kept and eid not in oracle.nullsets[F_TILDE]
+        return int(base ^ (eid in diff.toggled))
 
     if not diff.toggled <= frozenset(pruned.edges):
         return "diff toggles edges outside the pruned network"
@@ -285,19 +285,19 @@ def _check_single_value_only(report, oracle, net, e):
 
 
 def _run_invariants(report, net):
-    oracle = SensitivityOracle(net)
+    pruned, info = prune_to_st_paths(net)
 
     def row(name, passed):
         report.invariants.append((name, bool(passed)))
 
-    if oracle.built is None:
+    if info.disconnected:
         row("disconnected instance: every query short-circuits to 0", True)
         report.counts["invariant"] = len(report.invariants)
         return
-    bf = oracle.built
+    bf = build_flow_family(pruned)
     fam = bf.family
     n = bf.sub.network.n
-    lam = oracle.lam
+    lam = bf.sub.lam
     row("|A| = lam+1", len(fam.A) == lam + 1)
     row("|B| = 2*lam+1", len(fam.A) + len(fam.B_extra) == 2 * lam + 1)
     edgewise = all(

@@ -112,13 +112,14 @@ def reconstruct_flow(oracle, diff, failures):
     edges end up carrying nothing, and the result is a feasible flow of
     exactly the reported value."""
     from flowsentry.flows import IntFlow
+    from flowsentry.oracles import F_TILDE
 
     pruned = oracle.pruned_net
-    ft = oracle.built.family.f_tilde if oracle.built is not None else None
 
     def bit(eid):
-        base = ft.values.get(eid, 0) if ft is not None else 0
-        return base ^ (1 if eid in diff.toggled else 0)
+        # f-tilde carries exactly the kept edges outside its null set
+        base = eid in oracle.kept and eid not in oracle.nullsets[F_TILDE]
+        return int(base) ^ (1 if eid in diff.toggled else 0)
 
     assert diff.toggled <= frozenset(pruned.edges)
     for eid in failures:

@@ -228,14 +228,38 @@ class TestBuildAndOracleFile:
         ob = tmp_path / "oracle.bin"
         run(capsys, "build", "-g", str(bottleneck_file), "-o", str(ob))
         blob = bytearray(ob.read_bytes())
-        blob[8:10] = (1).to_bytes(2, "little")
+        blob[8:10] = (2).to_bytes(2, "little")
         ob.write_bytes(bytes(blob))
         qf = tmp_path / "q.txt"
         qf.write_text("MF2 1 3\n")
         code, _, err = run(capsys, "query", "-g", str(bottleneck_file),
                            "--oracle", str(ob), "-q", str(qf))
         assert code == 2
-        assert "format version 1, this build reads version 2" in err
+        assert "format version 2, this build reads version 3" in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_damaged_file_exits_2(self, bottleneck_file, tmp_path, capsys,
+                                  damage):
+        ob = tmp_path / "oracle.bin"
+        run(capsys, "build", "-g", str(bottleneck_file), "-o", str(ob))
+        blob = bytearray(ob.read_bytes())
+        if damage == "truncated":
+            blob = blob[:len(blob) // 2]
+        else:
+            blob[-len(blob) // 3] ^= 0x01  # a byte inside the payload
+        ob.write_bytes(bytes(blob))
+        qf = tmp_path / "q.txt"
+        qf.write_text("MF 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowsentry.cli", "query",
+             "-g", str(bottleneck_file), "--oracle", str(ob), "-q", str(qf)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "corrupt oracle file; rebuild it" in lines[0]
 
     def test_large_graph_skips_kfault(self, tmp_path, capsys):
         graph = tmp_path / "g30.txt"

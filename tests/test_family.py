@@ -298,7 +298,8 @@ class TestFamilyB:
                 continue
             bf = built(net)
             for eid in sorted(bf.sub.kept):
-                f = bf.family.canonical_flow(eid)
+                kind, idx = bf.family.canonical[eid]
+                f = (bf.family.A if kind == "A" else bf.family.B_extra)[idx]
                 assert f.values[eid] == 0
                 f.check()
                 want = brute_max_flow_value(pruned.without_edges([eid]))

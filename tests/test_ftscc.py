@@ -119,14 +119,20 @@ def flow_host(net, st_arc=False):
     return _with_st_arc(ResidualGraph(net, max_unit_flow(net)), st_arc)
 
 
+def kept_null(net, f):
+    """The (kept, null) pair the traversals read a unit flow f from."""
+    return frozenset(net.edges), frozenset(
+        e for e in net.edges if f.values.get(e, 0) == 0)
+
+
 def connected(net, f, x, y, failed):
-    return strongly_connected_without(net, incidence(net), f.values, x, y,
-                                      failed)
+    return strongly_connected_without(net, incidence(net), *kept_null(net, f),
+                                      x, y, failed)
 
 
 def cycle(net, f, target, failed, st_arc=False):
-    return cycle_through_arc_without(net, incidence(net), f.values, target,
-                                     failed, st_arc)
+    return cycle_through_arc_without(net, incidence(net), *kept_null(net, f),
+                                     target, failed, st_arc)
 
 
 def brute_scc_pairs(host, banned_eid):
@@ -221,15 +227,15 @@ class TestIndexQueries:
             net = random_net(rng, n_max=8, m_max=16)
             f = max_unit_flow(net)
             host = ResidualGraph(net, f)
-            # the traversal reads a missing edge as carrying 0
-            support = {e: 1 for e in f.support()}
+            # the traversal reads an edge outside kept as carrying 0
+            support = frozenset(f.support())
             inc = incidence(net)
             for eid in sorted(net.edges):
                 comp = brute_scc_pairs(host, eid)
                 for x in range(net.n):
                     for y in range(net.n):
                         got = strongly_connected_without(
-                            net, inc, support, x, y, eid)
+                            net, inc, support, frozenset(), x, y, eid)
                         assert got == (comp[x] == comp[y]), (x, y, eid)
                         checked += 1
         assert checked > 5000
@@ -269,18 +275,19 @@ class TestCycleExtraction:
             use_st = bool(rng.getrandbits(1))
             f = max_unit_flow(net)
             inc = incidence(net)
+            kept, null = kept_null(net, f)
             carrying = [e for e in sorted(net.edges) if f[e] > 0]
             for target in carrying:
                 for failed in sorted(net.edges):
                     if failed == target:
                         continue
                     arcs = cycle_through_arc_without(
-                        net, inc, f.values, target, failed, use_st)
+                        net, inc, kept, null, target, failed, use_st)
                     if arcs is None:
                         continue
                     found += 1
                     if use_st and cycle_through_arc_without(
-                            net, inc, f.values, target, failed) is None:
+                            net, inc, kept, null, target, failed) is None:
                         assert any(a.eid is ARTIFICIAL for a in arcs)
                     tails = [a.tail for a in arcs]
                     assert len(set(tails)) == len(tails), "not simple"

@@ -10,6 +10,7 @@ from flowsentry.flows import ResidualGraph, max_flow
 from flowsentry.generators import gen_random
 from flowsentry.graph import DirectedMultigraph, FlowNetwork, reaches
 from flowsentry.kfault import (
+    _augment,
     build_kfault_oracle,
     enumerate_minimal_cuts,
     mincut_partition_k,
@@ -99,9 +100,13 @@ class TestBuild:
     def test_added_edges_multiplicity(self, bottleneck):
         o = build_kfault_oracle(bottleneck, 1)
         for entry in o.entries:
+            aug = _augment(bottleneck, entry.partition, o.limit + 1)
+            added = {eid: uv for eid, uv in aug.edges.items()
+                     if eid not in bottleneck.edges}
             pairs = {}
-            for uv in entry.added.values():
+            for uv in added.values():
                 pairs[uv] = pairs.get(uv, 0) + 1
+            assert pairs
             assert all(c == o.limit + 1 for c in pairs.values())
 
     def test_bad_k_rejected(self, diamond):

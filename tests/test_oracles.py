@@ -1,3 +1,4 @@
+import io
 import itertools
 import pickle
 import random
@@ -5,8 +6,12 @@ import random
 import pytest
 
 from flowsentry.errors import InternalInvariantError, QueryError
+from flowsentry.family import BuiltFamily, FlowFamily
+from flowsentry.flows import IntFlow
 from flowsentry.generators import gen_random
-from flowsentry.oracles import FlowDiff, SensitivityOracle
+from flowsentry.graph import DirectedMultigraph
+from flowsentry.kfault import build_kfault_oracle
+from flowsentry.oracles import F_TILDE, FlowDiff, SensitivityOracle
 
 from conftest import (
     brute_max_flow_value,
@@ -74,8 +79,9 @@ class TestEdgeFlowQuery:
 class TestFlowDiffSingle:
     def test_zero_flow_edge_is_free(self, bottleneck):
         o = SensitivityOracle(bottleneck)
-        ft = o.built.family.f_tilde
-        zeros = [e for e in sorted(o.built.sub.kept) if ft.values[e] == 0]
+        # null(f-tilde): the kept edges f-tilde leaves at 0
+        zeros = sorted(o.nullsets[F_TILDE])
+        assert set(zeros) <= o.kept
         assert zeros, "peel should leave some b-edge unused"
         for e in zeros:
             d = o.report_flow_diff_single(e)
@@ -90,7 +96,7 @@ class TestFlowDiffSingle:
 
     def test_calibration_removed_edge_is_no_effect(self, wide_bottleneck):
         o = SensitivityOracle(wide_bottleneck)
-        assert o.built.sub.pruned == frozenset({2})
+        assert set(o.pruned_net.edges) - o.kept == {2}
         d = o.report_flow_diff_single(2)
         assert d.toggled == frozenset() and d.new_value == 2
 
@@ -222,25 +228,49 @@ class TestDisconnected:
         assert o.mincut_size_dual(0, 1) == 0
 
 
+def reached_objects(obj):
+    """Per class, the distinct instances pickling obj reaches."""
+    seen = {}
+
+    class Recorder(pickle.Pickler):
+        def reducer_override(self, o):
+            seen.setdefault(type(o), set()).add(id(o))
+            return NotImplemented
+
+    Recorder(io.BytesIO()).dump(obj)
+    return {cls: len(ids) for cls, ids in seen.items()}
+
+
 class TestStoredEncoding:
     def test_pickled_size_stays_small(self):
-        # flows, null sets, canonical and min-cut tables and one incidence
-        # list, about 47 KB here; a residual copy per flow would be ~20x
+        # null sets, canonical and min-cut tables, one graph and its
+        # incidence list: about 14 KB here; storing the family's flows
+        # too took 47 KB, and a residual copy per flow ~20x that
         o = SensitivityOracle(gen_random(40, 1))
-        assert len(pickle.dumps(o)) < 150_000
+        assert len(pickle.dumps(o)) < 18_000
+
+    @pytest.mark.parametrize("build", [
+        lambda: SensitivityOracle(gen_random(40, 1)),
+        lambda: build_kfault_oracle(gen_random(12, 1), 2),
+    ], ids=["sensitivity", "kfault"])
+    def test_stores_no_flow_and_one_graph(self, build):
+        reached = reached_objects(build())
+        for cls in reached:
+            assert not issubclass(cls, (IntFlow, FlowFamily, BuiltFamily)), cls
+        assert reached[DirectedMultigraph] == 1
 
     def test_tampered_canonical_flow_raises(self, diamond):
         # f-tilde sends its unit into a over edge 0; with edge 0 failed, a
         # has no residual arc out, so edge 1's unit cannot be rerouted,
         # artificial arc or not
         o = SensitivityOracle(diamond)
-        o.built.family.canonical[0] = o._rep_key
+        o.canonical[0] = F_TILDE
         with pytest.raises(InternalInvariantError, match="no rerouting cycle"):
             o.report_flow_diff_dual(0, 1)
 
     def test_tampered_null_set_raises(self, diamond):
         o = SensitivityOracle(diamond)
-        key = o.built.family.canonical[0]
-        o.built.family.nullsets[key] = frozenset(range(100))
+        key = o.canonical[0]
+        o.nullsets[key] = frozenset(range(100))
         with pytest.raises(InternalInvariantError, match="bound is 24"):
             o.report_flow_diff_single(0)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from flowsentry.family import build_flow_family
+from flowsentry.graph import prune_to_st_paths
 from flowsentry.oracles import SensitivityOracle
 from flowsentry.verify import (
     Mismatch,
@@ -131,9 +133,9 @@ class TestInvariants:
         assert rows["|B| = 2*lam+1"] is True
         assert rows["sum over A of f_i = f_H edgewise"] is True
         # diamond has lam=2, so |A|=3 and |B|=5
-        o = SensitivityOracle(diamond)
-        assert len(o.built.family.A) == 3
-        assert len(o.built.family.A) + len(o.built.family.B_extra) == 5
+        bf = build_flow_family(prune_to_st_paths(diamond)[0])
+        assert len(bf.family.A) == 3
+        assert len(bf.family.A) + len(bf.family.B_extra) == 5
 
     def test_disconnected_instance(self):
         net = make_net(3, [(1, 0), (2, 1)])
