@@ -34,8 +34,6 @@ from .mincut import (
     MinCutOracleStruct,
     build_mincut_oracle,
     crossing_edges,
-    decreases_by_k,
-    report_nmc_after,
 )
 from .oracles import FlowDiff, SensitivityOracle
 from .verify import VerificationReport, run_verify
@@ -64,7 +62,6 @@ __all__ = [
     "build_kfault_oracle",
     "build_mincut_oracle",
     "crossing_edges",
-    "decreases_by_k",
     "generate",
     "max_flow",
     "mincut_partition_k",
@@ -73,7 +70,6 @@ __all__ = [
     "prune_to_st_paths",
     "reachable_under_failures",
     "reaches",
-    "report_nmc_after",
     "run_verify",
     "serialize_network",
     "solve_circulation",

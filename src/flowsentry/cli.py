@@ -1,6 +1,7 @@
 """Command line surface: gen, build, query, verify.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
+3 internal invariant violated (a bug).
 """
 
 import argparse
@@ -10,7 +11,7 @@ import pickle
 import struct
 import sys
 
-from .errors import ParseError, QueryError
+from .errors import InternalInvariantError, ParseError, QueryError
 from .generators import FAMILIES, generate
 from .graph import parse_network, serialize_network
 from .kfault import (
@@ -23,7 +24,7 @@ from .kfault import (
 from .oracles import SensitivityOracle
 from .verify import run_verify
 
-# Oracle file layout, version 3 (stability across versions not promised):
+# Oracle file layout, version 4 (stability across versions not promised):
 #   8 bytes   magic b"FLOWSNTY"
 #   u16 LE    format version
 #   u16 LE    k the failure oracle was built for
@@ -31,7 +32,7 @@ from .verify import run_verify
 #   32 bytes  sha256 of the payload
 #   rest      payload: pickle of {"sensitivity": ..., "kfault": ...}
 ORACLE_MAGIC = b"FLOWSNTY"
-ORACLE_VERSION = 3
+ORACLE_VERSION = 4
 _HEADER = 76
 
 
@@ -283,12 +284,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, QueryError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError, QueryError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except InternalInvariantError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

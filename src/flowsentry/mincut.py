@@ -1,11 +1,11 @@
 """Equivalence classes, the strip graph, and the min-cut sensitivity core.
 
-The objects here answer two questions about a unit-capacity network at
-max-flow value lam: does deleting a given set of k critical edges drop the
-max-flow to lam-k, and if so, what does the nearest min-cut of the damaged
-graph look like. Both reduce to order queries over an acyclic quotient (the
-strip graph): a set of critical edges all lies in one min-cut exactly when no
-strip-graph path orders two of them (they form an anti-chain).
+The objects here describe the min-cuts of a unit-capacity network at
+max-flow value lam through an acyclic quotient (the strip graph): a set of
+critical edges all lies in one min-cut exactly when no strip-graph path
+orders two of them (they form an anti-chain), and deleting such a set drops
+the max-flow by its size. precedes answers the order query in constant
+time.
 
 Everything is built against one reference max-flow and is immutable after
 construction.
@@ -13,15 +13,12 @@ construction.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, QueryError
-from .family import BuiltFamily, CriticalityLabels, classify_edges
-from .flows import IntFlow, ResidualGraph, cancel_flow_cycles, decompose_into_paths, max_flow
+from .family import BuiltFamily, CriticalityLabels
+from .flows import IntFlow, ResidualGraph
 from .graph import FlowNetwork, scc_from_adjacency
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,7 @@ def build_path_system(
 
 @dataclass(frozen=True)
 class MinCutOracleStruct:
-    """Bundle answering decrease-by-k and NMC queries for one network."""
+    """Classes, strip graph, path system and criticality labels of one network."""
 
     lam: int
     classes: EquivalenceClasses
@@ -276,95 +273,17 @@ def precedes(ps: PathSystem, e_a: int, e_b: int) -> bool:
     return pos <= ps.rank[p][ps.tail_class[e_b]]
 
 
-def decreases_by_k(o: MinCutOracleStruct, F, k: int | None = None) -> bool:
-    """True iff deleting F drops the max-flow by exactly |F|.
-
-    Holds exactly when every edge of F is critical and no two are ordered by
-    a strip path (they form an anti-chain, i.e. lie in one min-cut together).
-    Edges absent from the oracle's network are never critical, so any such
-    edge makes the answer false.
-    """
-    edges = list(F)
-    if k is not None and len(edges) != k:
-        raise QueryError(f"expected {k} edges, got {len(edges)}")
-    if len(set(edges)) != len(edges):
-        raise QueryError("duplicate EdgeId in failure set")
-    if not edges:
-        raise QueryError("empty failure set")
-    for e in edges:
-        if e not in o.known:
-            raise QueryError(f"unknown EdgeId {e}")
-        if e not in o.labels.critical:
-            return False
-    for i, a in enumerate(edges):
-        for b in edges[i + 1 :]:
-            if precedes(o.paths, a, b) or precedes(o.paths, b, a):
-                return False
-    return True
-
-
-def report_nmc_after(o: MinCutOracleStruct, F) -> CutPartition:
-    """Source side of the nearest min-cut of the graph minus F.
-
-    Requires decreases_by_k(o, F); a vertex lands on the source side exactly
-    when its class reaches the tail class of some failed edge in the strip
-    graph (checked through the first-reach table, one lookup per failed edge).
-    """
-    edges = list(F)
-    if not decreases_by_k(o, edges):
-        raise QueryError("report_nmc_after needs a decrease-by-k failure set")
-    targets = []
-    for e in edges:
-        tc = o.paths.tail_class[e]
-        if tc == o.classes.sink_class:
-            log.info("failed edge %d has its tail in the sink class; rejecting", e)
-            raise QueryError(f"edge {e} starts in the sink class")
-        targets.append((o.paths.path_of[e], o.paths.rank[o.paths.path_of[e]][tc]))
-    side = []
-    for v, c in enumerate(o.classes.class_of):
-        for p, limit in targets:
-            pos = o.paths.first_reach[p].get(c)
-            if pos is not None and pos <= limit:
-                side.append(v)
-                break
-    a = frozenset(side)
-    return CutPartition(
-        source_side=a, sink_side=frozenset(range(len(o.classes.class_of))) - a
-    )
-
-
-def _assemble(net: FlowNetwork, labels: CriticalityLabels, f: IntFlow,
-              edge_paths, known) -> MinCutOracleStruct:
-    """Classes, strip graph and path system of a reference max-flow f with
-    path decomposition edge_paths."""
+def build_mincut_oracle(bf: BuiltFamily, known=None) -> MinCutOracleStruct:
+    """O_MINCUT over the calibrated subgraph of a built family: classes,
+    strip graph and path system of its reference flow f_tilde."""
+    net, labels, f = bf.sub.network, bf.labels, bf.family.f_tilde
     classes = build_classes(net, f)
     strip = build_strip_graph(net, classes, labels, f)
     return MinCutOracleStruct(
         lam=labels.lam,
         classes=classes,
         strip=strip,
-        paths=build_path_system(strip, classes, labels, edge_paths, net),
+        paths=build_path_system(strip, classes, labels, bf.family.paths, net),
         labels=labels,
         known=frozenset(known if known is not None else net.edges),
     )
-
-
-def build_mincut_oracle(bf: BuiltFamily, known=None) -> MinCutOracleStruct:
-    """O_MINCUT over the calibrated subgraph of a built family."""
-    return _assemble(bf.sub.network, bf.labels, bf.family.f_tilde,
-                     bf.family.paths, known)
-
-
-def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutOracleStruct:
-    """O_MINCUT for a network taken as-is (no calibration).
-
-    Used for the augmented graphs of the k-failure oracle, where every edge
-    must stay in play. The reference flow is cycle-canceled so its path
-    decomposition exists.
-    """
-    f = max_flow(net)
-    labels = classify_edges(net, f)
-    if labels.lam < 1:
-        raise ValueError("mincut oracle needs lam >= 1")
-    f = cancel_flow_cycles(net, f)
-    return _assemble(net, labels, f, decompose_into_paths(net, f), None)

@@ -30,15 +30,11 @@ from flowsentry.kfault import (
     mincut_partition_k,
     mincut_size_k,
 )
-from flowsentry.mincut import (
-    build_mincut_oracle,
-    build_mincut_oracle_raw,
-    crossing_edges,
-    decreases_by_k,
-)
+from flowsentry.mincut import build_mincut_oracle, crossing_edges
 from flowsentry.oracles import SensitivityOracle
 
 from conftest import hoffman_feasible, make_net, reconstruct_flow
+from mincut_reference import build_mincut_oracle_raw, decreases_by_k
 
 # Documented constant for the min-cut structure's footprint: stored words
 # are at most MINCUT_WORDS_PER_LAM_N * lam * n. Measured maximum over the
@@ -338,7 +334,7 @@ def test_ac07_k_failure_oracle():
     exhaustive = 0
     for net in nets:
         o = build_kfault_oracle(net, 3)
-        cuts = [z for z, _ in enumerate_minimal_cuts(net, o.limit)]
+        cuts = [z for z, _ in enumerate_minimal_cuts(net, o.lam + o.k)]
         eids = sorted(net.edges)
         sets = [
             combo
@@ -355,7 +351,7 @@ def test_ac07_k_failure_oracle():
         if brute_force(net)[0] < 1:
             continue
         o = build_kfault_oracle(net, 4)
-        cuts = [z for z, _ in enumerate_minimal_cuts(net, o.limit)]
+        cuts = [z for z, _ in enumerate_minimal_cuts(net, o.lam + o.k)]
         eids = sorted(net.edges)
         sets = [
             tuple(rng.sample(eids, rng.randint(1, 4))) for _ in range(5000)

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+import flowsentry.cli as cli
 from flowsentry.cli import load_oracle, main
+from flowsentry.errors import InternalInvariantError
 from flowsentry.graph import parse_network
 from flowsentry.oracles import SensitivityOracle
 
@@ -228,14 +230,16 @@ class TestBuildAndOracleFile:
         ob = tmp_path / "oracle.bin"
         run(capsys, "build", "-g", str(bottleneck_file), "-o", str(ob))
         blob = bytearray(ob.read_bytes())
-        blob[8:10] = (2).to_bytes(2, "little")
+        old = cli.ORACLE_VERSION - 1
+        blob[8:10] = old.to_bytes(2, "little")
         ob.write_bytes(bytes(blob))
         qf = tmp_path / "q.txt"
         qf.write_text("MF2 1 3\n")
         code, _, err = run(capsys, "query", "-g", str(bottleneck_file),
                            "--oracle", str(ob), "-q", str(qf))
         assert code == 2
-        assert "format version 2, this build reads version 3" in err
+        assert (f"format version {old}, this build reads version "
+                f"{cli.ORACLE_VERSION}") in err
 
     @pytest.mark.parametrize("damage", ["truncated", "flipped"])
     def test_damaged_file_exits_2(self, bottleneck_file, tmp_path, capsys,
@@ -292,6 +296,22 @@ class TestBuildAndOracleFile:
                            "--oracle", str(bad), "-q", str(qf))
         assert code == 2
         assert "not a flowsentry oracle" in err
+
+
+class TestInternalError:
+    def test_invariant_violation_exits_3(self, bottleneck_file, tmp_path,
+                                         capsys, monkeypatch):
+        def broken(net):
+            raise InternalInvariantError("strip graph contains a cycle")
+
+        monkeypatch.setattr(cli, "SensitivityOracle", broken)
+        code, out, err = run(capsys, "build", "-g", str(bottleneck_file),
+                             "-o", str(tmp_path / "oracle.bin"))
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "error: internal invariant violated: strip graph contains a cycle"]
 
 
 class TestVerifyCommand:

@@ -8,16 +8,15 @@ import flowsentry.kfault
 from flowsentry.errors import InternalInvariantError, QueryError
 from flowsentry.flows import ResidualGraph, max_flow
 from flowsentry.generators import gen_random
-from flowsentry.graph import DirectedMultigraph, FlowNetwork, reaches
+from flowsentry.graph import DirectedMultigraph, FlowNetwork, reachable_set, reaches
 from flowsentry.kfault import (
-    _augment,
     build_kfault_oracle,
     enumerate_minimal_cuts,
     mincut_partition_k,
     mincut_size_k,
     reachable_under_failures,
 )
-from flowsentry.mincut import CutPartition, decreases_by_k, report_nmc_after
+from flowsentry.mincut import CutPartition, crossing_edges
 
 from conftest import brute_max_flow_value, make_net, random_net
 
@@ -28,21 +27,43 @@ def brute_after(net, failures):
 
 def brute_minimal_cuts(net, limit):
     """Reference: all inclusion-minimal cutting subsets of size <= limit,
-    found by scanning every edge subset directly."""
-    eids = sorted(net.edges)
+    found by scanning edge subsets directly.
+
+    A member of a minimal cut lies on an (s,t)-path, so only such edges
+    are scanned, and a subset that already cuts is not grown further,
+    since none of its supersets is minimal.
+    """
+    eids = sorted(e for e, (u, v) in net.edges.items()
+                  if reaches(net.graph, net.s, u)
+                  and reaches(net.graph, v, net.t))
+    out = {}
+    for e in eids:
+        u, v = net.edges[e]
+        out.setdefault(u, []).append((e, v))
+
+    def cuts(z):
+        seen, stack = {net.s}, [net.s]
+        while stack:
+            for e, v in out.get(stack.pop(), ()):
+                if v not in seen and e not in z:
+                    if v == net.t:
+                        return False
+                    seen.add(v)
+                    stack.append(v)
+        return True
+
     found = set()
-    for size in range(0, limit + 1):
-        for combo in itertools.combinations(eids, size):
-            z = frozenset(combo)
-            rest = net.graph.without_edges(z)
-            if reaches(rest, net.s, net.t):
-                continue
-            minimal = all(
-                reaches(net.graph.without_edges(z - {e}), net.s, net.t)
-                for e in z
-            )
-            if minimal:
+    stack = [((), 0)]
+    while stack:
+        combo, start = stack.pop()
+        z = frozenset(combo)
+        if cuts(z):
+            if not any(cuts(z - {e}) for e in z):
                 found.add(z)
+            continue
+        if len(combo) < limit:
+            stack.extend((combo + (eids[i],), i + 1)
+                         for i in range(start, len(eids)))
     return found
 
 
@@ -86,28 +107,18 @@ class TestEnumeration:
 
 class TestBuild:
     def test_bottleneck_entries(self, bottleneck):
+        # cuts of size lam+k never win, so they are not kept
         o = build_kfault_oracle(bottleneck, 1)
-        assert o.lam == 2 and o.limit == 3
-        assert sorted(e.lam_e for e in o.entries) == [2, 3]
-        for e in o.entries:
-            assert len(e.z) == e.lam_e
+        assert o.lam == 2
+        assert [e.z for e in o.entries] == [frozenset({0, 1})]
+        o = build_kfault_oracle(bottleneck, 2)
+        assert sorted(len(e.z) for e in o.entries) == [2, 3]
+        assert o.cuts_of == {0: (0,), 1: (0,), 2: (1,), 3: (1,), 4: (1,)}
 
     def test_diamond_entries(self, diamond):
         o = build_kfault_oracle(diamond, 1)
-        assert [e.lam_e for e in o.entries] == [2, 2, 2, 2]
+        assert [len(e.z) for e in o.entries] == [2, 2, 2, 2]
         assert len({e.partition.source_side for e in o.entries}) == 4
-
-    def test_added_edges_multiplicity(self, bottleneck):
-        o = build_kfault_oracle(bottleneck, 1)
-        for entry in o.entries:
-            aug = _augment(bottleneck, entry.partition, o.limit + 1)
-            added = {eid: uv for eid, uv in aug.edges.items()
-                     if eid not in bottleneck.edges}
-            pairs = {}
-            for uv in added.values():
-                pairs[uv] = pairs.get(uv, 0) + 1
-            assert pairs
-            assert all(c == o.limit + 1 for c in pairs.values())
 
     def test_bad_k_rejected(self, diamond):
         with pytest.raises(ValueError):
@@ -152,7 +163,7 @@ class TestSizeQueries:
         for _ in range(8):
             net = random_net(rng, n_max=7, m_max=12)
             o = build_kfault_oracle(net, 3)
-            cuts = [z for z, _ in enumerate_minimal_cuts(net, o.limit)]
+            cuts = [z for z, _ in enumerate_minimal_cuts(net, o.lam + o.k)]
             eids = sorted(net.edges)
             for combo in itertools.combinations(eids, 3):
                 fs = set(combo)
@@ -178,8 +189,6 @@ class TestPartitionQueries:
         o = build_kfault_oracle(bottleneck, 3)
         part = mincut_partition_k(o, [0, 2, 3])
         assert part.source_side == frozenset({0, 1})
-        from flowsentry.mincut import crossing_edges
-
         cross = [e for e in crossing_edges(bottleneck, part.source_side)
                  if e not in {0, 2, 3}]
         assert cross == [4]
@@ -192,8 +201,6 @@ class TestPartitionQueries:
     def test_empty_failure_set(self, bottleneck):
         o = build_kfault_oracle(bottleneck, 2)
         part = mincut_partition_k(o, [])
-        from flowsentry.mincut import crossing_edges
-
         assert len(crossing_edges(bottleneck, part.source_side)) == 2
 
     def test_partitions_always_valid(self):
@@ -239,24 +246,30 @@ class TestReachability:
         assert net.s in part.source_side and net.t in part.sink_side
 
 
-def reference_improvements(o, f):
-    """(value, subset, entry) for every subset of f an entry certifies.
+def reference_cuts(net, k):
+    """(lam, [(Z, source side)]) for every minimal cut of size <= lam+k.
 
-    The two-pass query the oracle once ran, kept as a reference: every
-    subset against every entry through decreases_by_k, larger subsets
-    first, lexicographic within a size, entries in construction order.
+    The cuts come from the edge-subset scan, each with the vertices s
+    reaches in G - Z as its source side. They are listed in the documented
+    construction order: ascending bitmask of the first vertex set whose
+    crossing set is Z.
     """
-    for size in range(len(f), 0, -1):
-        for combo in itertools.combinations(sorted(f), size):
-            for entry in o.entries:
-                if entry.oracle is None:
-                    continue
-                if decreases_by_k(entry.oracle, combo, size):
-                    yield entry.lam_e - size, combo, entry
+    lam = brute_max_flow_value(net)
+    cuts = brute_minimal_cuts(net, lam + k)
+    first = {}
+    for mask in range(1 << net.n):
+        if (mask >> net.s) & 1 and not (mask >> net.t) & 1:
+            side = [v for v in range(net.n) if (mask >> v) & 1]
+            first.setdefault(frozenset(crossing_edges(net, side)), mask)
+    return lam, [
+        (z, frozenset(reachable_set(net.graph.without_edges(z), net.s)))
+        for z in sorted(cuts, key=first.__getitem__)
+    ]
 
 
-def reference_size(o, f):
-    return min([o.lam] + [v for v, _, _ in reference_improvements(o, f)])
+def reference_size(lam, cuts, f):
+    """min(lam, min over minimal cuts Z of |Z - f|)."""
+    return min([lam] + [len(z - set(f)) for z, _ in cuts])
 
 
 def reference_base_side(net):
@@ -264,14 +277,18 @@ def reference_base_side(net):
     return frozenset(ResidualGraph(net, max_flow(net)).reachable(net.s))
 
 
-def reference_source_side(o, f):
-    q = reference_size(o, f)
-    if q == o.lam:
-        return reference_base_side(o.net)
-    for value, combo, entry in reference_improvements(o, f):
-        if value == q:
-            return report_nmc_after(entry.oracle, combo).source_side
-    raise AssertionError("minimizer disappeared between passes")
+def reference_source_side(net, lam, cuts, f):
+    """The value first, then the source side of the cut with the smallest
+    documented key (|Z - f|, -|Z & f|, sorted Z & f, construction order)
+    among those that drop below lam; the residual-reachable side when none
+    does."""
+    q = reference_size(lam, cuts, f)
+    if q == lam:
+        return reference_base_side(net)
+    fs = set(f)
+    _, _, _, i = min((len(z - fs), -len(z & fs), sorted(z & fs), i)
+                     for i, (z, _) in enumerate(cuts) if len(z - fs) == q)
+    return cuts[i][1]
 
 
 def reference_corpus():
@@ -285,15 +302,17 @@ class TestOnePassQuery:
         checked = 0
         for net in reference_corpus():
             o = build_kfault_oracle(net, 3)
-            lams.add(o.lam)
+            lam, cuts = reference_cuts(net, 3)
+            lams.add(lam)
             eids = sorted(net.edges)
             for size in range(0, 4):
                 for combo in itertools.combinations(eids, size):
-                    q = reference_size(o, combo)
+                    q = reference_size(lam, cuts, combo)
                     assert mincut_size_k(o, combo) == q, combo
                     assert reachable_under_failures(o, combo) == (q >= 1)
                     got = mincut_partition_k(o, combo).source_side
-                    assert got == reference_source_side(o, combo), combo
+                    want = reference_source_side(net, lam, cuts, combo)
+                    assert got == want, combo
                     checked += 1
         assert 0 in lams and max(lams) >= 3
         assert checked > 5000
@@ -324,7 +343,7 @@ class TestOnePassQuery:
         wrong = CutPartition(source_side=frozenset({0, 1}),
                              sink_side=frozenset({2}))
         entries = tuple(
-            dataclasses.replace(e, partition=wrong) if e.lam_e == o.lam else e
+            dataclasses.replace(e, partition=wrong) if len(e.z) == o.lam else e
             for e in o.entries
         )
         tampered = dataclasses.replace(o, entries=entries)
