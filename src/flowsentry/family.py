@@ -75,15 +75,13 @@ def _augment(g: DirectedMultigraph, flow: dict[int, int], alive, sources, sinks)
     EdgeId is in alive. The path's edges are toggled in place. Returns False,
     leaving flow untouched, when no vertex of sinks is reachable.
     """
-    edges = g.edges
+    arcs = g.incidence()
     parent: dict[int, tuple[int, int] | None] = dict.fromkeys(sources)
     queue = deque(parent)
     while queue:
         x = queue.popleft()
-        arcs = [(e, edges[e][1]) for e in g.out_edges(x) if not flow[e]]
-        arcs += [(e, edges[e][0]) for e in g.in_edges(x) if flow[e]]
-        for eid, y in arcs:
-            if y in parent or eid not in alive:
+        for eid, y, rev in arcs[x]:
+            if y in parent or flow[eid] != rev or eid not in alive:
                 continue
             parent[y] = (x, eid)
             if y in sinks:
@@ -390,7 +388,6 @@ class BuiltFamily:
 
     sub: CalibratedSubgraph
     labels: CriticalityLabels
-    caps: dict[int, int]
     f_h: IntFlow
     family: FlowFamily
 
@@ -418,7 +415,7 @@ def build_flow_family(net: FlowNetwork) -> BuiltFamily:
             raise InternalInvariantError(
                 f"calibration fixpoint violated: nu({eid}) = {val} in the subgraph"
             )
-    caps, f_h = build_auxiliary(sub, labels)
+    _, f_h = build_auxiliary(sub, labels)
     A = peel_family_A(sub, f_h)
     family = extend_family_B(A, sub, labels)
     for eid, val in f_h.values.items():
@@ -427,4 +424,4 @@ def build_flow_family(net: FlowNetwork) -> BuiltFamily:
             raise InternalInvariantError(
                 f"peel identity broken on edge {eid}: {total} != {val}"
             )
-    return BuiltFamily(sub=sub, labels=labels, caps=caps, f_h=f_h, family=family)
+    return BuiltFamily(sub=sub, labels=labels, f_h=f_h, family=family)

@@ -106,6 +106,7 @@ def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None,
             raise ValueError(f"negative capacity {c} on edge {eid}")
     flow = {eid: 0 for eid in g.edges}
     s, t = net.s, net.t
+    arcs = g.incidence()
     value = 0
     while value_limit is None or value < value_limit:
         # BFS over residual arcs; parents recorded as (vertex, eid, is_reverse)
@@ -113,12 +114,13 @@ def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None,
         queue = deque([s])
         while queue and t not in parent:
             v = queue.popleft()
-            for eid, is_rev, w in _residual_arcs(g, flow, caps, v):
-                if w not in parent:
-                    parent[w] = (v, eid, is_rev)
-                    if w == t:
-                        break
-                    queue.append(w)
+            for eid, w, is_rev in arcs[v]:
+                if w in parent or flow[eid] == (0 if is_rev else caps[eid]):
+                    continue
+                parent[w] = (v, eid, is_rev)
+                if w == t:
+                    break
+                queue.append(w)
         if t not in parent:
             break
         path = []
@@ -135,25 +137,6 @@ def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None,
     if capacities is None:
         return UnitFlow(net, flow)
     return IntFlow(net, flow, caps)
-
-
-def _residual_arcs(g: DirectedMultigraph, flow, caps, v):
-    """Residual arcs out of v in deterministic order: ascending EdgeId,
-    forward before reverse on the same id. Yields (eid, is_reverse, head)."""
-    out = g.out_edges(v)
-    inc = g.in_edges(v)
-    i = j = 0
-    while i < len(out) or j < len(inc):
-        if j >= len(inc) or (i < len(out) and out[i] <= inc[j]):
-            eid = out[i]
-            i += 1
-            if flow[eid] < caps[eid]:
-                yield eid, False, g.head(eid)
-        else:
-            eid = inc[j]
-            j += 1
-            if flow[eid] > 0:
-                yield eid, True, g.tail(eid)
 
 
 ARTIFICIAL = None  # EdgeId placeholder for the artificial (s,t) arc

@@ -22,15 +22,14 @@ class DirectedMultigraph:
     sorted by EdgeId so every traversal in the package is deterministic.
     """
 
-    __slots__ = ("n", "edges", "_out", "_in")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges=None):
         if n < 1:
             raise ValueError("vertex count must be at least 1")
         self.n = n
         self.edges: dict[int, tuple[int, int]] = {}
-        self._out: list[list[int]] | None = None
-        self._in: list[list[int]] | None = None
+        self._adj = None
         if edges is not None:
             items = edges.items() if isinstance(edges, dict) else enumerate(edges)
             for eid, (u, v) in items:
@@ -44,27 +43,31 @@ class DirectedMultigraph:
         elif eid in self.edges:
             raise ValueError(f"EdgeId {eid} already present")
         self.edges[eid] = (u, v)
-        self._out = self._in = None
+        self._adj = None
         return eid
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
-        if self._out is None:
+    def _adjacency(self):
+        """(out-lists, in-lists, incidence list), built on first use."""
+        if self._adj is None:
             out: list[list[int]] = [[] for _ in range(self.n)]
             inc: list[list[int]] = [[] for _ in range(self.n)]
+            arcs: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.n)]
             for eid in sorted(self.edges):
                 u, v = self.edges[eid]
                 out[u].append(eid)
                 inc[v].append(eid)
-            self._out, self._in = out, inc
-        return self._out, self._in
+                arcs[u].append((eid, v, False))
+                arcs[v].append((eid, u, True))
+            self._adj = out, inc, arcs
+        return self._adj
 
     def __getstate__(self):
         # the adjacency lists are a cache that _adjacency rebuilds on demand
-        return None, {"n": self.n, "edges": self.edges, "_out": None, "_in": None}
+        return None, {"n": self.n, "edges": self.edges, "_adj": None}
 
     def out_edges(self, u: int) -> list[int]:
         """EdgeIds leaving u, ascending."""
@@ -73,6 +76,14 @@ class DirectedMultigraph:
     def in_edges(self, v: int) -> list[int]:
         """EdgeIds entering v, ascending."""
         return self._adjacency()[1][v]
+
+    def incidence(self) -> list[list[tuple[int, int, bool]]]:
+        """Per vertex v, (EdgeId, other end, is_reverse) for each edge at v,
+        is_reverse True where v is the head; ascending EdgeId, a self-loop's
+        forward entry first. This is the scan order of every residual
+        traversal: a forward entry is an arc of spare capacity, a reverse
+        entry an arc of flow."""
+        return self._adjacency()[2]
 
     def tail(self, eid: int) -> int:
         return self.edges[eid][0]

@@ -240,22 +240,6 @@ class MinCutOracleStruct:
     strip: StripGraph
     paths: PathSystem
     labels: CriticalityLabels
-    known: frozenset[int]
-
-    def word_count(self) -> int:
-        """Machine words held by the query tables (size-bound accounting)."""
-        words = len(self.classes.class_of) + 3
-        words += 3 * len(self.strip.arcs)
-        words += sum(len(s) for s in self.strip.succ)
-        words += sum(len(p) for p in self.strip.pred)
-        words += sum(len(c) for c in self.paths.path_classes)
-        words += sum(len(e) for e in self.paths.path_edges)
-        words += sum(2 * len(r) for r in self.paths.rank)
-        words += sum(2 * len(f) for f in self.paths.first_reach)
-        words += 2 * len(self.paths.path_of)
-        words += 2 * len(self.paths.tail_class) + 2 * len(self.paths.head_class)
-        words += 2 * len(self.labels.nu) + len(self.labels.critical)
-        return words
 
 
 def precedes(ps: PathSystem, e_a: int, e_b: int) -> bool:
@@ -273,7 +257,7 @@ def precedes(ps: PathSystem, e_a: int, e_b: int) -> bool:
     return pos <= ps.rank[p][ps.tail_class[e_b]]
 
 
-def build_mincut_oracle(bf: BuiltFamily, known=None) -> MinCutOracleStruct:
+def build_mincut_oracle(bf: BuiltFamily) -> MinCutOracleStruct:
     """O_MINCUT over the calibrated subgraph of a built family: classes,
     strip graph and path system of its reference flow f_tilde."""
     net, labels, f = bf.sub.network, bf.labels, bf.family.f_tilde
@@ -285,5 +269,4 @@ def build_mincut_oracle(bf: BuiltFamily, known=None) -> MinCutOracleStruct:
         strip=strip,
         paths=build_path_system(strip, classes, labels, bf.family.paths, net),
         labels=labels,
-        known=frozenset(known if known is not None else net.edges),
     )

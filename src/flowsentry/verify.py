@@ -149,18 +149,22 @@ def _check_single(report, oracle, net, e):
             report.mismatch(_q("MFX", e, x), ref, got)
 
 
-def _check_dual(report, oracle, net, e, e2):
-    want, _ = brute_force(net, [e, e2])
+def _check_mf2(report, oracle, want, e, e2):
+    """MF2 against want, the brute-force max-flow without e and e2."""
     diff = oracle.report_flow_diff_dual(e, e2)
     report.count("MF2")
     if diff.new_value != want:
         report.mismatch(_q("MF2", e, e2), want, diff.new_value)
-    else:
-        flow = _reconstructed_flow(oracle, diff, [e, e2])
-        if isinstance(flow, str):
-            report.mismatch(_q("MF2", e, e2), "feasible max-flow", flow)
-        elif flow.value != want:
-            report.mismatch(_q("MF2", e, e2), want, flow.value)
+        return
+    flow = _reconstructed_flow(oracle, diff, [e, e2])
+    if isinstance(flow, str):
+        report.mismatch(_q("MF2", e, e2), "feasible max-flow", flow)
+    elif flow.value != want:
+        report.mismatch(_q("MF2", e, e2), want, flow.value)
+
+
+def _check_mc2(report, oracle, want, e, e2):
+    """MC2 against want, the brute-force max-flow without e and e2."""
     report.count("MC2")
     got = oracle.mincut_size_dual(e, e2)
     if got != want:
@@ -176,7 +180,9 @@ def _run_exhaustive_1(report, net):
 def _run_exhaustive_2(report, net):
     oracle = SensitivityOracle(net)
     for e, e2 in itertools.combinations(sorted(net.edges), 2):
-        _check_dual(report, oracle, net, e, e2)
+        want, _ = brute_force(net, [e, e2])
+        _check_mf2(report, oracle, want, e, e2)
+        _check_mc2(report, oracle, want, e, e2)
 
 
 def _run_exhaustive_k(report, net, k, ncap):
@@ -247,25 +253,9 @@ def _run_sampled(report, net, count, seed):
             e, e2 = rng.sample(eids, 2) if len(eids) > 1 else (None, None)
             if e is None:
                 continue
-            if kind == "MF2":
-                want, _ = brute_force(net, [e, e2])
-                diff = oracle.report_flow_diff_dual(e, e2)
-                report.count("MF2")
-                if diff.new_value != want:
-                    report.mismatch(_q("MF2", e, e2), want, diff.new_value)
-                else:
-                    flow = _reconstructed_flow(oracle, diff, [e, e2])
-                    if isinstance(flow, str) or flow.value != want:
-                        report.mismatch(
-                            _q("MF2", e, e2), f"feasible flow of {want}",
-                            flow if isinstance(flow, str) else flow.value,
-                        )
-            else:
-                want, _ = brute_force(net, [e, e2])
-                report.count("MC2")
-                got = oracle.mincut_size_dual(e, e2)
-                if got != want:
-                    report.mismatch(_q("MC2", e, e2), want, got)
+            want, _ = brute_force(net, [e, e2])
+            check = _check_mf2 if kind == "MF2" else _check_mc2
+            check(report, oracle, want, e, e2)
 
 
 def _check_single_value_only(report, oracle, net, e):

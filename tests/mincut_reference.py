@@ -1,8 +1,10 @@
-"""Decrease-by-k and nearest-min-cut queries over a min-cut structure.
+"""Decrease-by-k and nearest-min-cut queries over a min-cut structure,
+and its size accounting.
 
 The shipped oracles read the strip-graph order through mincut.precedes
 only. These queries check that order against brute force (the structural
-equivalences of test_mincut.py and AC9), so they live with the tests.
+equivalences of test_mincut.py and AC9), and word_count checks the
+structure's size bound (AC3), so they live with the tests.
 """
 
 from flowsentry.errors import QueryError
@@ -19,14 +21,35 @@ from flowsentry.mincut import (
 )
 
 
-def decreases_by_k(o: MinCutOracleStruct, F, k: int | None = None) -> bool:
+def word_count(o: MinCutOracleStruct) -> int:
+    """Machine words held by the query tables (size-bound accounting)."""
+    words = len(o.classes.class_of) + 3
+    words += 3 * len(o.strip.arcs)
+    words += sum(len(s) for s in o.strip.succ)
+    words += sum(len(p) for p in o.strip.pred)
+    words += sum(len(c) for c in o.paths.path_classes)
+    words += sum(len(e) for e in o.paths.path_edges)
+    words += sum(2 * len(r) for r in o.paths.rank)
+    words += sum(2 * len(f) for f in o.paths.first_reach)
+    words += 2 * len(o.paths.path_of)
+    words += 2 * len(o.paths.tail_class) + 2 * len(o.paths.head_class)
+    words += 2 * len(o.labels.nu) + len(o.labels.critical)
+    return words
+
+
+def decreases_by_k(o: MinCutOracleStruct, F, k: int | None = None,
+                   known=None) -> bool:
     """True iff deleting F drops the max-flow by exactly |F|.
 
     Holds exactly when every edge of F is critical and no two are ordered by
     a strip path (they form an anti-chain, i.e. lie in one min-cut together).
-    Edges absent from the oracle's network are never critical, so any such
-    edge makes the answer false.
+    An edge outside known (default: the edges of the structure's network,
+    the keys of o.labels.nu) raises QueryError. Edges absent from the
+    structure's network are never critical, so any such edge makes the
+    answer false.
     """
+    if known is None:
+        known = o.labels.nu
     edges = list(F)
     if k is not None and len(edges) != k:
         raise QueryError(f"expected {k} edges, got {len(edges)}")
@@ -35,7 +58,7 @@ def decreases_by_k(o: MinCutOracleStruct, F, k: int | None = None) -> bool:
     if not edges:
         raise QueryError("empty failure set")
     for e in edges:
-        if e not in o.known:
+        if e not in known:
             raise QueryError(f"unknown EdgeId {e}")
         if e not in o.labels.critical:
             return False
@@ -91,5 +114,4 @@ def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutOracleStruct:
     paths = build_path_system(strip, classes, labels,
                               decompose_into_paths(net, f), net)
     return MinCutOracleStruct(lam=labels.lam, classes=classes, strip=strip,
-                              paths=paths, labels=labels,
-                              known=frozenset(net.edges))
+                              paths=paths, labels=labels)

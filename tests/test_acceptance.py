@@ -34,7 +34,7 @@ from flowsentry.mincut import build_mincut_oracle, crossing_edges
 from flowsentry.oracles import SensitivityOracle
 
 from conftest import hoffman_feasible, make_net, reconstruct_flow
-from mincut_reference import build_mincut_oracle_raw, decreases_by_k
+from mincut_reference import build_mincut_oracle_raw, decreases_by_k, word_count
 
 # Documented constant for the min-cut structure's footprint: stored words
 # are at most MINCUT_WORDS_PER_LAM_N * lam * n. Measured maximum over the
@@ -155,7 +155,7 @@ def test_ac03_size_bounds(corpus200):
             assert disagree <= 6 * n
         assert len(bf.sub.kept) <= lam * n + 2 * n * (lam + 1)
         o = build_mincut_oracle(bf)
-        worst = max(worst, o.word_count() / (lam * n))
+        worst = max(worst, word_count(o) / (lam * n))
         checked += 1
     assert worst <= MINCUT_WORDS_PER_LAM_N
     print(f"AC3 PASS: null-set/edge/word bounds on {checked} networks; "

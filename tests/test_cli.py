@@ -2,14 +2,17 @@
 
 import gc
 import hashlib
+import itertools
 import subprocess
 import sys
 
 import pytest
 
 import flowsentry.cli as cli
+from flowsentry import oracles
 from flowsentry.cli import load_oracle, main
 from flowsentry.errors import InternalInvariantError
+from flowsentry.generators import generate
 from flowsentry.graph import parse_network
 from flowsentry.oracles import SensitivityOracle
 
@@ -287,6 +290,30 @@ class TestBuildAndOracleFile:
         assert code == 2
         assert "n=30 exceeds 22" in err
 
+    def test_loaded_oracle_answers_dual_queries_alike(self, tmp_path,
+                                                      monkeypatch):
+        # gen_random(10, 1) runs both residual traversals; the loaded
+        # oracle rebuilds its graph's incidence list on the first one
+        net = generate("random", [10], seed=1)
+        sens = SensitivityOracle(net)
+        path = tmp_path / "oracle.bin"
+        digest = hashlib.sha256(b"graph").digest()
+        cli.save_oracle(str(path), 0, digest, sens, None)
+        _, loaded, _ = load_oracle(str(path), digest)
+        calls = {}
+        for name in ("cycle_through_arc_without", "strongly_connected_without"):
+            def counted(*args, _fn=getattr(oracles, name), _name=name, **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(oracles, name, counted)
+        for e, e2 in itertools.permutations(sorted(net.edges), 2):
+            assert loaded.report_flow_diff_dual(e, e2) == \
+                sens.report_flow_diff_dual(e, e2), (e, e2)
+            assert loaded.mincut_size_dual(e, e2) == \
+                sens.mincut_size_dual(e, e2), (e, e2)
+        assert calls["cycle_through_arc_without"] > 0
+        assert calls["strongly_connected_without"] > 0
+
     def test_corrupt_file_exits_2(self, bottleneck_file, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage-not-an-oracle")
@@ -373,3 +400,25 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_optimized_build_query_verify(self, tmp_path):
+        # invariant checks are raises, not asserts: python -O keeps them
+        def cli_O(*argv, stdin=None):
+            return subprocess.run(
+                [sys.executable, "-O", "-m", "flowsentry.cli", *argv],
+                input=stdin, capture_output=True, text=True,
+            )
+
+        graph, ob = tmp_path / "g.txt", tmp_path / "oracle.bin"
+        proc = cli_O("gen", "--family", "random", "--size", "10",
+                     "--seed", "1", "-o", str(graph))
+        assert proc.returncode == 0, proc.stderr
+        proc = cli_O("build", "-g", str(graph), "-o", str(ob))
+        assert proc.returncode == 0, proc.stderr
+        proc = cli_O("query", "-g", str(graph), "--oracle", str(ob),
+                     "-q", "-", stdin="MF2 1 2\nMC2 1 2\nMCK 1 1\n")
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 3
+        proc = cli_O("verify", "-g", str(graph), "--profile", "exhaustive-2")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "result: ok"

@@ -21,7 +21,6 @@ from flowsentry.flows import (
 from flowsentry.graph import scc_from_adjacency
 from flowsentry.oracles import (
     cycle_through_arc_without,
-    incidence,
     strongly_connected_without,
 )
 
@@ -126,13 +125,12 @@ def kept_null(net, f):
 
 
 def connected(net, f, x, y, failed):
-    return strongly_connected_without(net, incidence(net), *kept_null(net, f),
-                                      x, y, failed)
+    return strongly_connected_without(net, *kept_null(net, f), x, y, failed)
 
 
 def cycle(net, f, target, failed, st_arc=False):
-    return cycle_through_arc_without(net, incidence(net), *kept_null(net, f),
-                                     target, failed, st_arc)
+    return cycle_through_arc_without(net, *kept_null(net, f), target, failed,
+                                     st_arc)
 
 
 def brute_scc_pairs(host, banned_eid):
@@ -229,13 +227,12 @@ class TestIndexQueries:
             host = ResidualGraph(net, f)
             # the traversal reads an edge outside kept as carrying 0
             support = frozenset(f.support())
-            inc = incidence(net)
             for eid in sorted(net.edges):
                 comp = brute_scc_pairs(host, eid)
                 for x in range(net.n):
                     for y in range(net.n):
                         got = strongly_connected_without(
-                            net, inc, support, frozenset(), x, y, eid)
+                            net, support, frozenset(), x, y, eid)
                         assert got == (comp[x] == comp[y]), (x, y, eid)
                         checked += 1
         assert checked > 5000
@@ -274,7 +271,6 @@ class TestCycleExtraction:
             net = random_net(rng, n_max=8, m_max=16)
             use_st = bool(rng.getrandbits(1))
             f = max_unit_flow(net)
-            inc = incidence(net)
             kept, null = kept_null(net, f)
             carrying = [e for e in sorted(net.edges) if f[e] > 0]
             for target in carrying:
@@ -282,12 +278,12 @@ class TestCycleExtraction:
                     if failed == target:
                         continue
                     arcs = cycle_through_arc_without(
-                        net, inc, kept, null, target, failed, use_st)
+                        net, kept, null, target, failed, use_st)
                     if arcs is None:
                         continue
                     found += 1
                     if use_st and cycle_through_arc_without(
-                            net, inc, kept, null, target, failed) is None:
+                            net, kept, null, target, failed) is None:
                         assert any(a.eid is ARTIFICIAL for a in arcs)
                     tails = [a.tail for a in arcs]
                     assert len(set(tails)) == len(tails), "not simple"

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -205,3 +207,46 @@ def test_network_rejects_bad_endpoints():
         FlowNetwork(g, 0, 0)
     with pytest.raises(ValueError):
         FlowNetwork(g, 0, 3)
+
+
+def merged_incidence(g):
+    """Reference incidence list: a merge of out_edges and in_edges per
+    vertex, by EdgeId, an edge's out-entry before its in-entry."""
+    rows = []
+    for v in range(g.n):
+        entries = [(eid, g.head(eid), False) for eid in g.out_edges(v)]
+        entries += [(eid, g.tail(eid), True) for eid in g.in_edges(v)]
+        rows.append(sorted(entries, key=lambda a: (a[0], a[2])))
+    return rows
+
+
+class TestIncidence:
+    # ids 5 and 0 parallel 0 -> 1, 3 a self-loop at 1, 2 and 7 back edges;
+    # inserted out of id order so the list cannot inherit insertion order
+    EDGES = {5: (0, 1), 3: (1, 1), 0: (0, 1), 7: (1, 0), 2: (2, 1), 4: (1, 2)}
+
+    def test_order_merges_out_and_in_edges(self):
+        g = DirectedMultigraph(3, self.EDGES)
+        assert g.incidence() == merged_incidence(g)
+        assert g.incidence()[1] == [
+            (0, 0, True), (2, 2, True), (3, 1, False), (3, 1, True),
+            (4, 2, False), (5, 0, True), (7, 0, False),
+        ]
+
+    def test_add_edge_invalidates(self):
+        g = DirectedMultigraph(3, self.EDGES)
+        before = g.incidence()
+        g.add_edge(2, 0, 1)
+        assert g.incidence() is not before
+        assert g.incidence() == merged_incidence(g)
+        assert g.incidence()[0][:2] == [(0, 1, False), (1, 2, True)]
+
+    def test_not_pickled_and_rebuilt(self):
+        g = DirectedMultigraph(3, self.EDGES)
+        g.incidence()
+        _, state = g.__getstate__()
+        assert state["_adj"] is None
+        assert len(pickle.dumps(g)) == len(pickle.dumps(DirectedMultigraph(3, self.EDGES)))
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g
+        assert h.incidence() == g.incidence()

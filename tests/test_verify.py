@@ -5,10 +5,10 @@ import pytest
 from flowsentry.family import build_flow_family
 from flowsentry.graph import prune_to_st_paths
 from flowsentry.oracles import SensitivityOracle
+from flowsentry import verify
 from flowsentry.verify import (
     Mismatch,
     VerificationReport,
-    _check_dual,
     parse_profile,
     run_verify,
 )
@@ -179,15 +179,20 @@ class TestReporting:
         assert not rep.ok
         assert "[FAIL] something" in rep.render()
 
-    def test_lying_oracle_is_caught(self, diamond):
+    def test_lying_oracle_is_caught(self, diamond, monkeypatch):
         class Lying(SensitivityOracle):
             def mincut_size_dual(self, e, e2):
                 return 99
 
-        rep = VerificationReport(profile="x", graph_label="g")
-        _check_dual(rep, Lying(diamond), diamond, 0, 2)
+        # both profiles that ask MC2 route it through the same check
+        monkeypatch.setattr(verify, "SensitivityOracle", Lying)
+        rep = run_verify(diamond, "exhaustive-2")
         assert any(m.query == "MC2 1 3" for m in rep.mismatches)
-        assert any(m.got == "99" for m in rep.mismatches)
+        assert all(m.got == "99" for m in rep.mismatches)
+        rep = run_verify(diamond, "sampled(40,1)")
+        assert rep.mismatches
+        assert all(m.query.startswith("MC2 ") and m.got == "99"
+                   for m in rep.mismatches)
 
     def test_timing_recorded(self, diamond):
         rep = run_verify(diamond, "exhaustive-1")
