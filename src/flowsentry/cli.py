@@ -24,7 +24,7 @@ from .kfault import (
 from .oracles import SensitivityOracle
 from .verify import run_verify
 
-# Oracle file layout, version 5 (stability across versions not promised):
+# Oracle file layout, version 6 (stability across versions not promised):
 #   8 bytes   magic b"FLOWSNTY"
 #   u16 LE    format version
 #   u16 LE    k the failure oracle was built for
@@ -32,7 +32,7 @@ from .verify import run_verify
 #   32 bytes  sha256 of the payload
 #   rest      payload: pickle of {"sensitivity": ..., "kfault": ...}
 ORACLE_MAGIC = b"FLOWSNTY"
-ORACLE_VERSION = 5
+ORACLE_VERSION = 6
 _HEADER = 76
 
 

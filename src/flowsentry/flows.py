@@ -89,15 +89,11 @@ class UnitFlow(IntFlow):
         return self.values.get(eid, 0) == 1
 
 
-def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None,
-             value_limit: int | None = None) -> IntFlow:
+def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None) -> IntFlow:
     """Deterministic integral max-flow (shortest augmenting paths).
 
     ``capacities`` defaults to 1 per edge, in which case a UnitFlow is
-    returned. ``value_limit`` stops augmenting once the value reaches the
-    limit; it exists so callers that only need to compare a max-flow value
-    against a threshold can bail out early, and must be left None whenever
-    the actual maximum matters.
+    returned.
     """
     g = net.graph
     caps = {eid: 1 for eid in g.edges} if capacities is None else {eid: int(capacities.get(eid, 0)) for eid in g.edges}
@@ -107,8 +103,7 @@ def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None,
     flow = {eid: 0 for eid in g.edges}
     s, t = net.s, net.t
     arcs = g.incidence()
-    value = 0
-    while value_limit is None or value < value_limit:
+    while True:
         # BFS over residual arcs; parents recorded as (vertex, eid, is_reverse)
         parent: dict[int, tuple[int, int, bool]] = {s: (-1, -1, False)}
         queue = deque([s])
@@ -133,7 +128,6 @@ def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None,
         push = min((caps[eid] - flow[eid]) if not is_rev else flow[eid] for eid, is_rev in path)
         for eid, is_rev in path:
             flow[eid] += -push if is_rev else push
-        value += push
     if capacities is None:
         return UnitFlow(net, flow)
     return IntFlow(net, flow, caps)

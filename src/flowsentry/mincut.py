@@ -47,23 +47,22 @@ class StripGraph:
 
 @dataclass(frozen=True)
 class PathSystem:
-    """lam edge-disjoint source-to-sink class paths plus the rank/F tables.
+    """The strip-graph order tables precedes reads.
 
-    path_classes[i] is the class sequence of path i (starting at the source
-    class, ending at the sink class). rank[i] maps a class on path i to its
-    position. first_reach[i] maps any class x to the earliest position on
-    path i whose class is reachable from x in the strip graph (absent when
-    none is). path_of maps each critical EdgeId to its path index;
-    tail_class/head_class give the strip arc endpoints per critical EdgeId.
+    They describe lam edge-disjoint source-to-sink class paths: the
+    reference flow's decomposition paths, cut down to their critical
+    edges. path_of maps each critical EdgeId to its path index, so its
+    keys are exactly the critical edges; position maps it to the position
+    of its tail class on that path (the source class is position 0), and
+    head_class to the class its strip arc enters. first_reach[i] maps any
+    class x to the earliest position on path i whose class is reachable
+    from x in the strip graph (absent when none is).
     """
 
-    path_classes: tuple[tuple[int, ...], ...]
-    path_edges: tuple[tuple[int, ...], ...]
-    rank: tuple[dict[int, int], ...]
-    first_reach: tuple[dict[int, int], ...]
     path_of: dict[int, int]
-    tail_class: dict[int, int]
+    position: dict[int, int]
     head_class: dict[int, int]
+    first_reach: tuple[dict[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -157,29 +156,26 @@ def build_path_system(
     Non-critical edges on a decomposition path are saturated, hence
     intra-class, so dropping them leaves a contiguous class walk; the
     surviving critical edges of the lam paths are edge-disjoint and cover all
-    critical edges. rank/F tables are filled with one reverse reachability
-    sweep per path node, latest position first, so each class records the
-    earliest position it reaches.
+    critical edges. The first-reach tables are filled with one reverse
+    reachability sweep per path node, latest position first, so each class
+    records the earliest position it reaches.
     """
     cls = classes.class_of
-    path_classes: list[tuple[int, ...]] = []
-    path_edges: list[tuple[int, ...]] = []
+    chains: list[list[int]] = []
     path_of: dict[int, int] = {}
-    tail_class: dict[int, int] = {}
+    position: dict[int, int] = {}
     head_class: dict[int, int] = {}
 
     for i, path in enumerate(edge_paths):
         chain = [classes.source_class]
-        crit = []
         for eid in path:
+            u, v = net.graph.edges[eid]
             if eid not in labels.critical:
-                u, v = net.graph.edges[eid]
                 if cls[u] != cls[v]:
                     raise InternalInvariantError(
                         f"saturated non-critical edge {eid} crosses classes"
                     )
                 continue
-            u, v = net.graph.edges[eid]
             if cls[u] != chain[-1]:
                 raise InternalInvariantError(
                     f"path {i} jumps classes at edge {eid}"
@@ -187,25 +183,20 @@ def build_path_system(
             if eid in path_of:
                 raise InternalInvariantError(f"critical edge {eid} on two paths")
             path_of[eid] = i
-            tail_class[eid] = cls[u]
+            position[eid] = len(chain) - 1
             head_class[eid] = cls[v]
-            crit.append(eid)
             chain.append(cls[v])
         if chain[-1] != classes.sink_class:
             raise InternalInvariantError(f"path {i} does not end at the sink class")
-        path_classes.append(tuple(chain))
-        path_edges.append(tuple(crit))
+        if len(set(chain)) != len(chain):
+            raise InternalInvariantError("path revisits a class")
+        chains.append(chain)
 
     if set(path_of) != set(labels.critical):
         raise InternalInvariantError("paths do not cover the critical edges")
 
-    ranks: list[dict[int, int]] = []
     first: list[dict[int, int]] = []
-    for chain in path_classes:
-        rank = {c: pos for pos, c in enumerate(chain)}
-        if len(rank) != len(chain):
-            raise InternalInvariantError("path revisits a class")
-        ranks.append(rank)
+    for chain in chains:
         reach_first: dict[int, int] = {}
         # Latest-to-earliest sweep; overwriting leaves the earliest position.
         for pos in range(len(chain) - 1, -1, -1):
@@ -221,13 +212,10 @@ def build_path_system(
         first.append(reach_first)
 
     return PathSystem(
-        path_classes=tuple(path_classes),
-        path_edges=tuple(path_edges),
-        rank=tuple(ranks),
-        first_reach=tuple(first),
         path_of=path_of,
-        tail_class=tail_class,
+        position=position,
         head_class=head_class,
+        first_reach=tuple(first),
     )
 
 
@@ -250,11 +238,8 @@ def precedes(ps: PathSystem, e_a: int, e_b: int) -> bool:
     """
     if e_a not in ps.path_of or e_b not in ps.path_of:
         raise QueryError(f"precedes needs critical edges, got {e_a}, {e_b}")
-    p = ps.path_of[e_b]
-    pos = ps.first_reach[p].get(ps.head_class[e_a])
-    if pos is None:
-        return False
-    return pos <= ps.rank[p][ps.tail_class[e_b]]
+    pos = ps.first_reach[ps.path_of[e_b]].get(ps.head_class[e_a])
+    return pos is not None and pos <= ps.position[e_b]
 
 
 def build_mincut_oracle(bf: BuiltFamily) -> MinCutOracleStruct:

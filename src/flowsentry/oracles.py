@@ -2,23 +2,35 @@
 
 ``SensitivityOracle`` is built once over a raw network. It walk-prunes
 the graph and builds the flow family and the min-cut structure over the
-calibrated subgraph, then keeps only the paper's encoding: the null sets
-of the 2*lam+1 family flows, the canonical table, the min-cut path
-tables, and one graph, the walk-pruned network. No flow is stored: a
-family flow carries edge x exactly when x is kept by calibration and not
-in the flow's null set. Queries run on lookups plus at most two BFS
-traversals of the residual of one family flow, reading each edge's flow
-bit from the null set as they go.
+calibrated subgraph, then keeps only the paper's encoding, each table
+once:
+  * ``null``, the null set of the representative flow f-tilde: the
+    edges calibration kept that f-tilde leaves at 0;
+  * ``flip``, which maps each kept edge f-tilde carries to the delta of
+    its canonical flow (a max-flow avoiding that edge) against f-tilde.
+    A critical edge's canonical flow is g_i, f-tilde minus decomposition
+    path i, so its delta is path i. Edges that share a canonical flow
+    share one frozenset: at most 2*lam+1 deltas are stored;
+  * ``union_min1``, the edges in null(f, min+1) of some member of A;
+  * the path tables ``precedes`` reads, keyed by the critical edges;
+  * one graph, the walk-pruned network.
+No flow is stored. The canonical flow after e fails carries edge x
+exactly when x is kept and (x not in null) != (x in flip[e]); an edge
+outside ``flip`` leaves f-tilde itself as its canonical flow. Queries
+run on lookups plus at most two BFS traversals of the residual of one
+canonical flow, whose null set ``null ^ flip[e]`` is built just before
+the traversal.
 
 Conventions the queries rely on:
   * edges outside every (s,t)-walk, and edges removed by calibration,
     have no effect on any max-flow value under at most two failures;
     they are dropped from failure sets up front.
-  * flow answers are deltas against the representative flow f-tilde.
-    A reported flow lives on the walk-pruned network (rerouting cycles
-    may travel through calibration-removed edges) and its value equals
-    the max-flow of the original network minus the failures.
-  * a disconnected instance (max-flow 0) short-circuits every query.
+  * flow answers are deltas against f-tilde. A reported flow lives on
+    the walk-pruned network (rerouting cycles may travel through
+    calibration-removed edges) and its value equals the max-flow of the
+    original network minus the failures.
+  * a disconnected instance (max-flow 0) keeps no edge, so every query
+    short-circuits to 0.
 """
 
 import logging
@@ -33,9 +45,7 @@ from .mincut import build_mincut_oracle, precedes
 
 log = logging.getLogger(__name__)
 
-
-# f-tilde, the flow every answer is a delta against, is A[0].
-F_TILDE = ("A", 0)
+EMPTY = frozenset()
 
 
 # ---- residual traversals ----
@@ -50,7 +60,7 @@ F_TILDE = ("A", 0)
 # arc's EdgeId is in no kept set, so it reads as a forward arc. The list
 # is a cache of the graph, not part of the oracle file: the first
 # traversal after a load rebuilds it. Stored, it would add 12.7 KB to the
-# 17.1 KB oracle file of gen_random(60).
+# 9.9 KB oracle file of gen_random(60).
 
 
 def _search(net, kept, null, src, dst, failed, st_arc=False):
@@ -135,7 +145,10 @@ class SensitivityOracle:
 
     Every EdgeId of the input network is in exactly one of
     ``pruned_net.edges`` and ``walk_dropped``; only the calibrated
-    subgraph's edges, ``kept``, affect any answer.
+    subgraph's edges, ``kept``, affect any answer. ``null`` and ``flip``
+    encode the 2*lam+1 family flows as described in the module
+    docstring; an edge is critical exactly when it is a key of
+    ``paths.path_of``.
     """
 
     def __init__(self, net: FlowNetwork):
@@ -144,26 +157,32 @@ class SensitivityOracle:
         self.walk_dropped = info.removed
         if info.disconnected:
             self.lam = 0
-            self.kept = self.critical = self.union_min1 = frozenset()
-            self.canonical, self.nullsets, self.nullmin1 = {}, {}, {}
+            self.kept = self.null = self.union_min1 = EMPTY
+            self.flip = {}
             self.paths = None
             return
         bf = build_flow_family(pruned)
         fam = bf.family
         self.lam = bf.sub.lam
         self.kept = bf.sub.kept
-        self.critical = bf.labels.critical
-        self.canonical = fam.canonical
-        self.nullsets = fam.nullsets
+        self.null = fam.nullsets[("A", 0)]
+        deltas = {key: self.null ^ s for key, s in fam.nullsets.items()}
+        self.flip = {e: deltas[fam.canonical[e]]
+                     for e in sorted(self.kept - self.null)}
         # queries read null(f, min+1) only of members of A: the canonical
         # flow of a non-critical edge is one
-        self.nullmin1 = {k: s for k, s in fam.nullmin1.items() if k[0] == "A"}
-        self.union_min1 = frozenset().union(*self.nullmin1.values())
+        self.union_min1 = frozenset().union(
+            *(s for key, s in fam.nullmin1.items() if key[0] == "A"))
         self.paths = build_mincut_oracle(bf).paths
 
     def _known(self, eid: int) -> None:
         if eid not in self.pruned_net.edges and eid not in self.walk_dropped:
             raise QueryError(f"unknown edge {eid}")
+
+    def _null_after(self, e: int) -> frozenset[int]:
+        """Null set of the canonical flow after e fails."""
+        d = self.flip.get(e)
+        return self.null if d is None else self.null ^ d
 
     # ---- single failure ----
 
@@ -175,25 +194,20 @@ class SensitivityOracle:
             raise QueryError("edge x does not survive the failure of e")
         if x not in self.kept:
             return 0
-        key = F_TILDE
-        if e in self.kept and e not in self.nullsets[F_TILDE]:
-            key = self.canonical[e]
-        return 0 if x in self.nullsets[key] else 1
+        return int((x not in self.null) != (x in self.flip.get(e, EMPTY)))
 
     def report_flow_diff_single(self, e: int) -> FlowDiff:
         """Max-flow after e fails, as a delta against f-tilde."""
         self._known(e)
-        if self.lam == 0:
-            return FlowDiff(frozenset(), 0)
-        if e not in self.kept or e in self.nullsets[F_TILDE]:
-            return FlowDiff(frozenset(), self.lam)
-        diff = self.nullsets[F_TILDE] ^ self.nullsets[self.canonical[e]]
+        d = self.flip.get(e)
+        if d is None:
+            return FlowDiff(EMPTY, self.lam)
         bound = 6 * self.pruned_net.n
-        if len(diff) > bound:
+        if len(d) > bound:
             raise InternalInvariantError(
-                f"flow diff of edge {e} has {len(diff)} edges, bound is {bound}"
+                f"flow diff of edge {e} has {len(d)} edges, bound is {bound}"
             )
-        return FlowDiff(diff, self.lam - (1 if e in self.critical else 0))
+        return FlowDiff(d, self.lam - (e in self.paths.path_of))
 
     # ---- dual failure ----
 
@@ -203,11 +217,9 @@ class SensitivityOracle:
         self._known(e2)
         if e == e2:
             raise QueryError("dual-failure query needs two distinct edges")
-        if self.lam == 0:
-            return FlowDiff(frozenset(), 0)
         live = [x for x in (e, e2) if x in self.kept]
         if not live:
-            return FlowDiff(frozenset(), self.lam)
+            return FlowDiff(EMPTY, self.lam)
         if len(live) == 1:
             if live[0] == e2:
                 log.info(
@@ -216,14 +228,14 @@ class SensitivityOracle:
                     e, e2, e, e2,
                 )
             return self.report_flow_diff_single(live[0])
-        null = self.nullsets[self.canonical[e]]
-        val_f = self.lam - (1 if e in self.critical else 0)
-        base = self.nullsets[F_TILDE] ^ null
-        if e2 in null:
-            return FlowDiff(base, val_f)
+        d = self.flip.get(e, EMPTY)
+        val_f = self.lam - (e in self.paths.path_of)
+        # e2 idle in e's canonical flow: nothing to reroute
+        if (e2 in self.null) != (e2 in d):
+            return FlowDiff(d, val_f)
         # over the walk-pruned network, so rerouting cycles may use
         # calibration-removed edges
-        net, kept = self.pruned_net, self.kept
+        net, kept, null = self.pruned_net, self.kept, self._null_after(e)
         cycle = cycle_through_arc_without(net, kept, null, e2, e)
         value = val_f
         if cycle is None:
@@ -237,7 +249,7 @@ class SensitivityOracle:
         eids = [a.eid for a in cycle if a.eid is not ARTIFICIAL]
         if len(eids) != len(set(eids)):
             raise InternalInvariantError("rerouting cycle repeats an edge")
-        return FlowDiff(base ^ frozenset(eids), value)
+        return FlowDiff(d ^ frozenset(eids), value)
 
     def mincut_size_dual(self, e: int, e2: int) -> int:
         """Min-cut (= max-flow) value after both e and e2 fail."""
@@ -245,14 +257,12 @@ class SensitivityOracle:
         self._known(e2)
         if e == e2:
             raise QueryError("dual-failure query needs two distinct edges")
-        if self.lam == 0:
-            return 0
         live = [x for x in (e, e2) if x in self.kept]
-        crit = self.critical
         if not live:
             return self.lam
+        crit = self.paths.path_of
         if len(live) == 1:
-            return self.lam - (1 if live[0] in crit else 0)
+            return self.lam - (live[0] in crit)
         c1, c2 = e in crit, e2 in crit
         if c1 or c2:
             # both critical: the drop is 2 iff they lie in one min-cut,
@@ -262,15 +272,16 @@ class SensitivityOracle:
                 return self.lam - 2
             return self.lam - 1
         # both non-critical: the drop happens iff the second failure cannot
-        # be routed around in the residual of the flow avoiding the first
-        key = self.canonical[e]
+        # be routed around in the residual of the flow avoiding the first.
+        # On union_min1, null(f, min+1) agrees with null(f), so the test
+        # below is e2 carrying flow in e's canonical flow.
         u, v = self.pruned_net.edges[e2]
         if (
             e in self.union_min1
             and e2 in self.union_min1
-            and e2 not in self.nullmin1[key]
+            and (e2 in self.null) == (e2 in self.flip.get(e, EMPTY))
             and not strongly_connected_without(
-                self.pruned_net, self.kept, self.nullsets[key], u, v, e
+                self.pruned_net, self.kept, self._null_after(e), u, v, e
             )
         ):
             return self.lam - 1

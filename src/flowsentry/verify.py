@@ -24,7 +24,7 @@ from .kfault import (
     mincut_size_k,
     reachable_under_failures,
 )
-from .oracles import F_TILDE, SensitivityOracle
+from .oracles import SensitivityOracle
 
 PROFILES = (
     "exhaustive-1",
@@ -102,11 +102,10 @@ class VerificationReport:
 
 def _reconstructed_flow(oracle, diff, failures):
     """Apply a FlowDiff; returns the flow or a reason string."""
-    pruned, kept = oracle.pruned_net, oracle.kept
+    pruned, kept, null = oracle.pruned_net, oracle.kept, oracle.null
 
     def bit(eid):
-        base = eid in kept and eid not in oracle.nullsets[F_TILDE]
-        return int(base ^ (eid in diff.toggled))
+        return int((eid in kept and eid not in null) != (eid in diff.toggled))
 
     if not diff.toggled <= frozenset(pruned.edges):
         return "diff toggles edges outside the pruned network"
@@ -126,7 +125,9 @@ def _q(kind, *eids) -> str:
     return " ".join([kind] + [str(e + 1) for e in eids])
 
 
-def _check_single(report, oracle, net, e):
+def _check_mfd(report, oracle, net, e):
+    """MF and MFD of the failure of e against brute force; returns the
+    reconstructed flow, or None when there is none."""
     want, _ = brute_force(net, [e])
     diff = oracle.report_flow_diff_single(e)
     report.count("MF")
@@ -136,17 +137,19 @@ def _check_single(report, oracle, net, e):
     report.count("MFD")
     if isinstance(flow, str):
         report.mismatch(_q("MFD", e), "feasible max-flow", flow)
-        return
+        return None
     if flow.value != want:
         report.mismatch(_q("MFD", e), want, flow.value)
-    for x in sorted(net.edges):
-        if x == e:
-            continue
-        report.count("MFX")
-        got = oracle.query_edge_flow(e, x)
-        ref = flow.values.get(x, 0)
-        if got != ref:
-            report.mismatch(_q("MFX", e, x), ref, got)
+    return flow
+
+
+def _check_mfx(report, oracle, flow, e, x):
+    """MFX against flow, the reconstruction of the single failure of e."""
+    report.count("MFX")
+    got = oracle.query_edge_flow(e, x)
+    ref = flow.values.get(x, 0)
+    if got != ref:
+        report.mismatch(_q("MFX", e, x), ref, got)
 
 
 def _check_mf2(report, oracle, want, e, e2):
@@ -174,7 +177,12 @@ def _check_mc2(report, oracle, want, e, e2):
 def _run_exhaustive_1(report, net):
     oracle = SensitivityOracle(net)
     for e in sorted(net.edges):
-        _check_single(report, oracle, net, e)
+        flow = _check_mfd(report, oracle, net, e)
+        if flow is None:
+            continue
+        for x in sorted(net.edges):
+            if x != e:
+                _check_mfx(report, oracle, flow, e, x)
 
 
 def _run_exhaustive_2(report, net):
@@ -233,22 +241,14 @@ def _run_sampled(report, net, count, seed):
     for _ in range(count):
         kind = rng.choice(("MFX", "MFD", "MF2", "MC2"))
         if kind == "MFD":
-            _check_single_value_only(report, oracle, net, rng.choice(eids))
+            _check_mfd(report, oracle, net, rng.choice(eids))
         elif kind == "MFX":
             e, x = rng.choice(eids), rng.choice(eids)
             if e == x:
                 continue
-            diff = oracle.report_flow_diff_single(e)
-            flow = _reconstructed_flow(oracle, diff, [e])
-            report.count("MFX")
-            if isinstance(flow, str):
-                report.mismatch(_q("MFX", e, x), "feasible flow", flow)
-            elif oracle.query_edge_flow(e, x) != flow.values.get(x, 0):
-                report.mismatch(
-                    _q("MFX", e, x),
-                    flow.values.get(x, 0),
-                    oracle.query_edge_flow(e, x),
-                )
+            flow = _check_mfd(report, oracle, net, e)
+            if flow is not None:
+                _check_mfx(report, oracle, flow, e, x)
         else:
             e, e2 = rng.sample(eids, 2) if len(eids) > 1 else (None, None)
             if e is None:
@@ -256,22 +256,6 @@ def _run_sampled(report, net, count, seed):
             want, _ = brute_force(net, [e, e2])
             check = _check_mf2 if kind == "MF2" else _check_mc2
             check(report, oracle, want, e, e2)
-
-
-def _check_single_value_only(report, oracle, net, e):
-    want, _ = brute_force(net, [e])
-    diff = oracle.report_flow_diff_single(e)
-    report.count("MFD")
-    if diff.new_value != want:
-        report.mismatch(_q("MFD", e), want, diff.new_value)
-        return
-    flow = _reconstructed_flow(oracle, diff, [e])
-    if isinstance(flow, str) or flow.value != want:
-        report.mismatch(
-            _q("MFD", e),
-            f"feasible flow of {want}",
-            flow if isinstance(flow, str) else flow.value,
-        )
 
 
 def _run_invariants(report, net):
@@ -319,6 +303,24 @@ def _run_invariants(report, net):
     )
     value, _ = brute_force(net)
     row("engine max-flow equals reference", value == lam)
+    oracle = SensitivityOracle(net)
+    row("stored null set is null(f-tilde)", oracle.null == fam.nullsets[("A", 0)])
+    row(
+        "null ^ flip[e] is the null set of e's canonical flow",
+        set(oracle.flip) == bf.sub.kept - oracle.null
+        and all(
+            oracle.null ^ d == fam.nullsets[fam.canonical[e]]
+            for e, d in oracle.flip.items()
+        ),
+    )
+    row(
+        "critical edges = keys of the path tables",
+        set(oracle.paths.path_of) == bf.labels.critical,
+    )
+    row(
+        "at most 2*lam+1 distinct flip deltas",
+        len({id(d) for d in oracle.flip.values()}) <= 2 * lam + 1,
+    )
     report.counts["invariant"] = len(report.invariants)
 
 

@@ -112,13 +112,12 @@ def reconstruct_flow(oracle, diff, failures):
     edges end up carrying nothing, and the result is a feasible flow of
     exactly the reported value."""
     from flowsentry.flows import IntFlow
-    from flowsentry.oracles import F_TILDE
 
     pruned = oracle.pruned_net
 
     def bit(eid):
         # f-tilde carries exactly the kept edges outside its null set
-        base = eid in oracle.kept and eid not in oracle.nullsets[F_TILDE]
+        base = eid in oracle.kept and eid not in oracle.null
         return int(base) ^ (1 if eid in diff.toggled else 0)
 
     assert diff.toggled <= frozenset(pruned.edges)

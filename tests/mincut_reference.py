@@ -27,12 +27,9 @@ def word_count(o: MinCutOracleStruct) -> int:
     words += 3 * len(o.strip.arcs)
     words += sum(len(s) for s in o.strip.succ)
     words += sum(len(p) for p in o.strip.pred)
-    words += sum(len(c) for c in o.paths.path_classes)
-    words += sum(len(e) for e in o.paths.path_edges)
-    words += sum(2 * len(r) for r in o.paths.rank)
     words += sum(2 * len(f) for f in o.paths.first_reach)
-    words += 2 * len(o.paths.path_of)
-    words += 2 * len(o.paths.tail_class) + 2 * len(o.paths.head_class)
+    words += 2 * len(o.paths.path_of) + 2 * len(o.paths.position)
+    words += 2 * len(o.paths.head_class)
     words += 2 * len(o.labels.nu) + len(o.labels.critical)
     return words
 
@@ -79,12 +76,7 @@ def report_nmc_after(o: MinCutOracleStruct, F) -> CutPartition:
     edges = list(F)
     if not decreases_by_k(o, edges):
         raise QueryError("report_nmc_after needs a decrease-by-k failure set")
-    targets = []
-    for e in edges:
-        tc = o.paths.tail_class[e]
-        if tc == o.classes.sink_class:
-            raise QueryError(f"edge {e} starts in the sink class")
-        targets.append((o.paths.path_of[e], o.paths.rank[o.paths.path_of[e]][tc]))
+    targets = [(o.paths.path_of[e], o.paths.position[e]) for e in edges]
     side = []
     for v, c in enumerate(o.classes.class_of):
         for p, limit in targets:

@@ -38,7 +38,7 @@ from mincut_reference import build_mincut_oracle_raw, decreases_by_k, word_count
 
 # Documented constant for the min-cut structure's footprint: stored words
 # are at most MINCUT_WORDS_PER_LAM_N * lam * n. Measured maximum over the
-# 200-network acceptance corpus plus fixtures: 18.0, attained at lam = 1 on
+# 200-network acceptance corpus plus fixtures: 14.25, attained at lam = 1 on
 # tiny instances, where the per-edge tables and fixed per-oracle overhead
 # dominate the lam*n yardstick.
 MINCUT_WORDS_PER_LAM_N = 20

@@ -293,20 +293,30 @@ class TestBuildAndOracleFile:
     def test_loaded_oracle_answers_dual_queries_alike(self, tmp_path,
                                                       monkeypatch):
         # gen_random(10, 1) runs both residual traversals; the loaded
-        # oracle rebuilds its graph's incidence list on the first one
+        # oracle rebuilds its graph's incidence list on the first one.
+        # The single-failure queries read null and flip alone
         net = generate("random", [10], seed=1)
         sens = SensitivityOracle(net)
         path = tmp_path / "oracle.bin"
         digest = hashlib.sha256(b"graph").digest()
         cli.save_oracle(str(path), 0, digest, sens, None)
         _, loaded, _ = load_oracle(str(path), digest)
+        # edges that share a canonical flow still share one delta object
+        assert len({id(d) for d in loaded.flip.values()}) == \
+            len({id(d) for d in sens.flip.values()}) < len(sens.flip)
         calls = {}
         for name in ("cycle_through_arc_without", "strongly_connected_without"):
             def counted(*args, _fn=getattr(oracles, name), _name=name, **kw):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kw)
             monkeypatch.setattr(oracles, name, counted)
+        for e in sorted(net.edges):
+            # MF and MFD: the value and the toggled set
+            assert loaded.report_flow_diff_single(e) == \
+                sens.report_flow_diff_single(e), e
         for e, e2 in itertools.permutations(sorted(net.edges), 2):
+            assert loaded.query_edge_flow(e, e2) == \
+                sens.query_edge_flow(e, e2), (e, e2)
             assert loaded.report_flow_diff_dual(e, e2) == \
                 sens.report_flow_diff_dual(e, e2), (e, e2)
             assert loaded.mincut_size_dual(e, e2) == \

@@ -58,12 +58,6 @@ def test_zero_capacity_edge_blocks(chain):
     assert f.value == 0
 
 
-def test_value_limit_stops_early(bottleneck):
-    f = max_flow(bottleneck, value_limit=1)
-    assert f.value == 1
-    f.check()
-
-
 def test_negative_capacity_rejected(chain):
     with pytest.raises(ValueError):
         max_flow(chain, {0: -1, 1: 1})
@@ -112,7 +106,7 @@ def test_residual_rejects_infeasible_flow(diamond):
 
 
 def test_augmenting_path_exists_iff_not_maximum(diamond):
-    partial = max_flow(diamond, value_limit=1)
+    partial = UnitFlow(diamond, {0: 1, 1: 1})  # one unit, over s->a->t
     assert diamond.t in ResidualGraph(diamond, partial).reachable(diamond.s)
     full = max_flow(diamond)
     assert diamond.t not in ResidualGraph(diamond, full).reachable(diamond.s)

@@ -149,17 +149,18 @@ class TestPathSystem:
     def test_diamond_paths_and_ranks(self, diamond):
         o, _, _ = oracle_for(diamond)
         ps = o.paths
-        assert ps.path_classes == ((0, 1, 3), (0, 2, 3))
-        assert ps.path_edges == ((0, 1), (2, 3))
-        assert ps.rank[0][1] == 1
-        assert ps.rank[0][0] == 0
+        # class paths (0, 1, 3) over edges 0, 1 and (0, 2, 3) over 2, 3
+        assert ps.path_of == {0: 0, 1: 0, 2: 1, 3: 1}
+        assert ps.position == {0: 0, 1: 1, 2: 0, 3: 1}
+        assert ps.head_class == {0: 1, 1: 3, 2: 2, 3: 3}
         # a class always reaches itself first
         assert ps.first_reach[0][0] == 0
+        assert ps.first_reach[0][1] == 1
 
     def test_bottleneck_parallel_paths(self, bottleneck):
         o, _, _ = oracle_for(bottleneck)
-        assert o.paths.path_classes == ((0, 1), (0, 1))
-        assert o.paths.path_edges == ((0,), (1,))
+        assert o.paths.path_of == {0: 0, 1: 1}
+        assert o.paths.position == {0: 0, 1: 0}
 
 
 class TestPrecedes:

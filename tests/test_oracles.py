@@ -11,7 +11,7 @@ from flowsentry.flows import IntFlow
 from flowsentry.generators import gen_random
 from flowsentry.graph import DirectedMultigraph
 from flowsentry.kfault import build_kfault_oracle
-from flowsentry.oracles import F_TILDE, FlowDiff, SensitivityOracle
+from flowsentry.oracles import FlowDiff, SensitivityOracle
 
 from conftest import (
     brute_max_flow_value,
@@ -80,7 +80,7 @@ class TestFlowDiffSingle:
     def test_zero_flow_edge_is_free(self, bottleneck):
         o = SensitivityOracle(bottleneck)
         # null(f-tilde): the kept edges f-tilde leaves at 0
-        zeros = sorted(o.nullsets[F_TILDE])
+        zeros = sorted(o.null)
         assert set(zeros) <= o.kept
         assert zeros, "peel should leave some b-edge unused"
         for e in zeros:
@@ -243,11 +243,13 @@ def reached_objects(obj):
 
 class TestStoredEncoding:
     def test_pickled_size_stays_small(self):
-        # null sets, canonical and min-cut tables and one graph: about
-        # 9 KB here; the graph's incidence list stored beside it took
-        # 14 KB, the family's flows 47 KB, a residual copy per flow ~20x
+        # f-tilde's null set, the flip deltas, the precedes tables and one
+        # graph: 4,987 bytes here. Storing any dropped table again fails
+        # this: the critical set alone adds 71 bytes, the canonical table
+        # 932, the per-flow null sets 2,446; the graph's incidence list
+        # would add 5 KB, the family's flows 47 KB
         o = SensitivityOracle(gen_random(40, 1))
-        assert len(pickle.dumps(o)) < 12_000
+        assert len(pickle.dumps(o)) < 5_050
 
     @pytest.mark.parametrize("build", [
         lambda: SensitivityOracle(gen_random(40, 1)),
@@ -264,13 +266,12 @@ class TestStoredEncoding:
         # has no residual arc out, so edge 1's unit cannot be rerouted,
         # artificial arc or not
         o = SensitivityOracle(diamond)
-        o.canonical[0] = F_TILDE
+        o.flip[0] = frozenset()
         with pytest.raises(InternalInvariantError, match="no rerouting cycle"):
             o.report_flow_diff_dual(0, 1)
 
     def test_tampered_null_set_raises(self, diamond):
         o = SensitivityOracle(diamond)
-        key = o.canonical[0]
-        o.nullsets[key] = frozenset(range(100))
+        o.flip[0] = frozenset(range(100))
         with pytest.raises(InternalInvariantError, match="bound is 24"):
             o.report_flow_diff_single(0)

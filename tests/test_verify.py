@@ -3,8 +3,9 @@
 import pytest
 
 from flowsentry.family import build_flow_family
+from flowsentry.generators import gen_matrix, gen_random
 from flowsentry.graph import prune_to_st_paths
-from flowsentry.oracles import SensitivityOracle
+from flowsentry.oracles import FlowDiff, SensitivityOracle
 from flowsentry import verify
 from flowsentry.verify import (
     Mismatch,
@@ -151,6 +152,24 @@ class TestInvariants:
             rep = run_verify(random_net(rng), "invariants")
             assert rep.ok, rep.render()
 
+    @pytest.mark.parametrize("net", [
+        lambda: gen_random(10, 1),
+        lambda: gen_random(20, 1),
+        lambda: gen_random(60, 1),
+        lambda: gen_matrix(6, 8, seed=1),
+    ], ids=["random10", "random20", "random60", "matrix6x8"])
+    def test_stored_encoding_reproduces_family(self, net):
+        rep = run_verify(net(), "invariants")
+        assert rep.ok, rep.render()
+        rows = dict(rep.invariants)
+        for name in (
+            "stored null set is null(f-tilde)",
+            "null ^ flip[e] is the null set of e's canonical flow",
+            "critical edges = keys of the path tables",
+            "at most 2*lam+1 distinct flip deltas",
+        ):
+            assert rows[name] is True
+
 
 class TestReporting:
     def test_render_mentions_replay_command(self):
@@ -180,19 +199,36 @@ class TestReporting:
         assert "[FAIL] something" in rep.render()
 
     def test_lying_oracle_is_caught(self, diamond, monkeypatch):
-        class Lying(SensitivityOracle):
+        class LyingDual(SensitivityOracle):
             def mincut_size_dual(self, e, e2):
                 return 99
 
-        # both profiles that ask MC2 route it through the same check
-        monkeypatch.setattr(verify, "SensitivityOracle", Lying)
-        rep = run_verify(diamond, "exhaustive-2")
-        assert any(m.query == "MC2 1 3" for m in rep.mismatches)
-        assert all(m.got == "99" for m in rep.mismatches)
-        rep = run_verify(diamond, "sampled(40,1)")
-        assert rep.mismatches
-        assert all(m.query.startswith("MC2 ") and m.got == "99"
-                   for m in rep.mismatches)
+        class LyingSingle(SensitivityOracle):
+            def report_flow_diff_single(self, e):
+                diff = super().report_flow_diff_single(e)
+                return FlowDiff(diff.toggled, diff.new_value + 5)
+
+            def query_edge_flow(self, e, x):
+                return 1 - super().query_edge_flow(e, x)
+
+        def text(m):
+            kind, *eids = m.query.split()
+            if kind == "MC2":  # sampled pairs come in either order
+                eids = sorted(eids)
+            return kind, tuple(eids), m.expected, m.got
+
+        # the exhaustive profile and the sampled one route each kind
+        # through the same check, so they report the same mismatch text
+        for lying, exhaustive, kinds in (
+            (LyingDual, "exhaustive-2", {"MC2"}),
+            (LyingSingle, "exhaustive-1", {"MF", "MFX"}),
+        ):
+            monkeypatch.setattr(verify, "SensitivityOracle", lying)
+            full = {text(m) for m in run_verify(diamond, exhaustive).mismatches}
+            assert {t[0] for t in full} == kinds
+            sampled = run_verify(diamond, "sampled(40,1)").mismatches
+            assert {m.query.split()[0] for m in sampled} == kinds
+            assert {text(m) for m in sampled} <= full
 
     def test_timing_recorded(self, diamond):
         rep = run_verify(diamond, "exhaustive-1")
