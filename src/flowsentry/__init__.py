@@ -2,7 +2,12 @@
 for unit-capacity directed multigraphs."""
 
 from .bruteforce import brute_force
-from .errors import InternalInvariantError, ParseError, QueryError
+from .errors import (
+    EnumerationBudgetExceeded,
+    InternalInvariantError,
+    ParseError,
+    QueryError,
+)
 from .family import BuiltFamily, FlowFamily, build_flow_family
 from .flows import (
     IntFlow,
@@ -42,6 +47,7 @@ __all__ = [
     "BuiltFamily",
     "CutPartition",
     "DirectedMultigraph",
+    "EnumerationBudgetExceeded",
     "FAMILIES",
     "FlowDiff",
     "FlowFamily",

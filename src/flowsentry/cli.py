@@ -15,7 +15,7 @@ from .errors import InternalInvariantError, ParseError, QueryError
 from .generators import FAMILIES, generate
 from .graph import parse_network, serialize_network
 from .kfault import (
-    ENUMERATION_VERTEX_CAP,
+    EnumerationBudgetExceeded,
     build_kfault_oracle,
     mincut_partition_k,
     mincut_size_k,
@@ -110,13 +110,12 @@ def cmd_gen(args) -> int:
 def cmd_build(args) -> int:
     net, digest = _load_net(args.graph)
     sens = SensitivityOracle(net)
-    kf = None
-    if net.n > ENUMERATION_VERTEX_CAP:
-        print(f"note: k-fault oracle skipped: n={net.n} exceeds the "
-              f"{ENUMERATION_VERTEX_CAP}-vertex enumeration cap; "
-              "MCK/MCKP/RQ queries need a smaller graph", file=sys.stderr)
-    else:
+    try:
         kf = build_kfault_oracle(net, args.k)
+    except EnumerationBudgetExceeded as exc:
+        kf = None
+        print(f"note: k-fault oracle skipped: {exc}; MCK/MCKP/RQ queries "
+              "need a graph with fewer small cuts", file=sys.stderr)
     save_oracle(args.output, args.k, digest, sens, kf)
     return 0
 

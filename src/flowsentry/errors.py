@@ -18,6 +18,12 @@ class QueryError(ValueError):
     """Raised when a query names unknown edges or violates a precondition."""
 
 
+class EnumerationBudgetExceeded(ValueError):
+    """Raised when listing the small minimal cuts needs more search nodes
+    than kfault.ENUMERATION_PROBE_BUDGET; `build` then skips the k-fault
+    oracle."""
+
+
 class InternalInvariantError(RuntimeError):
     """Raised when a structural invariant that should hold by construction fails.
 

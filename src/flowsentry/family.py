@@ -22,7 +22,6 @@ so two augmenting rounds from that flow decide the capped value.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError
@@ -31,12 +30,13 @@ from .flows import (
     IntFlow,
     UnitFlow,
     ResidualGraph,
+    augment_unit,
     cancel_flow_cycles,
     decompose_into_paths,
     max_flow,
     solve_circulation,
 )
-from .graph import DirectedMultigraph, FlowNetwork
+from .graph import FlowNetwork
 
 # Sentinel nu for edges that cross no s-t partition (tail == t, head == s, or a
 # self-loop). Large enough to exceed any lam+1 at the scales this library
@@ -65,32 +65,6 @@ class CalibratedSubgraph:
     pruned: frozenset[int]
     lam: int
     network: FlowNetwork
-
-
-def _augment(g: DirectedMultigraph, flow: dict[int, int], alive, sources, sinks) -> bool:
-    """Push one unit along a shortest path from sources to sinks in the unit residual.
-
-    The residual has a forward arc for every live edge with flow 0 and a
-    reverse arc for every live edge with flow 1; an edge is live when its
-    EdgeId is in alive. The path's edges are toggled in place. Returns False,
-    leaving flow untouched, when no vertex of sinks is reachable.
-    """
-    arcs = g.incidence()
-    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(sources)
-    queue = deque(parent)
-    while queue:
-        x = queue.popleft()
-        for eid, y, rev in arcs[x]:
-            if y in parent or flow[eid] != rev or eid not in alive:
-                continue
-            parent[y] = (x, eid)
-            if y in sinks:
-                while parent[y] is not None:
-                    y, eid = parent[y]
-                    flow[eid] ^= 1
-                return True
-            queue.append(y)
-    return False
 
 
 def classify_edges(net: FlowNetwork, f_ref: IntFlow | None = None) -> CriticalityLabels:
@@ -122,7 +96,8 @@ def classify_edges(net: FlowNetwork, f_ref: IntFlow | None = None) -> Criticalit
         else:
             flow = dict(f_ref.values)
             nu[eid] = lam
-            while nu[eid] < lam + 2 and _augment(g, flow, net.edges, (s, u), (t, v)):
+            while nu[eid] < lam + 2 and augment_unit(
+                    g, flow, net.edges, (s, u), (t, v)):
                 nu[eid] += 1
         by_nu = lam > 0 and nu[eid] == lam
         if scc is None:
@@ -172,15 +147,15 @@ def calibrate(net: FlowNetwork, labels: CriticalityLabels) -> CalibratedSubgraph
             probe = dict(flow)
             sources, sinks = (s, u), (t, v)
             if not (
-                _augment(g, probe, alive, sources, sinks)
-                and _augment(g, probe, alive, sources, sinks)
+                augment_unit(g, probe, alive, sources, sinks)
+                and augment_unit(g, probe, alive, sources, sinks)
             ):
                 continue
         alive.discard(eid)
         removed.append(eid)
         if flow[eid]:
             flow[eid] = 0
-            if not _augment(g, flow, alive, (u,), (v,)):
+            if not augment_unit(g, flow, alive, (u,), (v,)):
                 raise InternalInvariantError(
                     f"no flow reroutes around deleted edge {eid}"
                 )
@@ -280,10 +255,11 @@ class FlowFamily:
     """The families A and B plus the lookup tables the oracles query.
 
     A[0] is the representative flow f-tilde. B_extra[i] is f-tilde with the
-    edges of paths[i] zeroed (value lam-1). nullsets/nullmin1 map FlowKeys to
-    frozen EdgeId sets; canonical maps each kept EdgeId to the FlowKey of a
-    max-flow of the calibrated subgraph minus that edge. The flows themselves
-    are build-time objects: the oracles keep only the tables.
+    edges of paths[i] zeroed (value lam-1). nullsets maps every FlowKey, and
+    nullmin1 the keys of A, to frozen EdgeId sets; canonical maps each kept
+    EdgeId to the FlowKey of a max-flow of the calibrated subgraph minus that
+    edge. The flows themselves are build-time objects: the oracles keep only
+    the tables.
     """
 
     A: tuple[UnitFlow, ...]
@@ -301,11 +277,13 @@ class FlowFamily:
 def null_sets(
     flows, sub: CalibratedSubgraph, labels: CriticalityLabels
 ) -> tuple[dict[FlowKey, frozenset[int]], dict[FlowKey, frozenset[int]]]:
-    """null(f) and null(f, min+1) per flow, with the size bounds enforced.
+    """null(f) per flow and null(f, min+1) per member of A, with the size
+    bounds enforced.
 
     null(f) is the set of kept edges with zero flow; the min+1 variant keeps
-    those whose nu equals lam+1 (membership in a minimal (lam+1)-cut). Bounds:
-    3n for any member of B, 2n for the min+1 sets of members of A.
+    those whose nu equals lam+1 (membership in a minimal (lam+1)-cut). Only
+    members of A get one: the oracle reads no other. Bounds: 3n for any
+    member of B, 2n for the min+1 sets of members of A.
     """
     n = sub.network.n
     lam = sub.lam
@@ -317,12 +295,14 @@ def null_sets(
             raise InternalInvariantError(
                 f"null set of {key} has {len(zero)} edges, bound is {3 * n}"
             )
+        nulls[key] = zero
+        if key[0] != "A":
+            continue
         restricted = frozenset(e for e in zero if labels.nu[e] == lam + 1)
-        if key[0] == "A" and len(restricted) > 2 * n:
+        if len(restricted) > 2 * n:
             raise InternalInvariantError(
                 f"null(f,min+1) of {key} has {len(restricted)} edges, bound {2 * n}"
             )
-        nulls[key] = zero
         min1[key] = restricted
     return nulls, min1
 

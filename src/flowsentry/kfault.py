@@ -5,12 +5,18 @@ The max-flow of G - F is min(lam, min over minimal (s,t)-cuts Z of
 lam edges and never goes below lam. So the oracle keeps one
 (Z, partition) pair per minimal cut of size at most lam+k-1, the
 partition canonical, plus an index from each EdgeId to the cuts that
-hold it.
+hold it. The list is ordered by the bitmask of the source side.
+
+The cuts are listed by a depth-first search over source sides that a
+max-flow bound prunes (Provan & Shier, "A paradigm for listing
+(s,t)-cuts in graphs", 1996), so the build costs a few max-flow probes
+per small cut instead of a scan of all 2^n vertex subsets. A graph whose
+search outgrows ENUMERATION_PROBE_BUDGET gets no oracle.
 
 A query visits only the cuts F hits, because a cut F misses keeps its
 |Z| >= lam edges. Among the hit cuts with |Z minus F| < lam, the winner
 has the smallest key (|Z minus F|, -|F and Z|, the sorted F and Z,
-construction order), and the partition query reports its partition.
+list order), and the partition query reports its partition.
 When nothing drops below lam, it reports the smallest source side among
 the cuts of size lam, which is the residual-reachable set of any
 max-flow.
@@ -22,12 +28,20 @@ so neither is applied.
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, QueryError
-from .flows import max_flow
-from .graph import FlowNetwork, reachable_set, reaches
+from .errors import (
+    EnumerationBudgetExceeded,
+    InternalInvariantError,
+    QueryError,
+)
+from .flows import augment_unit, max_flow
+from .graph import FlowNetwork, reachable_set
 from .mincut import CutPartition, crossing_edges
 
-ENUMERATION_VERTEX_CAP = 22
+# Search nodes enumerate_minimal_cuts may visit, one max-flow probe each.
+# gen_random(16, 1) at k=3 takes 193 and gen_matrix(2, 4) 1,955; on
+# gen_matrix(6, 8) a probe costs about 0.4 ms, so a graph that size is
+# refused after about 2 s.
+ENUMERATION_PROBE_BUDGET = 5000
 
 
 def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
@@ -36,45 +50,70 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
     A crossing set Z is minimal when every member lies on an (s,t)-path
     of G - (Z minus that member); the canonical partition puts exactly
     the vertices reachable from s in G - Z on the source side. Returns
-    (Z, (A, B)) pairs, deduplicated by Z, in ascending bitmask order of
-    the generating source side.
+    (Z, (A, B)) pairs in ascending bitmask order of the source side A.
+
+    The search branches over pairs (A, X) of vertex sets, A holding s and
+    X vertices kept off the source side, starting from ({s}, {}). A node
+    takes the smallest out-neighbour v of A outside A, X and {t}, and
+    branches on A + v, then on X + v. A node whose max-flow from A to
+    X + {t} exceeds limit is pruned: every source side between them
+    crosses more edges. A node with no such v is a leaf, and its A is the
+    canonical side of the cut leaving A, since every vertex of A was
+    reached from s along edges inside A. Each minimal cut's canonical side
+    is the leaf of exactly one branch, so each cut is listed once.
+
+    Raises EnumerationBudgetExceeded when the search needs more than
+    ENUMERATION_PROBE_BUDGET nodes.
     """
-    n = net.n
-    if n > ENUMERATION_VERTEX_CAP:
-        raise ValueError(
-            f"minimal-cut enumeration visits all vertex subsets; n={n} "
-            f"exceeds {ENUMERATION_VERTEX_CAP}. Use the sampled "
-            "verification profiles for graphs this size."
-        )
+    g, s, t = net.graph, net.s, net.t
     out = []
-    seen: set[frozenset[int]] = set()
-    for mask in range(1 << n):
-        if not (mask >> net.s) & 1 or (mask >> net.t) & 1:
+    probes = 0
+    stack = [(frozenset((s,)), frozenset())]
+    while stack:
+        a, x = stack.pop()
+        probes += 1
+        if probes > ENUMERATION_PROBE_BUDGET:
+            raise EnumerationBudgetExceeded(
+                "minimal-cut enumeration needs more than its budget of "
+                f"{ENUMERATION_PROBE_BUDGET} search nodes (cut size limit "
+                f"{limit})"
+            )
+        flow = dict.fromkeys(net.edges, 0)
+        sinks = x | {t}
+        value = 0
+        while value <= limit and augment_unit(g, flow, net.edges, a, sinks):
+            value += 1
+        if value > limit:
             continue
-        z = frozenset(
-            eid
-            for eid, (u, v) in net.edges.items()
-            if (mask >> u) & 1 and not (mask >> v) & 1
-        )
-        if len(z) > limit or z in seen:
+        frontier = {g.edges[eid][1] for u in a for eid in g.out_edges(u)}
+        frontier -= a | sinks
+        if frontier:
+            v = min(frontier)
+            stack.append((a, x | {v}))
+            stack.append((a | {v}, x))
             continue
-        if not all(_on_st_path(net, z, eid) for eid in z):
+        # Z in EdgeId order and the side in BFS order, as the earlier
+        # subset scan built them: equal frozensets built in another order
+        # can pickle to other bytes, and oracle files stay identical
+        z = frozenset(eid for eid, (u, w) in net.edges.items()
+                      if u in a and w not in a)
+        if len(z) > limit or not all(_on_st_path(net, z, eid) for eid in z):
             continue
-        seen.add(z)
-        rest = net.graph.without_edges(z)
-        a = frozenset(reachable_set(rest, net.s))
-        b = frozenset(range(n)) - a
-        if net.t not in b:
-            raise InternalInvariantError("a cut that does not cut")
-        out.append((z, CutPartition(source_side=a, sink_side=b)))
+        side = frozenset(reachable_set(g, s, z))
+        if side != a:
+            raise InternalInvariantError("a leaf that is not a canonical side")
+        out.append((z, CutPartition(source_side=side,
+                                    sink_side=frozenset(range(net.n)) - side)))
+    out.sort(key=lambda entry: sum(1 << v for v in entry[1].source_side))
     return out
 
 
 def _on_st_path(net: FlowNetwork, z, eid) -> bool:
     """Is eid on some (s,t)-path once the rest of z is removed?"""
-    g = net.graph.without_edges(z - {eid})
+    rest = z - {eid}
     u, v = net.edges[eid]
-    return reaches(g, net.s, u) and reaches(g, v, net.t)
+    return (u in reachable_set(net.graph, net.s, rest)
+            and net.t in reachable_set(net.graph, v, rest))
 
 
 @dataclass(frozen=True)

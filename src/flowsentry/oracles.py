@@ -169,10 +169,7 @@ class SensitivityOracle:
         deltas = {key: self.null ^ s for key, s in fam.nullsets.items()}
         self.flip = {e: deltas[fam.canonical[e]]
                      for e in sorted(self.kept - self.null)}
-        # queries read null(f, min+1) only of members of A: the canonical
-        # flow of a non-critical edge is one
-        self.union_min1 = frozenset().union(
-            *(s for key, s in fam.nullmin1.items() if key[0] == "A"))
+        self.union_min1 = frozenset().union(*fam.nullmin1.values())
         self.paths = build_mincut_oracle(bf).paths
 
     def _known(self, eid: int) -> None:

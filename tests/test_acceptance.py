@@ -26,7 +26,6 @@ from flowsentry.generators import (
 from flowsentry.graph import DirectedMultigraph, prune_to_st_paths
 from flowsentry.kfault import (
     build_kfault_oracle,
-    enumerate_minimal_cuts,
     mincut_partition_k,
     mincut_size_k,
 )
@@ -34,6 +33,7 @@ from flowsentry.mincut import build_mincut_oracle, crossing_edges
 from flowsentry.oracles import SensitivityOracle
 
 from conftest import hoffman_feasible, make_net, reconstruct_flow
+from kfault_reference import scan_minimal_cuts
 from mincut_reference import build_mincut_oracle_raw, decreases_by_k, word_count
 
 # Documented constant for the min-cut structure's footprint: stored words
@@ -334,7 +334,7 @@ def test_ac07_k_failure_oracle():
     exhaustive = 0
     for net in nets:
         o = build_kfault_oracle(net, 3)
-        cuts = [z for z, _ in enumerate_minimal_cuts(net, o.lam + o.k)]
+        cuts = [z for z, _ in scan_minimal_cuts(net, o.lam + o.k)]
         eids = sorted(net.edges)
         sets = [
             combo
@@ -351,7 +351,7 @@ def test_ac07_k_failure_oracle():
         if brute_force(net)[0] < 1:
             continue
         o = build_kfault_oracle(net, 4)
-        cuts = [z for z, _ in enumerate_minimal_cuts(net, o.lam + o.k)]
+        cuts = [z for z, _ in scan_minimal_cuts(net, o.lam + o.k)]
         eids = sorted(net.edges)
         sets = [
             tuple(rng.sample(eids, rng.randint(1, 4))) for _ in range(5000)

@@ -3,13 +3,15 @@
 import gc
 import hashlib
 import itertools
+import random
 import subprocess
 import sys
 
 import pytest
 
 import flowsentry.cli as cli
-from flowsentry import oracles
+from flowsentry import kfault, oracles
+from flowsentry.bruteforce import brute_force
 from flowsentry.cli import load_oracle, main
 from flowsentry.errors import InternalInvariantError
 from flowsentry.generators import generate
@@ -268,14 +270,17 @@ class TestBuildAndOracleFile:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "corrupt oracle file; rebuild it" in lines[0]
 
-    def test_large_graph_skips_kfault(self, tmp_path, capsys):
+    def test_budget_exhausted_skips_kfault(self, tmp_path, capsys,
+                                           monkeypatch):
         graph = tmp_path / "g30.txt"
         run(capsys, "gen", "--family", "random", "--size", "30",
             "--seed", "1", "-o", str(graph))
+        # the search needs 113 nodes on this graph at k=2
+        monkeypatch.setattr(kfault, "ENUMERATION_PROBE_BUDGET", 10)
         ob = tmp_path / "oracle.bin"
         code, _, err = run(capsys, "build", "-g", str(graph), "-o", str(ob))
         assert code == 0
-        assert "k-fault oracle skipped: n=30" in err
+        assert "k-fault oracle skipped" in err and "budget of 10" in err
         want = SensitivityOracle(parse_network(graph.read_text()))
         qf = tmp_path / "q.txt"
         qf.write_text("MF 1\n")
@@ -288,7 +293,34 @@ class TestBuildAndOracleFile:
         code, _, err = run(capsys, "query", "-g", str(graph),
                            "--oracle", str(ob), "-q", str(qf))
         assert code == 2
-        assert "n=30 exceeds 22" in err
+        assert "budget of 10 search nodes" in err
+
+    def test_thirty_vertex_graph_builds_kfault(self, tmp_path, capsys):
+        graph = tmp_path / "g30.txt"
+        run(capsys, "gen", "--family", "random", "--size", "30",
+            "--seed", "1", "-o", str(graph))
+        ob = tmp_path / "oracle.bin"
+        code, _, err = run(capsys, "build", "-g", str(graph), "-o", str(ob))
+        assert code == 0 and err == ""
+        net = parse_network(graph.read_text())
+        digest = hashlib.sha256(graph.read_bytes()).digest()
+        kf = load_oracle(str(ob), digest)[2]
+        assert kf is not None
+        # half the sets fail edges of the stored cuts, so answers drop
+        rng = random.Random(30)
+        hot = sorted(set().union(*(e.z for e in kf.entries)))
+        pools = [sorted(net.edges), hot]
+        sets = [rng.sample(pools[i % 2], rng.randint(0, 2))
+                for i in range(60)]
+        qf = tmp_path / "q.txt"
+        qf.write_text("".join(
+            f"MCK {len(f)} {' '.join(str(e + 1) for e in f)}\n" for f in sets))
+        code, out, _ = run(capsys, "query", "-g", str(graph),
+                           "--oracle", str(ob), "-q", str(qf))
+        assert code == 0
+        got = [int(line.rsplit(" ", 1)[1]) for line in out.splitlines()]
+        assert got == [brute_force(net, f)[0] for f in sets]
+        assert min(got) <= kf.lam - 2
 
     def test_loaded_oracle_answers_dual_queries_alike(self, tmp_path,
                                                       monkeypatch):

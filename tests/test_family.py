@@ -271,8 +271,6 @@ class TestFamilyB:
         assert len(null_g1) == 3
         assert len(null_g1 & {0, 1}) == 1
         assert len(null_g1 & {2, 3, 4}) == 2
-        # min+1 restriction drops the critical a-edge
-        assert fam.nullmin1[("B", 0)] == null_g1 & {2, 3, 4}
 
     def test_nullmin1_equals_null_on_family_A(self):
         # On the calibrated subgraph every kept non-critical edge sits in a

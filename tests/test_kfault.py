@@ -1,14 +1,25 @@
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
 
 import flowsentry.kfault
-from flowsentry.errors import InternalInvariantError, QueryError
+from flowsentry.errors import (
+    EnumerationBudgetExceeded,
+    InternalInvariantError,
+    QueryError,
+)
 from flowsentry.flows import ResidualGraph, max_flow
-from flowsentry.generators import gen_random
-from flowsentry.graph import DirectedMultigraph, FlowNetwork, reachable_set, reaches
+from flowsentry.generators import (
+    gen_bottleneck,
+    gen_diamond,
+    gen_matrix,
+    gen_random,
+    gen_twopaths,
+)
+from flowsentry.graph import reachable_set, reaches
 from flowsentry.kfault import (
     build_kfault_oracle,
     enumerate_minimal_cuts,
@@ -19,6 +30,7 @@ from flowsentry.kfault import (
 from flowsentry.mincut import CutPartition, crossing_edges
 
 from conftest import brute_max_flow_value, make_net, random_net
+from kfault_reference import scan_minimal_cuts
 
 
 def brute_after(net, failures):
@@ -91,10 +103,35 @@ class TestEnumeration:
             for v in range(diamond.n):
                 assert (v in part.source_side) == reaches(rest, diamond.s, v)
 
-    def test_too_large_refused(self):
-        g = DirectedMultigraph(23, {0: (0, 22)})
-        with pytest.raises(ValueError):
-            enumerate_minimal_cuts(FlowNetwork(g, 0, 22), 2)
+    def test_budget_refused(self, diamond, monkeypatch):
+        # the diamond's search visits 7 nodes at limit 2
+        monkeypatch.setattr(flowsentry.kfault, "ENUMERATION_PROBE_BUDGET", 7)
+        assert len(enumerate_minimal_cuts(diamond, 2)) == 4
+        monkeypatch.setattr(flowsentry.kfault, "ENUMERATION_PROBE_BUDGET", 6)
+        with pytest.raises(EnumerationBudgetExceeded, match="budget of 6"):
+            enumerate_minimal_cuts(diamond, 2)
+        with pytest.raises(EnumerationBudgetExceeded):
+            build_kfault_oracle(diamond, 1)
+
+    def test_identical_to_subset_scan(self):
+        # same cuts, order and partitions as the reference subset scan
+        rng = random.Random(9008)
+        nets = [random_net(rng, n_max=9, m_max=16) for _ in range(30)]
+        nets += [gen_random(n, seed) for n in range(10, 17)
+                 for seed in range(1, 7)]
+        nets += [gen_matrix(2, 3, seed=1), gen_twopaths(10), gen_diamond(),
+                 gen_bottleneck(2)]
+        for net in nets:
+            lam = max_flow(net).value
+            # the scan keeps or drops each cut regardless of the limit but
+            # for the size test, so one scan serves every limit
+            want = scan_minimal_cuts(net, lam + 3)
+            for limit in range(lam, lam + 4):
+                got = enumerate_minimal_cuts(net, limit)
+                ref = [(z, p) for z, p in want if len(z) <= limit]
+                assert got == ref, (net, limit)
+                # equal oracles must also pickle to equal files
+                assert pickle.dumps(got) == pickle.dumps(ref), (net, limit)
 
     def test_matches_subset_scan(self):
         rng = random.Random(9001)
@@ -163,7 +200,7 @@ class TestSizeQueries:
         for _ in range(8):
             net = random_net(rng, n_max=7, m_max=12)
             o = build_kfault_oracle(net, 3)
-            cuts = [z for z, _ in enumerate_minimal_cuts(net, o.lam + o.k)]
+            cuts = [z for z, _ in scan_minimal_cuts(net, o.lam + o.k)]
             eids = sorted(net.edges)
             for combo in itertools.combinations(eids, 3):
                 fs = set(combo)
