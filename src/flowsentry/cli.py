@@ -11,11 +11,13 @@ import pickle
 import struct
 import sys
 
+from . import kfault
 from .errors import InternalInvariantError, ParseError, QueryError
 from .generators import FAMILIES, generate
 from .graph import parse_network, serialize_network
 from .kfault import (
     EnumerationBudgetExceeded,
+    KFaultOracle,
     build_kfault_oracle,
     mincut_partition_k,
     mincut_size_k,
@@ -34,6 +36,7 @@ from .verify import run_verify
 ORACLE_MAGIC = b"FLOWSNTY"
 ORACLE_VERSION = 6
 _HEADER = 76
+_NONE = type(None)
 
 
 def _read_text(path: str) -> str:
@@ -89,16 +92,23 @@ def load_oracle(path: str, digest: bytes):
         raise corrupt
     # Unpickling makes thousands of containers and no cyclic garbage; GC
     # passes during it are pure cost, set by what was allocated before.
+    # The shape check allocates, so it runs with the collector still off.
     enabled = gc.isenabled()
     gc.disable()
     try:
         payload = pickle.loads(blob[_HEADER:])
+        if (type(payload) is dict
+                and payload.keys() == {"sensitivity", "kfault"}
+                and isinstance(payload["sensitivity"],
+                               (SensitivityOracle, _NONE))
+                and isinstance(payload["kfault"], (KFaultOracle, _NONE))):
+            return k, payload["sensitivity"], payload["kfault"]
     except Exception as exc:
         raise corrupt from exc
     finally:
         if enabled:
             gc.enable()
-    return k, payload["sensitivity"], payload["kfault"]
+    raise corrupt
 
 
 def cmd_gen(args) -> int:
@@ -121,23 +131,31 @@ def cmd_build(args) -> int:
 
 
 class _QueryContext:
-    """Lazily builds (or loads) the oracles a query stream touches."""
+    """The oracles a query stream touches: a loaded file's, never rebuilt,
+    or without a file each built on first use."""
 
     def __init__(self, net, k, preloaded=None):
         self.net = net
         self.k = k
-        self._sens = preloaded[0] if preloaded else None
-        self._kf = preloaded[1] if preloaded else None
+        self.loaded = preloaded is not None
+        self._sens, self._kf = preloaded or (None, None)
 
     @property
     def sens(self):
         if self._sens is None:
+            if self.loaded:
+                raise QueryError("the oracle file holds no sensitivity oracle")
             self._sens = SensitivityOracle(self.net)
         return self._sens
 
     @property
     def kf(self):
         if self._kf is None:
+            if self.loaded:
+                raise QueryError(
+                    "the oracle file holds no k-fault oracle: its build ran "
+                    "past the minimal-cut enumeration budget of "
+                    f"{kfault.ENUMERATION_PROBE_BUDGET} search nodes")
             self._kf = build_kfault_oracle(self.net, self.k)
         return self._kf
 

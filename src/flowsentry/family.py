@@ -8,10 +8,14 @@ its s-t walks (see graph.prune_to_st_paths). The pipeline is:
     labels  = classify_edges(sub.network)   # final labels on the subgraph
     caps, f_H = build_auxiliary(sub, labels)
     A       = peel_family_A(sub, f_H)
-    family  = extend_family_B(A, sub, labels)
+    family  = extend_family_B(A, sub, labels)   # A plus B's encoding
 
 or just build_flow_family(net), which runs the lot and cross-checks the
 invariants that make the later oracle answers trustworthy.
+
+Family B, 2*lam+1 flows holding a max-flow of the subgraph minus e for
+every kept e, is never built: family is A plus the encoding of B that the
+sensitivity oracle stores as is (FlowFamily).
 
 nu(e) is the merge-flow value of e = (u, v): the s-t max-flow once u is merged
 into s and v into t. Only its comparisons with lam, lam+1 and ">lam+1" are ever
@@ -246,120 +250,88 @@ def peel_family_A(sub: CalibratedSubgraph, f_h: IntFlow) -> list[UnitFlow]:
     return peeled
 
 
-# canonical_for_edge labels: ("A", i) names A[i], ("B", i) names B_extra[i].
-FlowKey = tuple[str, int]
-
-
 @dataclass(frozen=True)
 class FlowFamily:
-    """The families A and B plus the lookup tables the oracles query.
+    """Family A and the encoding of family B: A plus g_i, f-tilde = A[0]
+    with paths[i] zeroed, for each of f-tilde's lam decomposition paths.
 
-    A[0] is the representative flow f-tilde. B_extra[i] is f-tilde with the
-    edges of paths[i] zeroed (value lam-1). nullsets maps every FlowKey, and
-    nullmin1 the keys of A, to frozen EdgeId sets; canonical maps each kept
-    EdgeId to the FlowKey of a max-flow of the calibrated subgraph minus that
-    edge. The flows themselves are build-time objects: the oracles keep only
-    the tables.
+    null is null(f-tilde), the kept edges f-tilde leaves at 0, so null(g_i)
+    is null plus paths[i]. flip maps each kept edge f-tilde carries to the
+    delta against f-tilde of its canonical flow, a max-flow of the
+    calibrated subgraph minus that edge: paths[i] for a critical edge on
+    path i, null ^ null(A[j]) for a non-critical edge that A[j] is the first
+    member of A to leave at 0; one frozenset per path and per j.
+    union_min1 is the union over A of null(f, min+1).
     """
 
     A: tuple[UnitFlow, ...]
-    B_extra: tuple[UnitFlow, ...]
     paths: tuple[tuple[int, ...], ...]
-    nullsets: dict[FlowKey, frozenset[int]]
-    nullmin1: dict[FlowKey, frozenset[int]]
-    canonical: dict[int, FlowKey]
+    null: frozenset[int]
+    flip: dict[int, frozenset[int]]
+    union_min1: frozenset[int]
 
     @property
     def f_tilde(self) -> UnitFlow:
         return self.A[0]
 
 
-def null_sets(
-    flows, sub: CalibratedSubgraph, labels: CriticalityLabels
-) -> tuple[dict[FlowKey, frozenset[int]], dict[FlowKey, frozenset[int]]]:
-    """null(f) per flow and null(f, min+1) per member of A, with the size
-    bounds enforced.
-
-    null(f) is the set of kept edges with zero flow; the min+1 variant keeps
-    those whose nu equals lam+1 (membership in a minimal (lam+1)-cut). Only
-    members of A get one: the oracle reads no other. Bounds: 3n for any
-    member of B, 2n for the min+1 sets of members of A.
-    """
-    n = sub.network.n
-    lam = sub.lam
-    nulls: dict[FlowKey, frozenset[int]] = {}
-    min1: dict[FlowKey, frozenset[int]] = {}
-    for key, f in flows:
-        zero = frozenset(eid for eid in sub.kept if f.values[eid] == 0)
-        if len(zero) > 3 * n:
-            raise InternalInvariantError(
-                f"null set of {key} has {len(zero)} edges, bound is {3 * n}"
-            )
-        nulls[key] = zero
-        if key[0] != "A":
-            continue
-        restricted = frozenset(e for e in zero if labels.nu[e] == lam + 1)
-        if len(restricted) > 2 * n:
-            raise InternalInvariantError(
-                f"null(f,min+1) of {key} has {len(restricted)} edges, bound {2 * n}"
-            )
-        min1[key] = restricted
-    return nulls, min1
-
-
 def extend_family_B(
     A: list[UnitFlow], sub: CalibratedSubgraph, labels: CriticalityLabels
 ) -> FlowFamily:
-    """Add the path-canceled flows g_i and build the per-edge canonical table."""
-    net = sub.network
+    """Decompose f-tilde into paths and encode family B against it.
+
+    Enforces the size bounds: 3n on the null set of every member of B,
+    2n on null(f, min+1) of every member of A.
+    """
+    n = sub.network.n
     lam = sub.lam
-    f_tilde = A[0]
-    paths = decompose_into_paths(net, f_tilde)
+    paths = tuple(map(tuple, decompose_into_paths(sub.network, A[0])))
     if len(paths) != lam:
         raise InternalInvariantError(
             f"f-tilde decomposed into {len(paths)} paths, expected {lam}"
         )
-    b_extra: list[UnitFlow] = []
+    on_path: dict[int, frozenset[int]] = {}
     for path in paths:
-        values = dict(f_tilde.values)
-        for eid in path:
-            values[eid] = 0
-        b_extra.append(UnitFlow(net, values))
-
-    on_path: dict[int, int] = {}
-    for i, path in enumerate(paths):
+        delta = frozenset(path)
         for eid in path:
             if eid in on_path:
                 raise InternalInvariantError(f"edge {eid} on two decomposition paths")
-            on_path[eid] = i
+            on_path[eid] = delta
 
-    canonical: dict[int, FlowKey] = {}
+    nulls = [frozenset(e for e in sub.kept if f.values[e] == 0) for f in A]
+    null = nulls[0]
+    worst = max([len(z) for z in nulls] + [len(null) + len(p) for p in paths])
+    if worst > 3 * n:
+        raise InternalInvariantError(
+            f"a null set of family B has {worst} edges, bound is {3 * n}"
+        )
+    min1 = [frozenset(e for e in z if labels.nu[e] == lam + 1) for z in nulls]
+    worst = max(map(len, min1))
+    if worst > 2 * n:
+        raise InternalInvariantError(
+            f"a null(f,min+1) of family A has {worst} edges, bound is {2 * n}"
+        )
+
+    deltas = [null ^ z for z in nulls]
+    flip: dict[int, frozenset[int]] = {}
     for eid in sorted(sub.kept):
         if eid in labels.critical:
             if eid not in on_path:
                 raise InternalInvariantError(
                     f"critical edge {eid} missing from the path decomposition"
                 )
-            canonical[eid] = ("B", on_path[eid])
+            delta = on_path[eid]
         else:
-            idx = next((i for i, f in enumerate(A) if f.values[eid] == 0), None)
-            if idx is None:
+            j = next((j for j, z in enumerate(nulls) if eid in z), None)
+            if j is None:
                 raise InternalInvariantError(
                     f"non-critical edge {eid} saturated in every member of A"
                 )
-            canonical[eid] = ("A", idx)
-
-    family_flows = [(("A", i), f) for i, f in enumerate(A)]
-    family_flows += [(("B", i), g) for i, g in enumerate(b_extra)]
-    nulls, min1 = null_sets(family_flows, sub, labels)
-    return FlowFamily(
-        A=tuple(A),
-        B_extra=tuple(b_extra),
-        paths=tuple(tuple(p) for p in paths),
-        nullsets=nulls,
-        nullmin1=min1,
-        canonical=canonical,
-    )
+            delta = deltas[j]
+        if eid not in null:
+            flip[eid] = delta
+    return FlowFamily(A=tuple(A), paths=paths, null=null, flip=flip,
+                      union_min1=frozenset().union(*min1))
 
 
 @dataclass(frozen=True)

@@ -165,11 +165,8 @@ class SensitivityOracle:
         fam = bf.family
         self.lam = bf.sub.lam
         self.kept = bf.sub.kept
-        self.null = fam.nullsets[("A", 0)]
-        deltas = {key: self.null ^ s for key, s in fam.nullsets.items()}
-        self.flip = {e: deltas[fam.canonical[e]]
-                     for e in sorted(self.kept - self.null)}
-        self.union_min1 = frozenset().union(*fam.nullmin1.values())
+        self.null, self.flip = fam.null, fam.flip
+        self.union_min1 = fam.union_min1
         self.paths = build_mincut_oracle(bf).paths
 
     def _known(self, eid: int) -> None:

@@ -269,58 +269,40 @@ def _run_invariants(report, net):
         report.counts["invariant"] = len(report.invariants)
         return
     bf = build_flow_family(pruned)
-    fam = bf.family
-    n = bf.sub.network.n
-    lam = bf.sub.lam
+    fam, kept, critical = bf.family, bf.sub.kept, bf.labels.critical
+    n, lam = bf.sub.network.n, bf.sub.lam
+    # family B's null sets, from the flows: A's, then f-tilde's plus path i
+    a_nulls = [frozenset(e for e in kept if f.values[e] == 0) for f in fam.A]
+    g_nulls = [a_nulls[0] | frozenset(p) for p in fam.paths]
     row("|A| = lam+1", len(fam.A) == lam + 1)
-    row("|B| = 2*lam+1", len(fam.A) + len(fam.B_extra) == 2 * lam + 1)
-    edgewise = all(
-        sum(f.values[eid] for f in fam.A) == bf.f_h.values[eid]
-        for eid in bf.sub.kept
-    )
-    row("sum over A of f_i = f_H edgewise", edgewise)
-    row(
-        "every A member is a max-flow",
-        all(f.value == lam for f in fam.A),
-    )
-    row(
-        "null sets within 3n",
-        all(len(s) <= 3 * n for s in fam.nullsets.values()),
-    )
-    row(
-        "null(f,min+1) within 2n on A",
-        all(
-            len(fam.nullmin1[("A", i)]) <= 2 * n
-            for i in range(len(fam.A))
-        ),
-    )
-    noncritical = bf.sub.kept - bf.labels.critical
-    covered = set().union(*fam.nullsets.values()) if fam.nullsets else set()
-    row("non-critical edges covered by null sets", noncritical <= covered)
-    row(
-        "kept edge count within lam*n + 2n(lam+1)",
-        len(bf.sub.kept) <= lam * n + 2 * n * (lam + 1),
-    )
+    row("|B| = 2*lam+1", len(a_nulls) + len(g_nulls) == 2 * lam + 1)
+    row("sum over A of f_i = f_H edgewise", all(
+        sum(f.values[e] for f in fam.A) == bf.f_h.values[e] for e in kept))
+    row("every A member is a max-flow", all(f.value == lam for f in fam.A))
+    row("null sets within 3n",
+        all(len(z) <= 3 * n for z in a_nulls + g_nulls))
+    row("null(f,min+1) within 2n on A", all(
+        sum(bf.labels.nu[e] == lam + 1 for e in z) <= 2 * n for z in a_nulls))
+    row("non-critical edges covered by null sets",
+        kept - critical <= frozenset().union(*a_nulls, *g_nulls))
+    row("kept edge count within lam*n + 2n(lam+1)",
+        len(kept) <= lam * n + 2 * n * (lam + 1))
     value, _ = brute_force(net)
     row("engine max-flow equals reference", value == lam)
     oracle = SensitivityOracle(net)
-    row("stored null set is null(f-tilde)", oracle.null == fam.nullsets[("A", 0)])
-    row(
-        "null ^ flip[e] is the null set of e's canonical flow",
-        set(oracle.flip) == bf.sub.kept - oracle.null
-        and all(
-            oracle.null ^ d == fam.nullsets[fam.canonical[e]]
-            for e, d in oracle.flip.items()
-        ),
-    )
-    row(
-        "critical edges = keys of the path tables",
-        set(oracle.paths.path_of) == bf.labels.critical,
-    )
-    row(
-        "at most 2*lam+1 distinct flip deltas",
-        len({id(d) for d in oracle.flip.values()}) <= 2 * lam + 1,
-    )
+    null = oracle.null
+    row("stored null set is null(f-tilde)", null == a_nulls[0])
+    # a critical edge's canonical flow is a g_i, a non-critical one's a
+    # member of A, and neither carries its edge
+    row("null ^ flip[e] is the null set of e's canonical flow",
+        set(oracle.flip) == kept - null and all(
+            e in null ^ d
+            and null ^ d in (g_nulls if e in critical else a_nulls)
+            for e, d in oracle.flip.items()))
+    row("critical edges = keys of the path tables",
+        set(oracle.paths.path_of) == critical)
+    row("at most 2*lam+1 distinct flip deltas",
+        len({id(d) for d in oracle.flip.values()}) <= 2 * lam + 1)
     report.counts["invariant"] = len(report.invariants)
 
 

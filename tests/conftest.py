@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flowsentry.flows import UnitFlow
 from flowsentry.graph import DirectedMultigraph, FlowNetwork
 
 
@@ -129,3 +130,22 @@ def reconstruct_flow(oracle, diff, failures):
     flow.check()
     assert flow.value == diff.new_value
     return flow
+
+
+def family_B(bf):
+    """The 2*lam+1 flows of family B, rebuilt from a BuiltFamily's A and
+    paths: the members of A, then g_i, f-tilde with path i zeroed."""
+    fam = bf.family
+    extra = [UnitFlow(bf.sub.network,
+                      {**fam.f_tilde.values, **dict.fromkeys(p, 0)})
+             for p in fam.paths]
+    return [*fam.A, *extra]
+
+
+def canonical_flow(bf, eid):
+    """Kept edge eid's canonical flow, decoded from the stored encoding:
+    it carries x exactly when x is kept and not in null ^ flip[eid]."""
+    fam = bf.family
+    null = fam.null ^ fam.flip.get(eid, frozenset())
+    return UnitFlow(bf.sub.network,
+                    {x: int(x not in null) for x in bf.sub.kept})

@@ -32,7 +32,13 @@ from flowsentry.kfault import (
 from flowsentry.mincut import build_mincut_oracle, crossing_edges
 from flowsentry.oracles import SensitivityOracle
 
-from conftest import hoffman_feasible, make_net, reconstruct_flow
+from conftest import (
+    canonical_flow,
+    family_B,
+    hoffman_feasible,
+    make_net,
+    reconstruct_flow,
+)
 from kfault_reference import scan_minimal_cuts
 from mincut_reference import build_mincut_oracle_raw, decreases_by_k, word_count
 
@@ -118,17 +124,18 @@ def test_ac01_family_a_exactness(corpus200):
 def test_ac02_family_b_exactness(corpus200):
     checked_edges = 0
     for net, pruned, bf in built_families(corpus200):
-        fam = bf.family
         lam = bf.sub.lam
-        assert len(fam.A) + len(fam.B_extra) == 2 * lam + 1
+        assert len(family_B(bf)) == 2 * lam + 1
         for eid in sorted(bf.sub.kept):
             want, _ = brute_force(net, [eid])
-            kind, idx = fam.canonical[eid]
-            assert (fam.A if kind == "A" else fam.B_extra)[idx].value == want
+            f = canonical_flow(bf, eid)
+            f.check()
+            assert f.values[eid] == 0
+            assert f.value == want
             checked_edges += 1
     for lam in range(1, 6):
         bb = build_flow_family(gen_bottleneck(lam))
-        flows = [f.values for f in (*bb.family.A, *bb.family.B_extra)]
+        flows = [f.values for f in family_B(bb)]
         assert len(flows) == 2 * lam + 1
         for i, j in itertools.combinations(range(len(flows)), 2):
             assert flows[i] != flows[j]
@@ -143,11 +150,13 @@ def test_ac03_size_bounds(corpus200):
         fam = bf.family
         n = bf.sub.network.n
         lam = bf.sub.lam
-        for i in range(len(fam.A)):
-            assert len(fam.nullmin1[("A", i)]) <= 2 * n
-        for nullset in fam.nullsets.values():
-            assert len(nullset) <= 3 * n
-        members = [*fam.A, *fam.B_extra]
+        members = family_B(bf)
+        for i, f in enumerate(members):
+            null = {e for e in bf.sub.kept if f.values[e] == 0}
+            assert len(null) <= 3 * n
+            if i < len(fam.A):
+                min1 = {e for e in null if bf.labels.nu[e] == lam + 1}
+                assert len(min1) <= 2 * n
         for f1, f2 in itertools.combinations(members, 2):
             disagree = sum(
                 1 for eid in bf.sub.kept if f1.values[eid] != f2.values[eid]

@@ -3,7 +3,9 @@
 import gc
 import hashlib
 import itertools
+import pickle
 import random
+import struct
 import subprocess
 import sys
 
@@ -294,6 +296,72 @@ class TestBuildAndOracleFile:
                            "--oracle", str(ob), "-q", str(qf))
         assert code == 2
         assert "budget of 10 search nodes" in err
+
+    def test_loaded_file_without_kfault_builds_nothing(self, tmp_path,
+                                                       capsys, monkeypatch):
+        graph = tmp_path / "g30.txt"
+        run(capsys, "gen", "--family", "random", "--size", "30",
+            "--seed", "1", "-o", str(graph))
+        monkeypatch.setattr(kfault, "ENUMERATION_PROBE_BUDGET", 10)
+        ob = tmp_path / "oracle.bin"
+        run(capsys, "build", "-g", str(graph), "-o", str(ob))
+
+        def no_enumeration(*args):
+            raise AssertionError("minimal-cut enumeration ran at query time")
+
+        monkeypatch.setattr(kfault, "enumerate_minimal_cuts", no_enumeration)
+        qf = tmp_path / "q.txt"
+        for line in ("MCK 1 1", "MCKP 2 1 2", "RQ 0"):
+            qf.write_text(line + "\n")
+            code, out, err = run(capsys, "query", "-g", str(graph),
+                                 "--oracle", str(ob), "-q", str(qf))
+            assert code == 2 and out == ""
+            assert err.startswith("error: the oracle file holds no k-fault")
+            assert "budget of 10 search nodes" in err
+
+    @pytest.mark.parametrize("payload", [
+        [None, None],
+        {"sensitivity": None},
+        {"sensitivity": None, "kfault": None, "extra": None},
+        {"sensitivity": "oracle", "kfault": None},
+        {"sensitivity": None, "kfault": 3},
+    ], ids=["list", "missing-key", "extra-key", "bad-sensitivity",
+            "bad-kfault"])
+    def test_payload_of_wrong_shape_exits_2(self, tmp_path, capsys,
+                                            payload):
+        graph = tmp_path / "g.txt"
+        run(capsys, "gen", "--family", "diamond", "-o", str(graph))
+        ob = tmp_path / "oracle.bin"
+        blob = pickle.dumps(payload)
+        ob.write_bytes(cli.ORACLE_MAGIC
+                       + struct.pack("<HH", cli.ORACLE_VERSION, 2)
+                       + hashlib.sha256(graph.read_bytes()).digest()
+                       + hashlib.sha256(blob).digest() + blob)
+        qf = tmp_path / "q.txt"
+        qf.write_text("MF 1\n")
+        code, out, err = run(capsys, "query", "-g", str(graph),
+                             "--oracle", str(ob), "-q", str(qf))
+        assert code == 2 and out == ""
+        assert "corrupt oracle file; rebuild it" in err
+
+    def test_loaded_file_without_sensitivity_builds_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        graph = tmp_path / "g.txt"
+        run(capsys, "gen", "--family", "diamond", "-o", str(graph))
+        ob = tmp_path / "oracle.bin"
+        digest = hashlib.sha256(graph.read_bytes()).digest()
+        cli.save_oracle(str(ob), 2, digest, None, None)
+
+        def no_build(*args):
+            raise AssertionError("sensitivity oracle built at query time")
+
+        monkeypatch.setattr(oracles, "build_flow_family", no_build)
+        qf = tmp_path / "q.txt"
+        qf.write_text("MF 1\n")
+        code, _, err = run(capsys, "query", "-g", str(graph),
+                           "--oracle", str(ob), "-q", str(qf))
+        assert code == 2
+        assert "holds no sensitivity oracle" in err
 
     def test_thirty_vertex_graph_builds_kfault(self, tmp_path, capsys):
         graph = tmp_path / "g30.txt"

@@ -1,9 +1,11 @@
 """Criticality labels, calibration, and the flow families A and B."""
 
+import dataclasses
 import random
 
 import pytest
 
+from flowsentry import family
 from flowsentry.errors import InternalInvariantError
 from flowsentry.family import (
     NU_UNBOUNDED,
@@ -15,7 +17,14 @@ from flowsentry.family import (
     peel_family_A,
 )
 from flowsentry.graph import prune_to_st_paths
-from conftest import brute_max_flow_value, brute_nu, make_net, random_net
+from conftest import (
+    brute_max_flow_value,
+    brute_nu,
+    canonical_flow,
+    family_B,
+    make_net,
+    random_net,
+)
 
 
 def built(net):
@@ -236,7 +245,7 @@ class TestPeel:
 class TestFamilyB:
     def test_bottleneck_size_and_distinct(self, bottleneck):
         bf = built(bottleneck)
-        flows = [*bf.family.A, *bf.family.B_extra]
+        flows = family_B(bf)
         assert len(flows) == 2 * bf.sub.lam + 1 == 5
         seen = {tuple(sorted(f.values.items())) for f in flows}
         assert len(seen) == 5
@@ -245,29 +254,35 @@ class TestFamilyB:
         bf = built(diamond)
         fam = bf.family
         assert fam.paths == ((0, 1), (2, 3))
-        g1 = fam.B_extra[0]
+        g1 = family_B(bf)[3]
         assert g1.values == {0: 0, 1: 0, 2: 1, 3: 1}
         assert g1.value == 1
-        assert fam.canonical[0] == ("B", 0)
-        assert fam.canonical[1] == ("B", 0)
-        assert fam.canonical[2] == ("B", 1)
+        # every edge is critical: its delta is its path, one object each
+        assert fam.flip == {0: {0, 1}, 1: {0, 1}, 2: {2, 3}, 3: {2, 3}}
+        assert fam.flip[0] is fam.flip[1]
+        assert fam.flip[2] is fam.flip[3]
 
     def test_diamond_null_sets_empty(self, diamond):
         bf = built(diamond)
-        for i in range(3):
-            assert bf.family.nullsets[("A", i)] == frozenset()
-            assert bf.family.nullmin1[("A", i)] == frozenset()
+        for f in bf.family.A:
+            assert all(f.values[e] == 1 for e in bf.sub.kept)
+        assert bf.family.null == frozenset()
+        assert bf.family.union_min1 == frozenset()
 
     def test_bottleneck_null_sets(self, bottleneck):
         bf = built(bottleneck)
         fam = bf.family
-        for i, f in enumerate(fam.A):
-            missing = {b for b in (2, 3, 4) if f.values[b] == 0}
-            assert fam.nullsets[("A", i)] == missing
-            assert fam.nullmin1[("A", i)] == missing
+        missing = [{b for b in (2, 3, 4) if f.values[b] == 0} for f in fam.A]
+        assert fam.null == missing[0]
+        assert fam.union_min1 == set().union(*missing)
+        # a b-edge f-tilde carries flips to the first member of A that
+        # leaves it idle
+        for b in {2, 3, 4} - missing[0]:
+            j = next(j for j, z in enumerate(missing) if b in z)
+            assert fam.null ^ fam.flip[b] == missing[j]
         # g_1 zeroes one a-edge and one b-edge of f-tilde, which already had
         # one b-edge idle: the null set has exactly three edges.
-        null_g1 = fam.nullsets[("B", 0)]
+        null_g1 = fam.null | set(fam.paths[0])
         assert len(null_g1) == 3
         assert len(null_g1 & {0, 1}) == 1
         assert len(null_g1 & {2, 3, 4}) == 2
@@ -282,9 +297,12 @@ class TestFamilyB:
             pruned, info = prune_to_st_paths(net)
             if info.disconnected:
                 continue
-            fam = built(net).family
-            for i in range(len(fam.A)):
-                assert fam.nullsets[("A", i)] == fam.nullmin1[("A", i)]
+            bf = built(net)
+            nulls = [{e for e in bf.sub.kept if f.values[e] == 0}
+                     for f in bf.family.A]
+            for z in nulls:
+                assert all(bf.labels.nu[e] == bf.sub.lam + 1 for e in z)
+            assert bf.family.union_min1 == set().union(*nulls)
 
     def test_canonical_value_matches_brute_force(self):
         rng = random.Random(4005)
@@ -296,8 +314,7 @@ class TestFamilyB:
                 continue
             bf = built(net)
             for eid in sorted(bf.sub.kept):
-                kind, idx = bf.family.canonical[eid]
-                f = (bf.family.A if kind == "A" else bf.family.B_extra)[idx]
+                f = canonical_flow(bf, eid)
                 assert f.values[eid] == 0
                 f.check()
                 want = brute_max_flow_value(pruned.without_edges([eid]))
@@ -308,12 +325,39 @@ class TestFamilyB:
     def test_family_deterministic(self, bottleneck):
         a = built(bottleneck)
         b = built(bottleneck)
-        assert [f.values for f in (*a.family.A, *a.family.B_extra)] == [
-            f.values for f in (*b.family.A, *b.family.B_extra)
+        assert [f.values for f in family_B(a)] == [
+            f.values for f in family_B(b)
         ]
-        assert a.family.canonical == b.family.canonical
+        assert (a.family.paths, a.family.null, a.family.flip,
+                a.family.union_min1) == (b.family.paths, b.family.null,
+                                         b.family.flip, b.family.union_min1)
         assert a.sub.kept == b.sub.kept
 
+
+    def test_critical_edge_off_every_path_raises(self, bottleneck):
+        bf = built(bottleneck)
+        idle = min(bf.family.null)  # a b-edge f-tilde leaves at 0
+        labels = dataclasses.replace(
+            bf.labels, critical=bf.labels.critical | {idle})
+        with pytest.raises(InternalInvariantError,
+                           match=f"critical edge {idle} missing"):
+            extend_family_B(list(bf.family.A), bf.sub, labels)
+
+    def test_noncritical_edge_carried_by_all_of_A_raises(self, bottleneck):
+        bf = built(bottleneck)
+        f_tilde = bf.family.f_tilde
+        with pytest.raises(InternalInvariantError,
+                           match="saturated in every member of A"):
+            extend_family_B([f_tilde] * 3, bf.sub, bf.labels)
+
+    def test_edge_on_two_paths_raises(self, bottleneck, monkeypatch):
+        bf = built(bottleneck)
+        path = list(bf.family.paths[0])
+        monkeypatch.setattr(family, "decompose_into_paths",
+                            lambda net, f: [path, path])
+        with pytest.raises(InternalInvariantError,
+                           match=f"edge {path[0]} on two decomposition paths"):
+            extend_family_B(list(bf.family.A), bf.sub, bf.labels)
 
 class TestOrchestrator:
     def test_rejects_disconnected(self):

@@ -14,7 +14,7 @@ from flowsentry.verify import (
     run_verify,
 )
 
-from conftest import make_net, random_net
+from conftest import family_B, make_net, random_net
 
 
 class TestProfileParsing:
@@ -136,7 +136,7 @@ class TestInvariants:
         # diamond has lam=2, so |A|=3 and |B|=5
         bf = build_flow_family(prune_to_st_paths(diamond)[0])
         assert len(bf.family.A) == 3
-        assert len(bf.family.A) + len(bf.family.B_extra) == 5
+        assert len(family_B(bf)) == 5
 
     def test_disconnected_instance(self):
         net = make_net(3, [(1, 0), (2, 1)])
@@ -169,6 +169,21 @@ class TestInvariants:
             "at most 2*lam+1 distinct flip deltas",
         ):
             assert rows[name] is True
+
+    def test_swapped_flip_delta_fails_its_row(self, bottleneck,
+                                              monkeypatch):
+        # a-edges 0 and 1 lie on different paths; giving edge 0 the
+        # other path's delta decodes to a member of B that carries it
+        class Swapped(SensitivityOracle):
+            def __init__(self, net):
+                super().__init__(net)
+                self.flip[0] = self.flip[1]
+
+        monkeypatch.setattr(verify, "SensitivityOracle", Swapped)
+        rows = dict(run_verify(bottleneck, "invariants").invariants)
+        assert rows["null ^ flip[e] is the null set of e's canonical flow"] \
+            is False
+        assert rows["stored null set is null(f-tilde)"] is True
 
 
 class TestReporting:
