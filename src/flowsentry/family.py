@@ -3,9 +3,8 @@
 Everything in this module operates on a network that has already been pruned to
 its s-t walks (see graph.prune_to_st_paths). The pipeline is:
 
-    labels0 = classify_edges(net)           # min(nu, lam+2) per edge + critical set
-    sub     = calibrate(net, labels0)       # drop edges useless for <=1 failure
-    labels  = classify_edges(sub.network)   # final labels on the subgraph
+    sub     = calibrate(net)                # drop edges useless for <=1 failure
+    labels  = classify_edges(sub.network)   # min(nu, lam+2) per edge + critical set
     caps, f_H = build_auxiliary(sub, labels)
     A       = peel_family_A(sub, f_H)
     family  = extend_family_B(A, sub, labels)   # A plus B's encoding
@@ -21,7 +20,8 @@ nu(e) is the merge-flow value of e = (u, v): the s-t max-flow once u is merged
 into s and v into t. Only its comparisons with lam, lam+1 and ">lam+1" are ever
 read, so it is stored as min(nu, lam+2). Each merged cut is a cut of G that
 separates e's endpoints and a max-flow of G is feasible there with value lam,
-so two augmenting rounds from that flow decide the capped value.
+so two augmenting rounds from that flow decide the capped value. A probe
+toggles its rounds back after, so one flow serves every edge.
 """
 
 from __future__ import annotations
@@ -63,117 +63,113 @@ class CriticalityLabels:
 
 @dataclass(frozen=True)
 class CalibratedSubgraph:
-    """The kept/pruned split produced by calibrate, plus the live subnetwork."""
+    """The kept/pruned split produced by calibrate, the live subnetwork, and
+    the input's critical edges, all of which calibration keeps."""
 
     kept: frozenset[int]
     pruned: frozenset[int]
     lam: int
     network: FlowNetwork
+    critical: frozenset[int]
 
 
-def classify_edges(net: FlowNetwork, f_ref: IntFlow | None = None) -> CriticalityLabels:
-    """Compute min(nu, lam+2) for every edge and split edges into critical/non-critical.
+def _checked(make, *args):
+    """make(*args), a ValueError raised as InternalInvariantError: the build
+    checks flows it made itself, so a failed check is a bug."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise InternalInvariantError(str(exc)) from exc
 
-    nu(e) for e = (u, v) is the max-flow from {s, u} to {t, v} in G. Every
-    such cut is an s-t cut of G separating e's endpoints, so nu(e) >= lam,
-    and the reference max-flow is feasible there with value lam: at most two
-    augmenting rounds from it decide min(nu, lam+2), all the callers read.
-    Edges that cross no s-t partition (tail t, head s, or a self-loop) get
-    NU_UNBOUNDED.
 
-    Two independent tests are run and must agree: nu(e) == lam, and the
-    residual test (saturated under a reference max-flow with endpoints in
-    distinct residual SCCs). Disagreement means a solver bug, not bad input.
-    ``f_ref`` is the reference max-flow of net when the caller already has it.
-    """
-    if f_ref is None:
-        f_ref = max_flow(net)
-    lam = f_ref.value
-    g, s, t = net.graph, net.s, net.t
-    nu: dict[int, int] = {}
-    critical = set()
-    scc = ResidualGraph(net, f_ref).scc_ids() if lam > 0 else None
-    for eid in sorted(net.edges):
-        u, v = net.edges[eid]
-        if u == v or u == t or v == s:
-            nu[eid] = NU_UNBOUNDED
-        else:
-            flow = dict(f_ref.values)
-            nu[eid] = lam
-            while nu[eid] < lam + 2 and augment_unit(
-                    g, flow, net.edges, (s, u), (t, v)):
-                nu[eid] += 1
-        by_nu = lam > 0 and nu[eid] == lam
-        if scc is None:
-            by_residual = False
-        else:
-            by_residual = f_ref.values[eid] == 1 and scc[u] != scc[v]
-        if by_nu != by_residual:
+def _capped_nu(arcs, flow, net: FlowNetwork, eid: int, lam: int) -> int:
+    """min(nu, lam+2) of eid over the live arcs, from their max-flow flow of
+    value lam; the augmentations are toggled back, leaving flow as found."""
+    u, v = net.edges[eid]
+    if u == v or u == net.t or v == net.s:
+        return NU_UNBOUNDED
+    paths = []
+    while len(paths) < 2:
+        path = augment_unit(arcs, flow, (net.s, u), (net.t, v))
+        if path is None:
+            break
+        paths.append(path)
+    for path in paths:
+        for x in path:
+            flow[x] ^= 1
+    return lam + len(paths)
+
+
+def _critical(net: FlowNetwork, f: IntFlow, nu: dict[int, int]) -> frozenset[int]:
+    """The edges with nu == lam, checked against the residual test on the
+    max-flow f: saturated, endpoints in distinct residual SCCs."""
+    lam = f.value
+    scc = _checked(ResidualGraph, net, f).scc_ids()
+    critical = frozenset(eid for eid in nu if lam > 0 and nu[eid] == lam)
+    for eid, (u, v) in net.edges.items():
+        by_residual = f.values[eid] == 1 and scc[u] != scc[v]
+        if (eid in critical) != by_residual:
             raise InternalInvariantError(
                 f"criticality tests disagree on edge {eid}: "
                 f"nu={nu[eid]} lam={lam} residual={by_residual}"
             )
-        if by_nu:
-            critical.add(eid)
-    return CriticalityLabels(nu=nu, critical=frozenset(critical), lam=lam)
+    return critical
 
 
-def calibrate(net: FlowNetwork, labels: CriticalityLabels) -> CalibratedSubgraph:
+def classify_edges(net: FlowNetwork) -> CriticalityLabels:
+    """min(nu, lam+2) for every edge, derived in the module docstring, and
+    the critical set, on which two independent tests must agree: nu(e) ==
+    lam, and the residual test on a max-flow of net. Disagreement means a
+    solver bug, not bad input. Edges that cross no s-t partition (tail t,
+    head s, or a self-loop) get NU_UNBOUNDED.
+    """
+    f = max_flow(net)
+    lam = f.value
+    flow, arcs = dict(f.values), net.graph.incidence()
+    nu = {eid: _capped_nu(arcs, flow, net, eid, lam) for eid in sorted(net.edges)}
+    return CriticalityLabels(nu=nu, critical=_critical(net, f, nu), lam=lam)
+
+
+def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
     """Delete every edge whose nu exceeds lam+1, evaluated in the shrinking subgraph.
 
-    labels must be classify_edges(net); its nu is min(nu, lam+2), which is
-    all the threshold test needs. Edges are visited in ascending EdgeId order
-    and deleted immediately. One pass reaches the fixpoint: nu is monotone
-    non-increasing under deletion, so an edge kept at visit time
-    (nu <= lam+1) can never become deletable later. build_flow_family
-    re-classifies the survivors and asserts the fixpoint property as a
-    certificate.
-
-    The subgraph is an alive mask over net plus one max-flow of it, and nu is
-    warm-started from that flow as in classify_edges. A deleted edge
-    (u, v) with nu > lam+1 is not critical, so the subgraph without it still
-    has a max-flow of value lam; its difference with the flow minus the edge
-    holds a residual u -> v path, and one augmentation along it restores a
-    max-flow.
+    One probe per edge, in ascending EdgeId order, on net's incidence list
+    less the entries of the edges deleted before it. nu never grows under
+    deletion, so one pass reaches the fixpoint; build_flow_family certifies
+    it by re-classifying the kept edges. Deleting an edge with nu >= lam+2
+    changes no cut of size lam, so the probes also decide criticality in
+    net (checked against the residual test), and once a deleted edge (u, v)
+    drops its unit, one u -> v augmentation restores a max-flow of value lam.
     """
-    lam = labels.lam
-    g, s, t = net.graph, net.s, net.t
-    # nu can only shrink as edges go away, so anything already in range
-    # stays in range; only the out-of-range edges need a recheck.
-    recheck = [eid for eid in sorted(net.edges) if labels.nu[eid] > lam + 1]
-    flow = dict(max_flow(net).values) if recheck else {}
-    alive = set(net.edges)
+    f = max_flow(net)
+    lam = f.value
+    flow, arcs = dict(f.values), list(net.graph.incidence())
+    nu: dict[int, int] = {}
     removed: list[int] = []
-    for eid in recheck:
+    for eid in sorted(net.edges):
+        nu[eid] = _capped_nu(arcs, flow, net, eid, lam)
+        if nu[eid] <= lam + 1:
+            continue
         u, v = net.edges[eid]
-        # An edge that crosses no s-t partition stays unbounded in every subgraph.
-        if labels.nu[eid] != NU_UNBOUNDED:
-            probe = dict(flow)
-            sources, sinks = (s, u), (t, v)
-            if not (
-                augment_unit(g, probe, alive, sources, sinks)
-                and augment_unit(g, probe, alive, sources, sinks)
-            ):
-                continue
-        alive.discard(eid)
+        # rows are replaced, never edited: the graph's own list is shared
+        arcs[u] = [a for a in arcs[u] if a[0] != eid]
+        arcs[v] = [a for a in arcs[v] if a[0] != eid]
         removed.append(eid)
         if flow[eid]:
             flow[eid] = 0
-            if not augment_unit(g, flow, alive, (u,), (v,)):
+            if augment_unit(arcs, flow, (u,), (v,)) is None:
                 raise InternalInvariantError(
                     f"no flow reroutes around deleted edge {eid}"
                 )
     current = net.without_edges(removed) if removed else net
     kept = frozenset(current.edges)
-    sub = CalibratedSubgraph(
-        kept=kept, pruned=frozenset(removed), lam=lam, network=current
-    )
     bound = lam * net.n + 2 * net.n * (lam + 1)
     if len(kept) > bound:
         raise InternalInvariantError(
             f"calibrated subgraph has {len(kept)} edges, bound is {bound}"
         )
-    return sub
+    return CalibratedSubgraph(kept=kept, pruned=frozenset(removed), lam=lam,
+                              network=current, critical=_critical(net, f, nu))
 
 
 def build_auxiliary(
@@ -231,7 +227,7 @@ def peel_family_A(sub: CalibratedSubgraph, f_h: IntFlow) -> list[UnitFlow]:
         g = solve_circulation(CirculationInstance(net.graph, demand, lower, upper))
         if g is None:
             raise InternalInvariantError(f"peel round {i}: circulation infeasible")
-        f_i = UnitFlow(net, g)
+        f_i = _checked(UnitFlow, net, g)
         if f_i.value != lam:
             raise InternalInvariantError(
                 f"peel round {i}: flow value {f_i.value} != lam = {lam}"
@@ -285,7 +281,7 @@ def extend_family_B(
     """
     n = sub.network.n
     lam = sub.lam
-    paths = tuple(map(tuple, decompose_into_paths(sub.network, A[0])))
+    paths = tuple(map(tuple, _checked(decompose_into_paths, sub.network, A[0])))
     if len(paths) != lam:
         raise InternalInvariantError(
             f"f-tilde decomposed into {len(paths)} paths, expected {lam}"
@@ -351,16 +347,15 @@ def build_flow_family(net: FlowNetwork) -> BuiltFamily:
     max-flow value, criticality is unchanged by calibration, and every kept
     edge still has nu <= lam+1 (the calibration fixpoint certificate).
     """
-    labels0 = classify_edges(net)
-    if labels0.lam < 1:
+    sub = calibrate(net)
+    if sub.lam < 1:
         raise ValueError("flow family needs a connected instance (lam >= 1)")
-    sub = calibrate(net, labels0)
     labels = classify_edges(sub.network)
-    if labels.lam != labels0.lam:
+    if labels.lam != sub.lam:
         raise InternalInvariantError(
-            f"calibration changed the max-flow value: {labels0.lam} -> {labels.lam}"
+            f"calibration changed the max-flow value: {sub.lam} -> {labels.lam}"
         )
-    if labels.critical != labels0.critical & sub.kept:
+    if labels.critical != sub.critical:
         raise InternalInvariantError("calibration changed edge criticality")
     for eid, val in labels.nu.items():
         if val > labels.lam + 1:

@@ -133,31 +133,31 @@ def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None) -> IntF
     return IntFlow(net, flow, caps)
 
 
-def augment_unit(g: DirectedMultigraph, flow: dict[int, int], alive,
-                 sources, sinks) -> bool:
+def augment_unit(arcs, flow: dict[int, int], sources, sinks) -> list[int] | None:
     """Push one unit along a shortest path from sources to sinks in the unit residual.
 
-    The residual has a forward arc for every live edge with flow 0 and a
-    reverse arc for every live edge with flow 1; an edge is live when its
-    EdgeId is in alive. The path's edges are toggled in place. Returns False,
-    leaving flow untouched, when no vertex of sinks is reachable.
+    arcs lists the live edges as DirectedMultigraph.incidence does: flow 0
+    on one gives a forward residual arc, flow 1 a reverse arc. The path's
+    edges are toggled in place and returned; toggling them again undoes the
+    push. Returns None, leaving flow untouched, when no sink is reachable.
     """
-    arcs = g.incidence()
     parent: dict[int, tuple[int, int] | None] = dict.fromkeys(sources)
     queue = deque(parent)
     while queue:
         x = queue.popleft()
         for eid, y, rev in arcs[x]:
-            if y in parent or flow[eid] != rev or eid not in alive:
+            if y in parent or flow[eid] != rev:
                 continue
             parent[y] = (x, eid)
             if y in sinks:
+                path = []
                 while parent[y] is not None:
                     y, eid = parent[y]
                     flow[eid] ^= 1
-                return True
+                    path.append(eid)
+                return path
             queue.append(y)
-    return False
+    return None
 
 
 ARTIFICIAL = None  # EdgeId placeholder for the artificial (s,t) arc

@@ -81,7 +81,7 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
         flow = dict.fromkeys(net.edges, 0)
         sinks = x | {t}
         value = 0
-        while value <= limit and augment_unit(g, flow, net.edges, a, sinks):
+        while value <= limit and augment_unit(g.incidence(), flow, a, sinks):
             value += 1
         if value > limit:
             continue

@@ -153,15 +153,19 @@ class SensitivityOracle:
 
     def __init__(self, net: FlowNetwork):
         pruned, info = prune_to_st_paths(net)
+        self._fill(pruned, info.removed,
+                   None if info.disconnected else build_flow_family(pruned))
+
+    def _fill(self, pruned: FlowNetwork, walk_dropped, bf) -> None:
+        """Store the encoding of bf, pruned's family (None if disconnected)."""
         self.pruned_net = pruned
-        self.walk_dropped = info.removed
-        if info.disconnected:
+        self.walk_dropped = walk_dropped
+        if bf is None:
             self.lam = 0
             self.kept = self.null = self.union_min1 = EMPTY
             self.flip = {}
             self.paths = None
             return
-        bf = build_flow_family(pruned)
         fam = bf.family
         self.lam = bf.sub.lam
         self.kept = bf.sub.kept

@@ -97,7 +97,7 @@ def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutOracleStruct:
     path decomposition exists.
     """
     f = max_flow(net)
-    labels = classify_edges(net, f)
+    labels = classify_edges(net)
     if labels.lam < 1:
         raise ValueError("mincut oracle needs lam >= 1")
     f = cancel_flow_cycles(net, f)

@@ -12,12 +12,13 @@ import sys
 import pytest
 
 import flowsentry.cli as cli
-from flowsentry import kfault, oracles
+from flowsentry import family, kfault, oracles
 from flowsentry.bruteforce import brute_force
 from flowsentry.cli import load_oracle, main
 from flowsentry.errors import InternalInvariantError
-from flowsentry.generators import generate
-from flowsentry.graph import parse_network
+from flowsentry.family import build_flow_family
+from flowsentry.generators import gen_matrix, gen_random, generate
+from flowsentry.graph import parse_network, prune_to_st_paths, serialize_network
 from flowsentry.oracles import SensitivityOracle
 
 from conftest import make_net
@@ -424,6 +425,21 @@ class TestBuildAndOracleFile:
         assert calls["cycle_through_arc_without"] > 0
         assert calls["strongly_connected_without"] > 0
 
+    @pytest.mark.parametrize("make, sha256", [
+        (lambda: gen_random(60, 1),
+         "945bb80343cb89737890f96486a893458d94cad59a0835e55619ed18eb96c305"),
+        (lambda: gen_matrix(6, 8, seed=1),
+         "10f4e9325605e28fb4df65b579bf209c09ddd5368f238ddecd4561a813884c29"),
+    ])
+    def test_oracle_bytes_pinned(self, make, sha256, tmp_path):
+        # the file a build writes, as the benchmark saves it: a change to
+        # the build that alters any stored byte must show up here
+        text = serialize_network(make())
+        path = tmp_path / "oracle.bin"
+        cli.save_oracle(str(path), 0, hashlib.sha256(text.encode()).digest(),
+                        SensitivityOracle(parse_network(text)), None)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
     def test_corrupt_file_exits_2(self, bottleneck_file, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage-not-an-oracle")
@@ -449,6 +465,27 @@ class TestInternalError:
         assert "Traceback" not in err
         assert err.splitlines() == [
             "error: internal invariant violated: strip graph contains a cycle"]
+
+    def test_infeasible_build_flow_exits_3(self, bottleneck_file, tmp_path,
+                                           capsys, monkeypatch):
+        # the build checks flows it made itself, so a failed check is a
+        # bug (exit 3), not the usage error its ValueError would map to
+        real = family.max_flow
+
+        def infeasible(net, capacities=None):
+            f = real(net, capacities)
+            f.values[min(net.edges)] += 1
+            return f
+
+        monkeypatch.setattr(family, "max_flow", infeasible)
+        pruned, _ = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
+        with pytest.raises(InternalInvariantError, match="outside"):
+            build_flow_family(pruned)
+        code, out, err = run(capsys, "build", "-g", str(bottleneck_file),
+                             "-o", str(tmp_path / "oracle.bin"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal invariant violated: flow 2 on")
 
 
 class TestVerifyCommand:

@@ -16,7 +16,10 @@ from flowsentry.family import (
     extend_family_B,
     peel_family_A,
 )
+from flowsentry.flows import max_flow
+from flowsentry.generators import gen_matrix, gen_random
 from flowsentry.graph import prune_to_st_paths
+from flowsentry.oracles import SensitivityOracle
 from conftest import (
     brute_max_flow_value,
     brute_nu,
@@ -101,6 +104,24 @@ class TestClassify:
                     seen["capped"] += want > labels.lam + 2
         assert all(seen.values()), seen
 
+    def test_probe_leaves_warm_flow_as_found(self):
+        # a probe undoes its augmentations instead of copying the flow, so
+        # the dict it is handed comes back equal, value for value
+        rng = random.Random(4007)
+        augmented = 0
+        for _ in range(30):
+            net = random_net(rng)
+            f = max_flow(net)
+            labels = classify_edges(net)
+            flow = dict(f.values)
+            for eid in sorted(net.edges):
+                nu = family._capped_nu(net.graph.incidence(), flow, net, eid,
+                                       f.value)
+                assert flow == f.values, eid
+                assert nu == labels.nu[eid]
+                augmented += f.value < nu < NU_UNBOUNDED
+        assert augmented
+
 
 def reference_calibrate(net, lam):
     """Kept set of the sequential deletion rule, with nu recomputed from
@@ -115,13 +136,13 @@ def reference_calibrate(net, lam):
 
 class TestCalibrate:
     def test_diamond_keeps_everything(self, diamond):
-        labels = classify_edges(diamond)
-        sub = calibrate(diamond, labels)
+        sub = calibrate(diamond)
         assert sub.kept == {0, 1, 2, 3}
         assert sub.pruned == frozenset()
+        assert sub.critical == {0, 1, 2, 3}
 
     def test_bottleneck_keeps_everything(self, bottleneck):
-        sub = calibrate(bottleneck, classify_edges(bottleneck))
+        sub = calibrate(bottleneck)
         assert sub.kept == {0, 1, 2, 3, 4}
 
     def test_fourth_parallel_edge_sequential_fixpoint(self):
@@ -131,15 +152,16 @@ class TestCalibrate:
         net = make_net(3, [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (1, 2)])
         labels = classify_edges(net)
         assert all(labels.nu[e] == 4 for e in (2, 3, 4, 5))
-        sub = calibrate(net, labels)
+        sub = calibrate(net)
         assert sub.pruned == {2}
         assert sub.kept == {0, 1, 3, 4, 5}
+        assert sub.critical == labels.critical == {0, 1}
         relabeled = classify_edges(sub.network)
         assert all(relabeled.nu[e] == 3 for e in (3, 4, 5))
 
     def test_unbounded_nu_edge_deleted(self):
         net = make_net(3, [(0, 2), (2, 1), (1, 2)])
-        sub = calibrate(net, classify_edges(net))
+        sub = calibrate(net)
         assert 1 in sub.pruned
         assert 0 in sub.kept
 
@@ -149,8 +171,11 @@ class TestCalibrate:
         for _ in range(60):
             net = random_net(rng)
             labels = classify_edges(net)
-            sub = calibrate(net, labels)
+            sub = calibrate(net)
             lams.add(labels.lam)
+            assert sub.lam == labels.lam
+            # the folded classification equals the two-test reference
+            assert sub.critical == labels.critical
             assert sub.kept == reference_calibrate(net, labels.lam)
             assert sub.pruned == frozenset(net.edges) - sub.kept
             assert sub.network.edges == {e: net.edges[e] for e in sub.kept}
@@ -168,7 +193,7 @@ class TestCalibrate:
             pruned, info = prune_to_st_paths(net)
             if info.disconnected:
                 continue
-            sub = calibrate(pruned, classify_edges(pruned))
+            sub = calibrate(pruned)
             assert brute_max_flow_value(sub.network) == sub.lam
             for eid in pruned.edges:
                 want = brute_max_flow_value(pruned.without_edges([eid]))
@@ -182,21 +207,21 @@ class TestCalibrate:
 class TestAuxiliary:
     def test_diamond_caps_and_value(self, diamond):
         labels = classify_edges(diamond)
-        sub = calibrate(diamond, labels)
+        sub = calibrate(diamond)
         caps, f_h = build_auxiliary(sub, labels)
         assert caps == {0: 3, 1: 3, 2: 3, 3: 3}
         assert f_h.value == 6
 
     def test_bottleneck_caps_and_value(self, bottleneck):
         labels = classify_edges(bottleneck)
-        sub = calibrate(bottleneck, labels)
+        sub = calibrate(bottleneck)
         caps, f_h = build_auxiliary(sub, labels)
         assert caps == {0: 3, 1: 3, 2: 2, 3: 2, 4: 2}
         assert f_h.value == 6
 
     def test_chain_caps_and_value(self, chain):
         labels = classify_edges(chain)
-        sub = calibrate(chain, labels)
+        sub = calibrate(chain)
         caps, f_h = build_auxiliary(sub, labels)
         assert caps == {0: 2, 1: 2}
         assert f_h.value == 2
@@ -205,7 +230,7 @@ class TestAuxiliary:
 class TestPeel:
     def test_diamond_three_copies(self, diamond):
         labels = classify_edges(diamond)
-        sub = calibrate(diamond, labels)
+        sub = calibrate(diamond)
         _, f_h = build_auxiliary(sub, labels)
         A = peel_family_A(sub, f_h)
         assert len(A) == 3
@@ -214,7 +239,7 @@ class TestPeel:
 
     def test_bottleneck_coverage(self, bottleneck):
         labels = classify_edges(bottleneck)
-        sub = calibrate(bottleneck, labels)
+        sub = calibrate(bottleneck)
         _, f_h = build_auxiliary(sub, labels)
         A = peel_family_A(sub, f_h)
         assert len(A) == 3
@@ -379,3 +404,21 @@ class TestOrchestrator:
                 assert bf.labels.nu[eid] <= bf.sub.lam + 1
                 if eid not in bf.labels.critical:
                     assert bf.labels.nu[eid] == bf.sub.lam + 1
+
+    @pytest.mark.parametrize("make", [lambda: gen_random(60, 1),
+                                      lambda: gen_matrix(6, 8, seed=1)])
+    def test_one_probe_per_edge(self, make, monkeypatch):
+        # calibration probes each walk-pruned edge once (at most two
+        # augmentations) and reroutes once per deleted edge; the second
+        # classification probes the kept edges
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return augment(*args)
+
+        augment = family.augment_unit
+        monkeypatch.setattr(family, "augment_unit", counted)
+        o = SensitivityOracle(make())
+        m, kept = len(o.pruned_net.edges), len(o.kept)
+        assert 0 < len(calls) <= 2 * m + 2 * kept + (m - kept)

@@ -174,9 +174,11 @@ class TestInvariants:
                                               monkeypatch):
         # a-edges 0 and 1 lie on different paths; giving edge 0 the
         # other path's delta decodes to a member of B that carries it
+        # the profile stores the family it built through _fill, as
+        # __init__ does, so the tampering goes there
         class Swapped(SensitivityOracle):
-            def __init__(self, net):
-                super().__init__(net)
+            def _fill(self, *args):
+                super()._fill(*args)
                 self.flip[0] = self.flip[1]
 
         monkeypatch.setattr(verify, "SensitivityOracle", Swapped)
