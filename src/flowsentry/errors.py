@@ -29,3 +29,12 @@ class InternalInvariantError(RuntimeError):
 
     These are bugs (or disproved assumptions), never user errors.
     """
+
+
+def checked(make, *args):
+    """make(*args), a ValueError raised as InternalInvariantError: the build
+    checks flows it made itself, so a failed check is a bug."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise InternalInvariantError(str(exc)) from exc

@@ -4,7 +4,8 @@ Everything in this module operates on a network that has already been pruned to
 its s-t walks (see graph.prune_to_st_paths). The pipeline is:
 
     sub     = calibrate(net)                # drop edges useless for <=1 failure
-    labels  = classify_edges(sub.network)   # min(nu, lam+2) per edge + critical set
+    labels  = classify_edges(sub.network)   # min(nu, lam+2) per edge + critical set,
+                                            # only if calibration deleted edges
     caps, f_H = build_auxiliary(sub, labels)
     A       = peel_family_A(sub, f_H)
     family  = extend_family_B(A, sub, labels)   # A plus B's encoding
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, checked
 from .flows import (
     CirculationInstance,
     IntFlow,
@@ -36,9 +37,9 @@ from .flows import (
     ResidualGraph,
     augment_unit,
     cancel_flow_cycles,
+    circulation_solver,
     decompose_into_paths,
     max_flow,
-    solve_circulation,
 )
 from .graph import FlowNetwork
 
@@ -63,23 +64,16 @@ class CriticalityLabels:
 
 @dataclass(frozen=True)
 class CalibratedSubgraph:
-    """The kept/pruned split produced by calibrate, the live subnetwork, and
-    the input's critical edges, all of which calibration keeps."""
+    """The kept/pruned split produced by calibrate, the live subnetwork, the
+    input's critical edges, all of which calibration keeps, and each input
+    edge's min(nu, lam+2) as probed in the shrinking subgraph."""
 
     kept: frozenset[int]
     pruned: frozenset[int]
     lam: int
     network: FlowNetwork
     critical: frozenset[int]
-
-
-def _checked(make, *args):
-    """make(*args), a ValueError raised as InternalInvariantError: the build
-    checks flows it made itself, so a failed check is a bug."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise InternalInvariantError(str(exc)) from exc
+    nu: dict[int, int]
 
 
 def _capped_nu(arcs, flow, net: FlowNetwork, eid: int, lam: int) -> int:
@@ -104,7 +98,7 @@ def _critical(net: FlowNetwork, f: IntFlow, nu: dict[int, int]) -> frozenset[int
     """The edges with nu == lam, checked against the residual test on the
     max-flow f: saturated, endpoints in distinct residual SCCs."""
     lam = f.value
-    scc = _checked(ResidualGraph, net, f).scc_ids()
+    scc = checked(ResidualGraph, net, f).scc_ids()
     critical = frozenset(eid for eid in nu if lam > 0 and nu[eid] == lam)
     for eid, (u, v) in net.edges.items():
         by_residual = f.values[eid] == 1 and scc[u] != scc[v]
@@ -136,10 +130,11 @@ def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
     One probe per edge, in ascending EdgeId order, on net's incidence list
     less the entries of the edges deleted before it. nu never grows under
     deletion, so one pass reaches the fixpoint; build_flow_family certifies
-    it by re-classifying the kept edges. Deleting an edge with nu >= lam+2
-    changes no cut of size lam, so the probes also decide criticality in
-    net (checked against the residual test), and once a deleted edge (u, v)
-    drops its unit, one u -> v augmentation restores a max-flow of value lam.
+    it by re-classifying the kept edges if any edge was deleted. Deleting an
+    edge with nu >= lam+2 changes no cut of size lam, so the probes also
+    decide criticality in net (checked against the residual test), and once
+    a deleted edge (u, v) drops its unit, one u -> v augmentation restores a
+    max-flow of value lam.
     """
     f = max_flow(net)
     lam = f.value
@@ -169,7 +164,8 @@ def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
             f"calibrated subgraph has {len(kept)} edges, bound is {bound}"
         )
     return CalibratedSubgraph(kept=kept, pruned=frozenset(removed), lam=lam,
-                              network=current, critical=_critical(net, f, nu))
+                              network=current, critical=_critical(net, f, nu),
+                              nu=nu)
 
 
 def build_auxiliary(
@@ -207,27 +203,27 @@ def peel_family_A(sub: CalibratedSubgraph, f_h: IntFlow) -> list[UnitFlow]:
     demands d(s) = -lam, d(t) = +lam, upper bounds min(1, h_i(e)) and lower
     bound 1 exactly where h_i(e) == i. Feasibility is guaranteed (h_i/i is a
     fractional solution and the polytope is integral); infeasibility therefore
-    raises. The invariant 0 <= h_i(e) <= i is asserted every round.
+    raises. The invariant 0 <= h_i(e) <= i is asserted every round. All rounds
+    share one circulation network (flows.circulation_solver).
     """
     net = sub.network
     lam = sub.lam
     h = dict(f_h.values)
     peeled: list[UnitFlow] = []
+    solve = circulation_solver(net.graph)
     for i in range(lam + 1, 0, -1):
         for eid, val in h.items():
             if not 0 <= val <= i:
                 raise InternalInvariantError(
                     f"peel round {i}: h({eid}) = {val} out of [0, {i}]"
                 )
-        demand = {v: 0 for v in range(net.n)}
-        demand[net.s] = -lam
-        demand[net.t] = lam
+        demand = {net.s: -lam, net.t: lam}
         lower = {eid: 1 if h[eid] == i else 0 for eid in net.edges}
         upper = {eid: min(1, h[eid]) for eid in net.edges}
-        g = solve_circulation(CirculationInstance(net.graph, demand, lower, upper))
+        g = solve(CirculationInstance(net.graph, demand, lower, upper))
         if g is None:
             raise InternalInvariantError(f"peel round {i}: circulation infeasible")
-        f_i = _checked(UnitFlow, net, g)
+        f_i = checked(UnitFlow, net, g)
         if f_i.value != lam:
             raise InternalInvariantError(
                 f"peel round {i}: flow value {f_i.value} != lam = {lam}"
@@ -281,7 +277,7 @@ def extend_family_B(
     """
     n = sub.network.n
     lam = sub.lam
-    paths = tuple(map(tuple, _checked(decompose_into_paths, sub.network, A[0])))
+    paths = tuple(map(tuple, checked(decompose_into_paths, sub.network, A[0])))
     if len(paths) != lam:
         raise InternalInvariantError(
             f"f-tilde decomposed into {len(paths)} paths, expected {lam}"
@@ -343,14 +339,18 @@ class BuiltFamily:
 def build_flow_family(net: FlowNetwork) -> BuiltFamily:
     """Run the full pipeline on a pruned network with lam >= 1.
 
-    Also asserts the cross-stage invariants: the calibrated subgraph keeps the
-    max-flow value, criticality is unchanged by calibration, and every kept
-    edge still has nu <= lam+1 (the calibration fixpoint certificate).
+    If calibration deleted nothing, sub.network is net and classify_edges
+    would repeat calibrate's probes, so calibrate's nu and critical set
+    (checked against the residual test) are the labels. Otherwise the
+    subgraph is re-classified. Either way the cross-stage invariants are
+    asserted: the subgraph keeps the max-flow value and the critical set,
+    and every kept edge still has nu <= lam+1 (the fixpoint certificate).
     """
     sub = calibrate(net)
     if sub.lam < 1:
         raise ValueError("flow family needs a connected instance (lam >= 1)")
-    labels = classify_edges(sub.network)
+    labels = (classify_edges(sub.network) if sub.pruned else
+              CriticalityLabels(nu=sub.nu, critical=sub.critical, lam=sub.lam))
     if labels.lam != sub.lam:
         raise InternalInvariantError(
             f"calibration changed the max-flow value: {sub.lam} -> {labels.lam}"

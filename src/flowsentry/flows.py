@@ -251,18 +251,16 @@ def _find_support_cycle(g: DirectedMultigraph, values) -> list[int] | None:
     for root in range(g.n):
         if color[root] != WHITE:
             continue
-        # stack holds (vertex, edge used to arrive); path_edges mirrors stack
+        # stack holds (vertex, edge used to arrive); iters[v] resumes v's scan
         stack = [(root, -1)]
-        iters: dict[int, list[int]] = {}
-        path: list[int] = []
+        iters = {}
         while stack:
             v, _ = stack[-1]
             if color[v] == WHITE:
                 color[v] = GRAY
-                iters[v] = [e for e in g.out_edges(v) if values[e] > 0]
+                iters[v] = (e for e in g.out_edges(v) if values[e] > 0)
             nxt = None
-            while iters[v]:
-                e = iters[v].pop(0)
+            for e in iters[v]:
                 w = g.head(e)
                 if color[w] == GRAY:
                     # found a cycle: edges from w forward along path, plus e
@@ -306,7 +304,7 @@ def decompose_into_paths(net: FlowNetwork, f: IntFlow) -> list[list[int]]:
 @dataclass(frozen=True)
 class CirculationInstance:
     """Circulation with lower bounds: find g with lower <= g <= upper and
-    in(v) - out(v) = demand(v) at every vertex."""
+    in(v) - out(v) = demand(v) at every vertex; a missing key reads 0."""
 
     graph: DirectedMultigraph
     demand: dict[int, int] = field(default_factory=dict)
@@ -320,53 +318,46 @@ class CirculationInstance:
             if lo < 0 or hi < 0 or lo > hi:
                 raise ValueError(f"bad bounds on edge {eid}: lower={lo} upper={hi}")
 
-    def d(self, v: int) -> int:
-        return self.demand.get(v, 0)
-
-    def lo(self, eid: int) -> int:
-        return self.lower.get(eid, 0)
-
-    def hi(self, eid: int) -> int:
-        return self.upper.get(eid, 0)
-
 
 def solve_circulation(inst: CirculationInstance) -> dict[int, int] | None:
-    """Solve the circulation instance; None when infeasible.
+    """Solve the circulation instance; None when infeasible."""
+    return circulation_solver(inst.graph)(inst)
+
+
+def circulation_solver(g: DirectedMultigraph):
+    """solve_circulation for instances on g (their bounds and demands are
+    read, not their graph), all sharing one auxiliary network.
 
     Standard reduction: route the lower bounds unconditionally, fix up the
     resulting vertex imbalances through a super source/sink pair, and
-    declare feasibility exactly when every super arc saturates.
+    declare feasibility exactly when every super arc saturates. Auxiliary
+    EdgeIds: g's edges at 0..m-1 in ascending order, then for each vertex v
+    the super arcs (S, v) at m+2v and (v, T) at m+2v+1. An unused super arc
+    gets capacity 0 and is never traversed, so every BFS scans arcs in g's
+    order.
     """
-    g = inst.graph
-    if sum(inst.d(v) for v in range(g.n)) != 0:
-        return None
-    n = g.n
-    S, T = n, n + 1
-    aux = DirectedMultigraph(n + 2)
-    aux_caps: dict[int, int] = {}
-    orig_of: dict[int, int] = {}
-    for eid in sorted(g.edges):
-        u, v = g.edges[eid]
-        aid = aux.add_edge(u, v)
-        aux_caps[aid] = inst.hi(eid) - inst.lo(eid)
-        orig_of[aid] = eid
-    need = 0
+    n, order = g.n, sorted(g.edges)
+    m, S, T = len(order), n, n + 1
+    arcs = [g.edges[eid] for eid in order]
     for v in range(n):
-        # surplus(v): net amount v must ship out after lower bounds are routed
-        inc = sum(inst.lo(e) for e in g.in_edges(v))
-        out = sum(inst.lo(e) for e in g.out_edges(v))
-        surplus = inc - out - inst.d(v)
-        if surplus > 0:
-            aid = aux.add_edge(S, v)
-            aux_caps[aid] = surplus
-            need += surplus
-        elif surplus < 0:
-            aid = aux.add_edge(v, T)
-            aux_caps[aid] = -surplus
-    result = max_flow(FlowNetwork(aux, S, T), aux_caps)
-    if result.value != need:
-        return None
-    out = {eid: inst.lo(eid) for eid in g.edges}
-    for aid, orig in orig_of.items():
-        out[orig] += result.values[aid]
-    return out
+        arcs += [(S, v), (v, T)]
+    aux = FlowNetwork(DirectedMultigraph(n + 2, arcs), S, T)
+
+    def solve(inst: CirculationInstance) -> dict[int, int] | None:
+        lo, hi = inst.lower.get, inst.upper.get
+        # surplus[v]: net amount v must ship out after lower bounds are routed
+        surplus = [-inst.demand.get(v, 0) for v in range(n)]
+        for eid, (u, v) in g.edges.items():
+            surplus[u] -= lo(eid, 0)
+            surplus[v] += lo(eid, 0)
+        if sum(surplus) != 0:  # the demands do not balance
+            return None
+        caps = {aid: hi(eid, 0) - lo(eid, 0) for aid, eid in enumerate(order)}
+        for v, x in enumerate(surplus):
+            caps[m + 2 * v], caps[m + 2 * v + 1] = max(x, 0), max(-x, 0)
+        result = max_flow(aux, caps)
+        if result.value != sum(x for x in surplus if x > 0):
+            return None
+        return {eid: lo(eid, 0) + result.values[aid] for aid, eid in enumerate(order)}
+
+    return solve

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, QueryError
+from .errors import InternalInvariantError, QueryError, checked
 from .family import BuiltFamily, CriticalityLabels
 from .flows import IntFlow, ResidualGraph
 from .graph import FlowNetwork, scc_from_adjacency
@@ -83,7 +83,7 @@ def crossing_edges(net: FlowNetwork, source_side) -> list[int]:
 
 def build_classes(net: FlowNetwork, f: IntFlow) -> EquivalenceClasses:
     """Classes are the SCCs of the residual graph of a max-flow."""
-    ids = ResidualGraph(net, f).scc_ids()
+    ids = checked(ResidualGraph, net, f).scc_ids()
     return EquivalenceClasses(
         class_of=tuple(ids),
         class_count=max(ids) + 1 if ids else 0,
@@ -125,7 +125,7 @@ def build_strip_graph(
         raise InternalInvariantError("strip graph contains a cycle")
 
     # Cross-construction check: reversed condensation of the residual graph.
-    res = ResidualGraph(net, f)
+    res = checked(ResidualGraph, net, f)
     cond = set()
     for arc in res.arcs:
         ca, cb = cls[arc.tail], cls[arc.head]

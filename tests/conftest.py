@@ -70,20 +70,20 @@ def hoffman_feasible(inst):
     n = g.n
     if n > 20:
         raise ValueError(f"hoffman_feasible is exponential; n={n} exceeds 20")
-    if sum(inst.d(v) for v in range(n)) != 0:
+    if sum(inst.demand.get(v, 0) for v in range(n)) != 0:
         return False
     edge_items = sorted(g.edges.items())
     for mask in range(1 << n):
         # A = vertices with bit set, B = rest
-        d_b = sum(inst.d(v) for v in range(n) if not (mask >> v) & 1)
+        d_b = sum(inst.demand.get(v, 0) for v in range(n) if not (mask >> v) & 1)
         lo_ba = hi_ab = 0
         for eid, (u, v) in edge_items:
             u_in_a = (mask >> u) & 1
             v_in_a = (mask >> v) & 1
             if u_in_a and not v_in_a:
-                hi_ab += inst.hi(eid)
+                hi_ab += inst.upper.get(eid, 0)
             elif v_in_a and not u_in_a:
-                lo_ba += inst.lo(eid)
+                lo_ba += inst.lower.get(eid, 0)
         if d_b + lo_ba > hi_ab:
             return False
     return True

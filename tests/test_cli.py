@@ -12,11 +12,12 @@ import sys
 import pytest
 
 import flowsentry.cli as cli
-from flowsentry import family, kfault, oracles
+from flowsentry import family, kfault, mincut, oracles
 from flowsentry.bruteforce import brute_force
 from flowsentry.cli import load_oracle, main
 from flowsentry.errors import InternalInvariantError
 from flowsentry.family import build_flow_family
+from flowsentry.flows import max_flow
 from flowsentry.generators import gen_matrix, gen_random, generate
 from flowsentry.graph import parse_network, prune_to_st_paths, serialize_network
 from flowsentry.oracles import SensitivityOracle
@@ -430,6 +431,9 @@ class TestBuildAndOracleFile:
          "945bb80343cb89737890f96486a893458d94cad59a0835e55619ed18eb96c305"),
         (lambda: gen_matrix(6, 8, seed=1),
          "10f4e9325605e28fb4df65b579bf209c09ddd5368f238ddecd4561a813884c29"),
+        # calibration deletes edges here, so the subgraph is re-classified
+        (lambda: gen_random(120, 1),
+         "824b55824d757001743d71d834b1bdbaa1f1a334cae669ff2458a565c20ba78d"),
     ])
     def test_oracle_bytes_pinned(self, make, sha256, tmp_path):
         # the file a build writes, as the benchmark saves it: a change to
@@ -481,6 +485,30 @@ class TestInternalError:
         pruned, _ = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
         with pytest.raises(InternalInvariantError, match="outside"):
             build_flow_family(pruned)
+        code, out, err = run(capsys, "build", "-g", str(bottleneck_file),
+                             "-o", str(tmp_path / "oracle.bin"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal invariant violated: flow 2 on")
+
+    def test_infeasible_mincut_flow_exits_3(self, bottleneck_file, tmp_path,
+                                            capsys, monkeypatch):
+        # the min-cut structure checks the family's reference flow through
+        # its residual graphs; a flow that fails the check is a bug too
+        real = oracles.build_flow_family
+
+        def corrupted(net):
+            bf = real(net)
+            bf.family.f_tilde.values[min(net.edges)] += 1
+            return bf
+
+        monkeypatch.setattr(oracles, "build_flow_family", corrupted)
+        net = parse_network(bottleneck_file.read_text())
+        bf = corrupted(prune_to_st_paths(net)[0])
+        classes = mincut.build_classes(bf.sub.network, max_flow(bf.sub.network))
+        with pytest.raises(InternalInvariantError, match="outside"):
+            mincut.build_strip_graph(bf.sub.network, classes, bf.labels,
+                                     bf.family.f_tilde)
         code, out, err = run(capsys, "build", "-g", str(bottleneck_file),
                              "-o", str(tmp_path / "oracle.bin"))
         assert code == 3

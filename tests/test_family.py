@@ -410,15 +410,25 @@ class TestOrchestrator:
     def test_one_probe_per_edge(self, make, monkeypatch):
         # calibration probes each walk-pruned edge once (at most two
         # augmentations) and reroutes once per deleted edge; the second
-        # classification probes the kept edges
-        calls = []
+        # classification probes the kept edges, and runs only when
+        # calibration deleted some (gen_random(60) yes, gen_matrix(6,8) no)
+        calls, classified = [], []
 
         def counted(*args):
             calls.append(1)
             return augment(*args)
 
-        augment = family.augment_unit
+        def classify(net):
+            classified.append(net)
+            return reclassify(net)
+
+        augment, reclassify = family.augment_unit, family.classify_edges
         monkeypatch.setattr(family, "augment_unit", counted)
+        monkeypatch.setattr(family, "classify_edges", classify)
         o = SensitivityOracle(make())
         m, kept = len(o.pruned_net.edges), len(o.kept)
-        assert 0 < len(calls) <= 2 * m + 2 * kept + (m - kept)
+        assert len(classified) == (kept < m)
+        if kept < m:
+            assert 0 < len(calls) <= 2 * m + 2 * kept + (m - kept)
+        else:
+            assert 0 < len(calls) <= 2 * m

@@ -14,6 +14,7 @@ from flowsentry.flows import (
     solve_circulation,
 )
 from flowsentry.graph import DirectedMultigraph
+import circulation_reference
 from conftest import brute_max_flow_value, hoffman_feasible, make_net, random_net
 
 
@@ -242,10 +243,9 @@ def test_hoffman_refuses_large_instances():
         hoffman_feasible(CirculationInstance(g))
 
 
-def test_circulation_agrees_with_hoffman_on_random_instances():
-    rng = random.Random(1234)
-    agree = feasible_count = 0
-    for _ in range(200):
+def random_circulations(seed, count=200):
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(2, 6)
         m = rng.randint(1, 10)
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
@@ -254,7 +254,13 @@ def test_circulation_agrees_with_hoffman_on_random_instances():
         upper = {e: lower[e] + rng.randint(0, 2) for e in range(m)}
         raw = [rng.randint(-2, 2) for _ in range(n)]
         raw[n - 1] -= sum(raw)  # rebalance so demands sum to zero
-        inst = CirculationInstance(g, dict(enumerate(raw)), lower, upper)
+        yield CirculationInstance(g, dict(enumerate(raw)), lower, upper)
+
+
+def test_circulation_agrees_with_hoffman_on_random_instances():
+    agree = feasible_count = 0
+    for inst in random_circulations(1234):
+        g, n = inst.graph, inst.graph.n
         sol = solve_circulation(inst)
         ok = hoffman_feasible(inst)
         assert (sol is not None) == ok
@@ -262,11 +268,11 @@ def test_circulation_agrees_with_hoffman_on_random_instances():
         if sol is not None:
             feasible_count += 1
             for eid in g.edges:
-                assert inst.lo(eid) <= sol[eid] <= inst.hi(eid)
+                assert inst.lower.get(eid, 0) <= sol[eid] <= inst.upper.get(eid, 0)
             for v in range(n):
                 inc = sum(sol[e] for e in g.in_edges(v))
                 out = sum(sol[e] for e in g.out_edges(v))
-                assert inc - out == inst.d(v)
+                assert inc - out == inst.demand.get(v, 0)
     assert agree == 200 and feasible_count > 10
 
 
@@ -275,3 +281,28 @@ def test_max_flow_repeated_runs_identical():
     for _ in range(20):
         net = random_net(rng)
         assert max_flow(net).values == max_flow(net).values
+
+
+def test_circulation_matches_reference_solver():
+    # the fixed auxiliary EdgeIds keep every BFS's scan order, so the
+    # solver returns exactly what the next-free-id construction returned
+    insts = list(random_circulations(1234)) + list(random_circulations(99))
+    # EdgeId gaps, a parallel pair and a self-loop with lower bound 1
+    g = DirectedMultigraph(4, [(0, 1), (0, 1), (1, 2), (2, 2), (1, 2),
+                               (2, 3), (3, 0), (0, 1), (2, 3)])
+    g = g.without_edges([1, 6])
+    for lower, upper, demand in [
+        ({3: 1}, {0: 1, 2: 1, 3: 1, 4: 1, 5: 2, 7: 1, 8: 1}, {0: -2, 3: 2}),
+        ({0: 1, 3: 1, 5: 1}, {e: 1 for e in g.edges}, {0: -2, 3: 2}),
+        ({3: 1, 8: 1}, {e: 2 for e in g.edges}, {0: -3, 3: 3}),
+        ({3: 1}, {e: 1 for e in g.edges}, {0: -1, 1: 1}),
+        ({3: 1}, {e: 1 for e in g.edges}, {0: -3, 3: 3}),
+    ]:
+        insts.append(CirculationInstance(g, demand, lower, upper))
+    feasible = []
+    for inst in insts:
+        want = circulation_reference.solve_circulation(inst)
+        assert solve_circulation(inst) == want
+        feasible.append(want is not None)
+    assert feasible[-5:] == [True, True, True, True, False]
+    assert 10 < sum(feasible) < len(insts) - 10
