@@ -9,9 +9,9 @@ hold it. The list is ordered by the bitmask of the source side.
 
 The cuts are listed by a depth-first search over source sides that a
 max-flow bound prunes (Provan & Shier, "A paradigm for listing
-(s,t)-cuts in graphs", 1996), so the build costs a few max-flow probes
-per small cut instead of a scan of all 2^n vertex subsets. A graph whose
-search outgrows ENUMERATION_PROBE_BUDGET gets no oracle.
+(s,t)-cuts in graphs", 1996), so the build costs about two augmenting-path
+searches per search node instead of a scan of all 2^n vertex subsets. A
+graph whose search outgrows ENUMERATION_PROBE_BUDGET gets no oracle.
 
 A query visits only the cuts F hits, because a cut F misses keeps its
 |Z| >= lam edges. Among the hit cuts with |Z minus F| < lam, the winner
@@ -37,10 +37,9 @@ from .flows import augment_unit, max_flow
 from .graph import FlowNetwork, reachable_set
 from .mincut import CutPartition, crossing_edges
 
-# Search nodes enumerate_minimal_cuts may visit, one max-flow probe each.
-# gen_random(16, 1) at k=3 takes 193 and gen_matrix(2, 4) 1,955; on
-# gen_matrix(6, 8) a probe costs about 0.4 ms, so a graph that size is
-# refused after about 2 s.
+# Search nodes enumerate_minimal_cuts may visit. gen_random(16, 1) at k=3
+# takes 193 and gen_matrix(2, 4) 1,955; on gen_matrix(6, 8) a node costs
+# about 0.04 ms, so a graph that size is refused after about 0.2 s.
 ENUMERATION_PROBE_BUDGET = 5000
 
 
@@ -57,20 +56,27 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
     takes the smallest out-neighbour v of A outside A, X and {t}, and
     branches on A + v, then on X + v. A node whose max-flow from A to
     X + {t} exceeds limit is pruned: every source side between them
-    crosses more edges. A node with no such v is a leaf, and its A is the
-    canonical side of the cut leaving A, since every vertex of A was
-    reached from s along edges inside A. Each minimal cut's canonical side
+    crosses more edges. A child resumes its parent's max-flow, feasible
+    still since v had in = out, and augments only past its value. A node
+    with no such v is a leaf, and its A is the canonical side of the cut Z
+    leaving A, since every vertex of A was reached from s along edges
+    inside A. So each edge of Z starts on an (s,t)-path, and Z is minimal
+    when each ends at a vertex that reaches t in G - Z (a path that used
+    the edge would return to its head). Each minimal cut's canonical side
     is the leaf of exactly one branch, so each cut is listed once.
 
     Raises EnumerationBudgetExceeded when the search needs more than
     ENUMERATION_PROBE_BUDGET nodes.
     """
     g, s, t = net.graph, net.s, net.t
+    arcs = g.incidence()
     out = []
     probes = 0
-    stack = [(frozenset((s,)), frozenset())]
+    # (A, X, out-neighbours of A outside A, X and {t}, flow, flow value)
+    heads = {y for _, y, rev in arcs[s] if not rev} - {s, t}
+    stack = [(frozenset((s,)), frozenset(), heads, dict.fromkeys(net.edges, 0), 0)]
     while stack:
-        a, x = stack.pop()
+        a, x, frontier, flow, value = stack.pop()
         probes += 1
         if probes > ENUMERATION_PROBE_BUDGET:
             raise EnumerationBudgetExceeded(
@@ -78,26 +84,27 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
                 f"{ENUMERATION_PROBE_BUDGET} search nodes (cut size limit "
                 f"{limit})"
             )
-        flow = dict.fromkeys(net.edges, 0)
         sinks = x | {t}
-        value = 0
-        while value <= limit and augment_unit(g.incidence(), flow, a, sinks):
+        while value <= limit and augment_unit(arcs, flow, a, sinks):
             value += 1
         if value > limit:
             continue
-        frontier = {g.edges[eid][1] for u in a for eid in g.out_edges(u)}
-        frontier -= a | sinks
         if frontier:
             v = min(frontier)
-            stack.append((a, x | {v}))
-            stack.append((a | {v}, x))
+            rest, grown = frontier - {v}, a | {v}
+            heads = {y for _, y, rev in arcs[v] if not rev} - grown - sinks
+            stack.append((a, x | {v}, rest, dict(flow), value))
+            stack.append((grown, x, rest | heads, flow, value))
             continue
         # Z in EdgeId order and the side in BFS order, as the earlier
         # subset scan built them: equal frozensets built in another order
         # can pickle to other bytes, and oracle files stay identical
         z = frozenset(eid for eid, (u, w) in net.edges.items()
                       if u in a and w not in a)
-        if len(z) > limit or not all(_on_st_path(net, z, eid) for eid in z):
+        if len(z) > limit:
+            continue
+        to_t = reachable_set(g, t, z, reverse=True)
+        if any(g.edges[eid][1] not in to_t for eid in z):
             continue
         side = frozenset(reachable_set(g, s, z))
         if side != a:
@@ -106,14 +113,6 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
                                     sink_side=frozenset(range(net.n)) - side)))
     out.sort(key=lambda entry: sum(1 << v for v in entry[1].source_side))
     return out
-
-
-def _on_st_path(net: FlowNetwork, z, eid) -> bool:
-    """Is eid on some (s,t)-path once the rest of z is removed?"""
-    rest = z - {eid}
-    u, v = net.edges[eid]
-    return (u in reachable_set(net.graph, net.s, rest)
-            and net.t in reachable_set(net.graph, v, rest))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, QueryError, checked
 from .family import BuiltFamily, CriticalityLabels
-from .flows import IntFlow, ResidualGraph
+from .flows import ResidualGraph
 from .graph import FlowNetwork, scc_from_adjacency
 
 
@@ -81,9 +81,9 @@ def crossing_edges(net: FlowNetwork, source_side) -> list[int]:
     )
 
 
-def build_classes(net: FlowNetwork, f: IntFlow) -> EquivalenceClasses:
+def build_classes(net: FlowNetwork, res: ResidualGraph) -> EquivalenceClasses:
     """Classes are the SCCs of the residual graph of a max-flow."""
-    ids = checked(ResidualGraph, net, f).scc_ids()
+    ids = res.scc_ids()
     return EquivalenceClasses(
         class_of=tuple(ids),
         class_count=max(ids) + 1 if ids else 0,
@@ -93,7 +93,7 @@ def build_classes(net: FlowNetwork, f: IntFlow) -> EquivalenceClasses:
 
 
 def build_strip_graph(
-    net: FlowNetwork, classes: EquivalenceClasses, labels: CriticalityLabels, f: IntFlow
+    net: FlowNetwork, classes: EquivalenceClasses, labels: CriticalityLabels, res: ResidualGraph
 ) -> StripGraph:
     """Quotient the network by classes and flip the non-critical arcs.
 
@@ -125,7 +125,6 @@ def build_strip_graph(
         raise InternalInvariantError("strip graph contains a cycle")
 
     # Cross-construction check: reversed condensation of the residual graph.
-    res = checked(ResidualGraph, net, f)
     cond = set()
     for arc in res.arcs:
         ca, cb = cls[arc.tail], cls[arc.head]
@@ -245,9 +244,10 @@ def precedes(ps: PathSystem, e_a: int, e_b: int) -> bool:
 def build_mincut_oracle(bf: BuiltFamily) -> MinCutOracleStruct:
     """O_MINCUT over the calibrated subgraph of a built family: classes,
     strip graph and path system of its reference flow f_tilde."""
-    net, labels, f = bf.sub.network, bf.labels, bf.family.f_tilde
-    classes = build_classes(net, f)
-    strip = build_strip_graph(net, classes, labels, f)
+    net, labels = bf.sub.network, bf.labels
+    res = checked(ResidualGraph, net, bf.family.f_tilde)
+    classes = build_classes(net, res)
+    strip = build_strip_graph(net, classes, labels, res)
     return MinCutOracleStruct(
         lam=labels.lam,
         classes=classes,

@@ -9,7 +9,12 @@ structure's size bound (AC3), so they live with the tests.
 
 from flowsentry.errors import QueryError
 from flowsentry.family import classify_edges
-from flowsentry.flows import cancel_flow_cycles, decompose_into_paths, max_flow
+from flowsentry.flows import (
+    ResidualGraph,
+    cancel_flow_cycles,
+    decompose_into_paths,
+    max_flow,
+)
 from flowsentry.graph import FlowNetwork
 from flowsentry.mincut import (
     CutPartition,
@@ -101,8 +106,9 @@ def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutOracleStruct:
     if labels.lam < 1:
         raise ValueError("mincut oracle needs lam >= 1")
     f = cancel_flow_cycles(net, f)
-    classes = build_classes(net, f)
-    strip = build_strip_graph(net, classes, labels, f)
+    res = ResidualGraph(net, f)
+    classes = build_classes(net, res)
+    strip = build_strip_graph(net, classes, labels, res)
     paths = build_path_system(strip, classes, labels,
                               decompose_into_paths(net, f), net)
     return MinCutOracleStruct(lam=labels.lam, classes=classes, strip=strip,

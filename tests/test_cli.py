@@ -17,8 +17,7 @@ from flowsentry.bruteforce import brute_force
 from flowsentry.cli import load_oracle, main
 from flowsentry.errors import InternalInvariantError
 from flowsentry.family import build_flow_family
-from flowsentry.flows import max_flow
-from flowsentry.generators import gen_matrix, gen_random, generate
+from flowsentry.generators import gen_matrix, gen_random, gen_twopaths, generate
 from flowsentry.graph import parse_network, prune_to_st_paths, serialize_network
 from flowsentry.oracles import SensitivityOracle
 
@@ -444,6 +443,23 @@ class TestBuildAndOracleFile:
                         SensitivityOracle(parse_network(text)), None)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("make, k, sha256", [
+        (lambda: gen_random(16, 1), 3,
+         "db2d245e94ee7c076ff2e85068e9b71da6ee25fbb1fcda070de8d0b2bbeb8674"),
+        (lambda: gen_matrix(2, 4, seed=1), 3,
+         "cdf95f0a4eed98535542c5d7b062c3b866a959eef2804058a8e4cee9d2eaf11c"),
+        (lambda: gen_twopaths(40), 2,
+         "a3354b89305ccc15d459392b3ee078ae63e6a9a396af08b4cdcd25c680ac7dfc"),
+    ])
+    def test_kfault_bytes_pinned(self, make, k, sha256, tmp_path):
+        # the k-fault file, as the benchmark saves it: the cut list, its
+        # order and the byte order of each stored set must not change
+        text = serialize_network(make())
+        path = tmp_path / "oracle.bin"
+        cli.save_oracle(str(path), k, hashlib.sha256(text.encode()).digest(),
+                        None, kfault.build_kfault_oracle(parse_network(text), k))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
     def test_corrupt_file_exits_2(self, bottleneck_file, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage-not-an-oracle")
@@ -494,7 +510,8 @@ class TestInternalError:
     def test_infeasible_mincut_flow_exits_3(self, bottleneck_file, tmp_path,
                                             capsys, monkeypatch):
         # the min-cut structure checks the family's reference flow through
-        # its residual graphs; a flow that fails the check is a bug too
+        # the residual graph it shares between classes and strip graph; a
+        # flow that fails the check is a bug too
         real = oracles.build_flow_family
 
         def corrupted(net):
@@ -505,10 +522,8 @@ class TestInternalError:
         monkeypatch.setattr(oracles, "build_flow_family", corrupted)
         net = parse_network(bottleneck_file.read_text())
         bf = corrupted(prune_to_st_paths(net)[0])
-        classes = mincut.build_classes(bf.sub.network, max_flow(bf.sub.network))
         with pytest.raises(InternalInvariantError, match="outside"):
-            mincut.build_strip_graph(bf.sub.network, classes, bf.labels,
-                                     bf.family.f_tilde)
+            mincut.build_mincut_oracle(bf)
         code, out, err = run(capsys, "build", "-g", str(bottleneck_file),
                              "-o", str(tmp_path / "oracle.bin"))
         assert code == 3

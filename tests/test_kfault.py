@@ -133,6 +133,30 @@ class TestEnumeration:
                 # equal oracles must also pickle to equal files
                 assert pickle.dumps(got) == pickle.dumps(ref), (net, limit)
 
+    @pytest.mark.parametrize("make, nodes, leaves", [
+        (lambda: gen_random(16, 1), 193, 20),
+        (lambda: gen_matrix(2, 4, seed=1), 1955, 782),
+    ])
+    def test_work_per_node(self, make, nodes, leaves, monkeypatch):
+        # each of the search's nodes resumes its parent's flow, so it runs
+        # the augmentations past the parent's value plus one failed or
+        # over-limit search; each of the leaves that pass the size test
+        # runs one search for minimality and one for its side
+        calls = {"augment_unit": 0, "reachable_set": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(flowsentry.kfault, name),
+                        _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(flowsentry.kfault, name, counted)
+        build_kfault_oracle(make(), 3)
+        assert 0 < calls["augment_unit"] <= 2 * nodes
+        assert 0 < calls["reachable_set"] <= 2 * leaves
+        monkeypatch.setattr(flowsentry.kfault, "ENUMERATION_PROBE_BUDGET",
+                            nodes - 1)
+        with pytest.raises(EnumerationBudgetExceeded):
+            build_kfault_oracle(make(), 3)
+
     def test_matches_subset_scan(self):
         rng = random.Random(9001)
         for _ in range(25):
