@@ -70,6 +70,7 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
     """
     g, s, t = net.graph, net.s, net.t
     arcs = g.incidence()
+    rank = {eid: i for i, eid in enumerate(net.edges)}
     out = []
     probes = 0
     # (A, X, out-neighbours of A outside A, X and {t}, flow, flow value)
@@ -96,11 +97,11 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
             stack.append((a, x | {v}, rest, dict(flow), value))
             stack.append((grown, x, rest | heads, flow, value))
             continue
-        # Z in EdgeId order and the side in BFS order, as the earlier
-        # subset scan built them: equal frozensets built in another order
-        # can pickle to other bytes, and oracle files stay identical
-        z = frozenset(eid for eid, (u, w) in net.edges.items()
-                      if u in a and w not in a)
+        # no frontier is left, so Z runs from A into X + {t}. Z is built in
+        # net.edges order and the side in BFS order, as the subset scan did:
+        # equal frozensets built in another order can pickle to other bytes
+        z = frozenset(sorted([eid for y in sinks for eid, w, rev in arcs[y]
+                              if rev and w in a], key=rank.__getitem__))
         if len(z) > limit:
             continue
         to_t = reachable_set(g, t, z, reverse=True)

@@ -17,9 +17,11 @@ once:
 No flow is stored. The canonical flow after e fails carries edge x
 exactly when x is kept and (x not in null) != (x in flip[e]); an edge
 outside ``flip`` leaves f-tilde itself as its canonical flow. Queries
-run on lookups plus at most two BFS traversals of the residual of one
-canonical flow, whose null set ``null ^ flip[e]`` is built just before
-the traversal.
+run on lookups plus searches of the residual of one canonical flow,
+whose null set ``null ^ flip[e]`` is built just before. MF2 takes its
+value from the strip order when e or e2 is critical and then looks for
+one rerouting cycle, else for up to two; a cycle through the released
+unit is joined from two short searches.
 
 Conventions the queries rely on:
   * edges outside every (s,t)-walk, and edges removed by calibration,
@@ -34,7 +36,6 @@ Conventions the queries rely on:
 """
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, QueryError
@@ -55,15 +56,14 @@ EMPTY = frozenset()
 # as its zero extension to the walk-pruned net. An edge carrying 0 gives
 # a forward residual arc, one carrying 1 a reverse arc. The traversals
 # scan the graph's own incidence list (DirectedMultigraph.incidence):
-# ascending EdgeId, forward before reverse, then the optional artificial
-# s->t arc last: that order fixes the reported cycle. The artificial
-# arc's EdgeId is in no kept set, so it reads as a forward arc. The list
-# is a cache of the graph, not part of the oracle file: the first
-# traversal after a load rebuilds it. Stored, it would add 12.7 KB to the
-# 9.9 KB oracle file of gen_random(60).
+# ascending EdgeId, forward before reverse: that order fixes the reported
+# cycle. The artificial s->t arc is never scanned; a cycle through it is
+# joined from two searches. The list is a cache of the graph, not part of
+# the oracle file: the first traversal after a load rebuilds it. Stored,
+# it would add 12.7 KB to the 9.9 KB oracle file of gen_random(60).
 
 
-def _search(net, kept, null, src, dst, failed, st_arc=False):
+def _search(net, kept, null, src, dst, failed):
     """BFS parent map from src until dst is found in the residual of the
     flow (kept, null) minus edge failed, or None; parent[w] =
     (x, eid, is_reverse) is the arc x->w that found w."""
@@ -71,13 +71,9 @@ def _search(net, kept, null, src, dst, failed, st_arc=False):
     if src == dst:
         return parent
     inc = net.graph.incidence()
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        arcs = inc[x]
-        if st_arc and x == net.s:
-            arcs = arcs + [(ARTIFICIAL, net.t, False)]
-        for eid, w, rev in arcs:
+    queue = [src]
+    for x in queue:
+        for eid, w, rev in inc[x]:
             if w in parent or eid == failed or (
                     eid in kept and eid not in null) != rev:
                 continue
@@ -102,10 +98,15 @@ def strongly_connected_without(net: FlowNetwork, kept, null, x, y,
 
 def cycle_through_arc_without(net: FlowNetwork, kept, null, target,
                               failed, st_arc: bool = False):
-    """Simple cycle, as a tuple of Arcs, through the reverse arc of target
-    in the residual of the flow (kept, null) on net minus edge failed,
-    starting with that arc; None when there is none. st_arc adds the
-    artificial s->t arc, which models releasing one unit of value."""
+    """Simple cycle, as a tuple of Arcs, through the reverse arc v->u of
+    target in the residual of the flow (kept, null) on net minus edge
+    failed, starting with that arc; None when there is none.
+
+    st_arc closes the cycle through the artificial s->t arc, which models
+    releasing one unit of value: u~>s, s->t, t~>v, from two searches. The
+    caller must know that no cycle avoids the artificial arc. Then what u
+    reaches is closed under residual arcs and misses v, so the legs are
+    disjoint and are the path one search scanning the arc would find."""
     for eid in (failed, target):
         if eid not in net.edges:
             raise QueryError(f"unknown edge {eid!r}")
@@ -114,15 +115,20 @@ def cycle_through_arc_without(net: FlowNetwork, kept, null, target,
     if target not in kept or target in null:
         raise QueryError(f"edge {target} carries no flow; it has no reverse arc")
     u, v = net.edges[target]
-    parent = _search(net, kept, null, u, v, failed, st_arc)
-    if parent is None:
-        return None
+    legs = ((u, net.s), (net.t, v)) if st_arc else ((u, v),)
     cycle = [Arc(v, u, target, True)]
-    w = v
-    while w != u:
-        x, eid, rev = parent[w]
-        cycle.insert(1, Arc(x, w, eid, rev))
-        w = x
+    for i, (src, dst) in enumerate(legs):
+        parent = _search(net, kept, null, src, dst, failed)
+        if parent is None:
+            return None
+        leg = []
+        while dst != src:
+            x, eid, rev = parent[dst]
+            leg.append(Arc(x, dst, eid, rev))
+            dst = x
+        if i:
+            leg.append(Arc(net.s, net.t, ARTIFICIAL, False))
+        cycle += reversed(leg)
     return tuple(cycle)
 
 
@@ -227,27 +233,41 @@ class SensitivityOracle:
                 )
             return self.report_flow_diff_single(live[0])
         d = self.flip.get(e, EMPTY)
-        val_f = self.lam - (e in self.paths.path_of)
+        crit = self.paths.path_of
+        val_f = self.lam - (e in crit)
         # e2 idle in e's canonical flow: nothing to reroute
         if (e2 in self.null) != (e2 in d):
             return FlowDiff(d, val_f)
         # over the walk-pruned network, so rerouting cycles may use
-        # calibration-removed edges
+        # calibration-removed edges. A critical edge in the pair fixes the
+        # value by the strip order; if it drops, no plain cycle exists and
+        # only the released-unit one is searched
         net, kept, null = self.pruned_net, self.kept, self._null_after(e)
-        cycle = cycle_through_arc_without(net, kept, null, e2, e)
-        value = val_f
-        if cycle is None:
+        crit_pair = e in crit or e2 in crit
+        value = self._critical_value(e, e2) if crit_pair else val_f
+        cycle = cycle_through_arc_without(net, kept, null, e2, e, value < val_f)
+        if cycle is None and not crit_pair:
+            value -= 1
             cycle = cycle_through_arc_without(net, kept, null, e2, e,
                                               st_arc=True)
-            if cycle is None:
-                raise InternalInvariantError(
-                    "no rerouting cycle even after releasing one unit of value"
-                )
-            value = val_f - 1
-        eids = [a.eid for a in cycle if a.eid is not ARTIFICIAL]
-        if len(eids) != len(set(eids)):
-            raise InternalInvariantError("rerouting cycle repeats an edge")
-        return FlowDiff(d ^ frozenset(eids), value)
+        if cycle is None:
+            raise InternalInvariantError(
+                f"no rerouting cycle for the post-failure value {value}")
+        if len({a.tail for a in cycle}) != len(cycle):
+            raise InternalInvariantError("rerouting cycle repeats a vertex")
+        return FlowDiff(
+            d ^ frozenset(a.eid for a in cycle if a.eid is not ARTIFICIAL),
+            value)
+
+    def _critical_value(self, e: int, e2: int) -> int:
+        """Value after kept edges e and e2 fail, at least one critical:
+        the drop is 2 iff both are critical and lie in one min-cut, that
+        is iff no strip path orders them."""
+        crit = self.paths.path_of
+        if e in crit and e2 in crit and not (
+                precedes(self.paths, e, e2) or precedes(self.paths, e2, e)):
+            return self.lam - 2
+        return self.lam - 1
 
     def mincut_size_dual(self, e: int, e2: int) -> int:
         """Min-cut (= max-flow) value after both e and e2 fail."""
@@ -261,14 +281,8 @@ class SensitivityOracle:
         crit = self.paths.path_of
         if len(live) == 1:
             return self.lam - (live[0] in crit)
-        c1, c2 = e in crit, e2 in crit
-        if c1 or c2:
-            # both critical: the drop is 2 iff they lie in one min-cut,
-            # that is iff no strip path orders them
-            if c1 and c2 and not (precedes(self.paths, e, e2)
-                                  or precedes(self.paths, e2, e)):
-                return self.lam - 2
-            return self.lam - 1
+        if e in crit or e2 in crit:
+            return self._critical_value(e, e2)
         # both non-critical: the drop happens iff the second failure cannot
         # be routed around in the residual of the flow avoiding the first.
         # On union_min1, null(f, min+1) agrees with null(f), so the test

@@ -530,6 +530,27 @@ class TestInternalError:
         assert out == ""
         assert err.startswith("error: internal invariant violated: flow 2 on")
 
+    def test_overlapping_rerouting_legs_exit_3(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a strip-order value one too low sends MF2 to the released-unit
+        # cycle although a plain cycle exists; here the two legs meet,
+        # and the repeated-vertex check reports it
+        net = make_net(4, [(0, 1), (1, 3), (2, 2), (3, 3), (0, 0), (1, 2),
+                           (0, 3), (2, 1), (0, 2), (0, 2), (1, 3)], t=3)
+        real = SensitivityOracle._critical_value
+        monkeypatch.setattr(SensitivityOracle, "_critical_value",
+                            lambda self, e, e2: real(self, e, e2) - 1)
+        with pytest.raises(InternalInvariantError, match="repeats a vertex"):
+            SensitivityOracle(net).report_flow_diff_dual(0, 9)
+        g, qf = tmp_path / "g.txt", tmp_path / "q.txt"
+        g.write_text(serialize_network(net))
+        qf.write_text("MF2 1 10\n")
+        code, out, err = run(capsys, "query", "-g", str(g), "-q", str(qf))
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["error: internal invariant violated: "
+                                    "rerouting cycle repeats a vertex"]
+
 
 class TestVerifyCommand:
     def test_clean_run_exits_0(self, bottleneck_file, capsys):

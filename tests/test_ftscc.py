@@ -18,13 +18,16 @@ from flowsentry.flows import (
     cancel_flow_cycles,
     max_flow,
 )
+from flowsentry.generators import gen_matrix
 from flowsentry.graph import scc_from_adjacency
 from flowsentry.oracles import (
+    SensitivityOracle,
     cycle_through_arc_without,
     strongly_connected_without,
 )
 
 from conftest import make_net, random_net
+from ftscc_reference import released_unit_cycle_one_search
 
 
 @dataclass(frozen=True)
@@ -278,13 +281,17 @@ class TestCycleExtraction:
                     if failed == target:
                         continue
                     arcs = cycle_through_arc_without(
-                        net, kept, null, target, failed, use_st)
+                        net, kept, null, target, failed)
+                    # the released-unit cycle is asked for only where
+                    # no plain cycle exists, as its contract requires
+                    if use_st and arcs is None:
+                        arcs = cycle_through_arc_without(
+                            net, kept, null, target, failed, st_arc=True)
+                        if arcs is not None:
+                            assert any(a.eid is ARTIFICIAL for a in arcs)
                     if arcs is None:
                         continue
                     found += 1
-                    if use_st and cycle_through_arc_without(
-                            net, kept, null, target, failed) is None:
-                        assert any(a.eid is ARTIFICIAL for a in arcs)
                     tails = [a.tail for a in arcs]
                     assert len(set(tails)) == len(tails), "not simple"
                     assert all(a.eid != failed for a in arcs)
@@ -304,3 +311,45 @@ class TestCycleExtraction:
                         assert a.head == b.tail
                     assert arcs[-1].head == arcs[0].tail
         assert found > 50
+
+
+class TestReleasedUnitCycle:
+    """The released-unit cycle joined from two searches equals the one
+    search it replaced wherever no plain cycle exists."""
+
+    @staticmethod
+    def _check(net, kept, null, failed, targets):
+        """Compare on every target with no plain cycle; count the cycles."""
+        found = 0
+        for target in targets:
+            if target == failed or cycle_through_arc_without(
+                    net, kept, null, target, failed) is not None:
+                continue
+            got = cycle_through_arc_without(net, kept, null, target, failed,
+                                            st_arc=True)
+            assert got == released_unit_cycle_one_search(
+                net, kept, null, target, failed), (target, failed)
+            found += got is not None
+        return found
+
+    def test_random_flows(self):
+        rng = random.Random(7005)
+        found = 0
+        for _ in range(80):
+            net = random_net(rng, n_max=9, m_max=18)
+            kept, null = kept_null(net, max_unit_flow(net))
+            for failed in sorted(net.edges):
+                found += self._check(net, kept, null, failed,
+                                     sorted(kept - null))
+        assert found > 1000
+
+    def test_canonical_flows_of_matrix(self):
+        # the flows MF2 searches: each kept edge's canonical flow, with
+        # that edge failed
+        o = SensitivityOracle(gen_matrix(3, 4, seed=1))
+        found = 0
+        for e in sorted(o.kept):
+            null = o._null_after(e)
+            found += self._check(o.pruned_net, o.kept, null, e,
+                                 sorted(o.kept - null))
+        assert found > 1000

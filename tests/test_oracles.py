@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from flowsentry import oracles
 from flowsentry.errors import InternalInvariantError, QueryError
 from flowsentry.family import BuiltFamily, FlowFamily
 from flowsentry.flows import IntFlow
-from flowsentry.generators import gen_random
+from flowsentry.generators import gen_matrix, gen_random
 from flowsentry.graph import DirectedMultigraph
 from flowsentry.kfault import build_kfault_oracle
 from flowsentry.oracles import FlowDiff, SensitivityOracle
@@ -169,6 +170,36 @@ class TestFlowDiffDual:
                     reconstruct_flow(o, d, [a, b])
                     checked += 1
         assert checked > 2000
+
+    def test_critical_pair_searches_once(self, monkeypatch):
+        # a critical edge in the pair fixes the value by the strip order,
+        # so MF2 makes one cycle search where e2 carries flow in e's
+        # canonical flow: the released-unit one when the value drops
+        net = gen_matrix(3, 4, seed=1)
+        o = SensitivityOracle(net)
+        calls = []
+        real = oracles.cycle_through_arc_without
+
+        def counted(net, kept, null, target, failed, st_arc=False):
+            calls.append(st_arc)
+            return real(net, kept, null, target, failed, st_arc)
+
+        monkeypatch.setattr(oracles, "cycle_through_arc_without", counted)
+        crit = o.paths.path_of
+        dropped = 0
+        for e, e2 in itertools.permutations(sorted(net.edges), 2):
+            calls.clear()
+            d = o.report_flow_diff_dual(e, e2)
+            searched = list(calls)
+            assert d.new_value == o.mincut_size_dual(e, e2), (e, e2)
+            if e not in crit and e2 not in crit:
+                continue
+            carried = e in o.kept and e2 in o.kept and \
+                o.query_edge_flow(e, e2) == 1
+            drop = d.new_value < o.report_flow_diff_single(e).new_value
+            assert searched == ([drop] if carried else []), (e, e2)
+            dropped += carried and drop
+        assert dropped > 1000
 
 
 class TestMinCutDual:
