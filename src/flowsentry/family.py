@@ -7,7 +7,7 @@ its s-t walks (see graph.prune_to_st_paths). The pipeline is:
     labels  = classify_edges(sub.network)   # min(nu, lam+2) per edge + critical set,
                                             # only if calibration deleted edges
     caps, f_H = build_auxiliary(sub, labels)
-    A       = peel_family_A(sub, f_H)
+    A       = peel_family_A(sub, f_H)           # unit augmentations per round
     family  = extend_family_B(A, sub, labels)   # A plus B's encoding
 
 or just build_flow_family(net), which runs the lot and cross-checks the
@@ -31,13 +31,11 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, checked
 from .flows import (
-    CirculationInstance,
     IntFlow,
     UnitFlow,
     ResidualGraph,
     augment_unit,
     cancel_flow_cycles,
-    circulation_solver,
     decompose_into_paths,
     max_flow,
 )
@@ -199,43 +197,61 @@ def build_auxiliary(
 def peel_family_A(sub: CalibratedSubgraph, f_h: IntFlow) -> list[UnitFlow]:
     """Peel lam+1 unit max-flows out of f_H, returned as [f_1, ..., f_{lam+1}].
 
-    Round i (from lam+1 down to 1) solves a circulation on the subgraph with
-    demands d(s) = -lam, d(t) = +lam, upper bounds min(1, h_i(e)) and lower
-    bound 1 exactly where h_i(e) == i. Feasibility is guaranteed (h_i/i is a
-    fractional solution and the polytope is integral); infeasibility therefore
-    raises. The invariant 0 <= h_i(e) <= i is asserted every round. All rounds
-    share one circulation network (flows.circulation_solver).
+    Round i (from lam+1 down to 1) finds a 0/1 flow g of value lam with
+    g <= h_i and g = 1 where h_i(e) == i. Feasibility is guaranteed (h_i/i
+    is a fractional solution and the polytope is integral), so infeasibility
+    raises. g starts at those forced units; unit augmentations over the
+    other edges with h_i > 0 clear the surplus they and the demands leave
+    (lam at s, -lam at t), each from every surplus vertex, ascending, to
+    the first deficit vertex found. That is the path the super source/sink
+    reduction of lower bounds would augment (its BFS pops vertices in the
+    order it finds them and no source has a deficit), so g is the flow
+    that circulation solver would return. state holds g, or g + 2 on an
+    edge with no live arc. Checked every round: 0 <= h_i(e) <= i,
+    conservation with value lam, no flow on spent edges, flow on forced ones.
     """
-    net = sub.network
-    lam = sub.lam
+    net, lam, n = sub.network, sub.lam, sub.network.n
+    arcs = net.graph.incidence()
     h = dict(f_h.values)
     peeled: list[UnitFlow] = []
-    solve = circulation_solver(net.graph)
     for i in range(lam + 1, 0, -1):
-        for eid, val in h.items():
+        surplus, state = [0] * n, {}
+        surplus[net.s], surplus[net.t] = lam, -lam
+        for eid, (u, v) in net.edges.items():
+            val = h[eid]
             if not 0 <= val <= i:
                 raise InternalInvariantError(
                     f"peel round {i}: h({eid}) = {val} out of [0, {i}]"
                 )
-        demand = {net.s: -lam, net.t: lam}
-        lower = {eid: 1 if h[eid] == i else 0 for eid in net.edges}
-        upper = {eid: min(1, h[eid]) for eid in net.edges}
-        g = solve(CirculationInstance(net.graph, demand, lower, upper))
-        if g is None:
-            raise InternalInvariantError(f"peel round {i}: circulation infeasible")
-        f_i = checked(UnitFlow, net, g)
-        if f_i.value != lam:
-            raise InternalInvariantError(
-                f"peel round {i}: flow value {f_i.value} != lam = {lam}"
-            )
-        for eid in net.edges:
-            if h[eid] == 0 and g[eid] != 0:
+            if val == i:
+                surplus[u] -= 1
+                surplus[v] += 1
+            state[eid] = 3 if val == i else 0 if val else 2
+        for _ in range(sum(x for x in surplus if x > 0)):
+            path = augment_unit(arcs, state, [v for v, x in enumerate(surplus) if x > 0],
+                                {v for v, x in enumerate(surplus) if x < 0})
+            if path is None:
+                raise InternalInvariantError(f"peel round {i}: infeasible")
+            for eid in path:  # +1 on a forward arc, -1 on a reverse one
+                u, v = net.edges[eid]
+                surplus[u] -= 2 * state[eid] - 1
+                surplus[v] += 2 * state[eid] - 1
+        # balance: the demands (lam out of s, into t) less g's net outflow
+        g, balance = {}, [0] * n
+        balance[net.s], balance[net.t] = lam, -lam
+        for eid, (u, v) in net.edges.items():
+            x = g[eid] = state[eid] & 1
+            balance[u] -= x
+            balance[v] += x
+            if x and not h[eid]:
                 raise InternalInvariantError(f"peel round {i}: flow on spent edge {eid}")
-            if h[eid] == i and g[eid] != 1:
+            if h[eid] == i and not x:
                 raise InternalInvariantError(f"peel round {i}: forced edge {eid} idle")
-        peeled.append(f_i)
-        for eid in h:
-            h[eid] -= g[eid]
+            h[eid] -= x
+        for v, b in enumerate(balance):
+            if b:
+                raise InternalInvariantError(f"peel round {i}: vertex {v} off balance by {b}")
+        peeled.append(checked(UnitFlow, net, g))
     if any(h.values()):
         raise InternalInvariantError("peel left residue; sum(f_i) != f_H")
     peeled.reverse()

@@ -137,9 +137,10 @@ def augment_unit(arcs, flow: dict[int, int], sources, sinks) -> list[int] | None
     """Push one unit along a shortest path from sources to sinks in the unit residual.
 
     arcs lists the live edges as DirectedMultigraph.incidence does: flow 0
-    on one gives a forward residual arc, flow 1 a reverse arc. The path's
-    edges are toggled in place and returned; toggling them again undoes the
-    push. Returns None, leaving flow untouched, when no sink is reachable.
+    on one gives a forward residual arc, flow 1 a reverse arc, any other
+    value neither. The path's edges are toggled in place and returned;
+    toggling them again undoes the push. Returns None, leaving flow
+    untouched, when no sink is reachable.
     """
     parent: dict[int, tuple[int, int] | None] = dict.fromkeys(sources)
     queue = deque(parent)
@@ -320,44 +321,32 @@ class CirculationInstance:
 
 
 def solve_circulation(inst: CirculationInstance) -> dict[int, int] | None:
-    """Solve the circulation instance; None when infeasible."""
-    return circulation_solver(inst.graph)(inst)
-
-
-def circulation_solver(g: DirectedMultigraph):
-    """solve_circulation for instances on g (their bounds and demands are
-    read, not their graph), all sharing one auxiliary network.
+    """Solve the circulation instance; None when infeasible.
 
     Standard reduction: route the lower bounds unconditionally, fix up the
     resulting vertex imbalances through a super source/sink pair, and
     declare feasibility exactly when every super arc saturates. Auxiliary
-    EdgeIds: g's edges at 0..m-1 in ascending order, then for each vertex v
-    the super arcs (S, v) at m+2v and (v, T) at m+2v+1. An unused super arc
-    gets capacity 0 and is never traversed, so every BFS scans arcs in g's
-    order.
+    EdgeIds: the graph's edges at 0..m-1 in ascending order, then for each
+    vertex v the super arcs (S, v) at m+2v and (v, T) at m+2v+1. An unused
+    super arc gets capacity 0 and is never traversed, so every BFS scans
+    arcs in the graph's order.
     """
+    g, lo, hi = inst.graph, inst.lower.get, inst.upper.get
     n, order = g.n, sorted(g.edges)
     m, S, T = len(order), n, n + 1
+    # surplus[v]: net amount v must ship out after lower bounds are routed
+    surplus = [-inst.demand.get(v, 0) for v in range(n)]
+    for eid, (u, v) in g.edges.items():
+        surplus[u] -= lo(eid, 0)
+        surplus[v] += lo(eid, 0)
+    if sum(surplus) != 0:  # the demands do not balance
+        return None
     arcs = [g.edges[eid] for eid in order]
-    for v in range(n):
+    caps = {aid: hi(eid, 0) - lo(eid, 0) for aid, eid in enumerate(order)}
+    for v, x in enumerate(surplus):
         arcs += [(S, v), (v, T)]
-    aux = FlowNetwork(DirectedMultigraph(n + 2, arcs), S, T)
-
-    def solve(inst: CirculationInstance) -> dict[int, int] | None:
-        lo, hi = inst.lower.get, inst.upper.get
-        # surplus[v]: net amount v must ship out after lower bounds are routed
-        surplus = [-inst.demand.get(v, 0) for v in range(n)]
-        for eid, (u, v) in g.edges.items():
-            surplus[u] -= lo(eid, 0)
-            surplus[v] += lo(eid, 0)
-        if sum(surplus) != 0:  # the demands do not balance
-            return None
-        caps = {aid: hi(eid, 0) - lo(eid, 0) for aid, eid in enumerate(order)}
-        for v, x in enumerate(surplus):
-            caps[m + 2 * v], caps[m + 2 * v + 1] = max(x, 0), max(-x, 0)
-        result = max_flow(aux, caps)
-        if result.value != sum(x for x in surplus if x > 0):
-            return None
-        return {eid: lo(eid, 0) + result.values[aid] for aid, eid in enumerate(order)}
-
-    return solve
+        caps[m + 2 * v], caps[m + 2 * v + 1] = max(x, 0), max(-x, 0)
+    result = max_flow(FlowNetwork(DirectedMultigraph(n + 2, arcs), S, T), caps)
+    if result.value != sum(x for x in surplus if x > 0):
+        return None
+    return {eid: lo(eid, 0) + result.values[aid] for aid, eid in enumerate(order)}

@@ -1,12 +1,19 @@
 """The circulation solver as it stood before its auxiliary network got
-fixed EdgeIds: every auxiliary edge takes the next free id as it is added,
-super arcs only where a vertex has a nonzero surplus.
+fixed EdgeIds, and the flow family's peel as it stood when it solved one
+such circulation per round.
 
-test_flows.py checks that flows.solve_circulation returns the same dicts,
-so the flow family's peel, which reads those dicts, stays byte-identical.
+solve_circulation: every auxiliary edge takes the next free id as it is
+added, super arcs only where a vertex has a nonzero surplus. test_flows.py
+checks that flows.solve_circulation returns the same dicts.
+
+peel_family_A: round i solves the lower-bound circulation with
+solve_circulation. test_family.py checks that family.peel_family_A, which
+augments on the subgraph instead, peels the same flows, so oracle files
+stay byte-identical.
 """
 
-from flowsentry.flows import CirculationInstance, max_flow
+from flowsentry.errors import InternalInvariantError, checked
+from flowsentry.flows import CirculationInstance, UnitFlow, max_flow
 from flowsentry.graph import DirectedMultigraph, FlowNetwork
 
 
@@ -44,3 +51,42 @@ def solve_circulation(inst: CirculationInstance) -> dict[int, int] | None:
     for aid, orig in orig_of.items():
         out[orig] += result.values[aid]
     return out
+
+
+def peel_family_A(sub, f_h) -> list[UnitFlow]:
+    """[f_1, ..., f_{lam+1}] peeled from f_H: round i (from lam+1 down to 1)
+    solves a circulation with demands d(s) = -lam, d(t) = +lam, upper
+    bounds min(1, h_i(e)) and lower bound 1 exactly where h_i(e) == i."""
+    net = sub.network
+    lam = sub.lam
+    h = dict(f_h.values)
+    peeled: list[UnitFlow] = []
+    for i in range(lam + 1, 0, -1):
+        for eid, val in h.items():
+            if not 0 <= val <= i:
+                raise InternalInvariantError(
+                    f"peel round {i}: h({eid}) = {val} out of [0, {i}]"
+                )
+        demand = {net.s: -lam, net.t: lam}
+        lower = {eid: 1 if h[eid] == i else 0 for eid in net.edges}
+        upper = {eid: min(1, h[eid]) for eid in net.edges}
+        g = solve_circulation(CirculationInstance(net.graph, demand, lower, upper))
+        if g is None:
+            raise InternalInvariantError(f"peel round {i}: circulation infeasible")
+        f_i = checked(UnitFlow, net, g)
+        if f_i.value != lam:
+            raise InternalInvariantError(
+                f"peel round {i}: flow value {f_i.value} != lam = {lam}"
+            )
+        for eid in net.edges:
+            if h[eid] == 0 and g[eid] != 0:
+                raise InternalInvariantError(f"peel round {i}: flow on spent edge {eid}")
+            if h[eid] == i and g[eid] != 1:
+                raise InternalInvariantError(f"peel round {i}: forced edge {eid} idle")
+        peeled.append(f_i)
+        for eid in h:
+            h[eid] -= g[eid]
+    if any(h.values()):
+        raise InternalInvariantError("peel left residue; sum(f_i) != f_H")
+    peeled.reverse()
+    return peeled

@@ -530,6 +530,61 @@ class TestInternalError:
         assert out == ""
         assert err.startswith("error: internal invariant violated: flow 2 on")
 
+    def test_infeasible_peel_round_exits_3(self, bottleneck_file, tmp_path,
+                                           capsys, monkeypatch):
+        # f_H with nothing leaving s: the first round cannot ship lam
+        real = family.build_auxiliary
+
+        def starved(sub, labels):
+            caps, f_h = real(sub, labels)
+            for eid in sub.network.graph.out_edges(sub.network.s):
+                f_h.values[eid] = 0
+            return caps, f_h
+
+        monkeypatch.setattr(family, "build_auxiliary", starved)
+        pruned, _ = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
+        with pytest.raises(InternalInvariantError, match="round 3: infeasible"):
+            build_flow_family(pruned)
+        code, out, err = run(capsys, "build", "-g", str(bottleneck_file),
+                             "-o", str(tmp_path / "oracle.bin"))
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: internal invariant violated: peel round 3: infeasible"]
+
+    def test_unbalanced_peel_round_exits_3(self, bottleneck_file, tmp_path,
+                                           capsys, monkeypatch):
+        # the peel's first augmentation also sets one idle edge, x -> t
+        # here: the round's flow leaves x one more unit than enters it
+        peel, augment, stray = family.peel_family_A, family.augment_unit, []
+
+        def leaky(arcs, state, sources, sinks):
+            path = augment(arcs, state, sources, sinks)
+            if not stray:
+                stray.append(min(e for e, x in state.items() if x == 0))
+                state[stray[0]] = 1
+            return path
+
+        def leaky_peel(sub, f_h):
+            stray.clear()
+            monkeypatch.setattr(family, "augment_unit", leaky)
+            try:
+                return peel(sub, f_h)
+            finally:
+                monkeypatch.setattr(family, "augment_unit", augment)
+
+        monkeypatch.setattr(family, "peel_family_A", leaky_peel)
+        pruned, _ = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
+        with pytest.raises(InternalInvariantError,
+                           match="round 3: vertex 1 off balance by -1"):
+            build_flow_family(pruned)
+        code, out, err = run(capsys, "build", "-g", str(bottleneck_file),
+                             "-o", str(tmp_path / "oracle.bin"))
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["error: internal invariant violated: "
+                                    "peel round 3: vertex 1 off balance by -1"]
+
     def test_overlapping_rerouting_legs_exit_3(self, tmp_path, capsys,
                                                monkeypatch):
         # a strip-order value one too low sends MF2 to the released-unit

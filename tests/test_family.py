@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from flowsentry import family
+from flowsentry import family, flows
 from flowsentry.errors import InternalInvariantError
 from flowsentry.family import (
     NU_UNBOUNDED,
@@ -20,6 +20,7 @@ from flowsentry.flows import max_flow
 from flowsentry.generators import gen_matrix, gen_random
 from flowsentry.graph import prune_to_st_paths
 from flowsentry.oracles import SensitivityOracle
+import circulation_reference
 from conftest import (
     brute_max_flow_value,
     brute_nu,
@@ -265,6 +266,58 @@ class TestPeel:
             checked += 1
             assert len(bf.family.A) == bf.sub.lam + 1
         assert checked > 25
+
+    def test_matches_circulation_reference(self):
+        # the peel augments on the subgraph in the order the lower-bound
+        # circulation reduction searches, so it peels that solver's flows,
+        # round for round, whether or not calibration deleted edges
+        rng = random.Random(4008)
+        nets = [random_net(rng) for _ in range(100)]
+        nets += [gen_random(n, s) for n in (10, 20, 40, 60) for s in (1, 2, 3)]
+        # one of the few gen_random graphs whose flows change if reverse
+        # arcs are scanned before forward ones
+        nets.append(gen_random(92, 1))
+        nets += [gen_matrix(r, c, seed=s) for r, c in ((2, 3), (3, 4), (4, 5),
+                                                       (6, 8)) for s in (1, 2)]
+        compared, deleted = 0, 0
+        for net in nets:
+            pruned, info = prune_to_st_paths(net)
+            if info.disconnected:
+                continue
+            bf = build_flow_family(pruned)
+            want = circulation_reference.peel_family_A(bf.sub, bf.f_h)
+            assert [f.values for f in bf.family.A] == [f.values for f in want]
+            compared += 1
+            deleted += bool(bf.sub.pruned)
+        assert compared > 60 and 0 < deleted < compared
+
+    @pytest.mark.parametrize("make, searches", [
+        (lambda: gen_random(60, 1), 201),
+        # every round's forced units already form a flow of value lam
+        (lambda: gen_matrix(6, 8, seed=1), 0),
+    ])
+    def test_one_search_per_augmentation(self, make, searches, monkeypatch):
+        # the reduction's auxiliary max-flows augment 201 and 0 times over
+        # all rounds; the peel searches once per augmentation and solves no
+        # max-flow or circulation
+        bf = built(make())
+        calls = []
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the peel solved a max-flow")
+
+        def counted(*args):
+            calls.append(1)
+            return augment(*args)
+
+        augment = family.augment_unit
+        for module, name in ((family, "max_flow"), (flows, "max_flow"),
+                             (flows, "solve_circulation")):
+            monkeypatch.setattr(module, name, banned)
+        monkeypatch.setattr(family, "augment_unit", counted)
+        A = peel_family_A(bf.sub, bf.f_h)
+        assert len(calls) == searches
+        assert [f.values for f in A] == [f.values for f in bf.family.A]
 
 
 class TestFamilyB:
