@@ -14,7 +14,6 @@ from .flows import (
     ResidualGraph,
     UnitFlow,
     max_flow,
-    solve_circulation,
 )
 from .generators import FAMILIES, generate
 from .graph import (
@@ -78,6 +77,5 @@ __all__ = [
     "reaches",
     "run_verify",
     "serialize_network",
-    "solve_circulation",
     "strongly_connected_components",
 ]

@@ -6,7 +6,7 @@ its s-t walks (see graph.prune_to_st_paths). The pipeline is:
     sub     = calibrate(net)                # drop edges useless for <=1 failure
     labels  = classify_edges(sub.network)   # min(nu, lam+2) per edge + critical set,
                                             # only if calibration deleted edges
-    caps, f_H = build_auxiliary(sub, labels)
+    f_H     = build_auxiliary(sub, labels)      # max-flow of H, lam*(lam+1)
     A       = peel_family_A(sub, f_H)           # unit augmentations per round
     family  = extend_family_B(A, sub, labels)   # A plus B's encoding
 
@@ -92,7 +92,7 @@ def _capped_nu(arcs, flow, net: FlowNetwork, eid: int, lam: int) -> int:
     return lam + len(paths)
 
 
-def _critical(net: FlowNetwork, f: IntFlow, nu: dict[int, int]) -> frozenset[int]:
+def _critical(net: FlowNetwork, f: UnitFlow, nu: dict[int, int]) -> frozenset[int]:
     """The edges with nu == lam, checked against the residual test on the
     max-flow f: saturated, endpoints in distinct residual SCCs."""
     lam = f.value
@@ -166,13 +166,11 @@ def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
                               nu=nu)
 
 
-def build_auxiliary(
-    sub: CalibratedSubgraph, labels: CriticalityLabels
-) -> tuple[dict[int, int], IntFlow]:
-    """Capacitated auxiliary network H on the calibrated subgraph.
+def build_auxiliary(sub: CalibratedSubgraph, labels: CriticalityLabels) -> IntFlow:
+    """Max-flow f_H of the capacitated auxiliary network H on the calibrated subgraph.
 
-    Capacities: lam+1 on critical edges, lam on the rest. Returns the capacity
-    map and a max-flow of H whose value must be lam*(lam+1). The flow is
+    Capacities: lam+1 on critical edges, lam on the rest; f_H's value must be
+    lam*(lam+1). It is the one flow of the build that is not 0/1. The flow is
     cycle-canceled before it is returned so that its support is acyclic; the
     peel below inherits that, which is what makes f-tilde decomposable into
     paths. Canceling changes neither value nor feasibility, so the stored f_H
@@ -191,7 +189,7 @@ def build_auxiliary(
         raise InternalInvariantError(
             f"auxiliary max-flow is {f_h.value}, expected lam*(lam+1) = {want}"
         )
-    return caps, cancel_flow_cycles(sub.network, f_h)
+    return cancel_flow_cycles(sub.network, f_h)
 
 
 def peel_family_A(sub: CalibratedSubgraph, f_h: IntFlow) -> list[UnitFlow]:
@@ -378,7 +376,7 @@ def build_flow_family(net: FlowNetwork) -> BuiltFamily:
             raise InternalInvariantError(
                 f"calibration fixpoint violated: nu({eid}) = {val} in the subgraph"
             )
-    _, f_h = build_auxiliary(sub, labels)
+    f_h = build_auxiliary(sub, labels)
     A = peel_family_A(sub, f_h)
     family = extend_family_B(A, sub, labels)
     for eid, val in f_h.values.items():

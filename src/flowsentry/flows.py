@@ -1,5 +1,8 @@
-"""Integral max-flow, residual graphs, flow canonicalization, path
-decomposition, and circulation with lower bounds.
+"""Integral max-flow, residual graphs, flow canonicalization and path
+decomposition.
+
+Flows are 0/1 (UnitFlow) except the auxiliary max-flow f_H, the one flow
+max_flow builds under general capacities, so no flow stores capacities.
 
 Everything here is deterministic: augmenting paths are shortest paths
 discovered by BFS that scans arcs in ascending EdgeId order (forward arc
@@ -11,25 +14,21 @@ is worth far more than asymptotics.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import DirectedMultigraph, FlowNetwork, scc_from_adjacency
 
 
 class IntFlow:
-    """Integer-valued feasible flow on a network's edges.
+    """Integer-valued flow on a network's edges.
 
-    ``values`` maps every EdgeId of the network to its flow; ``caps`` maps
-    every EdgeId to its capacity (1 when built from unit capacities).
+    ``values`` maps every EdgeId of the network to its flow.
     """
 
-    __slots__ = ("net", "values", "caps")
+    __slots__ = ("net", "values")
 
-    def __init__(self, net: FlowNetwork, values: dict[int, int], caps: dict[int, int] | None = None):
+    def __init__(self, net: FlowNetwork, values: dict[int, int]):
         self.net = net
-        if caps is None:
-            caps = {eid: 1 for eid in net.edges}
-        self.caps = caps
         self.values = {eid: values.get(eid, 0) for eid in net.edges}
 
     def __getitem__(self, eid: int) -> int:
@@ -47,11 +46,11 @@ class IntFlow:
         return sorted(e for e, x in self.values.items() if x > 0)
 
     def check(self) -> None:
-        """Raise ValueError unless capacities and conservation hold."""
+        """Raise ValueError unless non-negativity and conservation hold."""
         g = self.net.graph
         for eid, x in self.values.items():
-            if not (0 <= x <= self.caps.get(eid, 0)):
-                raise ValueError(f"flow {x} on edge {eid} outside [0, {self.caps.get(eid, 0)}]")
+            if x < 0:
+                raise ValueError(f"flow {x} on edge {eid} is negative")
         for v in range(g.n):
             if v in (self.net.s, self.net.t):
                 continue
@@ -76,7 +75,7 @@ class UnitFlow(IntFlow):
     """0/1 flow under unit capacities."""
 
     def __init__(self, net: FlowNetwork, values: dict[int, int]):
-        super().__init__(net, values, caps=None)
+        super().__init__(net, values)
         for eid, x in self.values.items():
             if x not in (0, 1):
                 raise ValueError(f"unit flow has value {x} on edge {eid}")
@@ -130,7 +129,7 @@ def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None) -> IntF
             flow[eid] += -push if is_rev else push
     if capacities is None:
         return UnitFlow(net, flow)
-    return IntFlow(net, flow, caps)
+    return IntFlow(net, flow)
 
 
 def augment_unit(arcs, flow: dict[int, int], sources, sinks) -> list[int] | None:
@@ -173,25 +172,27 @@ class Arc:
 
 
 class ResidualGraph:
-    """Residual structure of a feasible flow.
+    """Residual structure of a feasible 0/1 flow.
 
-    Each unsaturated edge contributes a forward arc, each flow-carrying
-    edge a reverse arc; both remember their originating EdgeId, so deleting
-    an EdgeId removes every arc it produced.
+    Each idle edge contributes a forward arc, each flow-carrying edge a
+    reverse arc; the arc remembers its originating EdgeId, so deleting an
+    EdgeId removes the arc it produced. Raises ValueError for a flow value
+    outside [0, 1], before conservation is checked.
     """
 
     __slots__ = ("net", "arcs", "_out")
 
     def __init__(self, net: FlowNetwork, flow: IntFlow):
+        for eid, x in flow.values.items():
+            if x not in (0, 1):
+                raise ValueError(f"flow {x} on edge {eid} outside [0, 1]")
         flow.check()
         self.net = net
         arcs: list[Arc] = []
         for eid in sorted(net.edges):
             u, v = net.edges[eid]
-            if flow.values[eid] < flow.caps[eid]:
-                arcs.append(Arc(u, v, eid, False))
-            if flow.values[eid] > 0:
-                arcs.append(Arc(v, u, eid, True))
+            arcs.append(Arc(v, u, eid, True) if flow.values[eid] else
+                        Arc(u, v, eid, False))
         self.arcs = arcs
         out: list[list[int]] = [[] for _ in range(net.n)]
         for idx, a in enumerate(arcs):
@@ -236,9 +237,7 @@ def cancel_flow_cycles(net: FlowNetwork, f: IntFlow) -> IntFlow:
         push = min(values[eid] for eid in cycle)
         for eid in cycle:
             values[eid] -= push
-    if isinstance(f, UnitFlow):
-        return UnitFlow(net, values)
-    return IntFlow(net, values, dict(f.caps))
+    return type(f)(net, values)
 
 
 def _find_support_cycle(g: DirectedMultigraph, values) -> list[int] | None:
@@ -300,53 +299,3 @@ def decompose_into_paths(net: FlowNetwork, f: IntFlow) -> list[list[int]]:
             v = g.head(eid)
         paths.append(path)
     return paths
-
-
-@dataclass(frozen=True)
-class CirculationInstance:
-    """Circulation with lower bounds: find g with lower <= g <= upper and
-    in(v) - out(v) = demand(v) at every vertex; a missing key reads 0."""
-
-    graph: DirectedMultigraph
-    demand: dict[int, int] = field(default_factory=dict)
-    lower: dict[int, int] = field(default_factory=dict)
-    upper: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for eid in self.graph.edges:
-            lo = self.lower.get(eid, 0)
-            hi = self.upper.get(eid, 0)
-            if lo < 0 or hi < 0 or lo > hi:
-                raise ValueError(f"bad bounds on edge {eid}: lower={lo} upper={hi}")
-
-
-def solve_circulation(inst: CirculationInstance) -> dict[int, int] | None:
-    """Solve the circulation instance; None when infeasible.
-
-    Standard reduction: route the lower bounds unconditionally, fix up the
-    resulting vertex imbalances through a super source/sink pair, and
-    declare feasibility exactly when every super arc saturates. Auxiliary
-    EdgeIds: the graph's edges at 0..m-1 in ascending order, then for each
-    vertex v the super arcs (S, v) at m+2v and (v, T) at m+2v+1. An unused
-    super arc gets capacity 0 and is never traversed, so every BFS scans
-    arcs in the graph's order.
-    """
-    g, lo, hi = inst.graph, inst.lower.get, inst.upper.get
-    n, order = g.n, sorted(g.edges)
-    m, S, T = len(order), n, n + 1
-    # surplus[v]: net amount v must ship out after lower bounds are routed
-    surplus = [-inst.demand.get(v, 0) for v in range(n)]
-    for eid, (u, v) in g.edges.items():
-        surplus[u] -= lo(eid, 0)
-        surplus[v] += lo(eid, 0)
-    if sum(surplus) != 0:  # the demands do not balance
-        return None
-    arcs = [g.edges[eid] for eid in order]
-    caps = {aid: hi(eid, 0) - lo(eid, 0) for aid, eid in enumerate(order)}
-    for v, x in enumerate(surplus):
-        arcs += [(S, v), (v, T)]
-        caps[m + 2 * v], caps[m + 2 * v + 1] = max(x, 0), max(-x, 0)
-    result = max_flow(FlowNetwork(DirectedMultigraph(n + 2, arcs), S, T), caps)
-    if result.value != sum(x for x in surplus if x > 0):
-        return None
-    return {eid: lo(eid, 0) + result.values[aid] for aid, eid in enumerate(order)}

@@ -1,10 +1,10 @@
-"""The circulation solver as it stood before its auxiliary network got
-fixed EdgeIds, and the flow family's peel as it stood when it solved one
-such circulation per round.
+"""A circulation solver with lower bounds, and the flow family's peel as
+it stood when it solved one such circulation per round.
 
-solve_circulation: every auxiliary edge takes the next free id as it is
-added, super arcs only where a vertex has a nonzero surplus. test_flows.py
-checks that flows.solve_circulation returns the same dicts.
+solve_circulation: the standard reduction to one max-flow; every auxiliary
+edge takes the next free id as it is added, super arcs only where a vertex
+has a nonzero surplus. test_flows.py and test_acceptance.py (AC8) check it
+against conftest.hoffman_feasible.
 
 peel_family_A: round i solves the lower-bound circulation with
 solve_circulation. test_family.py checks that family.peel_family_A, which
@@ -12,9 +12,29 @@ augments on the subgraph instead, peels the same flows, so oracle files
 stay byte-identical.
 """
 
+from dataclasses import dataclass, field
+
 from flowsentry.errors import InternalInvariantError, checked
-from flowsentry.flows import CirculationInstance, UnitFlow, max_flow
+from flowsentry.flows import UnitFlow, max_flow
 from flowsentry.graph import DirectedMultigraph, FlowNetwork
+
+
+@dataclass(frozen=True)
+class CirculationInstance:
+    """Circulation with lower bounds: find g with lower <= g <= upper and
+    in(v) - out(v) = demand(v) at every vertex; a missing key reads 0."""
+
+    graph: DirectedMultigraph
+    demand: dict[int, int] = field(default_factory=dict)
+    lower: dict[int, int] = field(default_factory=dict)
+    upper: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for eid in self.graph.edges:
+            lo = self.lower.get(eid, 0)
+            hi = self.upper.get(eid, 0)
+            if lo < 0 or hi < 0 or lo > hi:
+                raise ValueError(f"bad bounds on edge {eid}: lower={lo} upper={hi}")
 
 
 def solve_circulation(inst: CirculationInstance) -> dict[int, int] | None:

@@ -112,7 +112,7 @@ def reconstruct_flow(oracle, diff, failures):
     the failed edges: toggles stay inside the pruned edge set, failed
     edges end up carrying nothing, and the result is a feasible flow of
     exactly the reported value."""
-    from flowsentry.flows import IntFlow
+    from flowsentry.flows import UnitFlow
 
     pruned = oracle.pruned_net
 
@@ -126,7 +126,7 @@ def reconstruct_flow(oracle, diff, failures):
         if eid in pruned.edges:
             assert bit(eid) == 0, f"reconstruction uses failed edge {eid}"
     net = pruned.without_edges(failures)
-    flow = IntFlow(net, {eid: bit(eid) for eid in net.edges})
+    flow = UnitFlow(net, {eid: bit(eid) for eid in net.edges})
     flow.check()
     assert flow.value == diff.new_value
     return flow

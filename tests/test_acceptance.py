@@ -14,7 +14,6 @@ import pytest
 
 from flowsentry.bruteforce import brute_force
 from flowsentry.family import build_flow_family
-from flowsentry.flows import CirculationInstance, solve_circulation
 from flowsentry.generators import (
     gen_bottleneck,
     gen_diamond,
@@ -32,6 +31,7 @@ from flowsentry.kfault import (
 from flowsentry.mincut import build_mincut_oracle, crossing_edges
 from flowsentry.oracles import SensitivityOracle
 
+from circulation_reference import CirculationInstance, solve_circulation
 from conftest import (
     canonical_flow,
     family_B,
@@ -376,6 +376,8 @@ def test_ac07_k_failure_oracle():
 
 
 def test_ac08_circulation_feasibility():
+    # the lower-bound circulation solver that test_family.py's peel
+    # identity test replays is itself checked against Hoffman's condition
     rng = random.Random(88)
     done = 0
     feasible = 0
@@ -422,8 +424,8 @@ def test_ac08_circulation_feasibility():
                 assert inc - out == demand.get(v, 0)
         done += 1
     assert 0 < feasible < 500  # both outcomes genuinely exercised
-    print(f"AC8 PASS: circulation solver and feasibility test agree on 500 "
-          f"instances ({feasible} feasible)")
+    print(f"AC8 PASS: reference circulation solver and feasibility test "
+          f"agree on 500 instances ({feasible} feasible)")
 
 
 def strip_reachability(o):

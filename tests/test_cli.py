@@ -536,10 +536,10 @@ class TestInternalError:
         real = family.build_auxiliary
 
         def starved(sub, labels):
-            caps, f_h = real(sub, labels)
+            f_h = real(sub, labels)
             for eid in sub.network.graph.out_edges(sub.network.s):
                 f_h.values[eid] = 0
-            return caps, f_h
+            return f_h
 
         monkeypatch.setattr(family, "build_auxiliary", starved)
         pruned, _ = prune_to_st_paths(parse_network(bottleneck_file.read_text()))

@@ -205,34 +205,48 @@ class TestCalibrate:
                 assert got == want, f"edge {eid}: {got} != {want}"
 
 
+def auxiliary_flow(net):
+    """f_H on a pruned net, checked against H's capacities: value
+    lam*(lam+1), at most lam+1 on critical edges and lam on the rest."""
+    sub = calibrate(net)
+    labels = classify_edges(sub.network)
+    f_h = build_auxiliary(sub, labels)
+    lam = sub.lam
+    assert f_h.value == lam * (lam + 1)
+    for eid, x in f_h.values.items():
+        assert 0 <= x <= (lam + 1 if eid in labels.critical else lam), eid
+    return f_h, labels
+
+
 class TestAuxiliary:
     def test_diamond_caps_and_value(self, diamond):
-        labels = classify_edges(diamond)
-        sub = calibrate(diamond)
-        caps, f_h = build_auxiliary(sub, labels)
-        assert caps == {0: 3, 1: 3, 2: 3, 3: 3}
-        assert f_h.value == 6
+        f_h, _ = auxiliary_flow(diamond)
+        assert f_h.values == {0: 3, 1: 3, 2: 3, 3: 3}
 
     def test_bottleneck_caps_and_value(self, bottleneck):
-        labels = classify_edges(bottleneck)
-        sub = calibrate(bottleneck)
-        caps, f_h = build_auxiliary(sub, labels)
-        assert caps == {0: 3, 1: 3, 2: 2, 3: 2, 4: 2}
-        assert f_h.value == 6
+        # both bounds are reached: lam+1 on the critical a-edges, lam on b
+        f_h, labels = auxiliary_flow(bottleneck)
+        assert labels.critical == {0, 1}
+        assert f_h.values == {0: 3, 1: 3, 2: 2, 3: 2, 4: 2}
 
     def test_chain_caps_and_value(self, chain):
-        labels = classify_edges(chain)
-        sub = calibrate(chain)
-        caps, f_h = build_auxiliary(sub, labels)
-        assert caps == {0: 2, 1: 2}
-        assert f_h.value == 2
+        f_h, _ = auxiliary_flow(chain)
+        assert f_h.values == {0: 2, 1: 2}
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_random(20, 1), lambda: gen_random(40, 1),
+        lambda: gen_random(60, 1), lambda: gen_matrix(3, 4, seed=1),
+        lambda: gen_matrix(6, 8, seed=1),
+    ])
+    def test_generated_caps_and_value(self, make):
+        auxiliary_flow(prune_to_st_paths(make())[0])
 
 
 class TestPeel:
     def test_diamond_three_copies(self, diamond):
         labels = classify_edges(diamond)
         sub = calibrate(diamond)
-        _, f_h = build_auxiliary(sub, labels)
+        f_h = build_auxiliary(sub, labels)
         A = peel_family_A(sub, f_h)
         assert len(A) == 3
         for f in A:
@@ -241,7 +255,7 @@ class TestPeel:
     def test_bottleneck_coverage(self, bottleneck):
         labels = classify_edges(bottleneck)
         sub = calibrate(bottleneck)
-        _, f_h = build_auxiliary(sub, labels)
+        f_h = build_auxiliary(sub, labels)
         A = peel_family_A(sub, f_h)
         assert len(A) == 3
         for f in A:
@@ -311,9 +325,8 @@ class TestPeel:
             return augment(*args)
 
         augment = family.augment_unit
-        for module, name in ((family, "max_flow"), (flows, "max_flow"),
-                             (flows, "solve_circulation")):
-            monkeypatch.setattr(module, name, banned)
+        for module in (family, flows):
+            monkeypatch.setattr(module, "max_flow", banned)
         monkeypatch.setattr(family, "augment_unit", counted)
         A = peel_family_A(bf.sub, bf.f_h)
         assert len(calls) == searches

@@ -13,8 +13,8 @@ from flowsentry.errors import QueryError
 from flowsentry.flows import (
     ARTIFICIAL,
     Arc,
-    IntFlow,
     ResidualGraph,
+    UnitFlow,
     cancel_flow_cycles,
     max_flow,
 )
@@ -110,7 +110,7 @@ def _with_st_arc(host, st_arc):
 
 
 def zero_host(net, st_arc=False):
-    return _with_st_arc(ResidualGraph(net, IntFlow(net, {})), st_arc)
+    return _with_st_arc(ResidualGraph(net, UnitFlow(net, {})), st_arc)
 
 
 def max_unit_flow(net):
@@ -199,7 +199,7 @@ class TestCertificate:
 class TestIndexQueries:
     def test_bottleneck_hand_trace(self, bottleneck):
         # flow saturating a1,a2,b1,b2 leaves b3 as the only forward 1->2 arc
-        f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
+        f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
         assert connected(bottleneck, f, 1, 2, 4) is False
         assert connected(bottleneck, f, 1, 2, 2) is True
         assert connected(bottleneck, f, 1, 2, 3) is True
@@ -243,7 +243,7 @@ class TestIndexQueries:
 
 class TestCycleExtraction:
     def test_bottleneck_reroute(self, bottleneck):
-        f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
+        f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
         found = cycle(bottleneck, f, 3, 2)
         assert found is not None
         assert [(a.tail, a.head, a.eid) for a in found] == \
@@ -258,12 +258,12 @@ class TestCycleExtraction:
             [(3, 1, 1), (1, 0, 0), (0, 3, ARTIFICIAL)]
 
     def test_zero_flow_target_rejected(self, bottleneck):
-        f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
+        f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
         with pytest.raises(QueryError):
             cycle(bottleneck, f, 4, 2)
 
     def test_target_equals_failed_rejected(self, bottleneck):
-        f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
+        f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
         with pytest.raises(QueryError):
             cycle(bottleneck, f, 2, 2)
 
