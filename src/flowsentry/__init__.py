@@ -22,9 +22,7 @@ from .graph import (
     PrunedEdgeSet,
     parse_network,
     prune_to_st_paths,
-    reaches,
     serialize_network,
-    strongly_connected_components,
 )
 from .kfault import (
     KFaultOracle,
@@ -74,8 +72,6 @@ __all__ = [
     "parse_network",
     "prune_to_st_paths",
     "reachable_under_failures",
-    "reaches",
     "run_verify",
     "serialize_network",
-    "strongly_connected_components",
 ]

@@ -26,7 +26,7 @@ from .kfault import (
 from .oracles import SensitivityOracle
 from .verify import run_verify
 
-# Oracle file layout, version 6 (stability across versions not promised):
+# Oracle file layout, version 7 (stability across versions not promised):
 #   8 bytes   magic b"FLOWSNTY"
 #   u16 LE    format version
 #   u16 LE    k the failure oracle was built for
@@ -34,7 +34,7 @@ from .verify import run_verify
 #   32 bytes  sha256 of the payload
 #   rest      payload: pickle of {"sensitivity": ..., "kfault": ...}
 ORACLE_MAGIC = b"FLOWSNTY"
-ORACLE_VERSION = 6
+ORACLE_VERSION = 7
 _HEADER = 76
 _NONE = type(None)
 

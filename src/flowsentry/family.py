@@ -267,14 +267,15 @@ class FlowFamily:
     calibrated subgraph minus that edge: paths[i] for a critical edge on
     path i, null ^ null(A[j]) for a non-critical edge that A[j] is the first
     member of A to leave at 0; one frozenset per path and per j.
-    union_min1 is the union over A of null(f, min+1).
+    Calibration keeps only edges with nu <= lam+1 and A saturates the
+    critical edges, so null(f, min+1) is null(f) on A, and the union of
+    A's null sets is the kept non-critical edges: neither is stored.
     """
 
     A: tuple[UnitFlow, ...]
     paths: tuple[tuple[int, ...], ...]
     null: frozenset[int]
     flip: dict[int, frozenset[int]]
-    union_min1: frozenset[int]
 
     @property
     def f_tilde(self) -> UnitFlow:
@@ -287,7 +288,8 @@ def extend_family_B(
     """Decompose f-tilde into paths and encode family B against it.
 
     Enforces the size bounds: 3n on the null set of every member of B,
-    2n on null(f, min+1) of every member of A.
+    2n on that of every member of A, which is its null(f, min+1) since
+    every kept edge has nu <= lam+1 and A saturates the critical ones.
     """
     n = sub.network.n
     lam = sub.lam
@@ -311,8 +313,7 @@ def extend_family_B(
         raise InternalInvariantError(
             f"a null set of family B has {worst} edges, bound is {3 * n}"
         )
-    min1 = [frozenset(e for e in z if labels.nu[e] == lam + 1) for z in nulls]
-    worst = max(map(len, min1))
+    worst = max(map(len, nulls))
     if worst > 2 * n:
         raise InternalInvariantError(
             f"a null(f,min+1) of family A has {worst} edges, bound is {2 * n}"
@@ -336,8 +337,7 @@ def extend_family_B(
             delta = deltas[j]
         if eid not in null:
             flip[eid] = delta
-    return FlowFamily(A=tuple(A), paths=paths, null=null, flip=flip,
-                      union_min1=frozenset().union(*min1))
+    return FlowFamily(A=tuple(A), paths=paths, null=null, flip=flip)
 
 
 @dataclass(frozen=True)

@@ -80,13 +80,6 @@ class UnitFlow(IntFlow):
             if x not in (0, 1):
                 raise ValueError(f"unit flow has value {x} on edge {eid}")
 
-    @property
-    def saturated(self) -> frozenset[int]:
-        return frozenset(e for e, x in self.values.items() if x == 1)
-
-    def __contains__(self, eid: int) -> bool:
-        return self.values.get(eid, 0) == 1
-
 
 def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None) -> IntFlow:
     """Deterministic integral max-flow (shortest augmenting paths).
@@ -174,13 +167,12 @@ class Arc:
 class ResidualGraph:
     """Residual structure of a feasible 0/1 flow.
 
-    Each idle edge contributes a forward arc, each flow-carrying edge a
-    reverse arc; the arc remembers its originating EdgeId, so deleting an
-    EdgeId removes the arc it produced. Raises ValueError for a flow value
-    outside [0, 1], before conservation is checked.
+    Each idle edge contributes a forward arc and each flow-carrying edge
+    a reverse arc; every arc remembers its EdgeId. Raises ValueError for
+    a flow value outside [0, 1], before conservation is checked.
     """
 
-    __slots__ = ("net", "arcs", "_out")
+    __slots__ = ("net", "arcs")
 
     def __init__(self, net: FlowNetwork, flow: IntFlow):
         for eid, x in flow.values.items():
@@ -194,25 +186,6 @@ class ResidualGraph:
             arcs.append(Arc(v, u, eid, True) if flow.values[eid] else
                         Arc(u, v, eid, False))
         self.arcs = arcs
-        out: list[list[int]] = [[] for _ in range(net.n)]
-        for idx, a in enumerate(arcs):
-            out[a.tail].append(idx)
-        self._out = out
-
-    def reachable(self, src: int, banned_eids=()) -> set[int]:
-        banned = set(banned_eids)
-        seen = {src}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for idx in self._out[v]:
-                a = self.arcs[idx]
-                if a.eid in banned:
-                    continue
-                if a.head not in seen:
-                    seen.add(a.head)
-                    queue.append(a.head)
-        return seen
 
     def scc_ids(self) -> list[int]:
         succ: list[list[int]] = [[] for _ in range(self.net.n)]

@@ -85,9 +85,6 @@ class DirectedMultigraph:
         entry an arc of flow."""
         return self._adjacency()[2]
 
-    def tail(self, eid: int) -> int:
-        return self.edges[eid][0]
-
     def head(self, eid: int) -> int:
         return self.edges[eid][1]
 
@@ -96,9 +93,6 @@ class DirectedMultigraph:
         drop = set(ids)
         kept = {eid: uv for eid, uv in self.edges.items() if eid not in drop}
         return DirectedMultigraph(self.n, kept)
-
-    def copy(self) -> "DirectedMultigraph":
-        return DirectedMultigraph(self.n, dict(self.edges))
 
     def __eq__(self, other):
         if not isinstance(other, DirectedMultigraph):
@@ -165,9 +159,6 @@ class PrunedEdgeSet:
     removed: frozenset[int]
     kept_vertices: frozenset[int]
     disconnected: bool
-
-    def __contains__(self, eid: int) -> bool:
-        return eid in self.removed
 
 
 def parse_network(text) -> FlowNetwork:
@@ -270,12 +261,6 @@ def reachable_set(g: DirectedMultigraph, src: int, excluded=(), reverse: bool = 
     return seen
 
 
-def reaches(g: DirectedMultigraph, x: int, y: int, excluded: int | None = None) -> bool:
-    """True iff a directed path x -> y exists in g minus the excluded edge."""
-    drop = () if excluded is None else (excluded,)
-    return y in reachable_set(g, x, drop)
-
-
 def prune_to_st_paths(net: FlowNetwork) -> tuple[FlowNetwork, PrunedEdgeSet]:
     """Restrict the network to edges lying on some (s,t)-walk.
 
@@ -357,12 +342,3 @@ def scc_from_adjacency(n: int, succ: list[list[int]]) -> list[int]:
     order = sorted(first_seen, key=first_seen.get)
     relabel = {old: new for new, old in enumerate(order)}
     return [relabel[c] for c in comp]
-
-
-def strongly_connected_components(g: DirectedMultigraph) -> list[int]:
-    """Map each vertex to a dense component id (see scc_from_adjacency)."""
-    succ: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        heads = sorted({g.head(eid) for eid in g.out_edges(v)})
-        succ[v] = heads
-    return scc_from_adjacency(g.n, succ)

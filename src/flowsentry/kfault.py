@@ -49,7 +49,7 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
     A crossing set Z is minimal when every member lies on an (s,t)-path
     of G - (Z minus that member); the canonical partition puts exactly
     the vertices reachable from s in G - Z on the source side. Returns
-    (Z, (A, B)) pairs in ascending bitmask order of the source side A.
+    (Z, partition) pairs in ascending bitmask order of the source side.
 
     The search branches over pairs (A, X) of vertex sets, A holding s and
     X vertices kept off the source side, starting from ({s}, {}). A node
@@ -110,8 +110,7 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
         side = frozenset(reachable_set(g, s, z))
         if side != a:
             raise InternalInvariantError("a leaf that is not a canonical side")
-        out.append((z, CutPartition(source_side=side,
-                                    sink_side=frozenset(range(net.n)) - side)))
+        out.append((z, CutPartition(source_side=side)))
     out.sort(key=lambda entry: sum(1 << v for v in entry[1].source_side))
     return out
 

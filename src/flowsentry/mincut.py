@@ -67,10 +67,10 @@ class PathSystem:
 
 @dataclass(frozen=True)
 class CutPartition:
-    """A vertex bipartition (source side A, sink side B)."""
+    """A vertex bipartition, stored as its source side; every other
+    vertex is on the sink side."""
 
     source_side: frozenset[int]
-    sink_side: frozenset[int]
 
 
 def crossing_edges(net: FlowNetwork, source_side) -> list[int]:

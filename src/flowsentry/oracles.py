@@ -11,7 +11,6 @@ once:
     A critical edge's canonical flow is g_i, f-tilde minus decomposition
     path i, so its delta is path i. Edges that share a canonical flow
     share one frozenset: at most 2*lam+1 deltas are stored;
-  * ``union_min1``, the edges in null(f, min+1) of some member of A;
   * the path tables ``precedes`` reads, keyed by the critical edges;
   * one graph, the walk-pruned network.
 No flow is stored. The canonical flow after e fails carries edge x
@@ -168,7 +167,7 @@ class SensitivityOracle:
         self.walk_dropped = walk_dropped
         if bf is None:
             self.lam = 0
-            self.kept = self.null = self.union_min1 = EMPTY
+            self.kept = self.null = EMPTY
             self.flip = {}
             self.paths = None
             return
@@ -176,7 +175,6 @@ class SensitivityOracle:
         self.lam = bf.sub.lam
         self.kept = bf.sub.kept
         self.null, self.flip = fam.null, fam.flip
-        self.union_min1 = fam.union_min1
         self.paths = build_mincut_oracle(bf).paths
 
     def _known(self, eid: int) -> None:
@@ -285,13 +283,12 @@ class SensitivityOracle:
             return self._critical_value(e, e2)
         # both non-critical: the drop happens iff the second failure cannot
         # be routed around in the residual of the flow avoiding the first.
-        # On union_min1, null(f, min+1) agrees with null(f), so the test
-        # below is e2 carrying flow in e's canonical flow.
+        # Calibration keeps only edges with nu <= lam+1, so both have nu =
+        # lam+1 and lie in null(f, min+1) wherever they lie in null(f): the
+        # test below is e2 carrying flow in e's canonical flow.
         u, v = self.pruned_net.edges[e2]
         if (
-            e in self.union_min1
-            and e2 in self.union_min1
-            and (e2 in self.null) == (e2 in self.flip.get(e, EMPTY))
+            (e2 in self.null) == (e2 in self.flip.get(e, EMPTY))
             and not strongly_connected_without(
                 self.pruned_net, self.kept, self._null_after(e), u, v, e
             )

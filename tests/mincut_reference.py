@@ -89,10 +89,7 @@ def report_nmc_after(o: MinCutOracleStruct, F) -> CutPartition:
             if pos is not None and pos <= limit:
                 side.append(v)
                 break
-    a = frozenset(side)
-    return CutPartition(
-        source_side=a, sink_side=frozenset(range(len(o.classes.class_of))) - a
-    )
+    return CutPartition(source_side=frozenset(side))
 
 
 def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutOracleStruct:

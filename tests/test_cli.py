@@ -427,12 +427,12 @@ class TestBuildAndOracleFile:
 
     @pytest.mark.parametrize("make, sha256", [
         (lambda: gen_random(60, 1),
-         "945bb80343cb89737890f96486a893458d94cad59a0835e55619ed18eb96c305"),
+         "9ca017ddeff34eb63ee2a2a284d39051c0e7198a237888dd25099f2ed020902a"),
         (lambda: gen_matrix(6, 8, seed=1),
-         "10f4e9325605e28fb4df65b579bf209c09ddd5368f238ddecd4561a813884c29"),
+         "19af993f94b43993c79b2f430d7665bcbb1e6e517725779ca7db61411fce6cbc"),
         # calibration deletes edges here, so the subgraph is re-classified
         (lambda: gen_random(120, 1),
-         "824b55824d757001743d71d834b1bdbaa1f1a334cae669ff2458a565c20ba78d"),
+         "63a3568573ece7dd717247df9e75a971feaa706f58f99971518873120e51e8d9"),
     ])
     def test_oracle_bytes_pinned(self, make, sha256, tmp_path):
         # the file a build writes, as the benchmark saves it: a change to
@@ -445,11 +445,11 @@ class TestBuildAndOracleFile:
 
     @pytest.mark.parametrize("make, k, sha256", [
         (lambda: gen_random(16, 1), 3,
-         "db2d245e94ee7c076ff2e85068e9b71da6ee25fbb1fcda070de8d0b2bbeb8674"),
+         "fa0a0bc15c1fb9fc0f1f0c01d2d2e15538b1502ac3436c21dd0670055b57df4b"),
         (lambda: gen_matrix(2, 4, seed=1), 3,
-         "cdf95f0a4eed98535542c5d7b062c3b866a959eef2804058a8e4cee9d2eaf11c"),
+         "f09d8fc55b9da31ced50d3c9d282d569fefc1f4534345e576cd38ab605c43b90"),
         (lambda: gen_twopaths(40), 2,
-         "a3354b89305ccc15d459392b3ee078ae63e6a9a396af08b4cdcd25c680ac7dfc"),
+         "822f4afd6750d09d4074bd6d0716e7d013e96a779fb508231009b2abc8a4627b"),
     ])
     def test_kfault_bytes_pinned(self, make, k, sha256, tmp_path):
         # the k-fault file, as the benchmark saves it: the cut list, its

@@ -9,9 +9,9 @@ from flowsentry.graph import (
     FlowNetwork,
     parse_network,
     prune_to_st_paths,
-    reaches,
+    reachable_set,
+    scc_from_adjacency,
     serialize_network,
-    strongly_connected_components,
 )
 from conftest import make_net
 
@@ -108,8 +108,7 @@ def test_prune_keeps_diamond_intact(diamond):
 
 
 def test_prune_drops_vertex_off_all_st_paths(diamond):
-    g = diamond.graph.copy()
-    g = DirectedMultigraph(5, dict(g.edges))
+    g = DirectedMultigraph(5, dict(diamond.edges))
     g.add_edge(4, 1)  # u=4 -> a, u unreachable from s
     net = FlowNetwork(g, 0, 3)
     pruned, removed = prune_to_st_paths(net)
@@ -156,41 +155,37 @@ def test_prune_idempotent():
 
 
 def test_scc_two_cycle_merges():
-    g = DirectedMultigraph(2, [(0, 1), (1, 0)])
-    assert strongly_connected_components(g) == [0, 0]
+    assert scc_from_adjacency(2, [[1], [0]]) == [0, 0]
 
 
 def test_scc_dag_is_singletons():
-    g = DirectedMultigraph(2, [(0, 1)])
-    assert strongly_connected_components(g) == [0, 1]
+    assert scc_from_adjacency(2, [[1], []]) == [0, 1]
 
 
 def test_scc_ids_ordered_by_smallest_vertex():
     # {0} alone, {1,2} a cycle, {3} alone
-    g = DirectedMultigraph(4, [(1, 2), (2, 1), (3, 1)])
-    assert strongly_connected_components(g) == [0, 1, 1, 2]
+    assert scc_from_adjacency(4, [[], [2], [1], [1]]) == [0, 1, 1, 2]
 
 
 def test_scc_deterministic_on_copies():
-    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (4, 3), (3, 4)]
-    a = DirectedMultigraph(5, edges)
-    b = DirectedMultigraph(5, list(edges))
-    assert strongly_connected_components(a) == strongly_connected_components(b)
+    succ = [[1], [2], [0, 3], [4], [3]]
+    assert scc_from_adjacency(5, succ) == \
+        scc_from_adjacency(5, [list(s) for s in succ]) == [0, 0, 0, 1, 1]
 
 
 def test_scc_long_path_recursion_safe():
     n = 5000
-    g = DirectedMultigraph(n, [(i, i + 1) for i in range(n - 1)])
-    ids = strongly_connected_components(g)
-    assert ids == list(range(n))
+    succ = [[i + 1] for i in range(n - 1)] + [[]]
+    assert scc_from_adjacency(n, succ) == list(range(n))
 
 
 def test_reaches(diamond, chain):
-    assert reaches(diamond.graph, 0, 3)
-    assert not reaches(diamond.graph, 3, 0)
-    assert reaches(chain.graph, 0, 2)
-    assert not reaches(chain.graph, 0, 2, excluded=0)
-    assert not reaches(chain.graph, 0, 2, excluded=1)
+    assert 3 in reachable_set(diamond.graph, 0)
+    assert 0 not in reachable_set(diamond.graph, 3)
+    assert 0 in reachable_set(diamond.graph, 3, reverse=True)
+    assert 2 in reachable_set(chain.graph, 0)
+    assert 2 not in reachable_set(chain.graph, 0, excluded=[0])
+    assert 2 not in reachable_set(chain.graph, 0, excluded=[1])
 
 
 def test_without_edges_keeps_ids():
@@ -215,7 +210,7 @@ def merged_incidence(g):
     rows = []
     for v in range(g.n):
         entries = [(eid, g.head(eid), False) for eid in g.out_edges(v)]
-        entries += [(eid, g.tail(eid), True) for eid in g.in_edges(v)]
+        entries += [(eid, g.edges[eid][0], True) for eid in g.in_edges(v)]
         rows.append(sorted(entries, key=lambda a: (a[0], a[2])))
     return rows
 

@@ -304,7 +304,7 @@ class TestNmcReport:
                         continue
                     part = report_nmc_after(o, F)
                     assert pruned.s in part.source_side
-                    assert pruned.t in part.sink_side
+                    assert pruned.t not in part.source_side
                     cut = crossing_edges(pruned.without_edges(F), part.source_side)
                     assert len(cut) == lam - k, (F, cut)
                     done += 1

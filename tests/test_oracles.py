@@ -275,12 +275,21 @@ def reached_objects(obj):
 class TestStoredEncoding:
     def test_pickled_size_stays_small(self):
         # f-tilde's null set, the flip deltas, the precedes tables and one
-        # graph: 4,987 bytes here. Storing any dropped table again fails
-        # this: the critical set alone adds 71 bytes, the canonical table
-        # 932, the per-flow null sets 2,446; the graph's incidence list
-        # would add 5 KB, the family's flows 47 KB
+        # graph: 4,830 bytes here. Storing any dropped table again fails
+        # this: the critical set alone adds 71 bytes, the union of A's
+        # null sets 157, the canonical table 932, the per-flow null sets
+        # 2,446; the graph's incidence list would add 5 KB, the family's
+        # flows 47 KB
         o = SensitivityOracle(gen_random(40, 1))
-        assert len(pickle.dumps(o)) < 5_050
+        assert len(pickle.dumps(o)) < 4_890
+
+    def test_kfault_pickled_size_stays_small(self):
+        # seven cuts, each with its canonical source side, the cut index
+        # and the graph: 1,194 bytes here. Storing each sink side as well
+        # adds 110
+        o = build_kfault_oracle(gen_random(16, 1), 3)
+        assert len(o.entries) == 7
+        assert len(pickle.dumps(o)) < 1_250
 
     @pytest.mark.parametrize("build", [
         lambda: SensitivityOracle(gen_random(40, 1)),
