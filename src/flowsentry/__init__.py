@@ -33,7 +33,6 @@ from .kfault import (
 )
 from .mincut import (
     CutPartition,
-    MinCutOracleStruct,
     build_mincut_oracle,
     crossing_edges,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "IntFlow",
     "InternalInvariantError",
     "KFaultOracle",
-    "MinCutOracleStruct",
     "ParseError",
     "PrunedEdgeSet",
     "QueryError",

@@ -247,9 +247,7 @@ def cmd_query(args) -> int:
 
 def cmd_verify(args) -> int:
     net, _ = _load_net(args.graph)
-    report = run_verify(
-        net, args.profile, graph_label=args.graph, seed_override=args.seed
-    )
+    report = run_verify(net, args.profile, graph_label=args.graph)
     print(report.render())
     return 0 if report.ok else 1
 
@@ -291,8 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="replay oracle answers against brute force")
     v.add_argument("-g", "--graph", required=True)
     v.add_argument("--profile", required=True)
-    v.add_argument("--seed", type=int, default=None,
-                   help="override the seed of a sampled(...) profile")
     v.set_defaults(func=cmd_verify)
     return p
 

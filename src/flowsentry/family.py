@@ -3,15 +3,18 @@
 Everything in this module operates on a network that has already been pruned to
 its s-t walks (see graph.prune_to_st_paths). The pipeline is:
 
-    sub     = calibrate(net)                # drop edges useless for <=1 failure
-    labels  = classify_edges(sub.network)   # min(nu, lam+2) per edge + critical set,
-                                            # only if calibration deleted edges
-    f_H     = build_auxiliary(sub, labels)      # max-flow of H, lam*(lam+1)
-    A       = peel_family_A(sub, f_H)           # unit augmentations per round
-    family  = extend_family_B(A, sub, labels)   # A plus B's encoding
+    sub     = calibrate(net)              # drop edges useless for <=1 failure,
+                                          # keep lam and the critical set
+    f_H     = build_auxiliary(sub)        # max-flow of H, lam*(lam+1)
+    A       = peel_family_A(sub, f_H)     # unit augmentations per round
+    family  = extend_family_B(A, sub)     # A plus B's encoding
 
 or just build_flow_family(net), which runs the lot and cross-checks the
-invariants that make the later oracle answers trustworthy.
+invariants that make the later oracle answers trustworthy. Every stage
+reads lam and the critical set from sub. classify_edges(sub.network)
+labels the subgraph's edges afresh only as the certificate that
+build_flow_family runs when calibration deleted edges; the labels are
+not kept.
 
 Family B, 2*lam+1 flows holding a max-flow of the subgraph minus e for
 every kept e, is never built: family is A plus the encoding of B that the
@@ -166,7 +169,7 @@ def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
                               nu=nu)
 
 
-def build_auxiliary(sub: CalibratedSubgraph, labels: CriticalityLabels) -> IntFlow:
+def build_auxiliary(sub: CalibratedSubgraph) -> IntFlow:
     """Max-flow f_H of the capacitated auxiliary network H on the calibrated subgraph.
 
     Capacities: lam+1 on critical edges, lam on the rest; f_H's value must be
@@ -181,7 +184,7 @@ def build_auxiliary(sub: CalibratedSubgraph, labels: CriticalityLabels) -> IntFl
     if lam < 1:
         raise ValueError("auxiliary network needs lam >= 1")
     caps = {
-        eid: lam + 1 if eid in labels.critical else lam for eid in sub.network.edges
+        eid: lam + 1 if eid in sub.critical else lam for eid in sub.network.edges
     }
     f_h = max_flow(sub.network, capacities=caps)
     want = lam * (lam + 1)
@@ -282,16 +285,15 @@ class FlowFamily:
         return self.A[0]
 
 
-def extend_family_B(
-    A: list[UnitFlow], sub: CalibratedSubgraph, labels: CriticalityLabels
-) -> FlowFamily:
+def extend_family_B(A: list[UnitFlow], sub: CalibratedSubgraph) -> FlowFamily:
     """Decompose f-tilde into paths and encode family B against it.
 
-    Enforces the size bounds: 3n on the null set of every member of B,
-    2n on that of every member of A, which is its null(f, min+1) since
-    every kept edge has nu <= lam+1 and A saturates the critical ones.
+    No per-flow bound is put on the null sets: they are subsets of the
+    kept edges, which calibrate bounds by lam*n + 2n(lam+1). On
+    gen_matrix(r, L) every member of A leaves the crossing edges idle,
+    about lam*n/8 of them, so a 2n or 3n bound per flow fails once
+    lam >= 16 on graphs the oracle answers exactly.
     """
-    n = sub.network.n
     lam = sub.lam
     paths = tuple(map(tuple, checked(decompose_into_paths, sub.network, A[0])))
     if len(paths) != lam:
@@ -308,21 +310,11 @@ def extend_family_B(
 
     nulls = [frozenset(e for e in sub.kept if f.values[e] == 0) for f in A]
     null = nulls[0]
-    worst = max([len(z) for z in nulls] + [len(null) + len(p) for p in paths])
-    if worst > 3 * n:
-        raise InternalInvariantError(
-            f"a null set of family B has {worst} edges, bound is {3 * n}"
-        )
-    worst = max(map(len, nulls))
-    if worst > 2 * n:
-        raise InternalInvariantError(
-            f"a null(f,min+1) of family A has {worst} edges, bound is {2 * n}"
-        )
 
     deltas = [null ^ z for z in nulls]
     flip: dict[int, frozenset[int]] = {}
     for eid in sorted(sub.kept):
-        if eid in labels.critical:
+        if eid in sub.critical:
             if eid not in on_path:
                 raise InternalInvariantError(
                     f"critical edge {eid} missing from the path decomposition"
@@ -345,7 +337,6 @@ class BuiltFamily:
     """Everything downstream oracle construction needs, in one bundle."""
 
     sub: CalibratedSubgraph
-    labels: CriticalityLabels
     f_h: IntFlow
     family: FlowFamily
 
@@ -353,36 +344,37 @@ class BuiltFamily:
 def build_flow_family(net: FlowNetwork) -> BuiltFamily:
     """Run the full pipeline on a pruned network with lam >= 1.
 
-    If calibration deleted nothing, sub.network is net and classify_edges
-    would repeat calibrate's probes, so calibrate's nu and critical set
-    (checked against the residual test) are the labels. Otherwise the
-    subgraph is re-classified. Either way the cross-stage invariants are
-    asserted: the subgraph keeps the max-flow value and the critical set,
-    and every kept edge still has nu <= lam+1 (the fixpoint certificate).
+    Every later stage reads lam and the critical set from sub, whose
+    critical set calibrate checked against the residual test. If
+    calibration deleted edges, the subgraph is re-classified, and its
+    labels are the certificate, then dropped: the subgraph keeps the
+    max-flow value and the critical set, and every kept edge still has
+    nu <= lam+1 (the fixpoint). If it deleted nothing, sub.network is net
+    and classify_edges would repeat calibrate's probes.
     """
     sub = calibrate(net)
     if sub.lam < 1:
         raise ValueError("flow family needs a connected instance (lam >= 1)")
-    labels = (classify_edges(sub.network) if sub.pruned else
-              CriticalityLabels(nu=sub.nu, critical=sub.critical, lam=sub.lam))
-    if labels.lam != sub.lam:
-        raise InternalInvariantError(
-            f"calibration changed the max-flow value: {sub.lam} -> {labels.lam}"
-        )
-    if labels.critical != sub.critical:
-        raise InternalInvariantError("calibration changed edge criticality")
-    for eid, val in labels.nu.items():
-        if val > labels.lam + 1:
+    if sub.pruned:
+        labels = classify_edges(sub.network)
+        if labels.lam != sub.lam:
             raise InternalInvariantError(
-                f"calibration fixpoint violated: nu({eid}) = {val} in the subgraph"
+                f"calibration changed the max-flow value: {sub.lam} -> {labels.lam}"
             )
-    f_h = build_auxiliary(sub, labels)
+        if labels.critical != sub.critical:
+            raise InternalInvariantError("calibration changed edge criticality")
+        for eid, val in labels.nu.items():
+            if val > labels.lam + 1:
+                raise InternalInvariantError(
+                    f"calibration fixpoint violated: nu({eid}) = {val} in the subgraph"
+                )
+    f_h = build_auxiliary(sub)
     A = peel_family_A(sub, f_h)
-    family = extend_family_B(A, sub, labels)
+    family = extend_family_B(A, sub)
     for eid, val in f_h.values.items():
         total = sum(f.values[eid] for f in family.A)
         if total != val:
             raise InternalInvariantError(
                 f"peel identity broken on edge {eid}: {total} != {val}"
             )
-    return BuiltFamily(sub=sub, labels=labels, f_h=f_h, family=family)
+    return BuiltFamily(sub=sub, f_h=f_h, family=family)

@@ -157,7 +157,6 @@ class PrunedEdgeSet:
     """
 
     removed: frozenset[int]
-    kept_vertices: frozenset[int]
     disconnected: bool
 
 
@@ -266,13 +265,12 @@ def prune_to_st_paths(net: FlowNetwork) -> tuple[FlowNetwork, PrunedEdgeSet]:
 
     An edge (u,v) survives iff u is reachable from s and v reaches t;
     self-loops never survive. Vertex ids are not renumbered: vertices off
-    every (s,t)-walk simply become isolated, and the kept set is recorded
-    in the returned PrunedEdgeSet. When t is unreachable from s the result
-    is the empty network (``disconnected`` flag set).
+    every (s,t)-walk simply become isolated, and the removed edges are
+    recorded in the returned PrunedEdgeSet. When t is unreachable from s
+    the result is the empty network (``disconnected`` flag set).
     """
     fwd = reachable_set(net.graph, net.s)
     bwd = reachable_set(net.graph, net.t, reverse=True)
-    kept_vertices = frozenset(fwd & bwd)
     keep = {}
     removed = set()
     for eid, (u, v) in net.edges.items():
@@ -282,7 +280,7 @@ def prune_to_st_paths(net: FlowNetwork) -> tuple[FlowNetwork, PrunedEdgeSet]:
             removed.add(eid)
     disconnected = net.t not in fwd
     pruned = FlowNetwork(DirectedMultigraph(net.n, keep), net.s, net.t)
-    return pruned, PrunedEdgeSet(frozenset(removed), kept_vertices, disconnected)
+    return pruned, PrunedEdgeSet(frozenset(removed), disconnected)
 
 
 def scc_from_adjacency(n: int, succ: list[list[int]]) -> list[int]:

@@ -1,11 +1,15 @@
-"""Equivalence classes, the strip graph, and the min-cut sensitivity core.
+"""Equivalence classes, the strip order, and the min-cut sensitivity core.
 
 The objects here describe the min-cuts of a unit-capacity network at
-max-flow value lam through an acyclic quotient (the strip graph): a set of
-critical edges all lies in one min-cut exactly when no strip-graph path
-orders two of them (they form an anti-chain), and deleting such a set drops
-the max-flow by its size. precedes answers the order query in constant
-time.
+max-flow value lam through an acyclic quotient (the strip graph of
+Picard and Queyranne): a set of critical edges all lies in one min-cut
+exactly when no strip-graph path orders two of them (they form an
+anti-chain), and deleting such a set drops the max-flow by its size.
+precedes answers the order query in constant time.
+
+The strip graph is the reversed condensation of the residual graph of a
+max-flow, so it is never built: the sweep that fills the path tables
+reads, for each class, the classes its residual arcs enter.
 
 Everything is built against one reference max-flow and is immutable after
 construction.
@@ -16,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, QueryError, checked
-from .family import BuiltFamily, CriticalityLabels
-from .flows import ResidualGraph
+from .family import BuiltFamily
+from .flows import ResidualGraph, UnitFlow
 from .graph import FlowNetwork, scc_from_adjacency
 
 
@@ -32,20 +36,6 @@ class EquivalenceClasses:
 
 
 @dataclass(frozen=True)
-class StripGraph:
-    """Quotient DAG: critical edges keep direction, other inter-class edges flip.
-
-    arcs[i] = (from_class, to_class, EdgeId). succ/pred are class adjacency
-    lists over arc indices' endpoints, deduplicated.
-    """
-
-    nodes: int
-    arcs: tuple[tuple[int, int, int], ...]
-    succ: tuple[tuple[int, ...], ...]
-    pred: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class PathSystem:
     """The strip-graph order tables precedes reads.
 
@@ -56,7 +46,10 @@ class PathSystem:
     of its tail class on that path (the source class is position 0), and
     head_class to the class its strip arc enters. first_reach[i] maps any
     class x to the earliest position on path i whose class is reachable
-    from x in the strip graph (absent when none is).
+    from x in the strip graph (absent when none is). The strip
+    predecessors of a class are the classes its residual arcs enter, so
+    the sweep that fills first_reach follows residual arcs forward from
+    each class of the path.
     """
 
     path_of: dict[int, int]
@@ -92,61 +85,39 @@ def build_classes(net: FlowNetwork, res: ResidualGraph) -> EquivalenceClasses:
     )
 
 
-def build_strip_graph(
-    net: FlowNetwork, classes: EquivalenceClasses, labels: CriticalityLabels, res: ResidualGraph
-) -> StripGraph:
-    """Quotient the network by classes and flip the non-critical arcs.
+def strip_pred(net: FlowNetwork, classes: EquivalenceClasses, critical,
+               f: UnitFlow) -> list[list[int]]:
+    """Each class's strip predecessors, ascending: the classes its arcs in
+    the residual graph of the max-flow f enter.
 
-    Asserted on the way out: the result is acyclic and equals the reverse of
-    the SCC condensation of the residual graph (the two constructions must
-    describe the same DAG).
+    The strip graph is the reversed condensation of that residual graph:
+    an inter-class edge (u, v) that f carries gives the arc class(u) ->
+    class(v), one that f leaves idle the arc class(v) -> class(u). Checked
+    on every edge: it is critical exactly when f carries it across
+    classes. Checked at the end: the lists describe an acyclic graph.
     """
     cls = classes.class_of
-    arcs = []
-    for eid in sorted(net.edges):
-        u, v = net.graph.edges[eid]
-        cu, cv = cls[u], cls[v]
-        if cu == cv:
-            continue
-        if eid in labels.critical:
-            arcs.append((cu, cv, eid))
-        else:
-            arcs.append((cv, cu, eid))
-
-    nodes = classes.class_count
-    succ = [set() for _ in range(nodes)]
-    pred = [set() for _ in range(nodes)]
-    for a, b, _ in arcs:
-        succ[a].add(b)
-        pred[b].add(a)
-
-    comp = scc_from_adjacency(nodes, [sorted(s) for s in succ])
-    if len(set(comp)) != nodes:
+    pred = [set() for _ in range(classes.class_count)]
+    for eid, (u, v) in net.edges.items():
+        carried, cu, cv = f.values[eid] == 1, cls[u], cls[v]
+        if (eid in critical) != (carried and cu != cv):
+            raise InternalInvariantError(
+                f"criticality of edge {eid} disagrees with the residual graph")
+        if cu != cv:
+            if carried:
+                pred[cv].add(cu)
+            else:
+                pred[cu].add(cv)
+    pred = [sorted(p) for p in pred]
+    if len(set(scc_from_adjacency(len(pred), pred))) != len(pred):
         raise InternalInvariantError("strip graph contains a cycle")
-
-    # Cross-construction check: reversed condensation of the residual graph.
-    cond = set()
-    for arc in res.arcs:
-        ca, cb = cls[arc.tail], cls[arc.head]
-        if ca != cb:
-            cond.add((cb, ca))
-    if cond != {(a, b) for a, b, _ in arcs}:
-        raise InternalInvariantError(
-            "strip graph disagrees with the reversed residual condensation"
-        )
-
-    return StripGraph(
-        nodes=nodes,
-        arcs=tuple(arcs),
-        succ=tuple(tuple(sorted(s)) for s in succ),
-        pred=tuple(tuple(sorted(p)) for p in pred),
-    )
+    return pred
 
 
 def build_path_system(
-    strip: StripGraph,
+    pred,
     classes: EquivalenceClasses,
-    labels: CriticalityLabels,
+    critical,
     edge_paths,
     net: FlowNetwork,
 ) -> PathSystem:
@@ -155,8 +126,9 @@ def build_path_system(
     Non-critical edges on a decomposition path are saturated, hence
     intra-class, so dropping them leaves a contiguous class walk; the
     surviving critical edges of the lam paths are edge-disjoint and cover all
-    critical edges. The first-reach tables are filled with one reverse
-    reachability sweep per path node, latest position first, so each class
+    critical edges. The first-reach tables are filled with one sweep per
+    path node, latest position first, that follows pred (strip_pred: the
+    classes each class's residual arcs enter) back from it, so each class
     records the earliest position it reaches.
     """
     cls = classes.class_of
@@ -169,7 +141,7 @@ def build_path_system(
         chain = [classes.source_class]
         for eid in path:
             u, v = net.graph.edges[eid]
-            if eid not in labels.critical:
+            if eid not in critical:
                 if cls[u] != cls[v]:
                     raise InternalInvariantError(
                         f"saturated non-critical edge {eid} crosses classes"
@@ -191,7 +163,7 @@ def build_path_system(
             raise InternalInvariantError("path revisits a class")
         chains.append(chain)
 
-    if set(path_of) != set(labels.critical):
+    if set(path_of) != critical:
         raise InternalInvariantError("paths do not cover the critical edges")
 
     first: list[dict[int, int]] = []
@@ -204,7 +176,7 @@ def build_path_system(
             while stack:
                 c = stack.pop()
                 reach_first[c] = pos
-                for p in strip.pred[c]:
+                for p in pred[c]:
                     if p not in seen:
                         seen.add(p)
                         stack.append(p)
@@ -216,17 +188,6 @@ def build_path_system(
         head_class=head_class,
         first_reach=tuple(first),
     )
-
-
-@dataclass(frozen=True)
-class MinCutOracleStruct:
-    """Classes, strip graph, path system and criticality labels of one network."""
-
-    lam: int
-    classes: EquivalenceClasses
-    strip: StripGraph
-    paths: PathSystem
-    labels: CriticalityLabels
 
 
 def precedes(ps: PathSystem, e_a: int, e_b: int) -> bool:
@@ -241,17 +202,11 @@ def precedes(ps: PathSystem, e_a: int, e_b: int) -> bool:
     return pos is not None and pos <= ps.position[e_b]
 
 
-def build_mincut_oracle(bf: BuiltFamily) -> MinCutOracleStruct:
-    """O_MINCUT over the calibrated subgraph of a built family: classes,
-    strip graph and path system of its reference flow f_tilde."""
-    net, labels = bf.sub.network, bf.labels
-    res = checked(ResidualGraph, net, bf.family.f_tilde)
-    classes = build_classes(net, res)
-    strip = build_strip_graph(net, classes, labels, res)
-    return MinCutOracleStruct(
-        lam=labels.lam,
-        classes=classes,
-        strip=strip,
-        paths=build_path_system(strip, classes, labels, bf.family.paths, net),
-        labels=labels,
-    )
+def build_mincut_oracle(bf: BuiltFamily) -> PathSystem:
+    """O_MINCUT over the calibrated subgraph of a built family: the path
+    tables of its reference flow f_tilde, whose residual graph gives the
+    classes and the strip order."""
+    net, f, critical = bf.sub.network, bf.family.f_tilde, bf.sub.critical
+    classes = build_classes(net, checked(ResidualGraph, net, f))
+    return build_path_system(strip_pred(net, classes, critical, f), classes,
+                             critical, bf.family.paths, net)

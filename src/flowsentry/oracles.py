@@ -175,7 +175,7 @@ class SensitivityOracle:
         self.lam = bf.sub.lam
         self.kept = bf.sub.kept
         self.null, self.flip = fam.null, fam.flip
-        self.paths = build_mincut_oracle(bf).paths
+        self.paths = build_mincut_oracle(bf)
 
     def _known(self, eid: int) -> None:
         if eid not in self.pruned_net.edges and eid not in self.walk_dropped:

@@ -269,7 +269,7 @@ def _run_invariants(report, net):
         report.counts["invariant"] = len(report.invariants)
         return
     bf = build_flow_family(pruned)
-    fam, kept, critical = bf.family, bf.sub.kept, bf.labels.critical
+    fam, kept, critical = bf.family, bf.sub.kept, bf.sub.critical
     n, lam = bf.sub.network.n, bf.sub.lam
     # family B's null sets, from the flows: A's, then f-tilde's plus path i
     a_nulls = [frozenset(e for e in kept if f.values[e] == 0) for f in fam.A]
@@ -279,10 +279,6 @@ def _run_invariants(report, net):
     row("sum over A of f_i = f_H edgewise", all(
         sum(f.values[e] for f in fam.A) == bf.f_h.values[e] for e in kept))
     row("every A member is a max-flow", all(f.value == lam for f in fam.A))
-    row("null sets within 3n",
-        all(len(z) <= 3 * n for z in a_nulls + g_nulls))
-    row("null(f,min+1) within 2n on A", all(
-        sum(bf.labels.nu[e] == lam + 1 for e in z) <= 2 * n for z in a_nulls))
     row("non-critical edges covered by null sets",
         kept - critical <= frozenset().union(*a_nulls, *g_nulls))
     row("kept edge count within lam*n + 2n(lam+1)",
@@ -308,12 +304,8 @@ def _run_invariants(report, net):
 
 
 def run_verify(net: FlowNetwork, profile_text: str,
-               graph_label: str = "graph.txt",
-               seed_override: int | None = None) -> VerificationReport:
+               graph_label: str = "graph.txt") -> VerificationReport:
     name, args = parse_profile(profile_text)
-    if name == "sampled" and seed_override is not None:
-        args = (args[0], seed_override)
-        profile_text = f"sampled({args[0]},{args[1]})"
     report = VerificationReport(profile=profile_text.strip(),
                                 graph_label=graph_label)
     start = time.perf_counter()

@@ -1,11 +1,17 @@
-"""Decrease-by-k and nearest-min-cut queries over a min-cut structure,
-and its size accounting.
+"""The min-cut structure as tests read it: the strip graph by its
+definition, decrease-by-k and nearest-min-cut queries, and size
+accounting.
 
-The shipped oracles read the strip-graph order through mincut.precedes
-only. These queries check that order against brute force (the structural
-equivalences of test_mincut.py and AC9), and word_count checks the
-structure's size bound (AC3), so they live with the tests.
+The shipped oracles keep only the path tables and read the strip-graph
+order through mincut.precedes. MinCutStructure adds the classes, the
+predecessor lists and the critical set they were built from, so that
+strip_arcs can derive the strip graph from the paper's definition and
+the tests can check src's lists and tables against it. The queries check
+that order against brute force (the structural equivalences of
+test_mincut.py and AC9), and word_count checks the size bound (AC3).
 """
+
+from dataclasses import dataclass
 
 from flowsentry.errors import QueryError
 from flowsentry.family import classify_edges
@@ -18,40 +24,103 @@ from flowsentry.flows import (
 from flowsentry.graph import FlowNetwork
 from flowsentry.mincut import (
     CutPartition,
-    MinCutOracleStruct,
+    EquivalenceClasses,
+    PathSystem,
     build_classes,
+    build_mincut_oracle,
     build_path_system,
-    build_strip_graph,
     precedes,
+    strip_pred,
 )
 
 
-def word_count(o: MinCutOracleStruct) -> int:
-    """Machine words held by the query tables (size-bound accounting)."""
+@dataclass(frozen=True)
+class MinCutStructure:
+    """One network's classes, strip predecessor lists and path tables,
+    with the max-flow value and critical set they were built from."""
+
+    net: FlowNetwork
+    lam: int
+    critical: frozenset[int]
+    classes: EquivalenceClasses
+    pred: list[list[int]]
+    paths: PathSystem
+
+
+def _structure(net, lam, critical, f, paths=None) -> MinCutStructure:
+    """The structure over the max-flow f of net; paths, when given, are
+    the tables the shipped build made from the same flow."""
+    classes = build_classes(net, ResidualGraph(net, f))
+    pred = strip_pred(net, classes, critical, f)
+    if paths is None:
+        paths = build_path_system(pred, classes, critical,
+                                  decompose_into_paths(net, f), net)
+    return MinCutStructure(net, lam, critical, classes, pred, paths)
+
+
+def mincut_structure(bf) -> MinCutStructure:
+    """The structure the sensitivity oracle's build sweeps, over the
+    calibrated subgraph and f-tilde, with build_mincut_oracle's tables."""
+    return _structure(bf.sub.network, bf.sub.lam, bf.sub.critical,
+                      bf.family.f_tilde, build_mincut_oracle(bf))
+
+
+def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutStructure:
+    """The min-cut structure of a network taken as-is (no calibration).
+
+    Every edge stays in play. The reference flow is cycle-canceled so its
+    path decomposition exists.
+    """
+    labels = classify_edges(net)
+    if labels.lam < 1:
+        raise ValueError("mincut oracle needs lam >= 1")
+    f = cancel_flow_cycles(net, max_flow(net))
+    return _structure(net, labels.lam, labels.critical, f)
+
+
+def strip_arcs(o: MinCutStructure) -> set[tuple[int, int, int]]:
+    """The strip graph by definition, as (from_class, to_class, EdgeId)
+    arcs: each inter-class edge joins its endpoints' classes, critical
+    edges in their own direction and every other edge flipped."""
+    cls = o.classes.class_of
+    arcs = set()
+    for eid, (u, v) in o.net.edges.items():
+        a, b = cls[u], cls[v]
+        if a != b:
+            arcs.add((a, b, eid) if eid in o.critical else (b, a, eid))
+    return arcs
+
+
+def pred_of_arcs(o: MinCutStructure) -> list[list[int]]:
+    """Each class's predecessors in strip_arcs(o), ascending."""
+    pred = [set() for _ in range(o.classes.class_count)]
+    for a, b, _ in strip_arcs(o):
+        pred[b].add(a)
+    return [sorted(p) for p in pred]
+
+
+def word_count(o: MinCutStructure) -> int:
+    """Machine words the build keeps: the class of every vertex and the
+    path tables (size-bound accounting)."""
     words = len(o.classes.class_of) + 3
-    words += 3 * len(o.strip.arcs)
-    words += sum(len(s) for s in o.strip.succ)
-    words += sum(len(p) for p in o.strip.pred)
     words += sum(2 * len(f) for f in o.paths.first_reach)
     words += 2 * len(o.paths.path_of) + 2 * len(o.paths.position)
     words += 2 * len(o.paths.head_class)
-    words += 2 * len(o.labels.nu) + len(o.labels.critical)
     return words
 
 
-def decreases_by_k(o: MinCutOracleStruct, F, k: int | None = None,
+def decreases_by_k(o: MinCutStructure, F, k: int | None = None,
                    known=None) -> bool:
     """True iff deleting F drops the max-flow by exactly |F|.
 
     Holds exactly when every edge of F is critical and no two are ordered by
     a strip path (they form an anti-chain, i.e. lie in one min-cut together).
-    An edge outside known (default: the edges of the structure's network,
-    the keys of o.labels.nu) raises QueryError. Edges absent from the
-    structure's network are never critical, so any such edge makes the
-    answer false.
+    An edge outside known (default: the edges of the structure's network)
+    raises QueryError. Edges absent from the structure's network are never
+    critical, so any such edge makes the answer false.
     """
     if known is None:
-        known = o.labels.nu
+        known = o.net.edges
     edges = list(F)
     if k is not None and len(edges) != k:
         raise QueryError(f"expected {k} edges, got {len(edges)}")
@@ -62,7 +131,7 @@ def decreases_by_k(o: MinCutOracleStruct, F, k: int | None = None,
     for e in edges:
         if e not in known:
             raise QueryError(f"unknown EdgeId {e}")
-        if e not in o.labels.critical:
+        if e not in o.critical:
             return False
     for i, a in enumerate(edges):
         for b in edges[i + 1 :]:
@@ -71,7 +140,7 @@ def decreases_by_k(o: MinCutOracleStruct, F, k: int | None = None,
     return True
 
 
-def report_nmc_after(o: MinCutOracleStruct, F) -> CutPartition:
+def report_nmc_after(o: MinCutStructure, F) -> CutPartition:
     """Source side of the nearest min-cut of the graph minus F.
 
     Requires decreases_by_k(o, F); a vertex lands on the source side exactly
@@ -90,23 +159,3 @@ def report_nmc_after(o: MinCutOracleStruct, F) -> CutPartition:
                 side.append(v)
                 break
     return CutPartition(source_side=frozenset(side))
-
-
-def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutOracleStruct:
-    """The min-cut structure of a network taken as-is (no calibration).
-
-    Every edge stays in play. The reference flow is cycle-canceled so its
-    path decomposition exists.
-    """
-    f = max_flow(net)
-    labels = classify_edges(net)
-    if labels.lam < 1:
-        raise ValueError("mincut oracle needs lam >= 1")
-    f = cancel_flow_cycles(net, f)
-    res = ResidualGraph(net, f)
-    classes = build_classes(net, res)
-    strip = build_strip_graph(net, classes, labels, res)
-    paths = build_path_system(strip, classes, labels,
-                              decompose_into_paths(net, f), net)
-    return MinCutOracleStruct(lam=labels.lam, classes=classes, strip=strip,
-                              paths=paths, labels=labels)

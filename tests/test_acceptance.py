@@ -28,7 +28,7 @@ from flowsentry.kfault import (
     mincut_partition_k,
     mincut_size_k,
 )
-from flowsentry.mincut import build_mincut_oracle, crossing_edges
+from flowsentry.mincut import crossing_edges
 from flowsentry.oracles import SensitivityOracle
 
 from circulation_reference import CirculationInstance, solve_circulation
@@ -40,12 +40,18 @@ from conftest import (
     reconstruct_flow,
 )
 from kfault_reference import scan_minimal_cuts
-from mincut_reference import build_mincut_oracle_raw, decreases_by_k, word_count
+from mincut_reference import (
+    build_mincut_oracle_raw,
+    decreases_by_k,
+    mincut_structure,
+    word_count,
+)
 
-# Documented constant for the min-cut structure's footprint: stored words
-# are at most MINCUT_WORDS_PER_LAM_N * lam * n. Measured maximum over the
-# 200-network acceptance corpus plus fixtures: 14.25, attained at lam = 1 on
-# tiny instances, where the per-edge tables and fixed per-oracle overhead
+# Documented constant for the min-cut structure's footprint: the words the
+# build keeps (class_of and the path tables) are at most
+# MINCUT_WORDS_PER_LAM_N * lam * n. Measured maximum over the 200-network
+# acceptance corpus plus fixtures: 8.25, attained at lam = 1 on a 4-vertex
+# instance, where the per-vertex table and fixed per-oracle overhead
 # dominate the lam*n yardstick.
 MINCUT_WORDS_PER_LAM_N = 20
 
@@ -112,7 +118,7 @@ def test_ac01_family_a_exactness(corpus200):
         for eid in bf.sub.kept:
             assert sum(f.values[eid] for f in fam.A) == bf.f_h.values[eid]
         assert bf.f_h.value == lam * (lam + 1)
-        for eid in bf.sub.kept - bf.labels.critical:
+        for eid in bf.sub.kept - bf.sub.critical:
             assert any(f.values[eid] == 0 for f in fam.A)
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -155,7 +161,7 @@ def test_ac03_size_bounds(corpus200):
             null = {e for e in bf.sub.kept if f.values[e] == 0}
             assert len(null) <= 3 * n
             if i < len(fam.A):
-                min1 = {e for e in null if bf.labels.nu[e] == lam + 1}
+                min1 = {e for e in null if bf.sub.nu[e] == lam + 1}
                 assert len(min1) <= 2 * n
         for f1, f2 in itertools.combinations(members, 2):
             disagree = sum(
@@ -163,8 +169,7 @@ def test_ac03_size_bounds(corpus200):
             )
             assert disagree <= 6 * n
         assert len(bf.sub.kept) <= lam * n + 2 * n * (lam + 1)
-        o = build_mincut_oracle(bf)
-        worst = max(worst, word_count(o) / (lam * n))
+        worst = max(worst, word_count(mincut_structure(bf)) / (lam * n))
         checked += 1
     assert worst <= MINCUT_WORDS_PER_LAM_N
     print(f"AC3 PASS: null-set/edge/word bounds on {checked} networks; "
@@ -429,13 +434,17 @@ def test_ac08_circulation_feasibility():
 
 
 def strip_reachability(o):
+    succ = [[] for _ in o.pred]
+    for b, pred in enumerate(o.pred):
+        for a in pred:
+            succ[a].append(b)
     reach = []
-    for c in range(o.strip.nodes):
+    for c in range(len(succ)):
         seen = {c}
         stack = [c]
         while stack:
             x = stack.pop()
-            for nxt in o.strip.succ[x]:
+            for nxt in succ[x]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -450,7 +459,7 @@ def check_cut_antichain_equivalence(net):
     reach = strip_reachability(o)
     cls = o.classes.class_of
     scls, tcls = o.classes.source_class, o.classes.sink_class
-    crit = sorted(o.labels.critical)
+    crit = sorted(o.critical)
     tail = {e: cls[net.edges[e][0]] for e in crit}
     head = {e: cls[net.edges[e][1]] for e in crit}
 

@@ -535,8 +535,8 @@ class TestInternalError:
         # f_H with nothing leaving s: the first round cannot ship lam
         real = family.build_auxiliary
 
-        def starved(sub, labels):
-            f_h = real(sub, labels)
+        def starved(sub):
+            f_h = real(sub)
             for eid in sub.network.graph.out_edges(sub.network.s):
                 f_h.values[eid] = 0
             return f_h
@@ -621,12 +621,6 @@ class TestVerifyCommand:
         assert code == 0
         assert "[pass] |A| = lam+1" in out
 
-    def test_sampled_with_seed_override(self, bottleneck_file, capsys):
-        code, out, _ = run(capsys, "verify", "-g", str(bottleneck_file),
-                           "--profile", "sampled(40,1)", "--seed", "7")
-        assert code == 0
-        assert "sampled(40,7)" in out
-
     def test_bad_profile_exits_2(self, bottleneck_file, capsys):
         code, _, err = run(capsys, "verify", "-g", str(bottleneck_file),
                            "--profile", "exhaustive-9")
@@ -637,7 +631,7 @@ class TestVerifyCommand:
         from flowsentry.verify import VerificationReport
         import flowsentry.cli as cli_mod
 
-        def fake(net, profile, graph_label="g", seed_override=None):
+        def fake(net, profile, graph_label="g"):
             rep = VerificationReport(profile=profile, graph_label=graph_label)
             rep.mismatch("MC2 1 2", 2, 1)
             return rep

@@ -209,13 +209,12 @@ def auxiliary_flow(net):
     """f_H on a pruned net, checked against H's capacities: value
     lam*(lam+1), at most lam+1 on critical edges and lam on the rest."""
     sub = calibrate(net)
-    labels = classify_edges(sub.network)
-    f_h = build_auxiliary(sub, labels)
+    f_h = build_auxiliary(sub)
     lam = sub.lam
     assert f_h.value == lam * (lam + 1)
     for eid, x in f_h.values.items():
-        assert 0 <= x <= (lam + 1 if eid in labels.critical else lam), eid
-    return f_h, labels
+        assert 0 <= x <= (lam + 1 if eid in sub.critical else lam), eid
+    return f_h, sub
 
 
 class TestAuxiliary:
@@ -225,8 +224,8 @@ class TestAuxiliary:
 
     def test_bottleneck_caps_and_value(self, bottleneck):
         # both bounds are reached: lam+1 on the critical a-edges, lam on b
-        f_h, labels = auxiliary_flow(bottleneck)
-        assert labels.critical == {0, 1}
+        f_h, sub = auxiliary_flow(bottleneck)
+        assert sub.critical == {0, 1}
         assert f_h.values == {0: 3, 1: 3, 2: 2, 3: 2, 4: 2}
 
     def test_chain_caps_and_value(self, chain):
@@ -244,18 +243,16 @@ class TestAuxiliary:
 
 class TestPeel:
     def test_diamond_three_copies(self, diamond):
-        labels = classify_edges(diamond)
         sub = calibrate(diamond)
-        f_h = build_auxiliary(sub, labels)
+        f_h = build_auxiliary(sub)
         A = peel_family_A(sub, f_h)
         assert len(A) == 3
         for f in A:
             assert f.values == {0: 1, 1: 1, 2: 1, 3: 1}
 
     def test_bottleneck_coverage(self, bottleneck):
-        labels = classify_edges(bottleneck)
         sub = calibrate(bottleneck)
-        f_h = build_auxiliary(sub, labels)
+        f_h = build_auxiliary(sub)
         A = peel_family_A(sub, f_h)
         assert len(A) == 3
         for f in A:
@@ -358,14 +355,14 @@ class TestFamilyB:
         for f in bf.family.A:
             assert all(f.values[e] == 1 for e in bf.sub.kept)
         assert bf.family.null == frozenset()
-        assert bf.sub.kept == bf.labels.critical
+        assert bf.sub.kept == bf.sub.critical
 
     def test_bottleneck_null_sets(self, bottleneck):
         bf = built(bottleneck)
         fam = bf.family
         missing = [{b for b in (2, 3, 4) if f.values[b] == 0} for f in fam.A]
         assert fam.null == missing[0]
-        assert set().union(*missing) == bf.sub.kept - bf.labels.critical
+        assert set().union(*missing) == bf.sub.kept - bf.sub.critical
         # a b-edge f-tilde carries flips to the first member of A that
         # leaves it idle
         for b in {2, 3, 4} - missing[0]:
@@ -395,12 +392,12 @@ class TestFamilyB:
             if prune_to_st_paths(net)[1].disconnected:
                 continue
             bf = built(net)
-            critical = bf.labels.critical
+            critical = bf.sub.critical
             nulls = [{e for e in bf.sub.kept if f.values[e] == 0}
                      for f in bf.family.A]
             for z in nulls:
                 assert not z & critical
-                assert all(bf.labels.nu[e] == bf.sub.lam + 1 for e in z)
+                assert all(bf.sub.nu[e] == bf.sub.lam + 1 for e in z)
             assert set().union(*nulls) == bf.sub.kept - critical
             checked += 1
         assert checked >= 15
@@ -437,18 +434,17 @@ class TestFamilyB:
     def test_critical_edge_off_every_path_raises(self, bottleneck):
         bf = built(bottleneck)
         idle = min(bf.family.null)  # a b-edge f-tilde leaves at 0
-        labels = dataclasses.replace(
-            bf.labels, critical=bf.labels.critical | {idle})
+        sub = dataclasses.replace(bf.sub, critical=bf.sub.critical | {idle})
         with pytest.raises(InternalInvariantError,
                            match=f"critical edge {idle} missing"):
-            extend_family_B(list(bf.family.A), bf.sub, labels)
+            extend_family_B(list(bf.family.A), sub)
 
     def test_noncritical_edge_carried_by_all_of_A_raises(self, bottleneck):
         bf = built(bottleneck)
         f_tilde = bf.family.f_tilde
         with pytest.raises(InternalInvariantError,
                            match="saturated in every member of A"):
-            extend_family_B([f_tilde] * 3, bf.sub, bf.labels)
+            extend_family_B([f_tilde] * 3, bf.sub)
 
     def test_edge_on_two_paths_raises(self, bottleneck, monkeypatch):
         bf = built(bottleneck)
@@ -457,7 +453,7 @@ class TestFamilyB:
                             lambda net, f: [path, path])
         with pytest.raises(InternalInvariantError,
                            match=f"edge {path[0]} on two decomposition paths"):
-            extend_family_B(list(bf.family.A), bf.sub, bf.labels)
+            extend_family_B(list(bf.family.A), bf.sub)
 
 class TestOrchestrator:
     def test_rejects_disconnected(self):
@@ -475,10 +471,12 @@ class TestOrchestrator:
             if info.disconnected:
                 continue
             bf = built(net)
+            labels = classify_edges(bf.sub.network)
+            assert labels.critical == bf.sub.critical
             for eid in bf.sub.kept:
-                assert bf.labels.nu[eid] <= bf.sub.lam + 1
-                if eid not in bf.labels.critical:
-                    assert bf.labels.nu[eid] == bf.sub.lam + 1
+                assert labels.nu[eid] <= bf.sub.lam + 1
+                if eid not in labels.critical:
+                    assert labels.nu[eid] == bf.sub.lam + 1
 
     @pytest.mark.parametrize("make", [lambda: gen_random(60, 1),
                                       lambda: gen_matrix(6, 8, seed=1)])

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 import flowsentry
-from flowsentry import flows, graph
+from flowsentry import flows, graph, mincut
 from flowsentry.flows import (
     IntFlow,
     ResidualGraph,
@@ -318,3 +318,7 @@ def test_public_api_resolves():
         assert not hasattr(flowsentry, gone)
         assert not hasattr(graph, gone)
     assert not hasattr(ResidualGraph, "reachable")
+    # the strip graph is read off the residual graph, never built
+    for gone in ("MinCutOracleStruct", "StripGraph", "build_strip_graph"):
+        assert not hasattr(flowsentry, gone)
+        assert not hasattr(mincut, gone)

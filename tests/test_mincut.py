@@ -1,26 +1,23 @@
-"""Equivalence classes, strip graph, path system, and the min-cut oracle."""
+"""Equivalence classes, strip order, path system, and the min-cut oracle."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from flowsentry.errors import QueryError
+from flowsentry.errors import InternalInvariantError, QueryError
 from flowsentry.family import build_flow_family
 from flowsentry.graph import prune_to_st_paths
-from flowsentry.mincut import (
-    build_classes,
-    build_mincut_oracle,
-    build_path_system,
-    build_strip_graph,
-    crossing_edges,
-    precedes,
-)
+from flowsentry.mincut import build_mincut_oracle, crossing_edges, precedes
 from conftest import brute_max_flow_value, make_net, random_net
 from mincut_reference import (
     build_mincut_oracle_raw,
     decreases_by_k,
+    mincut_structure,
+    pred_of_arcs,
     report_nmc_after,
+    strip_arcs,
     word_count,
 )
 
@@ -29,7 +26,7 @@ def oracle_for(net):
     pruned, info = prune_to_st_paths(net)
     assert not info.disconnected
     bf = build_flow_family(pruned)
-    return build_mincut_oracle(bf), bf, pruned
+    return mincut_structure(bf), bf, pruned
 
 
 def min_cut_partitions(net):
@@ -90,7 +87,9 @@ class TestClasses:
         # arc u->v means v's side forces u's side: either a critical edge
         # v-side would cut twice, or a flipped non-critical edge that would
         # carry crossing flow). Equivalently: closed under residual
-        # reachability. Checked both directions by enumeration.
+        # reachability. Checked both directions by enumeration, on the
+        # predecessor lists the build sweeps, which must equal those of
+        # the strip graph by definition.
         rng = random.Random(5011)
         done = 0
         for _ in range(40):
@@ -101,6 +100,7 @@ class TestClasses:
             o, bf, _ = oracle_for(net)
             sub = bf.sub.network
             lam, partitions = min_cut_partitions(sub)
+            assert o.pred == pred_of_arcs(o)
             cls = o.classes.class_of
             classes = range(o.classes.class_count)
             want = set()
@@ -111,12 +111,8 @@ class TestClasses:
                 if o.classes.sink_class in chosen:
                     continue
                 # closed: no residual arc leaves the union, i.e. every strip
-                # arc (a, b) with b inside has a inside too
-                if any(
-                    a not in chosen
-                    for a, b, _ in o.strip.arcs
-                    if b in chosen
-                ):
+                # predecessor of a class inside is inside too
+                if any(a not in chosen for b in chosen for a in o.pred[b]):
                     continue
                 want.add(frozenset(v for v in range(sub.n) if cls[v] in chosen))
             assert want == set(partitions)
@@ -127,22 +123,39 @@ class TestClasses:
 class TestStripGraph:
     def test_diamond_is_itself(self, diamond):
         o, _, _ = oracle_for(diamond)
-        assert o.strip.nodes == 4
-        assert set(o.strip.arcs) == {(0, 1, 0), (1, 3, 1), (0, 2, 2), (2, 3, 3)}
+        assert o.classes.class_count == 4
+        assert strip_arcs(o) == {(0, 1, 0), (1, 3, 1), (0, 2, 2), (2, 3, 3)}
+        assert o.pred == pred_of_arcs(o) == [[], [0], [0], [1, 2]]
 
     def test_bottleneck_two_nodes(self, bottleneck):
         o, _, _ = oracle_for(bottleneck)
-        assert o.strip.nodes == 2
-        assert set(o.strip.arcs) == {(0, 1, 0), (0, 1, 1)}
+        assert o.classes.class_count == 2
+        assert strip_arcs(o) == {(0, 1, 0), (0, 1, 1)}
+        assert o.pred == pred_of_arcs(o) == [[], [0]]
 
     def test_non_critical_inter_cluster_edge_reversed(self, diamond):
         # diamond plus a->b: the new edge survives calibration (nu = 3) but is
         # non-critical and joins two singleton classes, so its strip arc flips.
         net = make_net(4, [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)])
         o, bf, _ = oracle_for(net)
-        assert 4 not in bf.labels.critical
+        assert 4 not in bf.sub.critical
         cls = o.classes.class_of
-        assert (cls[2], cls[1], 4) in set(o.strip.arcs)
+        assert (cls[2], cls[1], 4) in strip_arcs(o)
+        assert o.pred == pred_of_arcs(o)
+        assert cls[2] in o.pred[cls[1]]
+
+    @pytest.mark.parametrize("toggle", [4, 0])
+    def test_criticality_disagreeing_with_residual_raises(self, toggle):
+        # edge 4 (a->b) is inter-class and idle in f-tilde, edge 0 (s->a)
+        # inter-class and carried: listing the first as critical, or not
+        # listing the second, fails the per-edge check
+        net = make_net(4, [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)])
+        bf = build_flow_family(net)
+        assert bf.family.f_tilde.values[4] == 0 and 0 in bf.sub.critical
+        sub = dataclasses.replace(bf.sub, critical=bf.sub.critical ^ {toggle})
+        with pytest.raises(InternalInvariantError,
+                           match=f"criticality of edge {toggle} disagrees"):
+            build_mincut_oracle(dataclasses.replace(bf, sub=sub))
 
 
 class TestPathSystem:
@@ -193,13 +206,13 @@ class TestPrecedes:
             if info.disconnected:
                 continue
             o, bf, _ = oracle_for(net)
-            crit = sorted(bf.labels.critical)
+            crit = sorted(bf.sub.critical)
+            assert o.pred == pred_of_arcs(o)
             # enumerate every source->sink strip path's edge sequence
             orders = set()
-            strip = o.strip
             src, dst = o.classes.source_class, o.classes.sink_class
             arcs_from = {}
-            for a, b, eid in strip.arcs:
+            for a, b, eid in strip_arcs(o):
                 arcs_from.setdefault(a, []).append((b, eid))
             stack = [(src, [])]
             while stack:
@@ -207,7 +220,7 @@ class TestPrecedes:
                 if node == dst:
                     for i, x in enumerate(used):
                         for y in used[i + 1 :]:
-                            if x in bf.labels.critical and y in bf.labels.critical:
+                            if x in bf.sub.critical and y in bf.sub.critical:
                                 orders.add((x, y))
                     continue
                 for b, eid in arcs_from.get(node, []):
@@ -297,7 +310,7 @@ class TestNmcReport:
                 continue
             o, bf, pruned = oracle_for(net)
             lam = bf.sub.lam
-            crit = sorted(bf.labels.critical)
+            crit = sorted(bf.sub.critical)
             for k in (1, 2):
                 for F in itertools.combinations(crit, k):
                     if not decreases_by_k(o, F, k):
@@ -345,4 +358,6 @@ class TestRawOracle:
         raw = build_mincut_oracle_raw(bottleneck)
         cal, _, _ = oracle_for(bottleneck)
         assert raw.classes == cal.classes
-        assert set(raw.strip.arcs) == set(cal.strip.arcs)
+        assert strip_arcs(raw) == strip_arcs(cal)
+        assert raw.pred == cal.pred == pred_of_arcs(raw)
+        assert raw.paths == cal.paths

@@ -116,13 +116,20 @@ class TestSampled:
         assert a.counts == b.counts
         assert sum(a.counts.values()) > 200
 
-    def test_seed_override_changes_profile(self):
-        import random
 
-        net = random_net(random.Random(3), n_max=8, m_max=14)
-        rep = run_verify(net, "sampled(50,1)", seed_override=42)
-        assert rep.profile == "sampled(50,42)"
-        assert rep.ok
+class TestHardInstance:
+    def test_matrix_lam_16_exact(self):
+        # gen_matrix(8, 2), lam = 16: every member of A leaves the 71
+        # crossing edges idle, more than 2n = 68 of them, so no per-flow
+        # O(n) bound holds on the null sets; the answers are still exact
+        net = gen_matrix(8, 2, seed=1)
+        bf = build_flow_family(prune_to_st_paths(net)[0])
+        assert bf.sub.lam == 16
+        assert min(sum(f.values[e] == 0 for e in bf.sub.kept)
+                   for f in bf.family.A) > 2 * net.n
+        rep = run_verify(net, "exhaustive-2")
+        assert rep.ok, rep.render()
+        assert sum(rep.counts.values()) == 14042
 
 
 class TestInvariants:
@@ -157,7 +164,8 @@ class TestInvariants:
         lambda: gen_random(20, 1),
         lambda: gen_random(60, 1),
         lambda: gen_matrix(6, 8, seed=1),
-    ], ids=["random10", "random20", "random60", "matrix6x8"])
+        lambda: gen_matrix(8, 2, seed=1),
+    ], ids=["random10", "random20", "random60", "matrix6x8", "matrix8x2"])
     def test_stored_encoding_reproduces_family(self, net):
         rep = run_verify(net(), "invariants")
         assert rep.ok, rep.render()
