@@ -24,8 +24,12 @@ nu(e) is the merge-flow value of e = (u, v): the s-t max-flow once u is merged
 into s and v into t. Only its comparisons with lam, lam+1 and ">lam+1" are ever
 read, so it is stored as min(nu, lam+2). Each merged cut is a cut of G that
 separates e's endpoints and a max-flow of G is feasible there with value lam,
-so two augmenting rounds from that flow decide the capped value. A probe
-toggles its rounds back after, so one flow serves every edge.
+so at most two more units from {s, u} to {t, v} decide the capped value. A
+probe runs on the flow's flows.UnitResidual: an idle e is its own first unit, a
+flow-carrying e needs one path search for it, and the second unit is a
+reachability test with the first laid over the masks, which builds no path.
+No probe changes the flow, so one flow serves every edge. Probes read max-flow
+values, not the paths found, so any exact search gives the same labels.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .flows import (
     IntFlow,
     UnitFlow,
     ResidualGraph,
+    UnitResidual,
     augment_unit,
     cancel_flow_cycles,
     decompose_into_paths,
@@ -66,33 +71,26 @@ class CriticalityLabels:
 @dataclass(frozen=True)
 class CalibratedSubgraph:
     """The kept/pruned split produced by calibrate, the live subnetwork, the
-    input's critical edges, all of which calibration keeps, and each input
-    edge's min(nu, lam+2) as probed in the shrinking subgraph."""
+    input's critical edges, all of which calibration keeps."""
 
     kept: frozenset[int]
     pruned: frozenset[int]
     lam: int
     network: FlowNetwork
     critical: frozenset[int]
-    nu: dict[int, int]
 
 
-def _capped_nu(arcs, flow, net: FlowNetwork, eid: int, lam: int) -> int:
-    """min(nu, lam+2) of eid over the live arcs, from their max-flow flow of
-    value lam; the augmentations are toggled back, leaving flow as found."""
+def _capped_nu(res: UnitResidual, net: FlowNetwork, eid: int, lam: int) -> int:
+    """min(nu, lam+2) of eid in res, whose flow is a max-flow of value lam,
+    by the probe of the module docstring; res is left as found."""
     u, v = net.edges[eid]
     if u == v or u == net.t or v == net.s:
         return NU_UNBOUNDED
-    paths = []
-    while len(paths) < 2:
-        path = augment_unit(arcs, flow, (net.s, u), (net.t, v))
-        if path is None:
-            break
-        paths.append(path)
-    for path in paths:
-        for x in path:
-            flow[x] ^= 1
-    return lam + len(paths)
+    ends = 1 << net.s | 1 << u, 1 << net.t | 1 << v
+    first = res.path(*ends) if res.flow[eid] else [eid]
+    if first is None:
+        return lam
+    return lam + 1 + res.reaches_after(first, *ends)
 
 
 def _critical(net: FlowNetwork, f: UnitFlow, nu: dict[int, int]) -> frozenset[int]:
@@ -120,43 +118,45 @@ def classify_edges(net: FlowNetwork) -> CriticalityLabels:
     """
     f = max_flow(net)
     lam = f.value
-    flow, arcs = dict(f.values), net.graph.incidence()
-    nu = {eid: _capped_nu(arcs, flow, net, eid, lam) for eid in sorted(net.edges)}
+    res = UnitResidual(net, f.values)
+    nu = {eid: _capped_nu(res, net, eid, lam) for eid in sorted(net.edges)}
     return CriticalityLabels(nu=nu, critical=_critical(net, f, nu), lam=lam)
 
 
 def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
     """Delete every edge whose nu exceeds lam+1, evaluated in the shrinking subgraph.
 
-    One probe per edge, in ascending EdgeId order, on net's incidence list
-    less the entries of the edges deleted before it. nu never grows under
-    deletion, so one pass reaches the fixpoint; build_flow_family certifies
-    it by re-classifying the kept edges if any edge was deleted. Deleting an
-    edge with nu >= lam+2 changes no cut of size lam, so the probes also
-    decide criticality in net (checked against the residual test), and once
-    a deleted edge (u, v) drops its unit, one u -> v augmentation restores a
-    max-flow of value lam.
+    One probe per edge, in ascending EdgeId order, on the unit residual of
+    one max-flow, from which each deleted edge leaves as a dead edge. nu
+    never grows under deletion, so one pass reaches the fixpoint;
+    build_flow_family certifies it by re-classifying the kept edges if any
+    edge was deleted. Deleting an edge with nu >= lam+2 changes no cut of
+    size <= lam+1, so the probes also decide criticality in net (checked
+    against the residual test), and once a deleted edge (u, v) drops its
+    unit, one u -> v augmentation restores a max-flow of value lam. The
+    outputs depend on the visit order and on max-flow values only, not on
+    which max-flow the reroutes leave.
     """
     f = max_flow(net)
     lam = f.value
-    flow, arcs = dict(f.values), list(net.graph.incidence())
+    res = UnitResidual(net, f.values)
     nu: dict[int, int] = {}
     removed: list[int] = []
     for eid in sorted(net.edges):
-        nu[eid] = _capped_nu(arcs, flow, net, eid, lam)
+        nu[eid] = _capped_nu(res, net, eid, lam)
         if nu[eid] <= lam + 1:
             continue
         u, v = net.edges[eid]
-        # rows are replaced, never edited: the graph's own list is shared
-        arcs[u] = [a for a in arcs[u] if a[0] != eid]
-        arcs[v] = [a for a in arcs[v] if a[0] != eid]
+        carried = res.flow[eid]
+        res.delete(eid)
         removed.append(eid)
-        if flow[eid]:
-            flow[eid] = 0
-            if augment_unit(arcs, flow, (u,), (v,)) is None:
-                raise InternalInvariantError(
-                    f"no flow reroutes around deleted edge {eid}"
-                )
+        path = res.path(1 << u, 1 << v) if carried else []
+        if path is None:
+            raise InternalInvariantError(
+                f"no flow reroutes around deleted edge {eid}"
+            )
+        for x in path:
+            res.toggle(x)
     current = net.without_edges(removed) if removed else net
     kept = frozenset(current.edges)
     bound = lam * net.n + 2 * net.n * (lam + 1)
@@ -165,8 +165,7 @@ def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
             f"calibrated subgraph has {len(kept)} edges, bound is {bound}"
         )
     return CalibratedSubgraph(kept=kept, pruned=frozenset(removed), lam=lam,
-                              network=current, critical=_critical(net, f, nu),
-                              nu=nu)
+                              network=current, critical=_critical(net, f, nu))
 
 
 def build_auxiliary(sub: CalibratedSubgraph) -> IntFlow:

@@ -153,6 +153,87 @@ def augment_unit(arcs, flow: dict[int, int], sources, sinks) -> list[int] | None
     return None
 
 
+class UnitResidual:
+    """The unit residual of a 0/1 flow: out[x] has bit y while some live
+    edge gives an arc x -> y (idle x -> y or carrying y -> x), and count[x, y]
+    counts those edges, so parallel edges stay exact. A flow value other than
+    0/1 marks a dead edge, as in augment_unit. Searches take vertex masks and
+    expand a BFS level at a time, so path need not find augment_unit's path.
+    """
+
+    __slots__ = ("edges", "arcs", "flow", "out", "count")
+
+    def __init__(self, net: FlowNetwork, flow: dict[int, int]):
+        self.edges, self.arcs, self.flow = net.edges, net.graph.incidence(), dict(flow)
+        self.out, self.count = [0] * net.n, {}
+        for eid, x in self.flow.items():
+            if x in (0, 1):
+                self._arc(eid, 1)
+
+    def _arc(self, eid: int, step: int) -> None:
+        u, v = self.edges[eid]
+        x, y = (v, u) if self.flow[eid] else (u, v)
+        c = self.count[x, y] = self.count.get((x, y), 0) + step
+        self.out[x] = self.out[x] | 1 << y if c else self.out[x] & ~(1 << y)
+
+    def toggle(self, eid: int) -> None:
+        """Push one unit over a live edge, or take it back."""
+        self._arc(eid, -1)
+        self.flow[eid] ^= 1
+        self._arc(eid, 1)
+
+    def delete(self, eid: int) -> None:
+        self._arc(eid, -1)
+        self.flow[eid] = 2
+
+    def levels(self, sources: int, sinks: int) -> list[int] | None:
+        """Masks of the BFS levels from the vertex mask sources, the last
+        cut down to the sinks it meets; None when no sink is reachable."""
+        out, seen, frontier, levels = self.out, sources, sources, [sources]
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= out[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+            levels.append(frontier & sinks or frontier)
+            if frontier & sinks:
+                return levels
+        return None
+
+    def path(self, sources: int, sinks: int) -> list[int] | None:
+        """The edges of a shortest path from the vertex mask sources to
+        sinks, sink end first; None when there is none."""
+        levels = self.levels(sources, sinks)
+        if levels is None:
+            return None
+        y, path = levels[-1].bit_length() - 1, []
+        for level in reversed(levels[:-1]):  # an arc from level into y
+            eid, y = next((e, x) for e, x, rev in self.arcs[y]
+                          if level >> x & 1 and self.flow[e] == (not rev))
+            path.append(eid)
+        return path
+
+    def reaches_after(self, path: list[int], sources: int, sinks: int) -> bool:
+        """Whether a sink is still reachable after a unit is pushed along
+        path, a path from a source to a sink. The push is laid over the
+        masks for the search and taken off after; flow and count stay."""
+        out, saved = self.out, []
+        for eid in path:
+            u, v = self.edges[eid]
+            x, y = (v, u) if self.flow[eid] else (u, v)
+            saved += (x, out[x]), (y, out[y])
+            if self.count[x, y] == 1:
+                out[x] &= ~(1 << y)
+            out[y] |= 1 << x
+        found = self.levels(sources, sinks) is not None
+        for x, mask in reversed(saved):
+            out[x] = mask
+        return found
+
+
 ARTIFICIAL = None  # EdgeId placeholder for the artificial (s,t) arc
 
 

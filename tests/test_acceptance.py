@@ -13,7 +13,7 @@ import time
 import pytest
 
 from flowsentry.bruteforce import brute_force
-from flowsentry.family import build_flow_family
+from flowsentry.family import build_flow_family, classify_edges
 from flowsentry.generators import (
     gen_bottleneck,
     gen_diamond,
@@ -157,11 +157,14 @@ def test_ac03_size_bounds(corpus200):
         n = bf.sub.network.n
         lam = bf.sub.lam
         members = family_B(bf)
+        # the subgraph's own nu: deleting an edge with nu >= lam+2 changes
+        # no cut of size <= lam+1, so kept edges keep their calibration nu
+        nu = classify_edges(bf.sub.network).nu
         for i, f in enumerate(members):
             null = {e for e in bf.sub.kept if f.values[e] == 0}
             assert len(null) <= 3 * n
             if i < len(fam.A):
-                min1 = {e for e in null if bf.sub.nu[e] == lam + 1}
+                min1 = {e for e in null if nu[e] == lam + 1}
                 assert len(min1) <= 2 * n
         for f1, f2 in itertools.combinations(members, 2):
             disagree = sum(

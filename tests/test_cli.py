@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import flowsentry.cli as cli
-from flowsentry import family, kfault, mincut, oracles
+from flowsentry import family, flows, kfault, mincut, oracles
 from flowsentry.bruteforce import brute_force
 from flowsentry.cli import load_oracle, main
 from flowsentry.errors import InternalInvariantError
@@ -433,6 +433,9 @@ class TestBuildAndOracleFile:
         # calibration deletes edges here, so the subgraph is re-classified
         (lambda: gen_random(120, 1),
          "63a3568573ece7dd717247df9e75a971feaa706f58f99971518873120e51e8d9"),
+        # the hard instance past lam = 16
+        (lambda: gen_matrix(8, 2, seed=1),
+         "34f06168aca275196cb17aedffbd760246638e1dfb6de4af30f946ffd245a25a"),
     ])
     def test_oracle_bytes_pinned(self, make, sha256, tmp_path):
         # the file a build writes, as the benchmark saves it: a change to
@@ -529,6 +532,33 @@ class TestInternalError:
         assert code == 3
         assert out == ""
         assert err.startswith("error: internal invariant violated: flow 2 on")
+
+    def test_unrerouted_deletion_exits_3(self, tmp_path, capsys, monkeypatch):
+        # s=0, x=1, t=2: calibration deletes x -> t edge 2 (nu 4 > lam+1),
+        # which carries flow. Deleting every other live out-edge of x with
+        # it leaves x nothing to reroute that unit over
+        net = make_net(3, [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (1, 2)])
+        real = flows.UnitResidual.delete
+
+        def delete(res, eid):
+            tail = res.edges[eid][0]
+            for e, (u, _) in res.edges.items():
+                if u == tail and res.flow[e] in (0, 1):
+                    real(res, e)
+
+        monkeypatch.setattr(flows.UnitResidual, "delete", delete)
+        with pytest.raises(InternalInvariantError,
+                           match="no flow reroutes around deleted edge 2"):
+            build_flow_family(net)
+        graph = tmp_path / "graph.txt"
+        graph.write_text(serialize_network(net))
+        code, out, err = run(capsys, "build", "-g", str(graph),
+                             "-o", str(tmp_path / "oracle.bin"))
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: internal invariant violated: "
+            "no flow reroutes around deleted edge 2"]
 
     def test_infeasible_peel_round_exits_3(self, bottleneck_file, tmp_path,
                                            capsys, monkeypatch):

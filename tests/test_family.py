@@ -20,6 +20,7 @@ from flowsentry.flows import max_flow
 from flowsentry.generators import gen_matrix, gen_random
 from flowsentry.graph import prune_to_st_paths
 from flowsentry.oracles import SensitivityOracle
+import calibration_reference
 import circulation_reference
 from conftest import (
     brute_max_flow_value,
@@ -106,22 +107,25 @@ class TestClassify:
         assert all(seen.values()), seen
 
     def test_probe_leaves_warm_flow_as_found(self):
-        # a probe undoes its augmentations instead of copying the flow, so
-        # the dict it is handed comes back equal, value for value
+        # a probe lays its first unit over the masks and takes it off after,
+        # so after every probe the flow and the masks equal a fresh build's
         rng = random.Random(4007)
-        augmented = 0
+        seen = {"augmented": 0, "carried": 0}
         for _ in range(30):
             net = random_net(rng)
             f = max_flow(net)
             labels = classify_edges(net)
-            flow = dict(f.values)
+            fresh = flows.UnitResidual(net, f.values)
+            res = flows.UnitResidual(net, f.values)
             for eid in sorted(net.edges):
-                nu = family._capped_nu(net.graph.incidence(), flow, net, eid,
-                                       f.value)
-                assert flow == f.values, eid
+                seen["carried"] += f.values[eid]
+                nu = family._capped_nu(res, net, eid, f.value)
+                assert res.flow == f.values, eid
+                assert res.out == fresh.out, eid
+                assert res.count == fresh.count, eid
                 assert nu == labels.nu[eid]
-                augmented += f.value < nu < NU_UNBOUNDED
-        assert augmented
+                seen["augmented"] += f.value < nu < NU_UNBOUNDED
+        assert all(seen.values()), seen
 
 
 def reference_calibrate(net, lam):
@@ -203,6 +207,45 @@ class TestCalibrate:
                 else:
                     got = sub.lam
                 assert got == want, f"edge {eid}: {got} != {want}"
+
+    def test_matches_arc_scan_reference(self):
+        # the bitmask probes find other paths than the arc-scan probes of
+        # calibration_reference, but the same max-flow values, so the same
+        # kept, pruned and critical sets, lam and nu
+        rng = random.Random(4010)
+        nets = [random_multigraph(rng) for _ in range(500)]
+        nets += [prune_to_st_paths(gen_random(60, 1))[0],
+                 prune_to_st_paths(gen_matrix(6, 8, seed=1))[0]]
+        seen = dict.fromkeys(("lam 0", "parallel", "self-loop", "into s",
+                              "out of t", "pruned", "reroute"), 0)
+        for net in nets:
+            lam, kept, pruned, critical, _ = calibration_reference.calibrate(net)
+            sub = calibrate(net)
+            assert (sub.lam, sub.kept, sub.pruned, sub.critical) == \
+                (lam, kept, pruned, critical)
+            lam, nu, critical = calibration_reference.classify(net)
+            assert classify_edges(net) == family.CriticalityLabels(
+                nu=nu, critical=critical, lam=lam)
+            ends = list(net.edges.values())
+            f = max_flow(net)
+            seen["lam 0"] += lam == 0
+            seen["parallel"] += len(set(ends)) < len(ends)
+            seen["self-loop"] += any(u == v for u, v in ends)
+            seen["into s"] += any(v == net.s for _, v in ends)
+            seen["out of t"] += any(u == net.t for u, _ in ends)
+            seen["pruned"] += bool(pruned)
+            seen["reroute"] += any(f.values[e] for e in pruned)
+        assert all(seen.values()), seen
+
+
+def random_multigraph(rng):
+    """Small random multigraph that repeats edges on purpose; s = 0 and
+    t = n-1, which may be disconnected."""
+    n = rng.randint(2, 9)
+    edges = []
+    for _ in range(rng.randint(0, 20)):
+        edges += [(rng.randrange(n), rng.randrange(n))] * rng.choice((1, 1, 2, 3))
+    return make_net(n, edges, s=0, t=n - 1)
 
 
 def auxiliary_flow(net):
@@ -393,11 +436,12 @@ class TestFamilyB:
                 continue
             bf = built(net)
             critical = bf.sub.critical
+            nu = classify_edges(bf.sub.network).nu
             nulls = [{e for e in bf.sub.kept if f.values[e] == 0}
                      for f in bf.family.A]
             for z in nulls:
                 assert not z & critical
-                assert all(bf.sub.nu[e] == bf.sub.lam + 1 for e in z)
+                assert all(nu[e] == bf.sub.lam + 1 for e in z)
             assert set().union(*nulls) == bf.sub.kept - critical
             checked += 1
         assert checked >= 15
@@ -481,27 +525,50 @@ class TestOrchestrator:
     @pytest.mark.parametrize("make", [lambda: gen_random(60, 1),
                                       lambda: gen_matrix(6, 8, seed=1)])
     def test_one_probe_per_edge(self, make, monkeypatch):
-        # calibration probes each walk-pruned edge once (at most two
-        # augmentations) and reroutes once per deleted edge; the second
-        # classification probes the kept edges, and runs only when
-        # calibration deleted some (gen_random(60) yes, gen_matrix(6,8) no)
-        calls, classified = [], []
+        # calibration probes each walk-pruned edge once: one reachability
+        # search at most, after one path search if the edge carries flow,
+        # and one more path search per deleted edge that carried flow. It
+        # never runs augment_unit's arc scan. The second classification
+        # probes the kept edges, and runs only when calibration deleted
+        # some (gen_random(60) yes, gen_matrix(6,8) no)
+        net = prune_to_st_paths(make())[0]
+        calls = {"idle": 0, "carried": 0, "levels": 0, "path": 0}
 
-        def counted(*args):
-            calls.append(1)
-            return augment(*args)
+        def counted(name):
+            real = getattr(flows.UnitResidual, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+            monkeypatch.setattr(flows.UnitResidual, name, wrapper)
+
+        def probe(res, net, eid, lam):
+            calls["carried" if res.flow[eid] else "idle"] += 1
+            return real_probe(res, net, eid, lam)
+
+        def no_scan(*args):
+            raise AssertionError("calibration ran augment_unit")
+
+        counted("levels")
+        counted("path")
+        real_probe = family._capped_nu
+        monkeypatch.setattr(family, "_capped_nu", probe)
+        monkeypatch.setattr(family, "augment_unit", no_scan)
+        sub = calibrate(net)
+        m, kept = len(net.edges), len(sub.kept)
+        assert calls["idle"] + calls["carried"] == m
+        assert 0 < calls["path"] <= calls["carried"] + (m - kept)
+        assert calls["levels"] <= m + calls["path"] <= 2 * m + (m - kept)
+        monkeypatch.undo()
+
+        classified = []
 
         def classify(net):
             classified.append(net)
             return reclassify(net)
 
-        augment, reclassify = family.augment_unit, family.classify_edges
-        monkeypatch.setattr(family, "augment_unit", counted)
+        reclassify = family.classify_edges
         monkeypatch.setattr(family, "classify_edges", classify)
         o = SensitivityOracle(make())
-        m, kept = len(o.pruned_net.edges), len(o.kept)
+        assert len(o.kept) == kept
         assert len(classified) == (kept < m)
-        if kept < m:
-            assert 0 < len(calls) <= 2 * m + 2 * kept + (m - kept)
-        else:
-            assert 0 < len(calls) <= 2 * m

@@ -143,6 +143,58 @@ def test_residual_banned_edges_vanish_from_traversal(bottleneck):
     assert reachable_set(r, t, excluded=(2, 3)) == {t}
 
 
+def test_unit_residual_parallel_edges():
+    # s=0, x=1, t=2 with two s -> x edges: the s -> x bit stays set until
+    # both carry flow, a toggle back restores it, and a deleted edge drops
+    # out of the masks
+    net = make_net(3, [(0, 1), (0, 1), (1, 2)])
+    res = flows.UnitResidual(net, {0: 0, 1: 0, 2: 0})
+    assert res.out == [0b010, 0b100, 0]
+    assert res.reaches_after([0], 0b001, 0b010)  # over the parallel edge 1
+    res.toggle(0)
+    assert res.out == [0b010, 0b101, 0]
+    assert not res.reaches_after([1], 0b001, 0b010)  # edge 1 is the last one
+    assert res.out == [0b010, 0b101, 0]
+    res.toggle(1)
+    assert res.out == [0, 0b101, 0]
+    assert res.count[1, 0] == 2
+    res.toggle(1)
+    assert res.out == [0b010, 0b101, 0]
+    res.delete(1)
+    assert res.out == [0, 0b101, 0] and res.flow[1] == 2
+    res.delete(0)
+    assert res.out == [0, 0b100, 0]
+    assert res.levels(0b001, 0b100) is None
+    assert res.path(0b001, 0b100) is None
+
+
+def test_unit_residual_augments_to_a_max_flow():
+    # pushing path after path from a zero flow reaches the max-flow value and
+    # leave a conserving 0/1 flow whose masks equal a fresh build's; before
+    # each one, laying its path over the masks tells whether another
+    # would follow, and leaves the masks as found
+    rng = random.Random(9)
+    for _ in range(60):
+        net = random_net(rng)
+        res = flows.UnitResidual(net, dict.fromkeys(net.edges, 0))
+        ends = 1 << net.s, 1 << net.t
+        value = 0
+        while (path := res.path(*ends)) is not None:
+            out = list(res.out)
+            more = res.reaches_after(path, *ends)
+            assert res.out == out
+            for eid in path:
+                res.toggle(eid)
+            value += 1
+            assert more == (res.path(*ends) is not None)
+        assert value == brute_max_flow_value(net)
+        f = UnitFlow(net, res.flow)
+        f.check()
+        assert f.value == value
+        fresh = flows.UnitResidual(net, res.flow)
+        assert res.out == fresh.out
+
+
 def test_cancel_noop_on_acyclic(diamond):
     f = max_flow(diamond)
     assert cancel_flow_cycles(diamond, f).values == f.values
