@@ -14,7 +14,7 @@ is worth far more than asymptotics.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import DirectedMultigraph, FlowNetwork, scc_from_adjacency
 
@@ -237,8 +237,7 @@ class UnitResidual:
 ARTIFICIAL = None  # EdgeId placeholder for the artificial (s,t) arc
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     tail: int
     head: int
     eid: int | None  # ARTIFICIAL for the added (s,t) arc
@@ -246,34 +245,28 @@ class Arc:
 
 
 class ResidualGraph:
-    """Residual structure of a feasible 0/1 flow.
-
-    Each idle edge contributes a forward arc and each flow-carrying edge
-    a reverse arc; every arc remembers its EdgeId. Raises ValueError for
-    a flow value outside [0, 1], before conservation is checked.
+    """Residual structure of a feasible 0/1 flow: each idle edge gives a
+    forward arc, each flow-carrying edge a reverse arc. Raises ValueError
+    for a flow value outside [0, 1], before conservation is checked.
     """
 
-    __slots__ = ("net", "arcs")
+    __slots__ = ("net", "flow")
 
     def __init__(self, net: FlowNetwork, flow: IntFlow):
         for eid, x in flow.values.items():
             if x not in (0, 1):
                 raise ValueError(f"flow {x} on edge {eid} outside [0, 1]")
         flow.check()
-        self.net = net
-        arcs: list[Arc] = []
-        for eid in sorted(net.edges):
-            u, v = net.edges[eid]
-            arcs.append(Arc(v, u, eid, True) if flow.values[eid] else
-                        Arc(u, v, eid, False))
-        self.arcs = arcs
+        self.net, self.flow = net, flow
 
     def scc_ids(self) -> list[int]:
-        succ: list[list[int]] = [[] for _ in range(self.net.n)]
-        for a in self.arcs:
-            succ[a.tail].append(a.head)
-        succ = [sorted(set(v)) for v in succ]
-        return scc_from_adjacency(self.net.n, succ)
+        succ: list[set[int]] = [set() for _ in range(self.net.n)]
+        for eid, (u, v) in self.net.edges.items():
+            if self.flow.values[eid]:
+                succ[v].add(u)
+            else:
+                succ[u].add(v)
+        return scc_from_adjacency(self.net.n, [sorted(x) for x in succ])
 
 
 def cancel_flow_cycles(net: FlowNetwork, f: IntFlow) -> IntFlow:

@@ -16,11 +16,12 @@ once:
 No flow is stored. The canonical flow after e fails carries edge x
 exactly when x is kept and (x not in null) != (x in flip[e]); an edge
 outside ``flip`` leaves f-tilde itself as its canonical flow. Queries
-run on lookups plus searches of the residual of one canonical flow,
-whose null set ``null ^ flip[e]`` is built just before. MF2 takes its
-value from the strip order when e or e2 is critical and then looks for
-one rerouting cycle, else for up to two; a cycle through the released
-unit is joined from two short searches.
+run on lookups plus searches of the residual rows of one canonical flow
+(see "residual traversals" below). The rows are a cache filled on first
+use, never part of the oracle file. MF2 takes its value from the strip
+order when e or e2 is critical and then looks for one rerouting cycle,
+else for up to two; a cycle through the released unit is joined from
+two short searches.
 
 Conventions the queries rely on:
   * edges outside every (s,t)-walk, and edges removed by calibration,
@@ -50,31 +51,31 @@ EMPTY = frozenset()
 
 # ---- residual traversals ----
 #
-# A flow is a (kept, null) pair of EdgeId sets: it carries edge x exactly
-# when x is in kept and not in null, so a calibrated-subgraph flow reads
-# as its zero extension to the walk-pruned net. An edge carrying 0 gives
-# a forward residual arc, one carrying 1 a reverse arc. The traversals
-# scan the graph's own incidence list (DirectedMultigraph.incidence):
-# ascending EdgeId, forward before reverse: that order fixes the reported
-# cycle. The artificial s->t arc is never scanned; a cycle through it is
-# joined from two searches. The list is a cache of the graph, not part of
-# the oracle file: the first traversal after a load rebuilds it. Stored,
-# it would add 12.7 KB to the 9.9 KB oracle file of gen_random(60).
+# A flow's residual is given as rows: rows[x] holds the entries of x's
+# incidence list (DirectedMultigraph.incidence) that are residual arcs of
+# the flow, an idle edge's forward entry and a carrying edge's reverse
+# one. The rows keep the incidence order, ascending EdgeId, forward before
+# reverse: that order fixes the reported cycle. The artificial s->t arc is
+# never scanned; a cycle through it is joined from two searches.
+# SensitivityOracle._rows fills the rows of a canonical flow on first use:
+# f-tilde's from the incidence list, any other as a copy of f-tilde's with
+# only the rows at the endpoints of its delta's edges rebuilt, so each
+# costs O(n + sum of those degrees). There is one row set per canonical
+# flow, f-tilde included; they stay out of the pickle, and the first
+# traversals after a load refill them.
 
 
-def _search(net, kept, null, src, dst, failed):
-    """BFS parent map from src until dst is found in the residual of the
-    flow (kept, null) minus edge failed, or None; parent[w] =
-    (x, eid, is_reverse) is the arc x->w that found w."""
+def _search(rows, src, dst, failed):
+    """BFS parent map from src until dst is found in the residual rows
+    minus edge failed, or None; parent[w] = (x, eid, is_reverse) is the
+    arc x->w that found w."""
     parent = {src: None}
     if src == dst:
         return parent
-    inc = net.graph.incidence()
     queue = [src]
     for x in queue:
-        for eid, w, rev in inc[x]:
-            if w in parent or eid == failed or (
-                    eid in kept and eid not in null) != rev:
+        for eid, w, rev in rows[x]:
+            if w in parent or eid == failed:
                 continue
             parent[w] = (x, eid, rev)
             if w == dst:
@@ -83,23 +84,22 @@ def _search(net, kept, null, src, dst, failed):
     return None
 
 
-def strongly_connected_without(net: FlowNetwork, kept, null, x, y,
-                               failed) -> bool:
-    """Whether x and y are strongly connected in the residual of the flow
-    (kept, null) on net minus edge failed."""
+def strongly_connected_without(net: FlowNetwork, rows, x, y, failed) -> bool:
+    """Whether x and y are strongly connected in the residual rows of a
+    flow on net minus edge failed."""
     if not (0 <= x < net.n and 0 <= y < net.n):
         raise QueryError(f"vertex out of range: {x}, {y}")
     if failed not in net.edges:
         raise QueryError(f"unknown failed edge {failed!r}")
-    return _search(net, kept, null, x, y, failed) is not None and \
-        _search(net, kept, null, y, x, failed) is not None
+    return _search(rows, x, y, failed) is not None and \
+        _search(rows, y, x, failed) is not None
 
 
-def cycle_through_arc_without(net: FlowNetwork, kept, null, target,
-                              failed, st_arc: bool = False):
+def cycle_through_arc_without(net: FlowNetwork, rows, target, failed,
+                              st_arc: bool = False):
     """Simple cycle, as a tuple of Arcs, through the reverse arc v->u of
-    target in the residual of the flow (kept, null) on net minus edge
-    failed, starting with that arc; None when there is none.
+    target in the residual rows of a flow on net minus edge failed,
+    starting with that arc; None when there is none.
 
     st_arc closes the cycle through the artificial s->t arc, which models
     releasing one unit of value: u~>s, s->t, t~>v, from two searches. The
@@ -111,13 +111,13 @@ def cycle_through_arc_without(net: FlowNetwork, kept, null, target,
             raise QueryError(f"unknown edge {eid!r}")
     if target == failed:
         raise QueryError("target edge coincides with the failed edge")
-    if target not in kept or target in null:
-        raise QueryError(f"edge {target} carries no flow; it has no reverse arc")
     u, v = net.edges[target]
+    if (target, u, True) not in rows[v]:
+        raise QueryError(f"edge {target} carries no flow; it has no reverse arc")
     legs = ((u, net.s), (net.t, v)) if st_arc else ((u, v),)
     cycle = [Arc(v, u, target, True)]
     for i, (src, dst) in enumerate(legs):
-        parent = _search(net, kept, null, src, dst, failed)
+        parent = _search(rows, src, dst, failed)
         if parent is None:
             return None
         leg = []
@@ -181,10 +181,27 @@ class SensitivityOracle:
         if eid not in self.pruned_net.edges and eid not in self.walk_dropped:
             raise QueryError(f"unknown edge {eid}")
 
-    def _null_after(self, e: int) -> frozenset[int]:
-        """Null set of the canonical flow after e fails."""
-        d = self.flip.get(e)
-        return self.null if d is None else self.null ^ d
+    def __getstate__(self):
+        # the residual rows are a cache that _rows refills after a load
+        return {k: v for k, v in vars(self).items() if k != "_residual"}
+
+    def _rows(self, d: frozenset[int]):
+        """Residual rows of the canonical flow whose delta against f-tilde
+        is d (EMPTY for f-tilde), built on first use."""
+        cache = self.__dict__.setdefault("_residual", {})
+        rows = cache.get(d)
+        if rows is None:
+            net, carried = self.pruned_net, (self.kept - self.null) ^ d
+            inc = net.graph.incidence()
+            if d:  # f-tilde's rows, rebuilt at the ends of d's edges
+                rows = list(self._rows(EMPTY))
+                at = {x for eid in d for x in net.edges[eid]}
+            else:
+                rows, at = [None] * net.n, range(net.n)
+            for x in at:
+                rows[x] = [a for a in inc[x] if (a[0] in carried) == a[2]]
+            cache[d] = rows
+        return rows
 
     # ---- single failure ----
 
@@ -240,14 +257,13 @@ class SensitivityOracle:
         # calibration-removed edges. A critical edge in the pair fixes the
         # value by the strip order; if it drops, no plain cycle exists and
         # only the released-unit one is searched
-        net, kept, null = self.pruned_net, self.kept, self._null_after(e)
+        net, rows = self.pruned_net, self._rows(d)
         crit_pair = e in crit or e2 in crit
         value = self._critical_value(e, e2) if crit_pair else val_f
-        cycle = cycle_through_arc_without(net, kept, null, e2, e, value < val_f)
+        cycle = cycle_through_arc_without(net, rows, e2, e, value < val_f)
         if cycle is None and not crit_pair:
             value -= 1
-            cycle = cycle_through_arc_without(net, kept, null, e2, e,
-                                              st_arc=True)
+            cycle = cycle_through_arc_without(net, rows, e2, e, st_arc=True)
         if cycle is None:
             raise InternalInvariantError(
                 f"no rerouting cycle for the post-failure value {value}")
@@ -287,11 +303,8 @@ class SensitivityOracle:
         # lam+1 and lie in null(f, min+1) wherever they lie in null(f): the
         # test below is e2 carrying flow in e's canonical flow.
         u, v = self.pruned_net.edges[e2]
-        if (
-            (e2 in self.null) == (e2 in self.flip.get(e, EMPTY))
-            and not strongly_connected_without(
-                self.pruned_net, self.kept, self._null_after(e), u, v, e
-            )
-        ):
+        d = self.flip.get(e, EMPTY)
+        if (e2 in self.null) == (e2 in d) and not strongly_connected_without(
+                self.pruned_net, self._rows(d), u, v, e):
             return self.lam - 1
         return self.lam

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flowsentry.flows import UnitFlow
+from flowsentry.flows import Arc, UnitFlow
 from flowsentry.graph import DirectedMultigraph, FlowNetwork
 
 
@@ -24,6 +24,17 @@ def random_net(rng: random.Random, n_max=10, m_max=24):
     s = 0
     t = n - 1
     return make_net(n, edges, s=s, t=t)
+
+
+def residual_arcs(net, flow):
+    """The residual arcs of a 0/1 flow, one per edge in ascending EdgeId:
+    an idle edge's forward arc, a flow-carrying edge's reverse arc."""
+    arcs = []
+    for eid in sorted(net.edges):
+        u, v = net.edges[eid]
+        arcs.append(Arc(v, u, eid, True) if flow.values[eid] else
+                    Arc(u, v, eid, False))
+    return arcs
 
 
 def brute_min_cut(net, inside, outside):
@@ -112,7 +123,7 @@ def reconstruct_flow(oracle, diff, failures):
     the failed edges: toggles stay inside the pruned edge set, failed
     edges end up carrying nothing, and the result is a feasible flow of
     exactly the reported value."""
-    from flowsentry.flows import UnitFlow
+    from flowsentry.flows import Arc, UnitFlow
 
     pruned = oracle.pruned_net
 

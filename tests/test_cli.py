@@ -394,14 +394,16 @@ class TestBuildAndOracleFile:
     def test_loaded_oracle_answers_dual_queries_alike(self, tmp_path,
                                                       monkeypatch):
         # gen_random(10, 1) runs both residual traversals; the loaded
-        # oracle rebuilds its graph's incidence list on the first one.
-        # The single-failure queries read null and flip alone
+        # oracle starts with no residual rows and rebuilds its graph's
+        # incidence list and the rows on the first traversals. The
+        # single-failure queries read null and flip alone
         net = generate("random", [10], seed=1)
         sens = SensitivityOracle(net)
         path = tmp_path / "oracle.bin"
         digest = hashlib.sha256(b"graph").digest()
         cli.save_oracle(str(path), 0, digest, sens, None)
         _, loaded, _ = load_oracle(str(path), digest)
+        assert not vars(loaded).get("_residual")
         # edges that share a canonical flow still share one delta object
         assert len({id(d) for d in loaded.flip.values()}) == \
             len({id(d) for d in sens.flip.values()}) < len(sens.flip)
@@ -424,6 +426,11 @@ class TestBuildAndOracleFile:
                 sens.mincut_size_dual(e, e2), (e, e2)
         assert calls["cycle_through_arc_without"] > 0
         assert calls["strongly_connected_without"] > 0
+        assert vars(loaded)["_residual"]
+        # the filled rows stay out of a file saved after the queries
+        again = tmp_path / "again.bin"
+        cli.save_oracle(str(again), 0, digest, loaded, None)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("make, sha256", [
         (lambda: gen_random(60, 1),

@@ -15,7 +15,13 @@ from flowsentry.flows import (
 )
 from flowsentry.graph import DirectedMultigraph, reachable_set
 from circulation_reference import CirculationInstance, solve_circulation
-from conftest import brute_max_flow_value, hoffman_feasible, make_net, random_net
+from conftest import (
+    brute_max_flow_value,
+    hoffman_feasible,
+    make_net,
+    random_net,
+    residual_arcs,
+)
 
 
 def nx_max_flow_value(net):
@@ -79,26 +85,27 @@ def test_max_flow_matches_cut_duality_on_random_graphs():
         assert max_flow(net).value == brute_max_flow_value(net)
 
 
+# ResidualGraph lists no arcs. These tests read conftest's residual_arcs;
+# test_ftscc.py checks ResidualGraph.scc_ids against the same list
+
+
 def test_residual_of_saturating_flow(diamond):
-    f = max_flow(diamond)
-    r = ResidualGraph(diamond, f)
-    assert all(a.is_reverse for a in r.arcs)
-    assert len(r.arcs) == 4
+    arcs = residual_arcs(diamond, max_flow(diamond))
+    assert all(a.is_reverse for a in arcs)
+    assert len(arcs) == 4
 
 
 def test_residual_of_zero_flow(diamond):
-    f = UnitFlow(diamond, {})
-    r = ResidualGraph(diamond, f)
-    assert all(not a.is_reverse for a in r.arcs)
-    assert [(a.tail, a.head) for a in r.arcs] == list(diamond.edges.values())
+    arcs = residual_arcs(diamond, UnitFlow(diamond, {}))
+    assert all(not a.is_reverse for a in arcs)
+    assert [(a.tail, a.head) for a in arcs] == list(diamond.edges.values())
 
 
 def test_residual_bottleneck_shape(bottleneck):
-    f = max_flow(bottleneck)
-    r = ResidualGraph(bottleneck, f)
-    forward = [a for a in r.arcs if not a.is_reverse]
+    arcs = residual_arcs(bottleneck, max_flow(bottleneck))
+    forward = [a for a in arcs if not a.is_reverse]
     assert [a.eid for a in forward] == [4]  # only b3 unsaturated
-    assert len([a for a in r.arcs if a.is_reverse]) == 4
+    assert len([a for a in arcs if a.is_reverse]) == 4
 
 
 def test_residual_rejects_infeasible_flow(diamond):
@@ -124,7 +131,7 @@ def test_check_rejects_negative_flow(diamond):
 
 def residual_digraph(net, flow):
     """The residual arcs as a graph, each under its originating EdgeId."""
-    arcs = ResidualGraph(net, flow).arcs
+    arcs = residual_arcs(net, flow)
     return DirectedMultigraph(net.n, {a.eid: (a.tail, a.head) for a in arcs})
 
 

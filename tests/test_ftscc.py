@@ -1,7 +1,10 @@
 """Fault-tolerant strong connectivity: the residual traversals the
-dual-failure queries run, and the sparse SCC certificate the family size
-bounds lean on (a verification-only witness, kept here)."""
+dual-failure queries run, the residual rows they read, and the sparse SCC
+certificate the family size bounds lean on (a verification-only witness,
+kept here)."""
 
+import itertools
+import pickle
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -18,16 +21,36 @@ from flowsentry.flows import (
     cancel_flow_cycles,
     max_flow,
 )
-from flowsentry.generators import gen_matrix
-from flowsentry.graph import scc_from_adjacency
+from flowsentry.generators import gen_matrix, gen_random
+from flowsentry.graph import FlowNetwork, scc_from_adjacency
 from flowsentry.oracles import (
+    EMPTY,
     SensitivityOracle,
     cycle_through_arc_without,
     strongly_connected_without,
 )
 
-from conftest import make_net, random_net
-from ftscc_reference import released_unit_cycle_one_search
+import ftscc_reference as ref
+from conftest import make_net, random_net, residual_arcs
+from ftscc_reference import released_unit_cycle_one_search, residual_rows
+
+
+def _scc_ids(n, arcs):
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for a in arcs:
+        succ[a.tail].append(a.head)
+    return scc_from_adjacency(n, [sorted(set(v)) for v in succ])
+
+
+@dataclass(frozen=True)
+class Host:
+    """A residual graph as an explicit arc list, which certificates index."""
+
+    net: FlowNetwork
+    arcs: list[Arc]
+
+    def scc_ids(self) -> list[int]:
+        return _scc_ids(self.net.n, self.arcs)
 
 
 @dataclass(frozen=True)
@@ -40,18 +63,13 @@ class SccCertificate:
     component, so the total stays under 2n.
     """
 
-    host: ResidualGraph
+    host: Host
     arcs: tuple[int, ...]
 
     def scc_ids(self) -> list[int]:
         """SCC id per vertex using only the certificate's arcs."""
-        n = self.host.net.n
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for idx in self.arcs:
-            a = self.host.arcs[idx]
-            succ[a.tail].append(a.head)
-        succ = [sorted(set(v)) for v in succ]
-        return scc_from_adjacency(n, succ)
+        return _scc_ids(self.host.net.n,
+                        [self.host.arcs[idx] for idx in self.arcs])
 
 
 def _tree_arcs(arcs_of_comp, root, members, backward):
@@ -76,7 +94,7 @@ def _tree_arcs(arcs_of_comp, root, members, backward):
     return picked
 
 
-def build_certificate(host: ResidualGraph) -> SccCertificate:
+def build_certificate(host: Host) -> SccCertificate:
     n = host.net.n
     comp = host.scc_ids()
     members: dict[int, set[int]] = {}
@@ -101,16 +119,18 @@ def build_certificate(host: ResidualGraph) -> SccCertificate:
     return cert
 
 
-def _with_st_arc(host, st_arc):
+def _host(net, f, st_arc):
     # the artificial s->t arc as the last arc; certificates and scc_ids
-    # read only host.arcs
+    # read only host.arcs. Without it the ids are ResidualGraph's own
+    host = Host(net, residual_arcs(net, f))
+    assert host.scc_ids() == ResidualGraph(net, f).scc_ids()
     if st_arc:
-        host.arcs.append(Arc(host.net.s, host.net.t, ARTIFICIAL, False))
+        host.arcs.append(Arc(net.s, net.t, ARTIFICIAL, False))
     return host
 
 
 def zero_host(net, st_arc=False):
-    return _with_st_arc(ResidualGraph(net, UnitFlow(net, {})), st_arc)
+    return _host(net, UnitFlow(net, {}), st_arc)
 
 
 def max_unit_flow(net):
@@ -118,21 +138,27 @@ def max_unit_flow(net):
 
 
 def flow_host(net, st_arc=False):
-    return _with_st_arc(ResidualGraph(net, max_unit_flow(net)), st_arc)
+    return _host(net, max_unit_flow(net), st_arc)
 
 
 def kept_null(net, f):
-    """The (kept, null) pair the traversals read a unit flow f from."""
+    """The (kept, null) pair the reference traversals read a unit flow f
+    from."""
     return frozenset(net.edges), frozenset(
         e for e in net.edges if f.values.get(e, 0) == 0)
 
 
+def rows_of(net, f):
+    """The residual rows the traversals read a unit flow f from."""
+    return residual_rows(net, *kept_null(net, f))
+
+
 def connected(net, f, x, y, failed):
-    return strongly_connected_without(net, *kept_null(net, f), x, y, failed)
+    return strongly_connected_without(net, rows_of(net, f), x, y, failed)
 
 
 def cycle(net, f, target, failed, st_arc=False):
-    return cycle_through_arc_without(net, *kept_null(net, f), target, failed,
+    return cycle_through_arc_without(net, rows_of(net, f), target, failed,
                                      st_arc)
 
 
@@ -227,15 +253,15 @@ class TestIndexQueries:
         for _ in range(50):
             net = random_net(rng, n_max=8, m_max=16)
             f = max_unit_flow(net)
-            host = ResidualGraph(net, f)
-            # the traversal reads an edge outside kept as carrying 0
-            support = frozenset(f.support())
+            host = Host(net, residual_arcs(net, f))
+            # the rows read an edge outside kept as carrying 0
+            rows = residual_rows(net, frozenset(f.support()), EMPTY)
             for eid in sorted(net.edges):
                 comp = brute_scc_pairs(host, eid)
                 for x in range(net.n):
                     for y in range(net.n):
                         got = strongly_connected_without(
-                            net, support, frozenset(), x, y, eid)
+                            net, rows, x, y, eid)
                         assert got == (comp[x] == comp[y]), (x, y, eid)
                         checked += 1
         assert checked > 5000
@@ -274,19 +300,19 @@ class TestCycleExtraction:
             net = random_net(rng, n_max=8, m_max=16)
             use_st = bool(rng.getrandbits(1))
             f = max_unit_flow(net)
-            kept, null = kept_null(net, f)
+            rows = rows_of(net, f)
             carrying = [e for e in sorted(net.edges) if f[e] > 0]
             for target in carrying:
                 for failed in sorted(net.edges):
                     if failed == target:
                         continue
                     arcs = cycle_through_arc_without(
-                        net, kept, null, target, failed)
+                        net, rows, target, failed)
                     # the released-unit cycle is asked for only where
                     # no plain cycle exists, as its contract requires
                     if use_st and arcs is None:
                         arcs = cycle_through_arc_without(
-                            net, kept, null, target, failed, st_arc=True)
+                            net, rows, target, failed, st_arc=True)
                         if arcs is not None:
                             assert any(a.eid is ARTIFICIAL for a in arcs)
                     if arcs is None:
@@ -320,12 +346,13 @@ class TestReleasedUnitCycle:
     @staticmethod
     def _check(net, kept, null, failed, targets):
         """Compare on every target with no plain cycle; count the cycles."""
+        rows = residual_rows(net, kept, null)
         found = 0
         for target in targets:
             if target == failed or cycle_through_arc_without(
-                    net, kept, null, target, failed) is not None:
+                    net, rows, target, failed) is not None:
                 continue
-            got = cycle_through_arc_without(net, kept, null, target, failed,
+            got = cycle_through_arc_without(net, rows, target, failed,
                                             st_arc=True)
             assert got == released_unit_cycle_one_search(
                 net, kept, null, target, failed), (target, failed)
@@ -349,7 +376,144 @@ class TestReleasedUnitCycle:
         o = SensitivityOracle(gen_matrix(3, 4, seed=1))
         found = 0
         for e in sorted(o.kept):
-            null = o._null_after(e)
+            null = o.null ^ o.flip.get(e, EMPTY)
             found += self._check(o.pruned_net, o.kept, null, e,
                                  sorted(o.kept - null))
         assert found > 1000
+
+
+def _same(new, reference):
+    """Call both; equal results, or QueryErrors with one message."""
+    try:
+        want = reference()
+    except QueryError as exc:
+        with pytest.raises(QueryError) as got:
+            new()
+        assert str(got.value) == str(exc)
+        return None
+    got = new()
+    assert got == want
+    return got
+
+
+# the oracles of the identity tests, each built once
+_ORACLE_GRAPHS = {
+    "random8": lambda: gen_random(8, 1),
+    "random10": lambda: gen_random(10, 1),
+    "random14": lambda: gen_random(14, 1),
+    "matrix3x4": lambda: gen_matrix(3, 4, seed=1),
+    "random60": lambda: gen_random(60, 1),
+    "matrix6x8": lambda: gen_matrix(6, 8, seed=1),
+}
+_oracles = {}
+
+
+def _oracle(name):
+    if name not in _oracles:
+        _oracles[name] = SensitivityOracle(_ORACLE_GRAPHS[name]())
+    return _oracles[name]
+
+
+class TestReferenceIdentity:
+    """The row traversals and the queries on them answer as the (kept,
+    null) scans of ftscc_reference do: equal Arcs, bools and answers."""
+
+    def test_random_multigraphs(self):
+        rng = random.Random(7006)
+        parallel = loops = cycles = released = 0
+        for trial in range(300):
+            net = random_net(rng, n_max=9, m_max=20)
+            edges = sorted(net.edges)
+            # a max unit flow, or any 0/1 assignment; kept may leave idle
+            # edges out, which read as carrying 0
+            carrying = set(max_unit_flow(net).support()) if trial % 2 else \
+                {e for e in edges if rng.random() < 0.5}
+            kept = frozenset(carrying | {e for e in edges
+                                         if rng.random() < 0.5})
+            null = kept - carrying
+            rows = residual_rows(net, kept, null)
+            parallel += len(set(net.edges.values())) < net.m
+            loops += any(u == v for u, v in net.edges.values())
+            for failed in edges:
+                for x, y in itertools.combinations_with_replacement(
+                        range(net.n), 2):
+                    _same(lambda: strongly_connected_without(
+                              net, rows, x, y, failed),
+                          lambda: ref.strongly_connected_without(
+                              net, kept, null, x, y, failed))
+                for target in edges:
+                    for st_arc in (False, True):
+                        got = _same(lambda: cycle_through_arc_without(
+                                        net, rows, target, failed, st_arc),
+                                    lambda: ref.cycle_through_arc_without(
+                                        net, kept, null, target, failed,
+                                        st_arc))
+                        if got:
+                            assert all(type(a) is Arc for a in got)
+                            cycles += not st_arc
+                            released += st_arc
+        assert parallel > 100 and loops > 100
+        assert cycles > 5000 and released > 5000
+
+    @staticmethod
+    def _compare(o, pairs):
+        """MF2 and MC2 on each pair against the reference; count the
+        pairs whose MF2 reroutes, e2 carrying flow in e's canonical flow."""
+        rerouted = 0
+        for e, e2 in pairs:
+            assert o.report_flow_diff_dual(e, e2) == \
+                ref.report_flow_diff_dual(o, e, e2), (e, e2)
+            assert o.mincut_size_dual(e, e2) == \
+                ref.mincut_size_dual(o, e, e2), (e, e2)
+            rerouted += e in o.kept and e2 in o.kept and \
+                o.query_edge_flow(e, e2) == 1
+        return rerouted
+
+    def test_every_ordered_pair(self):
+        # gen_random(8, 1) has max-flow 0: every query short-circuits
+        rerouted = 0
+        for name in ("random8", "random10", "random14", "matrix3x4"):
+            o = _oracle(name)
+            rerouted += self._compare(
+                o, itertools.permutations(sorted(o.pruned_net.edges), 2))
+        assert rerouted > 1000
+
+    @pytest.mark.parametrize("name", ["random60", "matrix6x8"])
+    def test_seeded_pairs(self, name):
+        o = _oracle(name)
+        rng = random.Random(7007)
+        edges = sorted(o.pruned_net.edges)
+        pairs = [tuple(rng.sample(edges, 2)) for _ in range(20_000)]
+        assert self._compare(o, pairs) > 100
+
+
+class TestResidualRows:
+    """SensitivityOracle's per-flow row cache."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_GRAPHS))
+    def test_shared_copy_equals_scratch(self, name):
+        # each canonical flow's rows equal rows built from scratch for it,
+        # and only the rows at the ends of its delta's edges are its own
+        o = _oracle(name)
+        net, base = o.pruned_net, o._rows(EMPTY)
+        assert base == residual_rows(net, o.kept, o.null)
+        deltas = set(o.flip.values())
+        assert deltas or o.lam == 0
+        for d in deltas:
+            rows = o._rows(d)
+            assert rows == residual_rows(net, o.kept, o.null ^ d)
+            ends = {x for eid in d for x in net.edges[eid]}
+            assert all(rows[x] is base[x]
+                       for x in range(net.n) if x not in ends)
+
+    def test_cache_holds_one_entry_per_flow(self):
+        o = SensitivityOracle(gen_random(10, 1))
+        before = pickle.dumps(o)
+        assert "_residual" not in vars(o)
+        for e, e2 in itertools.permutations(sorted(o.pruned_net.edges), 2):
+            o.report_flow_diff_dual(e, e2)
+            o.mincut_size_dual(e, e2)
+        cache = vars(o)["_residual"]
+        assert 1 < len(cache) <= len(set(o.flip.values())) + 1
+        # the cache stays out of the pickled oracle
+        assert pickle.dumps(o) == before
