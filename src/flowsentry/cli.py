@@ -118,6 +118,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build(args) -> int:
+    if args.output == "-":
+        raise ValueError("build -o/--output cannot be -: the oracle file is "
+                         "binary; name a file")
     net, digest = _load_net(args.graph)
     sens = SensitivityOracle(net)
     try:
@@ -229,6 +232,12 @@ def answer_query(line: str, lineno: int, ctx) -> str:
 
 
 def cmd_query(args) -> int:
+    if args.oracle == "-":
+        raise ValueError("query --oracle cannot be -: name the file that "
+                         "'build' wrote")
+    if args.graph == args.queries == "-":
+        raise ValueError("query -g/--graph and -q/--queries cannot both be -: "
+                         "stdin holds one of them")
     net, digest = _load_net(args.graph)
     preloaded = None
     k = args.k

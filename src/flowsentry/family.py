@@ -11,10 +11,9 @@ its s-t walks (see graph.prune_to_st_paths). The pipeline is:
 
 or just build_flow_family(net), which runs the lot and cross-checks the
 invariants that make the later oracle answers trustworthy. Every stage
-reads lam and the critical set from sub. classify_edges(sub.network)
-labels the subgraph's edges afresh only as the certificate that
-build_flow_family runs when calibration deleted edges; the labels are
-not kept.
+reads lam and the critical set from sub. When calibration deleted edges,
+build_flow_family certifies the fixpoint by calibrating sub.network
+again, which must delete nothing.
 
 Family B, 2*lam+1 flows holding a max-flow of the subgraph minus e for
 every kept e, is never built: family is A plus the encoding of B that the
@@ -22,14 +21,16 @@ sensitivity oracle stores as is (FlowFamily).
 
 nu(e) is the merge-flow value of e = (u, v): the s-t max-flow once u is merged
 into s and v into t. Only its comparisons with lam, lam+1 and ">lam+1" are ever
-read, so it is stored as min(nu, lam+2). Each merged cut is a cut of G that
-separates e's endpoints and a max-flow of G is feasible there with value lam,
-so at most two more units from {s, u} to {t, v} decide the capped value. A
-probe runs on the flow's flows.UnitResidual: an idle e is its own first unit, a
-flow-carrying e needs one path search for it, and the second unit is a
-reachability test with the first laid over the masks, which builds no path.
-No probe changes the flow, so one flow serves every edge. Probes read max-flow
-values, not the paths found, so any exact search gives the same labels.
+read, so it is stored as min(nu, lam+2), and an edge that crosses no s-t
+partition (tail t, head s, or a self-loop) gets lam+2. Each merged cut is a
+cut of G that separates e's endpoints and a max-flow of G is feasible there
+with value lam, so at most two more units from {s, u} to {t, v} decide the
+capped value. A probe runs on the flow's flows.UnitResidual: an idle e is its
+own first unit, a flow-carrying e needs one path search for it, and the second
+unit is a reachability test with the first laid over the masks, which builds
+no path. No probe changes the flow, so one flow serves every edge. Probes read
+max-flow values, not the paths found, so any exact search gives the same
+labels.
 """
 
 from __future__ import annotations
@@ -49,24 +50,6 @@ from .flows import (
 )
 from .graph import FlowNetwork
 
-# Sentinel nu for edges that cross no s-t partition (tail == t, head == s, or a
-# self-loop). Large enough to exceed any lam+1 at the scales this library
-# accepts, small enough to stay an ordinary int.
-NU_UNBOUNDED = 1 << 60
-
-
-@dataclass(frozen=True)
-class CriticalityLabels:
-    """Per-edge merge-flow values and the derived critical set.
-
-    nu[e] is min(nu(e), lam+2), or NU_UNBOUNDED for an edge that crosses no
-    s-t partition; e is critical exactly when nu[e] == lam.
-    """
-
-    nu: dict[int, int]
-    critical: frozenset[int]
-    lam: int
-
 
 @dataclass(frozen=True)
 class CalibratedSubgraph:
@@ -85,42 +68,12 @@ def _capped_nu(res: UnitResidual, net: FlowNetwork, eid: int, lam: int) -> int:
     by the probe of the module docstring; res is left as found."""
     u, v = net.edges[eid]
     if u == v or u == net.t or v == net.s:
-        return NU_UNBOUNDED
+        return lam + 2
     ends = 1 << net.s | 1 << u, 1 << net.t | 1 << v
     first = res.path(*ends) if res.flow[eid] else [eid]
     if first is None:
         return lam
     return lam + 1 + res.reaches_after(first, *ends)
-
-
-def _critical(net: FlowNetwork, f: UnitFlow, nu: dict[int, int]) -> frozenset[int]:
-    """The edges with nu == lam, checked against the residual test on the
-    max-flow f: saturated, endpoints in distinct residual SCCs."""
-    lam = f.value
-    scc = checked(ResidualGraph, net, f).scc_ids()
-    critical = frozenset(eid for eid in nu if lam > 0 and nu[eid] == lam)
-    for eid, (u, v) in net.edges.items():
-        by_residual = f.values[eid] == 1 and scc[u] != scc[v]
-        if (eid in critical) != by_residual:
-            raise InternalInvariantError(
-                f"criticality tests disagree on edge {eid}: "
-                f"nu={nu[eid]} lam={lam} residual={by_residual}"
-            )
-    return critical
-
-
-def classify_edges(net: FlowNetwork) -> CriticalityLabels:
-    """min(nu, lam+2) for every edge, derived in the module docstring, and
-    the critical set, on which two independent tests must agree: nu(e) ==
-    lam, and the residual test on a max-flow of net. Disagreement means a
-    solver bug, not bad input. Edges that cross no s-t partition (tail t,
-    head s, or a self-loop) get NU_UNBOUNDED.
-    """
-    f = max_flow(net)
-    lam = f.value
-    res = UnitResidual(net, f.values)
-    nu = {eid: _capped_nu(res, net, eid, lam) for eid in sorted(net.edges)}
-    return CriticalityLabels(nu=nu, critical=_critical(net, f, nu), lam=lam)
 
 
 def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
@@ -129,7 +82,7 @@ def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
     One probe per edge, in ascending EdgeId order, on the unit residual of
     one max-flow, from which each deleted edge leaves as a dead edge. nu
     never grows under deletion, so one pass reaches the fixpoint;
-    build_flow_family certifies it by re-classifying the kept edges if any
+    build_flow_family certifies it by calibrating the output again if any
     edge was deleted. Deleting an edge with nu >= lam+2 changes no cut of
     size <= lam+1, so the probes also decide criticality in net (checked
     against the residual test), and once a deleted edge (u, v) drops its
@@ -164,8 +117,17 @@ def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
         raise InternalInvariantError(
             f"calibrated subgraph has {len(kept)} edges, bound is {bound}"
         )
+    # nu == lam against the residual test on f: saturated, endpoints in
+    # distinct residual SCCs; disagreement means a solver bug
+    scc = checked(ResidualGraph, net, f).scc_ids()
+    critical = frozenset(eid for eid in nu if lam > 0 and nu[eid] == lam)
+    for eid, (u, v) in net.edges.items():
+        if (eid in critical) != (f.values[eid] == 1 and scc[u] != scc[v]):
+            raise InternalInvariantError(
+                f"criticality tests disagree on edge {eid}: nu={nu[eid]} lam={lam}"
+            )
     return CalibratedSubgraph(kept=kept, pruned=frozenset(removed), lam=lam,
-                              network=current, critical=_critical(net, f, nu))
+                              network=current, critical=critical)
 
 
 def build_auxiliary(sub: CalibratedSubgraph) -> IntFlow:
@@ -343,30 +305,31 @@ class BuiltFamily:
 def build_flow_family(net: FlowNetwork) -> BuiltFamily:
     """Run the full pipeline on a pruned network with lam >= 1.
 
-    Every later stage reads lam and the critical set from sub, whose
-    critical set calibrate checked against the residual test. If
-    calibration deleted edges, the subgraph is re-classified, and its
-    labels are the certificate, then dropped: the subgraph keeps the
-    max-flow value and the critical set, and every kept edge still has
-    nu <= lam+1 (the fixpoint). If it deleted nothing, sub.network is net
-    and classify_edges would repeat calibrate's probes.
+    Every later stage reads lam and the critical set from sub. If
+    calibration deleted edges, calibrating sub.network again certifies it:
+    that run must delete nothing (the fixpoint, nu <= lam+1 on every kept
+    edge) and find the same lam and critical set. It deletes nothing
+    before its first edge with nu > lam+1, so up to there it is a pure
+    classification: one max-flow, one probe per edge, both criticality
+    tests. If nothing was deleted, sub.network is net and a second run
+    would repeat the first.
     """
     sub = calibrate(net)
     if sub.lam < 1:
         raise ValueError("flow family needs a connected instance (lam >= 1)")
     if sub.pruned:
-        labels = classify_edges(sub.network)
-        if labels.lam != sub.lam:
+        again = calibrate(sub.network)
+        if again.lam != sub.lam:
             raise InternalInvariantError(
-                f"calibration changed the max-flow value: {sub.lam} -> {labels.lam}"
+                f"calibration changed the max-flow value: {sub.lam} -> {again.lam}"
             )
-        if labels.critical != sub.critical:
+        if again.critical != sub.critical:
             raise InternalInvariantError("calibration changed edge criticality")
-        for eid, val in labels.nu.items():
-            if val > labels.lam + 1:
-                raise InternalInvariantError(
-                    f"calibration fixpoint violated: nu({eid}) = {val} in the subgraph"
-                )
+        if again.pruned:
+            raise InternalInvariantError(
+                f"calibration fixpoint violated: nu({min(again.pruned)}) > "
+                "lam+1 in the subgraph"
+            )
     f_h = build_auxiliary(sub)
     A = peel_family_A(sub, f_h)
     family = extend_family_B(A, sub)

@@ -78,6 +78,10 @@ class VerificationReport:
         self.mismatches.append(Mismatch(query, str(expected), str(got)))
 
     def render(self) -> str:
+        # an exhaustive-k mismatch may name k > 2 failures, past query's default
+        k = ""
+        if self.profile.startswith("exhaustive-k"):
+            k = f" -k {parse_profile(self.profile)[1][0]}"
         lines = [
             f"profile {self.profile} on {self.graph_label}: "
             f"{sum(self.counts.values())} checks, "
@@ -94,7 +98,7 @@ class VerificationReport:
             )
             lines.append(
                 f"    replay: echo '{mm.query}' | "
-                f"flowsentry query -g {self.graph_label} -q -"
+                f"flowsentry query -g {self.graph_label}{k} -q -"
             )
         lines.append("result: " + ("ok" if self.ok else "MISMATCH"))
         return "\n".join(lines)

@@ -7,15 +7,19 @@ calibrate deletes an edge by replacing its two incidence rows with copies
 that leave it out, and reroutes a deleted edge's unit with one u -> v
 augmentation.
 
-test_family.py checks that family.calibrate and family.classify_edges,
+test_family.py checks that family.calibrate and family._capped_nu,
 which probe on flows.UnitResidual's bitmasks instead, return the same
-kept, pruned and critical sets, lam and nu: those depend only on max-flow
-values, not on the paths a search finds.
+kept, pruned and critical sets, lam and min(nu, lam+2): those depend only
+on max-flow values, not on the paths a search finds. classify is also
+the tests' source of nu.
 """
 
 from flowsentry.errors import InternalInvariantError
-from flowsentry.family import NU_UNBOUNDED
 from flowsentry.flows import augment_unit, max_flow
+
+# nu of an edge that crosses no s-t partition (tail t, head s, or a
+# self-loop): above any lam+1 at the scales the library accepts
+NU_UNBOUNDED = 1 << 60
 
 
 def capped_nu(arcs, flow, net, eid, lam):

@@ -14,7 +14,6 @@ test_mincut.py and AC9), and word_count checks the size bound (AC3).
 from dataclasses import dataclass
 
 from flowsentry.errors import QueryError
-from flowsentry.family import classify_edges
 from flowsentry.flows import (
     ResidualGraph,
     cancel_flow_cycles,
@@ -32,6 +31,8 @@ from flowsentry.mincut import (
     precedes,
     strip_pred,
 )
+
+from calibration_reference import classify
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,11 @@ def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutStructure:
     Every edge stays in play. The reference flow is cycle-canceled so its
     path decomposition exists.
     """
-    labels = classify_edges(net)
-    if labels.lam < 1:
+    lam, _, critical = classify(net)
+    if lam < 1:
         raise ValueError("mincut oracle needs lam >= 1")
     f = cancel_flow_cycles(net, max_flow(net))
-    return _structure(net, labels.lam, labels.critical, f)
+    return _structure(net, lam, critical, f)
 
 
 def strip_arcs(o: MinCutStructure) -> set[tuple[int, int, int]]:

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from flowsentry.bruteforce import brute_force
-from flowsentry.family import build_flow_family, classify_edges
+from flowsentry.family import build_flow_family
 from flowsentry.generators import (
     gen_bottleneck,
     gen_diamond,
@@ -31,6 +31,7 @@ from flowsentry.kfault import (
 from flowsentry.mincut import crossing_edges
 from flowsentry.oracles import SensitivityOracle
 
+import calibration_reference
 from circulation_reference import CirculationInstance, solve_circulation
 from conftest import (
     canonical_flow,
@@ -159,7 +160,7 @@ def test_ac03_size_bounds(corpus200):
         members = family_B(bf)
         # the subgraph's own nu: deleting an edge with nu >= lam+2 changes
         # no cut of size <= lam+1, so kept edges keep their calibration nu
-        nu = classify_edges(bf.sub.network).nu
+        _, nu, _ = calibration_reference.classify(bf.sub.network)
         for i, f in enumerate(members):
             null = {e for e in bf.sub.kept if f.values[e] == 0}
             assert len(null) <= 3 * n

@@ -2,9 +2,11 @@
 
 import gc
 import hashlib
+import io
 import itertools
 import pickle
 import random
+import shlex
 import struct
 import subprocess
 import sys
@@ -169,6 +171,26 @@ class TestQuery:
         code, _, err = run(capsys, "query", "-g", str(g), "-q", str(qf))
         assert code == 2
 
+    def test_oracle_from_stdin_exits_2(self, bottleneck_file, tmp_path,
+                                       capsys, monkeypatch):
+        # an oracle file is binary and read whole; - is not a file name here
+        monkeypatch.chdir(tmp_path)
+        qf = tmp_path / "q.txt"
+        qf.write_text("MF 1\n")
+        code, out, err = run(capsys, "query", "-g", str(bottleneck_file),
+                             "--oracle", "-", "-q", str(qf))
+        assert code == 2 and out == ""
+        assert "--oracle" in err
+
+    def test_graph_and_queries_both_stdin_exit_2(self, bottleneck_file,
+                                                 capsys, monkeypatch):
+        # the graph parser would read the queries as graph lines
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            bottleneck_file.read_text() + "MF 1\n"))
+        code, out, err = run(capsys, "query", "-g", "-", "-q", "-")
+        assert code == 2 and out == ""
+        assert "-g/--graph" in err and "-q/--queries" in err
+
     def test_stdin_queries(self, bottleneck_file):
         proc = subprocess.run(
             [sys.executable, "-m", "flowsentry.cli", "query",
@@ -196,6 +218,17 @@ class TestBuildAndOracleFile:
                      "--oracle", str(ob), "-q", str(qf))
         assert direct[0] == loaded[0] == 0
         assert direct[1] == loaded[1]
+
+    def test_build_to_stdout_exits_2(self, bottleneck_file, tmp_path, capsys,
+                                     monkeypatch):
+        # gen -o - streams text; build writes a binary file and must not
+        # create one named -
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "build", "-g", str(bottleneck_file),
+                             "-o", "-")
+        assert code == 2 and out == ""
+        assert "-o/--output" in err
+        assert not (tmp_path / "-").exists()
 
     def test_load_keeps_gc_setting(self, bottleneck_file, tmp_path, capsys):
         ob = tmp_path / "oracle.bin"
@@ -678,6 +711,36 @@ class TestVerifyCommand:
                            "--profile", "exhaustive-2")
         assert code == 1
         assert "result: MISMATCH" in out
+
+
+    def test_exhaustive_k_replay_carries_k(self, bottleneck_file, capsys,
+                                           monkeypatch):
+        # a lying 3-failure answer prints a replay line that must run with
+        # k=3: query's default k=2 would refuse it at the failure count
+        import flowsentry.verify as verify_mod
+
+        real = verify_mod.mincut_size_k
+
+        def lying(oracle, combo):
+            return real(oracle, combo) + (tuple(combo) == (2, 3, 4))
+
+        monkeypatch.setattr(verify_mod, "mincut_size_k", lying)
+        code, out, _ = run(capsys, "verify", "-g", str(bottleneck_file),
+                           "--profile", "exhaustive-k(3,12)")
+        monkeypatch.undo()
+        assert code == 1
+        (line,) = [x for x in out.splitlines() if "replay:" in x]
+        echo, query, pipe, prog, *argv = shlex.split(line.split("replay:")[1])
+        assert (echo, query, pipe, prog) == ("echo", "MCK 3 3 4 5", "|",
+                                             "flowsentry")
+        assert argv == ["query", "-g", str(bottleneck_file), "-k", "3",
+                        "-q", "-"]
+        want, _ = brute_force(parse_network(bottleneck_file.read_text()),
+                              [2, 3, 4])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(query + "\n"))
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == f"MCK 3 3 4 5 => {want}\n"
 
 
 class TestEntryPoint:

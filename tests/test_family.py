@@ -1,4 +1,5 @@
-"""Criticality labels, calibration, and the flow families A and B."""
+"""Merge-flow probes, calibration and its certificate, and the flow
+families A and B."""
 
 import dataclasses
 import random
@@ -8,11 +9,9 @@ import pytest
 from flowsentry import family, flows
 from flowsentry.errors import InternalInvariantError
 from flowsentry.family import (
-    NU_UNBOUNDED,
     build_auxiliary,
     build_flow_family,
     calibrate,
-    classify_edges,
     extend_family_B,
     peel_family_A,
 )
@@ -37,38 +36,50 @@ def built(net):
     return build_flow_family(pruned)
 
 
+def probed_nu(net):
+    """lam and family._capped_nu of every edge, probed in ascending EdgeId
+    on the unit residual of one max-flow of net."""
+    f = max_flow(net)
+    res = flows.UnitResidual(net, f.values)
+    return f.value, {eid: family._capped_nu(res, net, eid, f.value)
+                     for eid in sorted(net.edges)}
+
+
 class TestClassify:
     def test_diamond_all_critical(self, diamond):
-        labels = classify_edges(diamond)
-        assert labels.lam == 2
-        assert labels.critical == {0, 1, 2, 3}
-        assert all(labels.nu[e] == 2 for e in range(4))
+        lam, nu = probed_nu(diamond)
+        assert lam == 2
+        assert calibrate(diamond).critical == {0, 1, 2, 3}
+        assert all(nu[e] == 2 for e in range(4))
 
     def test_bottleneck_split(self, bottleneck):
-        labels = classify_edges(bottleneck)
-        assert labels.lam == 2
-        assert labels.critical == {0, 1}
-        assert labels.nu[0] == labels.nu[1] == 2
-        assert labels.nu[2] == labels.nu[3] == labels.nu[4] == 3
+        lam, nu = probed_nu(bottleneck)
+        assert lam == 2
+        assert calibrate(bottleneck).critical == {0, 1}
+        assert nu[0] == nu[1] == 2
+        assert nu[2] == nu[3] == nu[4] == 3
 
     def test_direct_st_edge_is_critical(self):
         # diamond plus an s->t edge: lam becomes 3 and the shortcut is a
         # bridge of its own path, hence critical.
         net = make_net(4, [(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)])
-        labels = classify_edges(net)
-        assert labels.lam == 3
-        assert 4 in labels.critical
-        assert labels.critical == {0, 1, 2, 3, 4}
+        sub = calibrate(net)
+        assert sub.lam == 3
+        assert 4 in sub.critical
+        assert sub.critical == {0, 1, 2, 3, 4}
 
     def test_edge_out_of_sink_unbounded(self):
         # s->t plus a detour t->w->t: the edge leaving t crosses no s-t
-        # partition, so nu is unbounded and it can never be critical.
+        # partition, so nu is unbounded, capped at lam+2 by the probe, and
+        # it can never be critical.
         net = make_net(3, [(0, 2), (2, 1), (1, 2)])
-        labels = classify_edges(net)
-        assert labels.lam == 1
-        assert labels.nu[1] == NU_UNBOUNDED
-        assert labels.nu[2] == 2
-        assert labels.critical == {0}
+        lam, nu = probed_nu(net)
+        assert lam == 1
+        assert nu[1] == lam + 2
+        assert calibration_reference.classify(net)[1][1] == \
+            calibration_reference.NU_UNBOUNDED
+        assert nu[2] == 2
+        assert calibrate(net).critical == {0}
 
     def test_critical_matches_brute_force_drop(self):
         rng = random.Random(4001)
@@ -77,11 +88,11 @@ class TestClassify:
             pruned, info = prune_to_st_paths(net)
             if info.disconnected:
                 continue
-            labels = classify_edges(pruned)
+            sub = calibrate(pruned)
             for eid in pruned.edges:
                 drop = brute_max_flow_value(pruned.without_edges([eid]))
-                assert (eid in labels.critical) == (drop == labels.lam - 1), (
-                    f"edge {eid}: lam={labels.lam} after-deletion={drop}"
+                assert (eid in sub.critical) == (drop == sub.lam - 1), (
+                    f"edge {eid}: lam={sub.lam} after-deletion={drop}"
                 )
 
     def test_nu_is_capped_merge_flow_value(self):
@@ -91,19 +102,19 @@ class TestClassify:
         seen = {"lam0": 0, "unbounded": 0, "capped": 0}
         for _ in range(60):
             net = random_net(rng)
-            labels = classify_edges(net)
-            assert labels.lam == brute_max_flow_value(net)
-            seen["lam0"] += labels.lam == 0
+            lam, nu = probed_nu(net)
+            assert lam == brute_max_flow_value(net)
+            seen["lam0"] += lam == 0
             for eid in net.edges:
                 want = brute_nu(net, eid)
                 if want is None:
-                    assert labels.nu[eid] == NU_UNBOUNDED
+                    assert nu[eid] == lam + 2
                     seen["unbounded"] += 1
                 else:
-                    assert labels.nu[eid] == min(want, labels.lam + 2), (
-                        f"edge {eid}: nu={want} lam={labels.lam} got {labels.nu[eid]}"
+                    assert nu[eid] == min(want, lam + 2), (
+                        f"edge {eid}: nu={want} lam={lam} got {nu[eid]}"
                     )
-                    seen["capped"] += want > labels.lam + 2
+                    seen["capped"] += want > lam + 2
         assert all(seen.values()), seen
 
     def test_probe_leaves_warm_flow_as_found(self):
@@ -114,7 +125,7 @@ class TestClassify:
         for _ in range(30):
             net = random_net(rng)
             f = max_flow(net)
-            labels = classify_edges(net)
+            _, ref_nu, _ = calibration_reference.classify(net)
             fresh = flows.UnitResidual(net, f.values)
             res = flows.UnitResidual(net, f.values)
             for eid in sorted(net.edges):
@@ -123,8 +134,9 @@ class TestClassify:
                 assert res.flow == f.values, eid
                 assert res.out == fresh.out, eid
                 assert res.count == fresh.count, eid
-                assert nu == labels.nu[eid]
-                seen["augmented"] += f.value < nu < NU_UNBOUNDED
+                assert nu == min(ref_nu[eid], f.value + 2)
+                seen["augmented"] += (f.value < ref_nu[eid]
+                                      < calibration_reference.NU_UNBOUNDED)
         assert all(seen.values()), seen
 
 
@@ -155,14 +167,14 @@ class TestCalibrate:
         # but deleting them all would disconnect the graph. The sequential
         # rule deletes only the first one; the rest drop to nu = 3 and stay.
         net = make_net(3, [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (1, 2)])
-        labels = classify_edges(net)
-        assert all(labels.nu[e] == 4 for e in (2, 3, 4, 5))
+        _, nu, critical = calibration_reference.classify(net)
+        assert all(nu[e] == 4 for e in (2, 3, 4, 5))
         sub = calibrate(net)
         assert sub.pruned == {2}
         assert sub.kept == {0, 1, 3, 4, 5}
-        assert sub.critical == labels.critical == {0, 1}
-        relabeled = classify_edges(sub.network)
-        assert all(relabeled.nu[e] == 3 for e in (3, 4, 5))
+        assert sub.critical == critical == {0, 1}
+        _, nu, _ = calibration_reference.classify(sub.network)
+        assert all(nu[e] == 3 for e in (3, 4, 5))
 
     def test_unbounded_nu_edge_deleted(self):
         net = make_net(3, [(0, 2), (2, 1), (1, 2)])
@@ -175,13 +187,13 @@ class TestCalibrate:
         lams = set()
         for _ in range(60):
             net = random_net(rng)
-            labels = classify_edges(net)
+            lam, _, critical = calibration_reference.classify(net)
             sub = calibrate(net)
-            lams.add(labels.lam)
-            assert sub.lam == labels.lam
-            # the folded classification equals the two-test reference
-            assert sub.critical == labels.critical
-            assert sub.kept == reference_calibrate(net, labels.lam)
+            lams.add(lam)
+            assert sub.lam == lam
+            # the folded classification equals the reference's
+            assert sub.critical == critical
+            assert sub.kept == reference_calibrate(net, lam)
             assert sub.pruned == frozenset(net.edges) - sub.kept
             assert sub.network.edges == {e: net.edges[e] for e in sub.kept}
             if not sub.pruned:
@@ -211,7 +223,7 @@ class TestCalibrate:
     def test_matches_arc_scan_reference(self):
         # the bitmask probes find other paths than the arc-scan probes of
         # calibration_reference, but the same max-flow values, so the same
-        # kept, pruned and critical sets, lam and nu
+        # kept, pruned and critical sets, lam and capped nu
         rng = random.Random(4010)
         nets = [random_multigraph(rng) for _ in range(500)]
         nets += [prune_to_st_paths(gen_random(60, 1))[0],
@@ -224,8 +236,9 @@ class TestCalibrate:
             assert (sub.lam, sub.kept, sub.pruned, sub.critical) == \
                 (lam, kept, pruned, critical)
             lam, nu, critical = calibration_reference.classify(net)
-            assert classify_edges(net) == family.CriticalityLabels(
-                nu=nu, critical=critical, lam=lam)
+            assert probed_nu(net) == (
+                lam, {e: min(x, lam + 2) for e, x in nu.items()})
+            assert sub.critical == critical
             ends = list(net.edges.values())
             f = max_flow(net)
             seen["lam 0"] += lam == 0
@@ -427,7 +440,7 @@ class TestFamilyB:
         rng = random.Random(4004)
         nets = [random_net(rng) for _ in range(25)]
         # the pinned graphs; calibration deletes edges of gen_random(120),
-        # whose subgraph is then re-classified
+        # whose subgraph is then calibrated again
         nets += [gen_random(60, 1), gen_matrix(6, 8, seed=1),
                  gen_random(120, 1)]
         checked = 0
@@ -436,7 +449,7 @@ class TestFamilyB:
                 continue
             bf = built(net)
             critical = bf.sub.critical
-            nu = classify_edges(bf.sub.network).nu
+            _, nu, _ = calibration_reference.classify(bf.sub.network)
             nulls = [{e for e in bf.sub.kept if f.values[e] == 0}
                      for f in bf.family.A]
             for z in nulls:
@@ -515,12 +528,54 @@ class TestOrchestrator:
             if info.disconnected:
                 continue
             bf = built(net)
-            labels = classify_edges(bf.sub.network)
-            assert labels.critical == bf.sub.critical
+            _, nu, critical = calibration_reference.classify(bf.sub.network)
+            assert critical == bf.sub.critical
             for eid in bf.sub.kept:
-                assert labels.nu[eid] <= bf.sub.lam + 1
-                if eid not in labels.critical:
-                    assert labels.nu[eid] == bf.sub.lam + 1
+                assert nu[eid] <= bf.sub.lam + 1
+                if eid not in critical:
+                    assert nu[eid] == bf.sub.lam + 1
+
+    def test_calibration_is_idempotent(self):
+        # the certificate's premise: calibrating a calibrated subgraph
+        # deletes nothing and finds the same lam and critical set
+        rng = random.Random(4009)
+        nets = [random_net(rng) for _ in range(40)]
+        nets += [gen_random(60, 1), gen_random(120, 1),
+                 gen_matrix(8, 2, seed=1)]
+        deleted = 0
+        for net in nets:
+            sub = calibrate(prune_to_st_paths(net)[0])
+            again = calibrate(sub.network)
+            assert again.pruned == frozenset()
+            assert (again.lam, again.critical, again.kept) == \
+                (sub.lam, sub.critical, sub.kept)
+            deleted += bool(sub.pruned)
+        assert deleted >= 10
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(pruned=frozenset({5, 3})),
+         r"calibration fixpoint violated: nu\(3\) > lam\+1"),
+        (dict(lam=3), "calibration changed the max-flow value: 2 -> 3"),
+        (dict(critical=frozenset({0})), "calibration changed edge criticality"),
+    ])
+    def test_certificate_rejects_a_moved_fixpoint(self, change, message,
+                                                  monkeypatch):
+        # calibration deletes edge 2 of four parallel x->t edges, so the
+        # build calibrates again; a second run that deletes an edge or
+        # finds another lam or critical set is a bug
+        net = make_net(3, [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (1, 2)])
+        runs = []
+
+        def lying(net):
+            sub = real_calibrate(net)
+            runs.append(sub)
+            return dataclasses.replace(sub, **change) if len(runs) == 2 else sub
+
+        real_calibrate = family.calibrate
+        monkeypatch.setattr(family, "calibrate", lying)
+        with pytest.raises(InternalInvariantError, match=message):
+            build_flow_family(net)
+        assert runs[0].pruned == {2} and len(runs) == 2
 
     @pytest.mark.parametrize("make", [lambda: gen_random(60, 1),
                                       lambda: gen_matrix(6, 8, seed=1)])
@@ -528,8 +583,8 @@ class TestOrchestrator:
         # calibration probes each walk-pruned edge once: one reachability
         # search at most, after one path search if the edge carries flow,
         # and one more path search per deleted edge that carried flow. It
-        # never runs augment_unit's arc scan. The second classification
-        # probes the kept edges, and runs only when calibration deleted
+        # never runs augment_unit's arc scan. The certificate calibrates
+        # the kept edges again, and runs only when calibration deleted
         # some (gen_random(60) yes, gen_matrix(6,8) no)
         net = prune_to_st_paths(make())[0]
         calls = {"idle": 0, "carried": 0, "levels": 0, "path": 0}
@@ -561,14 +616,14 @@ class TestOrchestrator:
         assert calls["levels"] <= m + calls["path"] <= 2 * m + (m - kept)
         monkeypatch.undo()
 
-        classified = []
+        calibrated = []
 
-        def classify(net):
-            classified.append(net)
-            return reclassify(net)
+        def counted_calibrate(net):
+            calibrated.append(net)
+            return real_calibrate(net)
 
-        reclassify = family.classify_edges
-        monkeypatch.setattr(family, "classify_edges", classify)
+        real_calibrate = family.calibrate
+        monkeypatch.setattr(family, "calibrate", counted_calibrate)
         o = SensitivityOracle(make())
         assert len(o.kept) == kept
-        assert len(classified) == (kept < m)
+        assert len(calibrated) == 1 + (kept < m)
