@@ -1,12 +1,13 @@
 """Command line surface: gen, build, query, verify.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 internal invariant violated (a bug).
+3 internal invariant violated (a bug), 141 stdout closed early.
 """
 
 import argparse
 import gc
 import hashlib
+import os
 import pickle
 import struct
 import sys
@@ -305,7 +306,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:  # ParseError, QueryError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

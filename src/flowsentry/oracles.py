@@ -17,11 +17,10 @@ No flow is stored. The canonical flow after e fails carries edge x
 exactly when x is kept and (x not in null) != (x in flip[e]); an edge
 outside ``flip`` leaves f-tilde itself as its canonical flow. Queries
 run on lookups plus searches of the residual rows of one canonical flow
-(see "residual traversals" below). The rows are a cache filled on first
-use, never part of the oracle file. MF2 takes its value from the strip
-order when e or e2 is critical and then looks for one rerouting cycle,
-else for up to two; a cycle through the released unit is joined from
-two short searches.
+and of a BFS tree from t over them (see "residual traversals" below), a
+cache filled on first use, never part of the oracle file. MF2 takes its
+value from the strip order when e or e2 is critical and then looks for
+one rerouting cycle, else for up to two.
 
 Conventions the queries rely on:
   * edges outside every (s,t)-walk, and edges removed by calibration,
@@ -56,13 +55,19 @@ EMPTY = frozenset()
 # the flow, an idle edge's forward entry and a carrying edge's reverse
 # one. The rows keep the incidence order, ascending EdgeId, forward before
 # reverse: that order fixes the reported cycle. The artificial s->t arc is
-# never scanned; a cycle through it is joined from two searches.
-# SensitivityOracle._rows fills the rows of a canonical flow on first use:
-# f-tilde's from the incidence list, any other as a copy of f-tilde's with
-# only the rows at the endpoints of its delta's edges rebuilt, so each
-# costs O(n + sum of those degrees). There is one row set per canonical
-# flow, f-tilde included; they stay out of the pickle, and the first
-# traversals after a load refill them.
+# never scanned; a cycle through it joins a search from u to s with a
+# t~>v leg read off the flow's BfsTree: one FIFO BFS from t with no edge
+# failed, run until v is found and resumed for the next v. The search
+# from t without the failed edge e differs from it only where e's arc
+# would find its head b. So unless e's arc found b no later than v, that
+# search runs step for step as the tree did up to v and returns the
+# tree's leg; otherwise the leg is searched. SensitivityOracle._tree fills
+# a canonical flow's rows on first use: f-tilde's from the incidence list,
+# any other as a copy of f-tilde's with only the rows at the endpoints of
+# its delta's edges rebuilt, so each costs O(n + sum of those degrees).
+# Each canonical flow, f-tilde included, has one row set and one tree;
+# they stay out of the pickle, and the first traversals after a load
+# refill them.
 
 
 def _search(rows, src, dst, failed):
@@ -95,8 +100,55 @@ def strongly_connected_without(net: FlowNetwork, rows, x, y, failed) -> bool:
         _search(rows, y, x, failed) is not None
 
 
+def _bfs(rows, queue, arc):
+    """FIFO BFS over rows from queue; arc[w] = (x, w, eid, is_reverse), the
+    arc that found w. Pauses once the vertex sent in is found."""
+    v = yield
+    for x in queue:
+        for eid, w, rev in rows[x]:
+            if w not in arc:
+                arc[w] = (x, w, eid, rev)
+                queue.append(w)
+                if w == v:
+                    v = yield
+
+
+class BfsTree:
+    """BFS tree from root over residual rows with no edge failed, grown
+    only until the vertex asked for is found. arc[w] (None for root) is
+    made an Arc when first read; queue lists the vertices as found."""
+
+    def __init__(self, rows, root):
+        self.rows, self.arc, self.queue = rows, {root: None}, [root]
+        self._scan = _bfs(rows, self.queue, self.arc)
+        next(self._scan)
+
+    def path(self, v, failed, ends):
+        """Arcs of the path _search finds from root to v in the rows minus
+        edge failed, whose endpoints are ends, v's end first; None when
+        the scan never finds v or failed's arc found its head no later
+        than v (see "residual traversals")."""
+        arc, queue = self.arc, self.queue
+        if v not in arc:
+            try:
+                self._scan.send(v)
+            except StopIteration:
+                return None
+        leg, a = [], arc[v]
+        for b in ends if a else ():  # v is root: nothing came before it
+            c = arc.get(b)
+            if c and c[2] == failed and queue.index(b) <= queue.index(v):
+                return None
+        while a:
+            if type(a) is not Arc:
+                a = arc[a[1]] = Arc(*a)
+            leg.append(a)
+            a = arc[a[0]]
+        return leg
+
+
 def cycle_through_arc_without(net: FlowNetwork, rows, target, failed,
-                              st_arc: bool = False):
+                              st_arc: bool = False, tree=None):
     """Simple cycle, as a tuple of Arcs, through the reverse arc v->u of
     target in the residual rows of a flow on net minus edge failed,
     starting with that arc; None when there is none.
@@ -105,7 +157,9 @@ def cycle_through_arc_without(net: FlowNetwork, rows, target, failed,
     releasing one unit of value: u~>s, s->t, t~>v, from two searches. The
     caller must know that no cycle avoids the artificial arc. Then what u
     reaches is closed under residual arcs and misses v, so the legs are
-    disjoint and are the path one search scanning the arc would find."""
+    disjoint and are the path one search scanning the arc would find.
+    The t~>v leg is read off tree, a BfsTree from t over rows (a new one
+    when None), where the tree can tell it."""
     for eid in (failed, target):
         if eid not in net.edges:
             raise QueryError(f"unknown edge {eid!r}")
@@ -117,14 +171,17 @@ def cycle_through_arc_without(net: FlowNetwork, rows, target, failed,
     legs = ((u, net.s), (net.t, v)) if st_arc else ((u, v),)
     cycle = [Arc(v, u, target, True)]
     for i, (src, dst) in enumerate(legs):
-        parent = _search(rows, src, dst, failed)
-        if parent is None:
-            return None
-        leg = []
-        while dst != src:
-            x, eid, rev = parent[dst]
-            leg.append(Arc(x, dst, eid, rev))
-            dst = x
+        leg = (tree or BfsTree(rows, src)).path(
+            dst, failed, net.edges[failed]) if i else None
+        if leg is None:
+            parent = _search(rows, src, dst, failed)
+            if parent is None:
+                return None
+            leg = []
+            while dst != src:
+                x, eid, rev = parent[dst]
+                leg.append(Arc(x, dst, eid, rev))
+                dst = x
         if i:
             leg.append(Arc(net.s, net.t, ARTIFICIAL, False))
         cycle += reversed(leg)
@@ -182,26 +239,27 @@ class SensitivityOracle:
             raise QueryError(f"unknown edge {eid}")
 
     def __getstate__(self):
-        # the residual rows are a cache that _rows refills after a load
+        # the residual rows and trees are a cache _tree refills after a load
         return {k: v for k, v in vars(self).items() if k != "_residual"}
 
-    def _rows(self, d: frozenset[int]):
-        """Residual rows of the canonical flow whose delta against f-tilde
-        is d (EMPTY for f-tilde), built on first use."""
+    def _tree(self, d: frozenset[int]) -> BfsTree:
+        """BFS tree from t over the residual rows of the canonical flow
+        whose delta against f-tilde is d (EMPTY for f-tilde), built on
+        first use and scanned only as far as queries ask."""
         cache = self.__dict__.setdefault("_residual", {})
-        rows = cache.get(d)
-        if rows is None:
+        tree = cache.get(d)
+        if tree is None:
             net, carried = self.pruned_net, (self.kept - self.null) ^ d
             inc = net.graph.incidence()
             if d:  # f-tilde's rows, rebuilt at the ends of d's edges
-                rows = list(self._rows(EMPTY))
+                rows = list(self._tree(EMPTY).rows)
                 at = {x for eid in d for x in net.edges[eid]}
             else:
                 rows, at = [None] * net.n, range(net.n)
             for x in at:
                 rows[x] = [a for a in inc[x] if (a[0] in carried) == a[2]]
-            cache[d] = rows
-        return rows
+            tree = cache[d] = BfsTree(rows, net.t)
+        return tree
 
     # ---- single failure ----
 
@@ -257,13 +315,15 @@ class SensitivityOracle:
         # calibration-removed edges. A critical edge in the pair fixes the
         # value by the strip order; if it drops, no plain cycle exists and
         # only the released-unit one is searched
-        net, rows = self.pruned_net, self._rows(d)
+        net, tree = self.pruned_net, self._tree(d)
+        rows = tree.rows
         crit_pair = e in crit or e2 in crit
         value = self._critical_value(e, e2) if crit_pair else val_f
-        cycle = cycle_through_arc_without(net, rows, e2, e, value < val_f)
+        cycle = cycle_through_arc_without(net, rows, e2, e, value < val_f,
+                                          tree)
         if cycle is None and not crit_pair:
             value -= 1
-            cycle = cycle_through_arc_without(net, rows, e2, e, st_arc=True)
+            cycle = cycle_through_arc_without(net, rows, e2, e, True, tree)
         if cycle is None:
             raise InternalInvariantError(
                 f"no rerouting cycle for the post-failure value {value}")
@@ -305,6 +365,6 @@ class SensitivityOracle:
         u, v = self.pruned_net.edges[e2]
         d = self.flip.get(e, EMPTY)
         if (e2 in self.null) == (e2 in d) and not strongly_connected_without(
-                self.pruned_net, self._rows(d), u, v, e):
+                self.pruned_net, self._tree(d).rows, u, v, e):
             return self.lam - 1
         return self.lam

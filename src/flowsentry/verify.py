@@ -91,6 +91,11 @@ class VerificationReport:
             lines.append(f"  {kind}: {self.counts[kind]}")
         for name, passed in self.invariants:
             lines.append(f"  [{'pass' if passed else 'FAIL'}] {name}")
+        graph = self.graph_label
+        if graph == "-" and self.mismatches:
+            lines.append("  the graph was read from stdin: save it as a file "
+                         "and put its path for GRAPH to replay")
+            graph = "GRAPH"
         for mm in sorted(self.mismatches, key=lambda m: m.query):
             lines.append(
                 f"  MISMATCH {mm.query!r}: expected {mm.expected}, "
@@ -98,7 +103,7 @@ class VerificationReport:
             )
             lines.append(
                 f"    replay: echo '{mm.query}' | "
-                f"flowsentry query -g {self.graph_label}{k} -q -"
+                f"flowsentry query -g {graph}{k} -q -"
             )
         lines.append("result: " + ("ok" if self.ok else "MISMATCH"))
         return "\n".join(lines)

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import itertools
+import os
 import pickle
 import random
 import shlex
@@ -427,9 +428,10 @@ class TestBuildAndOracleFile:
     def test_loaded_oracle_answers_dual_queries_alike(self, tmp_path,
                                                       monkeypatch):
         # gen_random(10, 1) runs both residual traversals; the loaded
-        # oracle starts with no residual rows and rebuilds its graph's
-        # incidence list and the rows on the first traversals. The
-        # single-failure queries read null and flip alone
+        # oracle starts with no residual rows and no BFS trees, and
+        # rebuilds its graph's incidence list, the rows and the trees on
+        # the first traversals. The single-failure queries read null and
+        # flip alone
         net = generate("random", [10], seed=1)
         sens = SensitivityOracle(net)
         path = tmp_path / "oracle.bin"
@@ -460,6 +462,8 @@ class TestBuildAndOracleFile:
         assert calls["cycle_through_arc_without"] > 0
         assert calls["strongly_connected_without"] > 0
         assert vars(loaded)["_residual"]
+        assert any(len(tree.queue) > 1
+                   for tree in vars(loaded)["_residual"].values())
         # the filled rows stay out of a file saved after the queries
         again = tmp_path / "again.bin"
         cli.save_oracle(str(again), 0, digest, loaded, None)
@@ -742,8 +746,59 @@ class TestVerifyCommand:
         assert code == 0, err
         assert out == f"MCK 3 3 4 5 => {want}\n"
 
+    def test_stdin_graph_replay_names_a_placeholder(self, bottleneck_file,
+                                                    capsys, monkeypatch):
+        # with the graph on stdin, `query -g - -q -` could not run: the
+        # replay line names GRAPH, and a note says where the graph came from
+        import flowsentry.verify as verify_mod
+
+        real = verify_mod.mincut_size_k
+
+        def lying(oracle, combo):
+            return real(oracle, combo) + (tuple(combo) == (2, 3, 4))
+
+        monkeypatch.setattr(verify_mod, "mincut_size_k", lying)
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO(bottleneck_file.read_text()))
+        code, out, _ = run(capsys, "verify", "-g", "-",
+                           "--profile", "exhaustive-k(3,12)")
+        monkeypatch.undo()
+        assert code == 1
+        assert "the graph was read from stdin" in out
+        assert "-g -" not in out
+        (line,) = [x for x in out.splitlines() if "replay:" in x]
+        echo, query, pipe, prog, *argv = shlex.split(line.split("replay:")[1])
+        assert argv == ["query", "-g", "GRAPH", "-k", "3", "-q", "-"]
+        argv[2] = str(bottleneck_file)
+        want, _ = brute_force(parse_network(bottleneck_file.read_text()),
+                              [2, 3, 4])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(query + "\n"))
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == f"MCK 3 3 4 5 => {want}\n"
+
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("argv, stdin", [
+        (["verify", "--profile", "exhaustive-2"], None),
+        (["query", "-q", "-"], b"MF2 1 2\nMC2 1 2\n"),
+    ])
+    def test_closed_stdout_exits_141_quietly(self, bottleneck_file, argv,
+                                             stdin):
+        # a reader that stops early, as `| head` does, is not a usage
+        # error: no `error:` line, and the exit code of a SIGPIPE stop
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "flowsentry.cli", argv[0], "-g",
+                 str(bottleneck_file), *argv[1:]],
+                input=stdin, stdout=w, stderr=subprocess.PIPE)
+        finally:
+            os.close(w)
+        assert proc.stderr == b""
+        assert proc.returncode == 141
+
     def test_module_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "flowsentry.cli", "--help"],

@@ -25,6 +25,7 @@ from flowsentry.generators import gen_matrix, gen_random
 from flowsentry.graph import FlowNetwork, scc_from_adjacency
 from flowsentry.oracles import (
     EMPTY,
+    BfsTree,
     SensitivityOracle,
     cycle_through_arc_without,
     strongly_connected_without,
@@ -420,7 +421,7 @@ class TestReferenceIdentity:
 
     def test_random_multigraphs(self):
         rng = random.Random(7006)
-        parallel = loops = cycles = released = 0
+        parallel = loops = cycles = released = fallbacks = 0
         for trial in range(300):
             net = random_net(rng, n_max=9, m_max=20)
             edges = sorted(net.edges)
@@ -432,6 +433,8 @@ class TestReferenceIdentity:
                                          if rng.random() < 0.5})
             null = kept - carrying
             rows = residual_rows(net, kept, null)
+            # one tree from t serves every failed edge of the trial
+            tree = BfsTree(rows, net.t)
             parallel += len(set(net.edges.values())) < net.m
             loops += any(u == v for u, v in net.edges.values())
             for failed in edges:
@@ -452,8 +455,21 @@ class TestReferenceIdentity:
                             assert all(type(a) is Arc for a in got)
                             cycles += not st_arc
                             released += st_arc
+                    # the released-unit cycle again, its t~>v leg read
+                    # off the trial's shared tree, grown by earlier asks
+                    got = _same(lambda: cycle_through_arc_without(
+                                    net, rows, target, failed, True, tree),
+                                lambda: ref.cycle_through_arc_without(
+                                    net, kept, null, target, failed, True))
+                    if got:
+                        assert all(type(a) is Arc for a in got)
+                        fallbacks += tree.path(
+                            net.edges[target][1], failed,
+                            net.edges[failed]) is None
         assert parallel > 100 and loops > 100
         assert cycles > 5000 and released > 5000
+        # the tree gives up where the failed edge found a vertex first
+        assert 0 < fallbacks < released // 2
 
     @staticmethod
     def _compare(o, pairs):
@@ -495,12 +511,12 @@ class TestResidualRows:
         # each canonical flow's rows equal rows built from scratch for it,
         # and only the rows at the ends of its delta's edges are its own
         o = _oracle(name)
-        net, base = o.pruned_net, o._rows(EMPTY)
+        net, base = o.pruned_net, o._tree(EMPTY).rows
         assert base == residual_rows(net, o.kept, o.null)
         deltas = set(o.flip.values())
         assert deltas or o.lam == 0
         for d in deltas:
-            rows = o._rows(d)
+            rows = o._tree(d).rows
             assert rows == residual_rows(net, o.kept, o.null ^ d)
             ends = {x for eid in d for x in net.edges[eid]}
             assert all(rows[x] is base[x]
@@ -515,5 +531,9 @@ class TestResidualRows:
             o.mincut_size_dual(e, e2)
         cache = vars(o)["_residual"]
         assert 1 < len(cache) <= len(set(o.flip.values())) + 1
+        # each entry is a flow's rows and its BFS tree from t; the
+        # released-unit cycles grew some of the trees
+        assert all(type(tree) is BfsTree for tree in cache.values())
+        assert any(len(tree.queue) > 1 for tree in cache.values())
         # the cache stays out of the pickled oracle
         assert pickle.dumps(o) == before

@@ -180,9 +180,9 @@ class TestFlowDiffDual:
         calls = []
         real = oracles.cycle_through_arc_without
 
-        def counted(net, rows, target, failed, st_arc=False):
+        def counted(net, rows, target, failed, st_arc=False, tree=None):
             calls.append(st_arc)
-            return real(net, rows, target, failed, st_arc)
+            return real(net, rows, target, failed, st_arc, tree)
 
         monkeypatch.setattr(oracles, "cycle_through_arc_without", counted)
         crit = o.paths.path_of
