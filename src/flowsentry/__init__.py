@@ -11,7 +11,6 @@ from .errors import (
 from .family import BuiltFamily, FlowFamily, build_flow_family
 from .flows import (
     IntFlow,
-    ResidualGraph,
     UnitFlow,
     max_flow,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "ParseError",
     "PrunedEdgeSet",
     "QueryError",
-    "ResidualGraph",
     "SensitivityOracle",
     "UnitFlow",
     "VerificationReport",

@@ -164,13 +164,16 @@ class _QueryContext:
         return self._kf
 
 
-def _parse_eid(tok: str, lineno: int) -> int:
+def _parse_eid(tok: str, lineno: int, ctx) -> int:
+    """The graph's EdgeId for a typed 1-based one; errors name it as typed."""
     try:
         v = int(tok)
     except ValueError:
         raise ParseError(lineno, f"{tok!r} is not an integer")
     if v < 1:
         raise ParseError(lineno, "EdgeIds are 1-based")
+    if v - 1 not in ctx.net.edges:
+        raise QueryError(f"query line {lineno}: unknown edge {v}")
     return v - 1
 
 
@@ -181,13 +184,15 @@ def _failure_list(toks, lineno: int, ctx) -> list[int]:
         j = int(toks[0])
     except ValueError:
         raise ParseError(lineno, f"bad failure count {toks[0]!r}")
+    if j < 0:
+        raise ParseError(lineno, f"negative failure count {j}")
     if j > ctx.k:
         raise QueryError(
             f"query line {lineno}: {j} failures exceeds oracle k={ctx.k}"
         )
     if len(toks) - 1 != j:
         raise ParseError(lineno, f"expected {j} EdgeIds, got {len(toks) - 1}")
-    return [_parse_eid(t, lineno) for t in toks[1:]]
+    return [_parse_eid(t, lineno, ctx) for t in toks[1:]]
 
 
 def answer_query(line: str, lineno: int, ctx) -> str:
@@ -195,29 +200,27 @@ def answer_query(line: str, lineno: int, ctx) -> str:
     kind = toks[0]
     args = toks[1:]
 
-    def need(count):
+    def eids(count):
         if len(args) != count:
             raise ParseError(lineno, f"{kind} takes {count} argument(s)")
+        return [_parse_eid(t, lineno, ctx) for t in args]
 
     if kind == "MF":
-        need(1)
-        return str(ctx.sens.report_flow_diff_single(_parse_eid(args[0], lineno)).new_value)
+        e, = eids(1)
+        return str(ctx.sens.report_flow_diff_single(e).new_value)
     if kind == "MFX":
-        need(2)
-        e, x = (_parse_eid(t, lineno) for t in args)
+        e, x = eids(2)
         return str(ctx.sens.query_edge_flow(e, x))
     if kind == "MFD":
-        need(1)
-        diff = ctx.sens.report_flow_diff_single(_parse_eid(args[0], lineno))
-        return str(sorted(e + 1 for e in diff.toggled))
+        e, = eids(1)
+        diff = ctx.sens.report_flow_diff_single(e)
+        return str(sorted(x + 1 for x in diff.toggled))
     if kind == "MF2":
-        need(2)
-        e, e2 = (_parse_eid(t, lineno) for t in args)
+        e, e2 = eids(2)
         diff = ctx.sens.report_flow_diff_dual(e, e2)
         return f"{diff.new_value} {sorted(x + 1 for x in diff.toggled)}"
     if kind == "MC2":
-        need(2)
-        e, e2 = (_parse_eid(t, lineno) for t in args)
+        e, e2 = eids(2)
         return str(ctx.sens.mincut_size_dual(e, e2))
     if kind == "MCK":
         f = _failure_list(args, lineno, ctx)

@@ -41,12 +41,12 @@ from .errors import InternalInvariantError, checked
 from .flows import (
     IntFlow,
     UnitFlow,
-    ResidualGraph,
     UnitResidual,
     augment_unit,
     cancel_flow_cycles,
     decompose_into_paths,
     max_flow,
+    residual_scc_ids,
 )
 from .graph import FlowNetwork
 
@@ -119,7 +119,7 @@ def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
         )
     # nu == lam against the residual test on f: saturated, endpoints in
     # distinct residual SCCs; disagreement means a solver bug
-    scc = checked(ResidualGraph, net, f).scc_ids()
+    scc = checked(residual_scc_ids, net, f)
     critical = frozenset(eid for eid in nu if lam > 0 and nu[eid] == lam)
     for eid, (u, v) in net.edges.items():
         if (eid in critical) != (f.values[eid] == 1 and scc[u] != scc[v]):

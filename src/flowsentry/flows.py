@@ -31,9 +31,6 @@ class IntFlow:
         self.net = net
         self.values = {eid: values.get(eid, 0) for eid in net.edges}
 
-    def __getitem__(self, eid: int) -> int:
-        return self.values[eid]
-
     @property
     def value(self) -> int:
         g = self.net.graph
@@ -41,9 +38,6 @@ class IntFlow:
         out = sum(self.values[e] for e in g.out_edges(s))
         inc = sum(self.values[e] for e in g.in_edges(s))
         return out - inc
-
-    def support(self) -> list[int]:
-        return sorted(e for e, x in self.values.items() if x > 0)
 
     def check(self) -> None:
         """Raise ValueError unless non-negativity and conservation hold."""
@@ -59,16 +53,10 @@ class IntFlow:
             if inc != out:
                 raise ValueError(f"conservation violated at vertex {v}: in={inc} out={out}")
 
-    def __eq__(self, other):
-        if not isinstance(other, IntFlow):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.values.items())))
+    __hash__ = None  # values is mutable
 
     def __repr__(self):
-        return f"{type(self).__name__}(value={self.value}, support={self.support()})"
+        return f"{type(self).__name__}(value={self.value})"
 
 
 class UnitFlow(IntFlow):
@@ -244,29 +232,21 @@ class Arc(NamedTuple):
     is_reverse: bool
 
 
-class ResidualGraph:
-    """Residual structure of a feasible 0/1 flow: each idle edge gives a
-    forward arc, each flow-carrying edge a reverse arc. Raises ValueError
-    for a flow value outside [0, 1], before conservation is checked.
-    """
-
-    __slots__ = ("net", "flow")
-
-    def __init__(self, net: FlowNetwork, flow: IntFlow):
-        for eid, x in flow.values.items():
-            if x not in (0, 1):
-                raise ValueError(f"flow {x} on edge {eid} outside [0, 1]")
-        flow.check()
-        self.net, self.flow = net, flow
-
-    def scc_ids(self) -> list[int]:
-        succ: list[set[int]] = [set() for _ in range(self.net.n)]
-        for eid, (u, v) in self.net.edges.items():
-            if self.flow.values[eid]:
-                succ[v].add(u)
-            else:
-                succ[u].add(v)
-        return scc_from_adjacency(self.net.n, [sorted(x) for x in succ])
+def residual_scc_ids(net: FlowNetwork, flow: IntFlow) -> list[int]:
+    """SCC ids of the residual graph of a feasible 0/1 flow: an idle edge
+    gives a forward arc, a carrying one a reverse arc. A flow value outside
+    [0, 1] raises ValueError before conservation is checked."""
+    for eid, x in flow.values.items():
+        if x not in (0, 1):
+            raise ValueError(f"flow {x} on edge {eid} outside [0, 1]")
+    flow.check()
+    succ: list[set[int]] = [set() for _ in range(net.n)]
+    for eid, (u, v) in net.edges.items():
+        if flow.values[eid]:
+            succ[v].add(u)
+        else:
+            succ[u].add(v)
+    return scc_from_adjacency(net.n, [sorted(x) for x in succ])
 
 
 def cancel_flow_cycles(net: FlowNetwork, f: IntFlow) -> IntFlow:

@@ -99,9 +99,6 @@ class DirectedMultigraph:
             return NotImplemented
         return self.n == other.n and self.edges == other.edges
 
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.edges.items()))))
-
     def __repr__(self):
         return f"DirectedMultigraph(n={self.n}, m={self.m})"
 
@@ -139,9 +136,6 @@ class FlowNetwork:
         if not isinstance(other, FlowNetwork):
             return NotImplemented
         return self.graph == other.graph and self.s == other.s and self.t == other.t
-
-    def __hash__(self):
-        return hash((self.graph, self.s, self.t))
 
     def __repr__(self):
         return f"FlowNetwork(n={self.n}, m={self.m}, s={self.s}, t={self.t})"

@@ -1,4 +1,4 @@
-"""Equivalence classes, the strip order, and the min-cut sensitivity core.
+"""The strip order and the min-cut sensitivity core.
 
 The objects here describe the min-cuts of a unit-capacity network at
 max-flow value lam through an acyclic quotient (the strip graph of
@@ -7,9 +7,13 @@ exactly when no strip-graph path orders two of them (they form an
 anti-chain), and deleting such a set drops the max-flow by its size.
 precedes answers the order query in constant time.
 
-The strip graph is the reversed condensation of the residual graph of a
-max-flow, so it is never built: the sweep that fills the path tables
-reads, for each class, the classes its residual arcs enter.
+The vertex classes, two vertices sharing one iff no min-cut separates
+them, are the SCCs of the residual graph of a max-flow, given as the
+class-id list flows.residual_scc_ids returns: ids[v] is v's class, so
+the source class is ids[s] and the sink class ids[t]. The strip graph is
+the reversed condensation of that residual graph, so it is never built:
+the sweep that fills the path tables reads, for each class, the classes
+its residual arcs enter.
 
 Everything is built against one reference max-flow and is immutable after
 construction.
@@ -21,18 +25,8 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, QueryError, checked
 from .family import BuiltFamily
-from .flows import ResidualGraph, UnitFlow
+from .flows import UnitFlow, residual_scc_ids
 from .graph import FlowNetwork, scc_from_adjacency
-
-
-@dataclass(frozen=True)
-class EquivalenceClasses:
-    """Vertex classes: two vertices share one iff no min-cut separates them."""
-
-    class_of: tuple[int, ...]
-    class_count: int
-    source_class: int
-    sink_class: int
 
 
 @dataclass(frozen=True)
@@ -41,15 +35,16 @@ class PathSystem:
 
     They describe lam edge-disjoint source-to-sink class paths: the
     reference flow's decomposition paths, cut down to their critical
-    edges. path_of maps each critical EdgeId to its path index, so its
-    keys are exactly the critical edges; position maps it to the position
-    of its tail class on that path (the source class is position 0), and
-    head_class to the class its strip arc enters. first_reach[i] maps any
-    class x to the earliest position on path i whose class is reachable
-    from x in the strip graph (absent when none is). The strip
-    predecessors of a class are the classes its residual arcs enter, so
-    the sweep that fills first_reach follows residual arcs forward from
-    each class of the path.
+    edges. A class is an entry of the class-id list of the reference
+    flow's residual SCCs (see the module docstring). path_of maps each
+    critical EdgeId to its path index, so its keys are exactly the
+    critical edges; position maps it to the position of its tail class on
+    that path (the source class is position 0), and head_class to the
+    class its strip arc enters. first_reach[i] maps any class x to the
+    earliest position on path i whose class is reachable from x in the
+    strip graph (absent when none is). The strip predecessors of a class
+    are the classes its residual arcs enter, so the sweep that fills
+    first_reach follows residual arcs forward from each class of the path.
     """
 
     path_of: dict[int, int]
@@ -74,21 +69,10 @@ def crossing_edges(net: FlowNetwork, source_side) -> list[int]:
     )
 
 
-def build_classes(net: FlowNetwork, res: ResidualGraph) -> EquivalenceClasses:
-    """Classes are the SCCs of the residual graph of a max-flow."""
-    ids = res.scc_ids()
-    return EquivalenceClasses(
-        class_of=tuple(ids),
-        class_count=max(ids) + 1 if ids else 0,
-        source_class=ids[net.s],
-        sink_class=ids[net.t],
-    )
-
-
-def strip_pred(net: FlowNetwork, classes: EquivalenceClasses, critical,
-               f: UnitFlow) -> list[list[int]]:
+def strip_pred(net: FlowNetwork, cls, critical, f: UnitFlow) -> list[list[int]]:
     """Each class's strip predecessors, ascending: the classes its arcs in
-    the residual graph of the max-flow f enter.
+    the residual graph of the max-flow f enter. cls is the class-id list
+    of that residual graph's SCCs.
 
     The strip graph is the reversed condensation of that residual graph:
     an inter-class edge (u, v) that f carries gives the arc class(u) ->
@@ -96,8 +80,7 @@ def strip_pred(net: FlowNetwork, classes: EquivalenceClasses, critical,
     on every edge: it is critical exactly when f carries it across
     classes. Checked at the end: the lists describe an acyclic graph.
     """
-    cls = classes.class_of
-    pred = [set() for _ in range(classes.class_count)]
+    pred = [set() for _ in range(max(cls) + 1)]
     for eid, (u, v) in net.edges.items():
         carried, cu, cv = f.values[eid] == 1, cls[u], cls[v]
         if (eid in critical) != (carried and cu != cv):
@@ -114,14 +97,10 @@ def strip_pred(net: FlowNetwork, classes: EquivalenceClasses, critical,
     return pred
 
 
-def build_path_system(
-    pred,
-    classes: EquivalenceClasses,
-    critical,
-    edge_paths,
-    net: FlowNetwork,
-) -> PathSystem:
-    """Project the reference flow's path decomposition onto the strip graph.
+def build_path_system(pred, cls, critical, edge_paths,
+                      net: FlowNetwork) -> PathSystem:
+    """Project the reference flow's path decomposition onto the strip graph,
+    whose classes are the entries of cls, the class-id list strip_pred took.
 
     Non-critical edges on a decomposition path are saturated, hence
     intra-class, so dropping them leaves a contiguous class walk; the
@@ -131,14 +110,13 @@ def build_path_system(
     classes each class's residual arcs enter) back from it, so each class
     records the earliest position it reaches.
     """
-    cls = classes.class_of
     chains: list[list[int]] = []
     path_of: dict[int, int] = {}
     position: dict[int, int] = {}
     head_class: dict[int, int] = {}
 
     for i, path in enumerate(edge_paths):
-        chain = [classes.source_class]
+        chain = [cls[net.s]]
         for eid in path:
             u, v = net.graph.edges[eid]
             if eid not in critical:
@@ -157,7 +135,7 @@ def build_path_system(
             position[eid] = len(chain) - 1
             head_class[eid] = cls[v]
             chain.append(cls[v])
-        if chain[-1] != classes.sink_class:
+        if chain[-1] != cls[net.t]:
             raise InternalInvariantError(f"path {i} does not end at the sink class")
         if len(set(chain)) != len(chain):
             raise InternalInvariantError("path revisits a class")
@@ -207,6 +185,6 @@ def build_mincut_oracle(bf: BuiltFamily) -> PathSystem:
     tables of its reference flow f_tilde, whose residual graph gives the
     classes and the strip order."""
     net, f, critical = bf.sub.network, bf.family.f_tilde, bf.sub.critical
-    classes = build_classes(net, checked(ResidualGraph, net, f))
-    return build_path_system(strip_pred(net, classes, critical, f), classes,
+    cls = checked(residual_scc_ids, net, f)
+    return build_path_system(strip_pred(net, cls, critical, f), cls,
                              critical, bf.family.paths, net)

@@ -215,23 +215,14 @@ class SensitivityOracle:
 
     def __init__(self, net: FlowNetwork):
         pruned, info = prune_to_st_paths(net)
-        self._fill(pruned, info.removed,
-                   None if info.disconnected else build_flow_family(pruned))
-
-    def _fill(self, pruned: FlowNetwork, walk_dropped, bf) -> None:
-        """Store the encoding of bf, pruned's family (None if disconnected)."""
-        self.pruned_net = pruned
-        self.walk_dropped = walk_dropped
-        if bf is None:
-            self.lam = 0
-            self.kept = self.null = EMPTY
-            self.flip = {}
+        self.pruned_net, self.walk_dropped = pruned, info.removed
+        if info.disconnected:
+            self.lam, self.kept, self.null, self.flip = 0, EMPTY, EMPTY, {}
             self.paths = None
             return
-        fam = bf.family
-        self.lam = bf.sub.lam
-        self.kept = bf.sub.kept
-        self.null, self.flip = fam.null, fam.flip
+        bf = build_flow_family(pruned)
+        self.lam, self.kept = bf.sub.lam, bf.sub.kept
+        self.null, self.flip = bf.family.null, bf.family.flip
         self.paths = build_mincut_oracle(bf)
 
     def _known(self, eid: int) -> None:

@@ -294,8 +294,7 @@ def _run_invariants(report, net):
         len(kept) <= lam * n + 2 * n * (lam + 1))
     value, _ = brute_force(net)
     row("engine max-flow equals reference", value == lam)
-    oracle = object.__new__(SensitivityOracle)
-    oracle._fill(pruned, info.removed, bf)
+    oracle = SensitivityOracle(net)
     null = oracle.null
     row("stored null set is null(f-tilde)", null == a_nulls[0])
     # a critical edge's canonical flow is a g_i, a non-critical one's a

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from flowsentry.flows import Arc, UnitFlow
+from flowsentry.generators import matrix_x_vertex, matrix_y_vertex
 from flowsentry.graph import DirectedMultigraph, FlowNetwork
 
 
@@ -24,6 +25,32 @@ def random_net(rng: random.Random, n_max=10, m_max=24):
     s = 0
     t = n - 1
     return make_net(n, edges, s=s, t=t)
+
+
+def support(flow):
+    """The EdgeIds a flow carries, ascending."""
+    return sorted(e for e, x in flow.values.items() if x > 0)
+
+
+def matrix_failure_pair(net, r, length, k, i, j):
+    """EdgeIds of gen_matrix(r, length) whose joint failure decodes bit
+    [i][j] of matrix k.
+
+    The pair is e1 = (x_{k,i}, x_{k+1,i}) and e2 = (y_{k-1,j}, y_{k,j}),
+    reading x_{L+1,i} as t and y_{0,j} as s. The dual min-cut answer is
+    2r-1 when the bit is set (the blocked flow reroutes across the
+    crossing) and 2r-2 when it is not.
+    """
+    if not (1 <= k <= length and 1 <= i <= r and 1 <= j <= r):
+        raise ValueError("k, i, j out of range")
+    u1 = matrix_x_vertex(r, length, k, i)
+    v1 = net.t if k == length else matrix_x_vertex(r, length, k + 1, i)
+    u2 = net.s if k == 1 else matrix_y_vertex(r, length, k - 1, j)
+    v2 = matrix_y_vertex(r, length, k, j)
+    by_pair = {}
+    for eid, uv in net.edges.items():
+        by_pair.setdefault(uv, eid)
+    return by_pair[(u1, v1)], by_pair[(u2, v2)]
 
 
 def residual_arcs(net, flow):

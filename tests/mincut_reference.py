@@ -3,29 +3,29 @@ definition, decrease-by-k and nearest-min-cut queries, and size
 accounting.
 
 The shipped oracles keep only the path tables and read the strip-graph
-order through mincut.precedes. MinCutStructure adds the classes, the
-predecessor lists and the critical set they were built from, so that
-strip_arcs can derive the strip graph from the paper's definition and
-the tests can check src's lists and tables against it. The queries check
-that order against brute force (the structural equivalences of
-test_mincut.py and AC9), and word_count checks the size bound (AC3).
+order through mincut.precedes; the build passes the classes around as
+the class-id list of f's residual SCCs. MinCutStructure adds the
+classes as a record, the predecessor lists and the critical set they
+were built from, so that strip_arcs can derive the strip graph from the
+paper's definition and the tests can check src's lists and tables
+against it. The queries check that order against brute force (the
+structural equivalences of test_mincut.py and AC9), and word_count
+checks the size bound (AC3).
 """
 
 from dataclasses import dataclass
 
 from flowsentry.errors import QueryError
 from flowsentry.flows import (
-    ResidualGraph,
     cancel_flow_cycles,
     decompose_into_paths,
     max_flow,
+    residual_scc_ids,
 )
 from flowsentry.graph import FlowNetwork
 from flowsentry.mincut import (
     CutPartition,
-    EquivalenceClasses,
     PathSystem,
-    build_classes,
     build_mincut_oracle,
     build_path_system,
     precedes,
@@ -33,6 +33,16 @@ from flowsentry.mincut import (
 )
 
 from calibration_reference import classify
+
+
+@dataclass(frozen=True)
+class EquivalenceClasses:
+    """Vertex classes: two vertices share one iff no min-cut separates them."""
+
+    class_of: tuple[int, ...]
+    class_count: int
+    source_class: int
+    sink_class: int
 
 
 @dataclass(frozen=True)
@@ -51,10 +61,12 @@ class MinCutStructure:
 def _structure(net, lam, critical, f, paths=None) -> MinCutStructure:
     """The structure over the max-flow f of net; paths, when given, are
     the tables the shipped build made from the same flow."""
-    classes = build_classes(net, ResidualGraph(net, f))
-    pred = strip_pred(net, classes, critical, f)
+    ids = residual_scc_ids(net, f)
+    classes = EquivalenceClasses(tuple(ids), max(ids) + 1, ids[net.s],
+                                 ids[net.t])
+    pred = strip_pred(net, ids, critical, f)
     if paths is None:
-        paths = build_path_system(pred, classes, critical,
+        paths = build_path_system(pred, ids, critical,
                                   decompose_into_paths(net, f), net)
     return MinCutStructure(net, lam, critical, classes, pred, paths)
 

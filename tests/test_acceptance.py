@@ -20,7 +20,6 @@ from flowsentry.generators import (
     gen_matrix,
     gen_random,
     gen_twopaths,
-    matrix_failure_pair,
 )
 from flowsentry.graph import DirectedMultigraph, prune_to_st_paths
 from flowsentry.kfault import (
@@ -38,6 +37,7 @@ from conftest import (
     family_B,
     hoffman_feasible,
     make_net,
+    matrix_failure_pair,
     reconstruct_flow,
 )
 from kfault_reference import scan_minimal_cuts

@@ -164,6 +164,28 @@ class TestQuery:
         assert code == 2
         assert "1-based" in err
 
+    @pytest.mark.parametrize("line", [
+        "MF 99", "MFX 1 99", "MFD 99", "MF2 99 1", "MC2 1 99", "MCK 1 99",
+        "MCKP 2 1 99", "RQ 1 99"])
+    def test_unknown_edge_named_as_typed(self, bottleneck_file, tmp_path,
+                                         capsys, line):
+        qf = tmp_path / "q.txt"
+        qf.write_text(line + "\n")
+        code, out, err = run(capsys, "query", "-g", str(bottleneck_file),
+                             "-q", str(qf))
+        assert (code, out) == (2, "")
+        assert err == "error: query line 1: unknown edge 99\n"
+
+    @pytest.mark.parametrize("kind", ["MCK", "MCKP", "RQ"])
+    def test_negative_failure_count_exits_2(self, bottleneck_file, tmp_path,
+                                            capsys, kind):
+        qf = tmp_path / "q.txt"
+        qf.write_text(f"{kind} -1\n")
+        code, out, err = run(capsys, "query", "-g", str(bottleneck_file),
+                             "-q", str(qf))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: negative failure count -1\n"
+
     def test_malformed_graph_exits_2(self, tmp_path, capsys):
         g = tmp_path / "g.txt"
         g.write_text("p 3 1 1 3\ne 1\n")

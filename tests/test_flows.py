@@ -4,16 +4,17 @@ import networkx as nx
 import pytest
 
 import flowsentry
-from flowsentry import flows, graph, mincut
+from flowsentry import flows, generators, graph, mincut
 from flowsentry.flows import (
     IntFlow,
-    ResidualGraph,
     UnitFlow,
     cancel_flow_cycles,
     decompose_into_paths,
     max_flow,
+    residual_scc_ids,
 )
 from flowsentry.graph import DirectedMultigraph, reachable_set
+from flowsentry.oracles import SensitivityOracle
 from circulation_reference import CirculationInstance, solve_circulation
 from conftest import (
     brute_max_flow_value,
@@ -21,6 +22,7 @@ from conftest import (
     make_net,
     random_net,
     residual_arcs,
+    support,
 )
 
 
@@ -41,7 +43,7 @@ def test_diamond_max_flow(diamond):
     f = max_flow(diamond)
     assert isinstance(f, UnitFlow)
     assert f.value == 2
-    assert f.support() == [0, 1, 2, 3]
+    assert support(f) == [0, 1, 2, 3]
     f.check()
 
 
@@ -49,7 +51,7 @@ def test_bottleneck_max_flow_is_deterministic(bottleneck):
     f = max_flow(bottleneck)
     assert f.value == 2
     # lowest-EdgeId augmenting: a1+b1 first, then a2+b2, b3 untouched
-    assert f.support() == [0, 1, 2, 3]
+    assert support(f) == [0, 1, 2, 3]
     assert max_flow(bottleneck).values == f.values
 
 
@@ -85,8 +87,8 @@ def test_max_flow_matches_cut_duality_on_random_graphs():
         assert max_flow(net).value == brute_max_flow_value(net)
 
 
-# ResidualGraph lists no arcs. These tests read conftest's residual_arcs;
-# test_ftscc.py checks ResidualGraph.scc_ids against the same list
+# residual_scc_ids lists no arcs. These tests read conftest's residual_arcs;
+# test_ftscc.py checks residual_scc_ids against the same list
 
 
 def test_residual_of_saturating_flow(diamond):
@@ -111,17 +113,17 @@ def test_residual_bottleneck_shape(bottleneck):
 def test_residual_rejects_infeasible_flow(diamond):
     bad = UnitFlow(diamond, {0: 1})  # edge into a with no edge out
     with pytest.raises(ValueError, match="conservation"):
-        ResidualGraph(diamond, bad)
+        residual_scc_ids(diamond, bad)
 
 
 def test_residual_refuses_capacitated_flow(diamond):
     f = max_flow(diamond, {e: 3 for e in diamond.edges})
     with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-        ResidualGraph(diamond, f)
+        residual_scc_ids(diamond, f)
     # conservation fails at a too, but the range is checked first
     bad = IntFlow(diamond, {0: 1, 3: 2})
     with pytest.raises(ValueError, match=r"flow 2 on edge 3 outside \[0, 1\]"):
-        ResidualGraph(diamond, bad)
+        residual_scc_ids(diamond, bad)
 
 
 def test_check_rejects_negative_flow(diamond):
@@ -213,7 +215,7 @@ def test_cancel_removes_isolated_cycle():
     f = UnitFlow(net, {0: 1, 1: 1, 2: 1, 3: 1})
     g = cancel_flow_cycles(net, f)
     assert g.value == 1
-    assert g.support() == [0]
+    assert support(g) == [0]
 
 
 def test_cancel_removes_cycle_through_source():
@@ -266,7 +268,7 @@ def test_decompose_partitions_support():
         f = cancel_flow_cycles(net, max_flow(net))
         paths = decompose_into_paths(net, f)
         used = [e for p in paths for e in p]
-        assert sorted(used) == f.support()
+        assert sorted(used) == support(f)
         assert len(set(used)) == len(used)
         for p in paths:
             assert net.edges[p[0]][0] == net.s
@@ -376,8 +378,23 @@ def test_public_api_resolves():
     for gone in ("reaches", "strongly_connected_components"):
         assert not hasattr(flowsentry, gone)
         assert not hasattr(graph, gone)
-    assert not hasattr(ResidualGraph, "reachable")
     # the strip graph is read off the residual graph, never built
     for gone in ("MinCutOracleStruct", "StripGraph", "build_strip_graph"):
         assert not hasattr(flowsentry, gone)
         assert not hasattr(mincut, gone)
+    # the residual classes are a class-id list; callers know the rest
+    for module, gone in ((flows, "ResidualGraph"),
+                         (mincut, "EquivalenceClasses"),
+                         (mincut, "build_classes"),
+                         (generators, "matrix_failure_pair"),
+                         (SensitivityOracle, "_fill")):
+        assert not hasattr(flowsentry, gone)
+        assert not hasattr(module, gone)
+    # graphs and flows are mutable, so they compare but do not hash
+    net = make_net(3, [(0, 1), (1, 2)])
+    for obj in (net.graph, net, max_flow(net)):
+        with pytest.raises(TypeError):
+            hash(obj)
+    assert net == make_net(3, [(0, 1), (1, 2)])
+    assert net.graph == DirectedMultigraph(3, [(0, 1), (1, 2)])
+    assert net != make_net(3, [(0, 1), (1, 2), (0, 2)])

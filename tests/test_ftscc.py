@@ -16,10 +16,10 @@ from flowsentry.errors import QueryError
 from flowsentry.flows import (
     ARTIFICIAL,
     Arc,
-    ResidualGraph,
     UnitFlow,
     cancel_flow_cycles,
     max_flow,
+    residual_scc_ids,
 )
 from flowsentry.generators import gen_matrix, gen_random
 from flowsentry.graph import FlowNetwork, scc_from_adjacency
@@ -32,7 +32,7 @@ from flowsentry.oracles import (
 )
 
 import ftscc_reference as ref
-from conftest import make_net, random_net, residual_arcs
+from conftest import make_net, random_net, residual_arcs, support
 from ftscc_reference import released_unit_cycle_one_search, residual_rows
 
 
@@ -122,9 +122,9 @@ def build_certificate(host: Host) -> SccCertificate:
 
 def _host(net, f, st_arc):
     # the artificial s->t arc as the last arc; certificates and scc_ids
-    # read only host.arcs. Without it the ids are ResidualGraph's own
+    # read only host.arcs. Without it the ids are residual_scc_ids's own
     host = Host(net, residual_arcs(net, f))
-    assert host.scc_ids() == ResidualGraph(net, f).scc_ids()
+    assert host.scc_ids() == residual_scc_ids(net, f)
     if st_arc:
         host.arcs.append(Arc(net.s, net.t, ARTIFICIAL, False))
     return host
@@ -256,7 +256,7 @@ class TestIndexQueries:
             f = max_unit_flow(net)
             host = Host(net, residual_arcs(net, f))
             # the rows read an edge outside kept as carrying 0
-            rows = residual_rows(net, frozenset(f.support()), EMPTY)
+            rows = residual_rows(net, frozenset(support(f)), EMPTY)
             for eid in sorted(net.edges):
                 comp = brute_scc_pairs(host, eid)
                 for x in range(net.n):
@@ -302,7 +302,7 @@ class TestCycleExtraction:
             use_st = bool(rng.getrandbits(1))
             f = max_unit_flow(net)
             rows = rows_of(net, f)
-            carrying = [e for e in sorted(net.edges) if f[e] > 0]
+            carrying = [e for e in sorted(net.edges) if f.values[e] > 0]
             for target in carrying:
                 for failed in sorted(net.edges):
                     if failed == target:
@@ -331,7 +331,7 @@ class TestCycleExtraction:
                         else:
                             # a residual arc of f: reverse iff edge carries
                             u, v = net.edges[a.eid]
-                            assert f[a.eid] == (1 if a.is_reverse else 0)
+                            assert f.values[a.eid] == (1 if a.is_reverse else 0)
                             assert (a.tail, a.head) == \
                                 ((v, u) if a.is_reverse else (u, v))
                     for a, b in zip(arcs, arcs[1:]):
@@ -427,7 +427,7 @@ class TestReferenceIdentity:
             edges = sorted(net.edges)
             # a max unit flow, or any 0/1 assignment; kept may leave idle
             # edges out, which read as carrying 0
-            carrying = set(max_unit_flow(net).support()) if trial % 2 else \
+            carrying = set(support(max_unit_flow(net))) if trial % 2 else \
                 {e for e in edges if rng.random() < 0.5}
             kept = frozenset(carrying | {e for e in edges
                                          if rng.random() < 0.5})

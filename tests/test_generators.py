@@ -10,9 +10,10 @@ from flowsentry.generators import (
     gen_random,
     gen_twopaths,
     generate,
-    matrix_failure_pair,
 )
 from flowsentry.graph import serialize_network
+
+from conftest import matrix_failure_pair
 
 
 def count_simple_paths(net, failures=()):

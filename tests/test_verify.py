@@ -182,11 +182,11 @@ class TestInvariants:
                                               monkeypatch):
         # a-edges 0 and 1 lie on different paths; giving edge 0 the
         # other path's delta decodes to a member of B that carries it
-        # the profile stores the family it built through _fill, as
-        # __init__ does, so the tampering goes there
+        # the profile builds its oracle through the class verify imports,
+        # so the tampering goes in a subclass's __init__
         class Swapped(SensitivityOracle):
-            def _fill(self, *args):
-                super()._fill(*args)
+            def __init__(self, net):
+                super().__init__(net)
                 self.flip[0] = self.flip[1]
 
         monkeypatch.setattr(verify, "SensitivityOracle", Swapped)
