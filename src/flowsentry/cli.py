@@ -163,6 +163,17 @@ class _QueryContext:
             self._kf = build_kfault_oracle(self.net, self.k)
         return self._kf
 
+    def reachable(self, f) -> bool:
+        """RQ. Fewer than lam failures leave a flow of at least 1, so a
+        file without the k-fault oracle answers them from the sensitivity
+        oracle's lam, which walk-pruning keeps."""
+        if (self.loaded and self._kf is None and self._sens is not None
+                and len(f) < self._sens.lam):
+            if len(set(f)) != len(f):
+                raise QueryError("failure set has repeated edges")
+            return True
+        return reachable_under_failures(self.kf, f)
+
 
 def _parse_eid(tok: str, lineno: int, ctx) -> int:
     """The graph's EdgeId for a typed 1-based one; errors name it as typed."""
@@ -173,7 +184,7 @@ def _parse_eid(tok: str, lineno: int, ctx) -> int:
     if v < 1:
         raise ParseError(lineno, "EdgeIds are 1-based")
     if v - 1 not in ctx.net.edges:
-        raise QueryError(f"query line {lineno}: unknown edge {v}")
+        raise QueryError(f"unknown edge {v}")
     return v - 1
 
 
@@ -187,9 +198,7 @@ def _failure_list(toks, lineno: int, ctx) -> list[int]:
     if j < 0:
         raise ParseError(lineno, f"negative failure count {j}")
     if j > ctx.k:
-        raise QueryError(
-            f"query line {lineno}: {j} failures exceeds oracle k={ctx.k}"
-        )
+        raise QueryError(f"{j} failures exceeds oracle k={ctx.k}")
     if len(toks) - 1 != j:
         raise ParseError(lineno, f"expected {j} EdgeIds, got {len(toks) - 1}")
     return [_parse_eid(t, lineno, ctx) for t in toks[1:]]
@@ -231,7 +240,7 @@ def answer_query(line: str, lineno: int, ctx) -> str:
         return str(sorted(v + 1 for v in part.source_side))
     if kind == "RQ":
         f = _failure_list(args, lineno, ctx)
-        return "1" if reachable_under_failures(ctx.kf, f) else "0"
+        return "1" if ctx.reachable(f) else "0"
     raise ParseError(lineno, f"unknown query kind {kind!r}")
 
 
@@ -254,7 +263,11 @@ def cmd_query(args) -> int:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        print(f"{line} => {answer_query(line, lineno, ctx)}")
+        try:
+            answer = answer_query(line, lineno, ctx)
+        except QueryError as exc:
+            raise QueryError(f"query line {lineno}: {exc}") from None
+        print(f"{line} => {answer}")
     return 0
 
 

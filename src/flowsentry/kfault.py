@@ -21,6 +21,14 @@ When nothing drops below lam, it reports the smallest source side among
 the cuts of size lam, which is the residual-reachable set of any
 max-flow.
 
+No query scans the graph or the whole list. The first query on an
+oracle, built or loaded, certifies the list once in O(m) per entry:
+each source side crosses exactly its Z (_certify). The reported
+partition then crosses |Z| - |F and Z| = q surviving edges, and no
+failed edge crosses the no-drop side, whose Z is itself an entry that F
+would hit. Every later query costs O(k log k + sum over e in F of
+|cuts_of(e)|). The certificate's cache stays out of the pickle.
+
 Everything here works on the raw input network: minimal cuts of size up
 to lam+k-1 may use edges that walk-pruning or calibration would remove,
 so neither is applied.
@@ -35,7 +43,7 @@ from .errors import (
 )
 from .flows import augment_unit, max_flow
 from .graph import FlowNetwork, reachable_set
-from .mincut import CutPartition, crossing_edges
+from .mincut import CutPartition
 
 # Search nodes enumerate_minimal_cuts may visit. gen_random(16, 1) at k=3
 # takes 193 and gen_matrix(2, 4) 1,955; on gen_matrix(6, 8) a node costs
@@ -131,6 +139,10 @@ class KFaultOracle:
     entries: tuple[CutEntry, ...]
     cuts_of: dict[int, tuple[int, ...]]  # EdgeId -> indices of entries holding it
 
+    def __getstate__(self):
+        # _certificate refills its cache on the first query after a load
+        return {k: v for k, v in vars(self).items() if k != "_certificate"}
+
 
 def build_kfault_oracle(net: FlowNetwork, k: int) -> KFaultOracle:
     if k < 1:
@@ -152,24 +164,61 @@ def _check_failures(o: KFaultOracle, failures) -> tuple[int, ...]:
         raise QueryError(f"{len(f)} failures exceed the oracle's k={o.k}")
     if len(set(f)) != len(f):
         raise QueryError("failure set has repeated edges")
+    edges = o.net.graph.edges
     for eid in f:
-        if eid not in o.net.edges:
+        if eid not in edges:
             raise QueryError(f"unknown edge {eid}")
     return tuple(sorted(f))
 
 
-def _deepest_drop(o: KFaultOracle, f: tuple[int, ...]):
-    """(q, entry) for sorted failures f; entry is None when nothing drops
-    below lam, else the winning cut, with q = |Z minus f|."""
+def _certify(o: KFaultOracle) -> tuple[list[int], int]:
+    """(|Z| per entry, index of the no-drop entry), cached on the oracle
+    as _certificate for every later query.
+
+    Raises InternalInvariantError unless every entry's source side holds
+    s, not t, and crosses exactly its Z, cuts_of indexes the cut list,
+    and the smallest cuts have size lam. The no-drop entry is the
+    size-lam cut with the smallest source side, the first in list order
+    on a tie: the residual-reachable side of any max-flow, which lies in
+    every min-cut side.
+    """
+    edges = o.net.graph.edges.items()
+    s, t = o.net.s, o.net.t
+    index: dict[int, list[int]] = {}
+    for i, entry in enumerate(o.entries):
+        side = entry.partition.source_side
+        if s not in side or t in side or entry.z != {
+                eid for eid, (u, v) in edges if u in side and v not in side}:
+            raise InternalInvariantError(
+                f"stored cut {i} is not the crossing set of its partition")
+        for eid in entry.z:
+            index.setdefault(eid, []).append(i)
+    if o.cuts_of != {eid: tuple(ix) for eid, ix in index.items()}:
+        raise InternalInvariantError("the edge index does not match the cuts")
+    sizes = [len(entry.z) for entry in o.entries]
+    if min(sizes, default=-1) != o.lam:
+        raise InternalInvariantError(
+            f"the smallest stored cut is not lam={o.lam}")
+    base = min((i for i, size in enumerate(sizes) if size == o.lam),
+               key=lambda i: len(o.entries[i].partition.source_side))
+    cert = o.__dict__["_certificate"] = (sizes, base)
+    return cert
+
+
+def _deepest_drop(o: KFaultOracle, f: tuple[int, ...]) -> tuple[int, int]:
+    """(q, i) for sorted failures f: i indexes the winning cut, or the
+    no-drop entry when nothing drops below lam; q = |Z minus f|."""
+    sizes, base = o.__dict__.get("_certificate") or _certify(o)
     hit: dict[int, list[int]] = {}
     for eid in f:
         for i in o.cuts_of.get(eid, ()):
             hit.setdefault(i, []).append(eid)
-    best, win = (o.lam,), None
+    best, win = (o.lam,), base
     for i, fz in hit.items():
-        key = (len(o.entries[i].z) - len(fz), -len(fz), fz, i)
-        if key < best:  # (lam,) sorts before every key of value lam
-            best, win = key, o.entries[i]
+        q = sizes[i] - len(fz)
+        # (lam,) sorts before every key of value lam
+        if q <= best[0] and (key := (q, -len(fz), fz, i)) < best:
+            best, win = key, i
     return best[0], win
 
 
@@ -180,21 +229,8 @@ def mincut_size_k(o: KFaultOracle, failures) -> int:
 
 def mincut_partition_k(o: KFaultOracle, failures) -> CutPartition:
     """A concrete min-cut partition of the network minus the failures."""
-    f = _check_failures(o, failures)
-    q, entry = _deepest_drop(o, f)
-    if entry is None:
-        part = min((e.partition for e in o.entries if len(e.z) == o.lam),
-                   key=lambda p: len(p.source_side))
-    else:
-        part = entry.partition
-    cross = crossing_edges(o.net, part.source_side)
-    survivors = [eid for eid in cross if eid not in f]
-    if entry is None and len(survivors) != len(cross):
-        raise InternalInvariantError("failed edge crosses a surviving cut")
-    if len(survivors) != q:
-        raise InternalInvariantError(
-            f"reported partition crosses {len(survivors)} != {q}")
-    return part
+    i = _deepest_drop(o, _check_failures(o, failures))[1]
+    return o.entries[i].partition
 
 
 def reachable_under_failures(o: KFaultOracle, failures) -> bool:

@@ -1,13 +1,20 @@
-"""The vertex-subset scan that kfault.enumerate_minimal_cuts replaced.
+"""Code paths the k-fault oracle replaced, kept as identity references.
 
-It visits all 2^n source sides, so it stays exact and independent of
-the branch-and-bound search, and the tests compare the two on graphs
-of up to 16 vertices.
+scan_minimal_cuts is the vertex-subset scan that
+kfault.enumerate_minimal_cuts replaced. It visits all 2^n source sides,
+so it stays exact and independent of the branch-and-bound search, and
+the tests compare the two on graphs of up to 16 vertices.
+
+deepest_drop, size_k and partition_k are the queries from before the
+cut list was certified once per oracle: they read |Z| off each hit
+entry, scan every entry for the no-drop partition and recount the
+reported partition's crossing edges on every call.
 """
 
 from flowsentry.errors import InternalInvariantError
 from flowsentry.graph import FlowNetwork, reachable_set
-from flowsentry.mincut import CutPartition
+from flowsentry.kfault import _check_failures
+from flowsentry.mincut import CutPartition, crossing_edges
 
 SCAN_VERTEX_CAP = 22
 
@@ -52,3 +59,40 @@ def _on_st_path(net: FlowNetwork, z, eid) -> bool:
     g = net.graph.without_edges(z - {eid})
     u, v = net.edges[eid]
     return u in reachable_set(g, net.s) and net.t in reachable_set(g, v)
+
+
+def deepest_drop(o, f: tuple[int, ...]):
+    """(q, entry) for sorted failures f; entry is None when nothing drops
+    below lam, else the winning cut, with q = |Z minus f|."""
+    hit: dict[int, list[int]] = {}
+    for eid in f:
+        for i in o.cuts_of.get(eid, ()):
+            hit.setdefault(i, []).append(eid)
+    best, win = (o.lam,), None
+    for i, fz in hit.items():
+        key = (len(o.entries[i].z) - len(fz), -len(fz), fz, i)
+        if key < best:  # (lam,) sorts before every key of value lam
+            best, win = key, o.entries[i]
+    return best[0], win
+
+
+def size_k(o, failures) -> int:
+    return deepest_drop(o, _check_failures(o, failures))[0]
+
+
+def partition_k(o, failures) -> CutPartition:
+    f = _check_failures(o, failures)
+    q, entry = deepest_drop(o, f)
+    if entry is None:
+        part = min((e.partition for e in o.entries if len(e.z) == o.lam),
+                   key=lambda p: len(p.source_side))
+    else:
+        part = entry.partition
+    cross = crossing_edges(o.net, part.source_side)
+    survivors = [eid for eid in cross if eid not in f]
+    if entry is None and len(survivors) != len(cross):
+        raise InternalInvariantError("failed edge crosses a surviving cut")
+    if len(survivors) != q:
+        raise InternalInvariantError(
+            f"reported partition crosses {len(survivors)} != {q}")
+    return part

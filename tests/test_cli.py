@@ -1,5 +1,6 @@
 """CLI surface: gen/build/query/verify, exit codes, oracle files."""
 
+import dataclasses
 import gc
 import hashlib
 import io
@@ -175,6 +176,20 @@ class TestQuery:
                              "-q", str(qf))
         assert (code, out) == (2, "")
         assert err == "error: query line 1: unknown edge 99\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("MF2 1 1", "dual-failure query needs two distinct edges"),
+        ("MCK 2 1 1", "failure set has repeated edges"),
+    ])
+    def test_oracle_errors_name_the_line(self, bottleneck_file, tmp_path,
+                                         capsys, line, message):
+        # raised inside the oracle, not by the query parser
+        qf = tmp_path / "q.txt"
+        qf.write_text(f"MF 1\n\n{line}\n")
+        code, out, err = run(capsys, "query", "-g", str(bottleneck_file),
+                             "-q", str(qf))
+        assert (code, out) == (2, "MF 1 => 1\n")
+        assert err == f"error: query line 3: {message}\n"
 
     @pytest.mark.parametrize("kind", ["MCK", "MCKP", "RQ"])
     def test_negative_failure_count_exits_2(self, bottleneck_file, tmp_path,
@@ -368,13 +383,58 @@ class TestBuildAndOracleFile:
 
         monkeypatch.setattr(kfault, "enumerate_minimal_cuts", no_enumeration)
         qf = tmp_path / "q.txt"
-        for line in ("MCK 1 1", "MCKP 2 1 2", "RQ 0"):
+        for line in ("MCK 1 1", "MCKP 2 1 2"):
             qf.write_text(line + "\n")
             code, out, err = run(capsys, "query", "-g", str(graph),
                                  "--oracle", str(ob), "-q", str(qf))
             assert code == 2 and out == ""
-            assert err.startswith("error: the oracle file holds no k-fault")
+            assert err.startswith(
+                "error: query line 1: the oracle file holds no k-fault")
             assert "budget of 10 search nodes" in err
+        # lam is 8, so fewer failures than that leave a path: RQ needs no
+        # cut list, but still rejects a repeated edge
+        qf.write_text("RQ 0\nRQ 2 1 2\n")
+        code, out, _ = run(capsys, "query", "-g", str(graph),
+                           "--oracle", str(ob), "-q", str(qf))
+        assert code == 0
+        assert out.splitlines() == ["RQ 0 => 1", "RQ 2 1 2 => 1"]
+        qf.write_text("RQ 2 1 1\n")
+        code, out, err = run(capsys, "query", "-g", str(graph),
+                             "--oracle", str(ob), "-q", str(qf))
+        assert (code, out) == (2, "")
+        assert err == "error: query line 1: failure set has repeated edges\n"
+
+    def test_rq_below_lam_without_kfault(self, tmp_path, capsys):
+        # the hard instance outgrows the cut-list budget at k=2, lam 12
+        graph = tmp_path / "m.txt"
+        run(capsys, "gen", "--family", "matrix", "--size", "6", "--size", "8",
+            "--seed", "1", "-o", str(graph))
+        ob = tmp_path / "oracle.bin"
+        code, _, err = run(capsys, "build", "-g", str(graph), "-k", "2",
+                           "-o", str(ob))
+        assert code == 0 and "k-fault oracle skipped" in err
+        qf = tmp_path / "q.txt"
+        qf.write_text("MC2 1 2\nRQ 2 1 2\n")
+        code, out, _ = run(capsys, "query", "-g", str(graph),
+                           "--oracle", str(ob), "-q", str(qf))
+        assert code == 0
+        assert out.splitlines() == ["MC2 1 2 => 11", "RQ 2 1 2 => 1"]
+
+    def test_rq_at_lam_without_kfault_exits_2(self, bottleneck_file, tmp_path,
+                                              capsys, monkeypatch):
+        # lam is 2 on the bottleneck: one failure leaves a path, two may not
+        monkeypatch.setattr(kfault, "ENUMERATION_PROBE_BUDGET", 1)
+        ob = tmp_path / "oracle.bin"
+        code, _, err = run(capsys, "build", "-g", str(bottleneck_file),
+                           "-o", str(ob))
+        assert code == 0 and "k-fault oracle skipped" in err
+        qf = tmp_path / "q.txt"
+        qf.write_text("RQ 1 1\nRQ 2 1 2\n")
+        code, out, err = run(capsys, "query", "-g", str(bottleneck_file),
+                             "--oracle", str(ob), "-q", str(qf))
+        assert (code, out) == (2, "RQ 1 1 => 1\n")
+        assert err.startswith(
+            "error: query line 2: the oracle file holds no k-fault oracle")
 
     @pytest.mark.parametrize("payload", [
         [None, None],
@@ -528,6 +588,27 @@ class TestBuildAndOracleFile:
         cli.save_oracle(str(path), k, hashlib.sha256(text.encode()).digest(),
                         None, kfault.build_kfault_oracle(parse_network(text), k))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_kfault_file_unchanged_by_queries(self, tmp_path):
+        # the cut-list certificate the first query caches stays out of the
+        # file, whether the oracle was built or loaded
+        net = gen_matrix(2, 4, seed=1)
+        built = kfault.build_kfault_oracle(net, 2)
+        digest = hashlib.sha256(b"graph").digest()
+        path = tmp_path / "oracle.bin"
+        cli.save_oracle(str(path), 2, digest, None, built)
+        _, _, loaded = load_oracle(str(path), digest)
+        hot = sorted(built.cuts_of)
+        for o in (built, loaded):
+            cli.save_oracle(str(path), 2, digest, None, o)
+            before = path.read_bytes()
+            assert "_certificate" not in vars(o)
+            for f in ([], hot[:1], hot[:2], hot[-2:]):
+                kfault.mincut_size_k(o, f)
+                kfault.mincut_partition_k(o, f)
+            assert "_certificate" in vars(o)
+            cli.save_oracle(str(path), 2, digest, None, o)
+            assert path.read_bytes() == before
 
     def test_corrupt_file_exits_2(self, bottleneck_file, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
@@ -852,10 +933,27 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         proc = cli_O("build", "-g", str(graph), "-o", str(ob))
         assert proc.returncode == 0, proc.stderr
-        proc = cli_O("query", "-g", str(graph), "--oracle", str(ob),
-                     "-q", "-", stdin="MF2 1 2\nMC2 1 2\nMCK 1 1\n")
+        proc = cli_O("query", "-g", str(graph), "--oracle", str(ob), "-q", "-",
+                     stdin="MF2 1 2\nMC2 1 2\nMCK 1 1\nMCKP 2 1 2\nRQ 2 1 2\n")
         assert proc.returncode == 0, proc.stderr
-        assert len(proc.stdout.splitlines()) == 3
+        answers = proc.stdout.splitlines()
+        assert len(answers) == 5
+        # a re-signed file whose first cut carries another cut's partition:
+        # the k-fault oracle checks its cut list on first use
+        digest = hashlib.sha256(graph.read_bytes()).digest()
+        _, sens, kf = load_oracle(str(ob), digest)
+        assert len({e.z for e in kf.entries}) > 1
+        entries = (dataclasses.replace(kf.entries[0],
+                                       partition=kf.entries[-1].partition),
+                   *kf.entries[1:])
+        bad = tmp_path / "tampered.bin"
+        cli.save_oracle(str(bad), kf.k, digest, sens,
+                        dataclasses.replace(kf, entries=entries))
+        proc = cli_O("query", "-g", str(graph), "--oracle", str(bad),
+                     "-q", "-", stdin="MF2 1 2\nMCKP 0\n")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout.splitlines() == answers[:1]
+        assert proc.stderr.startswith("error: internal invariant violated: ")
         proc = cli_O("verify", "-g", str(graph), "--profile", "exhaustive-2")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.splitlines()[-1] == "result: ok"

@@ -31,6 +31,7 @@ from flowsentry.kfault import (
 from flowsentry.mincut import CutPartition, crossing_edges
 
 from conftest import brute_max_flow_value, make_net, random_net
+import kfault_reference
 from kfault_reference import scan_minimal_cuts
 
 
@@ -410,3 +411,79 @@ class TestOnePassQuery:
         tampered = dataclasses.replace(o, entries=entries)
         with pytest.raises(InternalInvariantError):
             mincut_partition_k(tampered, [])
+
+
+def assert_same_answers(o, failure_sets):
+    """MCK, MCKP and RQ as the recounting reference answers them. Returns
+    (drops, ties): the sets whose value falls below lam, and those among
+    them where two or more cuts reach that value, so the tie-break picks
+    the partition."""
+    drops = ties = 0
+    for f in failure_sets:
+        q = kfault_reference.size_k(o, f)
+        assert mincut_size_k(o, f) == q, f
+        assert reachable_under_failures(o, f) == (q >= 1), f
+        assert mincut_partition_k(o, f) == \
+            kfault_reference.partition_k(o, f), f
+        if q < o.lam:
+            drops += 1
+            fs = set(f)
+            ties += sum(len(e.z - fs) == q for e in o.entries) > 1
+    return drops, ties
+
+
+class TestCertifiedQuery:
+    def test_identical_to_recounting_reference(self):
+        for net in reference_corpus():
+            o = build_kfault_oracle(net, 3)
+            eids = sorted(net.edges)
+            assert_same_answers(o, (
+                combo for size in range(4)
+                for combo in itertools.combinations(eids, size)))
+
+    @pytest.mark.parametrize("make, entries, least_ties", [
+        # lam is 1 and two cuts are single edges: a tie at 0 needs both
+        (lambda: gen_twopaths(40), 192, 0),
+        (lambda: gen_matrix(2, 4, seed=1), 400, 100),
+    ])
+    def test_identical_on_large_cut_lists(self, make, entries, least_ties):
+        # most failure sets hit several of these cuts at once
+        net = make()
+        o = build_kfault_oracle(net, 2)
+        assert len(o.entries) == entries
+        rng = random.Random(entries)
+        pools = [sorted(net.edges), sorted(o.cuts_of)]
+        sets = [rng.sample(pools[i % 2], rng.randint(0, 2))
+                for i in range(600)]
+        drops, ties = assert_same_answers(o, sets)
+        assert drops > 50 and ties >= least_ties
+
+    def test_certificate_runs_once(self, monkeypatch):
+        o = build_kfault_oracle(gen_matrix(2, 3, seed=1), 2)
+        calls = []
+        certify = flowsentry.kfault._certify
+        monkeypatch.setattr(flowsentry.kfault, "_certify",
+                            lambda o: calls.append(o) or certify(o))
+        for f in ([], [0], [0, 1]):
+            mincut_size_k(o, f)
+            mincut_partition_k(o, f)
+            reachable_under_failures(o, f)
+        assert calls == [o]
+
+    @pytest.mark.parametrize("tamper", ["side", "index", "lam"])
+    def test_tampered_oracle_raises_on_any_query(self, bottleneck, tamper):
+        o = build_kfault_oracle(bottleneck, 2)
+        if tamper == "side":  # a side holding t crosses no edge of its Z
+            wrong = CutPartition(source_side=frozenset(range(bottleneck.n)))
+            o = dataclasses.replace(o, entries=(
+                dataclasses.replace(o.entries[-1], partition=wrong),
+                *o.entries[:-1]))
+        elif tamper == "index":  # edge 4 listed in no cut
+            o = dataclasses.replace(o, cuts_of={
+                e: ix for e, ix in o.cuts_of.items() if e != 4})
+        else:
+            o = dataclasses.replace(o, lam=o.lam + 1)
+        for query in (mincut_size_k, mincut_partition_k,
+                      reachable_under_failures):
+            with pytest.raises(InternalInvariantError):
+                query(o, [])
