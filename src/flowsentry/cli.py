@@ -27,15 +27,17 @@ from .kfault import (
 from .oracles import SensitivityOracle
 from .verify import run_verify
 
-# Oracle file layout, version 7 (stability across versions not promised):
+# Oracle file layout, version 8 (stability across versions not promised):
 #   8 bytes   magic b"FLOWSNTY"
 #   u16 LE    format version
 #   u16 LE    k the failure oracle was built for
 #   32 bytes  sha256 of the graph file bytes the oracle was built from
 #   32 bytes  sha256 of the payload
-#   rest      payload: pickle of {"sensitivity": ..., "kfault": ...}
+#   rest      payload: pickle of {"sensitivity": ..., "kfault": ...}; the
+#             k-fault oracle holds the raw network, k, lam and its cut
+#             list as ascending source-side bitmasks
 ORACLE_MAGIC = b"FLOWSNTY"
-ORACLE_VERSION = 7
+ORACLE_VERSION = 8
 _HEADER = 76
 _NONE = type(None)
 
@@ -164,11 +166,10 @@ class _QueryContext:
         return self._kf
 
     def reachable(self, f) -> bool:
-        """RQ. Fewer than lam failures leave a flow of at least 1, so a
-        file without the k-fault oracle answers them from the sensitivity
+        """RQ. Fewer than lam failures leave a flow of at least 1, so
+        without a cut list at hand they are answered from the sensitivity
         oracle's lam, which walk-pruning keeps."""
-        if (self.loaded and self._kf is None and self._sens is not None
-                and len(f) < self._sens.lam):
+        if self._kf is None and len(f) < self.sens.lam:
             if len(set(f)) != len(f):
                 raise QueryError("failure set has repeated edges")
             return True

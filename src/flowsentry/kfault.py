@@ -2,10 +2,10 @@
 
 The max-flow of G - F is min(lam, min over minimal (s,t)-cuts Z of
 |Z minus F|). With |F| <= k, a cut of size lam+k or more keeps at least
-lam edges and never goes below lam. So the oracle keeps one
-(Z, partition) pair per minimal cut of size at most lam+k-1, the
-partition canonical, plus an index from each EdgeId to the cuts that
-hold it. The list is ordered by the bitmask of the source side.
+lam edges and never goes below lam. So the oracle stores one entry per
+minimal cut of size at most lam+k-1: the source side of its canonical
+partition, as a vertex bitmask, in ascending order. Z is the set of
+edges leaving that side, so it is not stored.
 
 The cuts are listed by a depth-first search over source sides that a
 max-flow bound prunes (Provan & Shier, "A paradigm for listing
@@ -21,13 +21,15 @@ When nothing drops below lam, it reports the smallest source side among
 the cuts of size lam, which is the residual-reachable set of any
 max-flow.
 
-No query scans the graph or the whole list. The first query on an
-oracle, built or loaded, certifies the list once in O(m) per entry:
-each source side crosses exactly its Z (_certify). The reported
-partition then crosses |Z| - |F and Z| = q surviving edges, and no
-failed edge crosses the no-drop side, whose Z is itself an entry that F
-would hit. Every later query costs O(k log k + sum over e in F of
-|cuts_of(e)|). The certificate's cache stays out of the pickle.
+The first query on an oracle, built or loaded, certifies the list once
+and derives from it everything a query reads (_certify), in O(n + m)
+per entry: each Z as the crossing set of its side, |Z|, the index from
+each EdgeId to the cuts that hold it, one partition per entry and the
+no-drop entry. The reported partition then crosses |Z| - |F and Z| = q
+surviving edges, and no failed edge crosses the no-drop side, whose Z
+is itself an entry that F would hit. Every later query costs
+O(k log k + sum over e in F of the number of cuts holding e). The
+certificate stays out of the pickle.
 
 Everything here works on the raw input network: minimal cuts of size up
 to lam+k-1 may use edges that walk-pruning or calibration would remove,
@@ -51,13 +53,13 @@ from .mincut import CutPartition
 ENUMERATION_PROBE_BUDGET = 5000
 
 
-def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
-    """All minimal (s,t)-cuts of size <= limit, with canonical partitions.
+def enumerate_minimal_cuts(net: FlowNetwork, limit: int) -> list[int]:
+    """The canonical source sides of all minimal (s,t)-cuts of size <= limit,
+    as ascending vertex bitmasks.
 
     A crossing set Z is minimal when every member lies on an (s,t)-path
-    of G - (Z minus that member); the canonical partition puts exactly
-    the vertices reachable from s in G - Z on the source side. Returns
-    (Z, partition) pairs in ascending bitmask order of the source side.
+    of G - (Z minus that member); its canonical source side is exactly
+    the vertices reachable from s in G - Z.
 
     The search branches over pairs (A, X) of vertex sets, A holding s and
     X vertices kept off the source side, starting from ({s}, {}). A node
@@ -78,7 +80,6 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
     """
     g, s, t = net.graph, net.s, net.t
     arcs = g.incidence()
-    rank = {eid: i for i, eid in enumerate(net.edges)}
     out = []
     probes = 0
     # (A, X, out-neighbours of A outside A, X and {t}, flow, flow value)
@@ -105,30 +106,18 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int):
             stack.append((a, x | {v}, rest, dict(flow), value))
             stack.append((grown, x, rest | heads, flow, value))
             continue
-        # no frontier is left, so Z runs from A into X + {t}. Z is built in
-        # net.edges order and the side in BFS order, as the subset scan did:
-        # equal frozensets built in another order can pickle to other bytes
-        z = frozenset(sorted([eid for y in sinks for eid, w, rev in arcs[y]
-                              if rev and w in a], key=rank.__getitem__))
+        # no frontier is left, so Z runs from A into X + {t}
+        z = {eid for y in sinks for eid, w, rev in arcs[y] if rev and w in a}
         if len(z) > limit:
             continue
         to_t = reachable_set(g, t, z, reverse=True)
         if any(g.edges[eid][1] not in to_t for eid in z):
             continue
-        side = frozenset(reachable_set(g, s, z))
-        if side != a:
+        if reachable_set(g, s, z) != a:
             raise InternalInvariantError("a leaf that is not a canonical side")
-        out.append((z, CutPartition(source_side=side)))
-    out.sort(key=lambda entry: sum(1 << v for v in entry[1].source_side))
+        out.append(sum(1 << v for v in a))
+    out.sort()
     return out
-
-
-@dataclass(frozen=True)
-class CutEntry:
-    """One minimal cut Z and its canonical partition."""
-
-    z: frozenset[int]
-    partition: CutPartition
 
 
 @dataclass(frozen=True)
@@ -136,8 +125,7 @@ class KFaultOracle:
     net: FlowNetwork
     k: int
     lam: int
-    entries: tuple[CutEntry, ...]
-    cuts_of: dict[int, tuple[int, ...]]  # EdgeId -> indices of entries holding it
+    entries: tuple[int, ...]  # canonical source sides as bitmasks, ascending
 
     def __getstate__(self):
         # _certificate refills its cache on the first query after a load
@@ -148,14 +136,8 @@ def build_kfault_oracle(net: FlowNetwork, k: int) -> KFaultOracle:
     if k < 1:
         raise ValueError("k must be at least 1")
     lam = max_flow(net).value
-    entries = tuple(CutEntry(z, part)
-                    for z, part in enumerate_minimal_cuts(net, lam + k - 1))
-    cuts_of: dict[int, list[int]] = {}
-    for i, entry in enumerate(entries):
-        for eid in entry.z:
-            cuts_of.setdefault(eid, []).append(i)
-    return KFaultOracle(net=net, k=k, lam=lam, entries=entries,
-                        cuts_of={e: tuple(ix) for e, ix in cuts_of.items()})
+    return KFaultOracle(net=net, k=k, lam=lam,
+                        entries=tuple(enumerate_minimal_cuts(net, lam + k - 1)))
 
 
 def _check_failures(o: KFaultOracle, failures) -> tuple[int, ...]:
@@ -171,47 +153,55 @@ def _check_failures(o: KFaultOracle, failures) -> tuple[int, ...]:
     return tuple(sorted(f))
 
 
-def _certify(o: KFaultOracle) -> tuple[list[int], int]:
-    """(|Z| per entry, index of the no-drop entry), cached on the oracle
-    as _certificate for every later query.
+def _certify(o: KFaultOracle):
+    """(|Z| per entry, EdgeId -> indices of the entries whose Z holds it,
+    the partition per entry, index of the no-drop entry), cached on the
+    oracle as _certificate for every later query.
 
-    Raises InternalInvariantError unless every entry's source side holds
-    s, not t, and crosses exactly its Z, cuts_of indexes the cut list,
-    and the smallest cuts have size lam. The no-drop entry is the
-    size-lam cut with the smallest source side, the first in list order
-    on a tie: the residual-reachable side of any max-flow, which lies in
-    every min-cut side.
+    Raises InternalInvariantError unless the entries are strictly
+    ascending bitmasks of source sides that hold s and not t, and the
+    smallest cuts have size lam, the max-flow value the build computed.
+    The no-drop entry is the size-lam cut with the smallest source side,
+    the first in list order on a tie: the residual-reachable side of any
+    max-flow, which lies in every min-cut side.
     """
-    edges = o.net.graph.edges.items()
-    s, t = o.net.s, o.net.t
-    index: dict[int, list[int]] = {}
-    for i, entry in enumerate(o.entries):
-        side = entry.partition.source_side
-        if s not in side or t in side or entry.z != {
-                eid for eid, (u, v) in edges if u in side and v not in side}:
+    g, n, s, t = o.net.graph, o.net.n, o.net.s, o.net.t
+    heads = [[(eid, g.edges[eid][1]) for eid in g.out_edges(u)]
+             for u in range(n)]
+    sizes, cuts_of, parts = [], {}, []
+    prev = 0
+    for i, mask in enumerate(o.entries):
+        if (type(mask) is not int or not prev < mask < 1 << n
+                or not mask >> s & 1 or mask >> t & 1):
             raise InternalInvariantError(
-                f"stored cut {i} is not the crossing set of its partition")
-        for eid in entry.z:
-            index.setdefault(eid, []).append(i)
-    if o.cuts_of != {eid: tuple(ix) for eid, ix in index.items()}:
-        raise InternalInvariantError("the edge index does not match the cuts")
-    sizes = [len(entry.z) for entry in o.entries]
+                f"stored side {i} is not the next source side in order")
+        prev = mask
+        side = frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+        size = 0
+        for u in side:
+            for eid, v in heads[u]:
+                if v not in side:  # eid is in Z
+                    cuts_of.setdefault(eid, []).append(i)
+                    size += 1
+        sizes.append(size)
+        parts.append(CutPartition(source_side=side))
     if min(sizes, default=-1) != o.lam:
         raise InternalInvariantError(
             f"the smallest stored cut is not lam={o.lam}")
     base = min((i for i, size in enumerate(sizes) if size == o.lam),
-               key=lambda i: len(o.entries[i].partition.source_side))
-    cert = o.__dict__["_certificate"] = (sizes, base)
+               key=lambda i: len(parts[i].source_side))
+    cert = o.__dict__["_certificate"] = (sizes, cuts_of, parts, base)
     return cert
 
 
-def _deepest_drop(o: KFaultOracle, f: tuple[int, ...]) -> tuple[int, int]:
-    """(q, i) for sorted failures f: i indexes the winning cut, or the
-    no-drop entry when nothing drops below lam; q = |Z minus f|."""
-    sizes, base = o.__dict__.get("_certificate") or _certify(o)
+def _deepest_drop(o: KFaultOracle, f: tuple[int, ...]) -> tuple[int, CutPartition]:
+    """(q, partition) for sorted failures f: the partition of the winning
+    cut, or of the no-drop entry when nothing drops below lam;
+    q = |Z minus f|."""
+    sizes, cuts_of, parts, base = o.__dict__.get("_certificate") or _certify(o)
     hit: dict[int, list[int]] = {}
     for eid in f:
-        for i in o.cuts_of.get(eid, ()):
+        for i in cuts_of.get(eid, ()):
             hit.setdefault(i, []).append(eid)
     best, win = (o.lam,), base
     for i, fz in hit.items():
@@ -219,7 +209,7 @@ def _deepest_drop(o: KFaultOracle, f: tuple[int, ...]) -> tuple[int, int]:
         # (lam,) sorts before every key of value lam
         if q <= best[0] and (key := (q, -len(fz), fz, i)) < best:
             best, win = key, i
-    return best[0], win
+    return best[0], parts[win]
 
 
 def mincut_size_k(o: KFaultOracle, failures) -> int:
@@ -229,8 +219,7 @@ def mincut_size_k(o: KFaultOracle, failures) -> int:
 
 def mincut_partition_k(o: KFaultOracle, failures) -> CutPartition:
     """A concrete min-cut partition of the network minus the failures."""
-    i = _deepest_drop(o, _check_failures(o, failures))[1]
-    return o.entries[i].partition
+    return _deepest_drop(o, _check_failures(o, failures))[1]
 
 
 def reachable_under_failures(o: KFaultOracle, failures) -> bool:

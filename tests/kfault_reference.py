@@ -5,10 +5,13 @@ kfault.enumerate_minimal_cuts replaced. It visits all 2^n source sides,
 so it stays exact and independent of the branch-and-bound search, and
 the tests compare the two on graphs of up to 16 vertices.
 
-deepest_drop, size_k and partition_k are the queries from before the
-cut list was certified once per oracle: they read |Z| off each hit
-entry, scan every entry for the no-drop partition and recount the
-reported partition's crossing edges on every call.
+cut_list recomputes each stored cut Z and its partition from the
+oracle's source-side bitmasks with mincut.crossing_edges, apart from the
+certificate the queries read. deepest_drop, size_k and partition_k are
+the queries from before the cut list was certified once per oracle:
+they read |Z| off each hit cut, scan every cut for the no-drop
+partition and recount the reported partition's crossing edges on every
+call.
 """
 
 from flowsentry.errors import InternalInvariantError
@@ -61,36 +64,52 @@ def _on_st_path(net: FlowNetwork, z, eid) -> bool:
     return u in reachable_set(g, net.s) and net.t in reachable_set(g, v)
 
 
-def deepest_drop(o, f: tuple[int, ...]):
-    """(q, entry) for sorted failures f; entry is None when nothing drops
-    below lam, else the winning cut, with q = |Z minus f|."""
-    hit: dict[int, list[int]] = {}
-    for eid in f:
-        for i in o.cuts_of.get(eid, ()):
-            hit.setdefault(i, []).append(eid)
+def side_of(net: FlowNetwork, mask: int) -> frozenset[int]:
+    """The vertex set a source-side bitmask stands for."""
+    return frozenset(v for v in range(net.n) if (mask >> v) & 1)
+
+
+def cut_list(o):
+    """(Z, partition) per stored entry of the k-fault oracle o, in list
+    order: Z is the crossing set of the entry's source side."""
+    out = []
+    for mask in o.entries:
+        side = side_of(o.net, mask)
+        out.append((frozenset(crossing_edges(o.net, side)),
+                    CutPartition(source_side=side)))
+    return out
+
+
+def deepest_drop(o, cuts, f: tuple[int, ...]):
+    """(q, cut) for sorted failures f and cuts = cut_list(o); cut is None
+    when nothing drops below lam, else the winning (Z, partition) pair,
+    with q = |Z minus f|."""
     best, win = (o.lam,), None
-    for i, fz in hit.items():
-        key = (len(o.entries[i].z) - len(fz), -len(fz), fz, i)
+    for i, cut in enumerate(cuts):
+        fz = [eid for eid in f if eid in cut[0]]
+        if not fz:
+            continue
+        key = (len(cut[0]) - len(fz), -len(fz), fz, i)
         if key < best:  # (lam,) sorts before every key of value lam
-            best, win = key, o.entries[i]
+            best, win = key, cut
     return best[0], win
 
 
-def size_k(o, failures) -> int:
-    return deepest_drop(o, _check_failures(o, failures))[0]
+def size_k(o, cuts, failures) -> int:
+    return deepest_drop(o, cuts, _check_failures(o, failures))[0]
 
 
-def partition_k(o, failures) -> CutPartition:
+def partition_k(o, cuts, failures) -> CutPartition:
     f = _check_failures(o, failures)
-    q, entry = deepest_drop(o, f)
-    if entry is None:
-        part = min((e.partition for e in o.entries if len(e.z) == o.lam),
+    q, cut = deepest_drop(o, cuts, f)
+    if cut is None:
+        part = min((p for z, p in cuts if len(z) == o.lam),
                    key=lambda p: len(p.source_side))
     else:
-        part = entry.partition
+        part = cut[1]
     cross = crossing_edges(o.net, part.source_side)
     survivors = [eid for eid in cross if eid not in f]
-    if entry is None and len(survivors) != len(cross):
+    if cut is None and len(survivors) != len(cross):
         raise InternalInvariantError("failed edge crosses a surviving cut")
     if len(survivors) != q:
         raise InternalInvariantError(

@@ -26,6 +26,7 @@ from flowsentry.graph import parse_network, prune_to_st_paths, serialize_network
 from flowsentry.oracles import SensitivityOracle
 
 from conftest import make_net
+from kfault_reference import cut_list
 
 
 def run(capsys, *argv):
@@ -420,6 +421,23 @@ class TestBuildAndOracleFile:
         assert code == 0
         assert out.splitlines() == ["MC2 1 2 => 11", "RQ 2 1 2 => 1"]
 
+    def test_rq_below_lam_without_oracle_file(self, tmp_path, capsys,
+                                              monkeypatch):
+        # without a file, RQ below lam builds the sensitivity oracle and
+        # never the cut list, which outgrows its budget on this graph
+        graph = tmp_path / "m.txt"
+        run(capsys, "gen", "--family", "matrix", "--size", "6", "--size", "8",
+            "--seed", "1", "-o", str(graph))
+
+        def no_enumeration(*args):
+            raise AssertionError("minimal-cut enumeration ran")
+
+        monkeypatch.setattr(kfault, "enumerate_minimal_cuts", no_enumeration)
+        qf = tmp_path / "q.txt"
+        qf.write_text("RQ 2 1 2\n")
+        code, out, err = run(capsys, "query", "-g", str(graph), "-q", str(qf))
+        assert (code, out, err) == (0, "RQ 2 1 2 => 1\n", "")
+
     def test_rq_at_lam_without_kfault_exits_2(self, bottleneck_file, tmp_path,
                                               capsys, monkeypatch):
         # lam is 2 on the bottleneck: one failure leaves a path, two may not
@@ -493,7 +511,7 @@ class TestBuildAndOracleFile:
         assert kf is not None
         # half the sets fail edges of the stored cuts, so answers drop
         rng = random.Random(30)
-        hot = sorted(set().union(*(e.z for e in kf.entries)))
+        hot = sorted(set().union(*(z for z, _ in cut_list(kf))))
         pools = [sorted(net.edges), hot]
         sets = [rng.sample(pools[i % 2], rng.randint(0, 2))
                 for i in range(60)]
@@ -553,15 +571,15 @@ class TestBuildAndOracleFile:
 
     @pytest.mark.parametrize("make, sha256", [
         (lambda: gen_random(60, 1),
-         "9ca017ddeff34eb63ee2a2a284d39051c0e7198a237888dd25099f2ed020902a"),
+         "e3a525c0d96a995e06eede689fc229dd29e2348e8a65a1ab1d3d82f5b6ea0f47"),
         (lambda: gen_matrix(6, 8, seed=1),
-         "19af993f94b43993c79b2f430d7665bcbb1e6e517725779ca7db61411fce6cbc"),
+         "7b8e9ec3001229b71d82ff78ccac10d8c4f5f8e1b3391616185306080f358e8c"),
         # calibration deletes edges here, so the subgraph is re-classified
         (lambda: gen_random(120, 1),
-         "63a3568573ece7dd717247df9e75a971feaa706f58f99971518873120e51e8d9"),
+         "e9d1e696d17738ab4c6bd7f619833e59523badb322e5f51f3c09c752dea89610"),
         # the hard instance past lam = 16
         (lambda: gen_matrix(8, 2, seed=1),
-         "34f06168aca275196cb17aedffbd760246638e1dfb6de4af30f946ffd245a25a"),
+         "f704f410a03659c79fa2258fb63b27788a00931eb61a023e62ea1cb917c80576"),
     ])
     def test_oracle_bytes_pinned(self, make, sha256, tmp_path):
         # the file a build writes, as the benchmark saves it: a change to
@@ -574,15 +592,15 @@ class TestBuildAndOracleFile:
 
     @pytest.mark.parametrize("make, k, sha256", [
         (lambda: gen_random(16, 1), 3,
-         "fa0a0bc15c1fb9fc0f1f0c01d2d2e15538b1502ac3436c21dd0670055b57df4b"),
+         "5aeb6b863d03978db4f4d4d9476f1317fdf0cd863ef3d8de75131017096d12e4"),
         (lambda: gen_matrix(2, 4, seed=1), 3,
-         "f09d8fc55b9da31ced50d3c9d282d569fefc1f4534345e576cd38ab605c43b90"),
+         "cda5484a832b176c0b729d95b01de638e1d484ca1fa3e6e0e120cae122b08577"),
         (lambda: gen_twopaths(40), 2,
-         "822f4afd6750d09d4074bd6d0716e7d013e96a779fb508231009b2abc8a4627b"),
+         "29187419005522deefe61dd5adee46dd79285a67d7fbdd891f8fefd981b4d55d"),
     ])
     def test_kfault_bytes_pinned(self, make, k, sha256, tmp_path):
-        # the k-fault file, as the benchmark saves it: the cut list, its
-        # order and the byte order of each stored set must not change
+        # the k-fault file, as the benchmark saves it: the cut list and its
+        # order must not change
         text = serialize_network(make())
         path = tmp_path / "oracle.bin"
         cli.save_oracle(str(path), k, hashlib.sha256(text.encode()).digest(),
@@ -590,25 +608,27 @@ class TestBuildAndOracleFile:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_kfault_file_unchanged_by_queries(self, tmp_path):
+        # a loaded oracle saves to the bytes of the file it came from, and
         # the cut-list certificate the first query caches stays out of the
         # file, whether the oracle was built or loaded
-        net = gen_matrix(2, 4, seed=1)
-        built = kfault.build_kfault_oracle(net, 2)
         digest = hashlib.sha256(b"graph").digest()
         path = tmp_path / "oracle.bin"
-        cli.save_oracle(str(path), 2, digest, None, built)
-        _, _, loaded = load_oracle(str(path), digest)
-        hot = sorted(built.cuts_of)
-        for o in (built, loaded):
-            cli.save_oracle(str(path), 2, digest, None, o)
-            before = path.read_bytes()
-            assert "_certificate" not in vars(o)
-            for f in ([], hot[:1], hot[:2], hot[-2:]):
-                kfault.mincut_size_k(o, f)
-                kfault.mincut_partition_k(o, f)
-            assert "_certificate" in vars(o)
-            cli.save_oracle(str(path), 2, digest, None, o)
-            assert path.read_bytes() == before
+        for net, k in ((gen_random(16, 1), 3), (gen_matrix(2, 4, seed=1), 2)):
+            built = kfault.build_kfault_oracle(net, k)
+            cli.save_oracle(str(path), k, digest, None, built)
+            original = path.read_bytes()
+            _, _, loaded = load_oracle(str(path), digest)
+            hot = sorted(set().union(*(z for z, _ in cut_list(built))))
+            for o in (built, loaded):
+                cli.save_oracle(str(path), k, digest, None, o)
+                assert path.read_bytes() == original
+                assert "_certificate" not in vars(o)
+                for f in ([], hot[:1], hot[:2], hot[-2:]):
+                    kfault.mincut_size_k(o, f)
+                    kfault.mincut_partition_k(o, f)
+                assert "_certificate" in vars(o)
+                cli.save_oracle(str(path), k, digest, None, o)
+                assert path.read_bytes() == original
 
     def test_corrupt_file_exits_2(self, bottleneck_file, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
@@ -938,17 +958,14 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         answers = proc.stdout.splitlines()
         assert len(answers) == 5
-        # a re-signed file whose first cut carries another cut's partition:
-        # the k-fault oracle checks its cut list on first use
+        # a re-signed file whose cut list is out of order: the k-fault
+        # oracle checks its cut list on first use
         digest = hashlib.sha256(graph.read_bytes()).digest()
         _, sens, kf = load_oracle(str(ob), digest)
-        assert len({e.z for e in kf.entries}) > 1
-        entries = (dataclasses.replace(kf.entries[0],
-                                       partition=kf.entries[-1].partition),
-                   *kf.entries[1:])
+        assert len(kf.entries) > 1
         bad = tmp_path / "tampered.bin"
         cli.save_oracle(str(bad), kf.k, digest, sens,
-                        dataclasses.replace(kf, entries=entries))
+                        dataclasses.replace(kf, entries=kf.entries[::-1]))
         proc = cli_O("query", "-g", str(graph), "--oracle", str(bad),
                      "-q", "-", stdin="MF2 1 2\nMCKP 0\n")
         assert proc.returncode == 3, proc.stderr
