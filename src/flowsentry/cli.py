@@ -15,7 +15,7 @@ import sys
 from . import kfault
 from .errors import InternalInvariantError, ParseError, QueryError
 from .generators import FAMILIES, generate
-from .graph import parse_network, serialize_network
+from .graph import FlowNetwork, parse_network, serialize_network
 from .kfault import (
     EnumerationBudgetExceeded,
     KFaultOracle,
@@ -72,6 +72,15 @@ def save_oracle(path: str, k: int, digest: bytes, sens, kf) -> None:
         fh.write(payload)
 
 
+def _kfault_shaped(kf) -> bool:
+    """Whether kf is None or a KFaultOracle whose fields have the types
+    built ones have; the first query certifies their values."""
+    return kf is None or (
+        isinstance(kf, KFaultOracle) and type(kf.k) is int
+        and type(kf.lam) is int and isinstance(kf.net, FlowNetwork)
+        and type(kf.entries) is tuple)
+
+
 def load_oracle(path: str, digest: bytes):
     """Returns (k, sensitivity, kfault); raises ValueError on any mismatch."""
     with open(path, "rb") as fh:
@@ -104,7 +113,7 @@ def load_oracle(path: str, digest: bytes):
                 and payload.keys() == {"sensitivity", "kfault"}
                 and isinstance(payload["sensitivity"],
                                (SensitivityOracle, _NONE))
-                and isinstance(payload["kfault"], (KFaultOracle, _NONE))):
+                and _kfault_shaped(payload["kfault"])):
             return k, payload["sensitivity"], payload["kfault"]
     except Exception as exc:
         raise corrupt from exc

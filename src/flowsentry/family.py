@@ -137,9 +137,12 @@ def build_auxiliary(sub: CalibratedSubgraph) -> IntFlow:
     lam*(lam+1). It is the one flow of the build that is not 0/1. The flow is
     cycle-canceled before it is returned so that its support is acyclic; the
     peel below inherits that, which is what makes f-tilde decomposable into
-    paths. Canceling changes neither value nor feasibility, so the stored f_H
-    is still a max-flow of H and the peel identity sum(f_i) == f_H is checked
-    against exactly this object.
+    paths. Every canonical flow is a sub-flow of f_H, so each is acyclic too,
+    and the sensitivity oracle relies on it: MF2 releases a unit by walking
+    e's canonical flow from an edge it carries to s and to t. Canceling
+    changes neither value nor feasibility, so the stored f_H is still a
+    max-flow of H and the peel identity sum(f_i) == f_H is checked against
+    exactly this object.
     """
     lam = sub.lam
     if lam < 1:

@@ -14,7 +14,6 @@ is worth far more than asymptotics.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
 
 from .graph import DirectedMultigraph, FlowNetwork, scc_from_adjacency
 
@@ -220,16 +219,6 @@ class UnitResidual:
         for x, mask in reversed(saved):
             out[x] = mask
         return found
-
-
-ARTIFICIAL = None  # EdgeId placeholder for the artificial (s,t) arc
-
-
-class Arc(NamedTuple):
-    tail: int
-    head: int
-    eid: int | None  # ARTIFICIAL for the added (s,t) arc
-    is_reverse: bool
 
 
 def residual_scc_ids(net: FlowNetwork, flow: IntFlow) -> list[int]:

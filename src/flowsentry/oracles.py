@@ -16,11 +16,13 @@ once:
 No flow is stored. The canonical flow after e fails carries edge x
 exactly when x is kept and (x not in null) != (x in flip[e]); an edge
 outside ``flip`` leaves f-tilde itself as its canonical flow. Queries
-run on lookups plus searches of the residual rows of one canonical flow
-and of a BFS tree from t over them (see "residual traversals" below), a
-cache filled on first use, never part of the oracle file. MF2 takes its
-value from the strip order when e or e2 is critical and then looks for
-one rerouting cycle, else for up to two.
+run on lookups plus at most one search of the residual rows of one
+canonical flow (see "residual traversals" below), a cache filled on
+first use, never part of the oracle file. MF2 takes its value from the
+strip order when e or e2 is critical, else from whether a plain
+rerouting cycle exists. Where the value stays it toggles that cycle;
+where it drops, it removes the unit of e's canonical flow through e2,
+read by walking that flow, which is acyclic.
 
 Conventions the queries rely on:
   * edges outside every (s,t)-walk, and edges removed by calibration,
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, QueryError
 from .family import build_flow_family
-from .flows import ARTIFICIAL, Arc
 from .graph import FlowNetwork, prune_to_st_paths
 from .mincut import build_mincut_oracle, precedes
 
@@ -54,112 +55,41 @@ EMPTY = frozenset()
 # incidence list (DirectedMultigraph.incidence) that are residual arcs of
 # the flow, an idle edge's forward entry and a carrying edge's reverse
 # one. The rows keep the incidence order, ascending EdgeId, forward before
-# reverse: that order fixes the reported cycle. The artificial s->t arc is
-# never scanned; a cycle through it joins a search from u to s with a
-# t~>v leg read off the flow's BfsTree: one FIFO BFS from t with no edge
-# failed, run until v is found and resumed for the next v. The search
-# from t without the failed edge e differs from it only where e's arc
-# would find its head b. So unless e's arc found b no later than v, that
-# search runs step for step as the tree did up to v and returns the
-# tree's leg; otherwise the leg is searched. SensitivityOracle._tree fills
-# a canonical flow's rows on first use: f-tilde's from the incidence list,
-# any other as a copy of f-tilde's with only the rows at the endpoints of
-# its delta's edges rebuilt, so each costs O(n + sum of those degrees).
-# Each canonical flow, f-tilde included, has one row set and one tree;
-# they stay out of the pickle, and the first traversals after a load
-# refill them.
+# reverse: that order fixes the reported cycle. A unit of value is
+# released by walking the flow itself, not its residual: every canonical
+# flow is a sub-flow of the cycle-cancelled f_H, so it is acyclic and the
+# walks out of an edge it carries end at t and at s. SensitivityOracle.
+# _residual_of fills a canonical flow's rows and carried set on first use:
+# f-tilde's rows from the incidence list, any other's as a copy of
+# f-tilde's with only the rows at the endpoints of its delta's edges
+# rebuilt, so each costs O(n + sum of those degrees). The cache stays out
+# of the pickle, and the first traversals after a load refill it.
 
 
 def _search(rows, src, dst, failed):
     """BFS parent map from src until dst is found in the residual rows
-    minus edge failed, or None; parent[w] = (x, eid, is_reverse) is the
-    arc x->w that found w."""
+    minus edge failed, or None; parent[w] = (x, eid) is the arc x->w
+    that found w."""
     parent = {src: None}
     if src == dst:
         return parent
     queue = [src]
     for x in queue:
-        for eid, w, rev in rows[x]:
+        for eid, w, _ in rows[x]:
             if w in parent or eid == failed:
                 continue
-            parent[w] = (x, eid, rev)
+            parent[w] = (x, eid)
             if w == dst:
                 return parent
             queue.append(w)
     return None
 
 
-def strongly_connected_without(net: FlowNetwork, rows, x, y, failed) -> bool:
-    """Whether x and y are strongly connected in the residual rows of a
-    flow on net minus edge failed."""
-    if not (0 <= x < net.n and 0 <= y < net.n):
-        raise QueryError(f"vertex out of range: {x}, {y}")
-    if failed not in net.edges:
-        raise QueryError(f"unknown failed edge {failed!r}")
-    return _search(rows, x, y, failed) is not None and \
-        _search(rows, y, x, failed) is not None
-
-
-def _bfs(rows, queue, arc):
-    """FIFO BFS over rows from queue; arc[w] = (x, w, eid, is_reverse), the
-    arc that found w. Pauses once the vertex sent in is found."""
-    v = yield
-    for x in queue:
-        for eid, w, rev in rows[x]:
-            if w not in arc:
-                arc[w] = (x, w, eid, rev)
-                queue.append(w)
-                if w == v:
-                    v = yield
-
-
-class BfsTree:
-    """BFS tree from root over residual rows with no edge failed, grown
-    only until the vertex asked for is found. arc[w] (None for root) is
-    made an Arc when first read; queue lists the vertices as found."""
-
-    def __init__(self, rows, root):
-        self.rows, self.arc, self.queue = rows, {root: None}, [root]
-        self._scan = _bfs(rows, self.queue, self.arc)
-        next(self._scan)
-
-    def path(self, v, failed, ends):
-        """Arcs of the path _search finds from root to v in the rows minus
-        edge failed, whose endpoints are ends, v's end first; None when
-        the scan never finds v or failed's arc found its head no later
-        than v (see "residual traversals")."""
-        arc, queue = self.arc, self.queue
-        if v not in arc:
-            try:
-                self._scan.send(v)
-            except StopIteration:
-                return None
-        leg, a = [], arc[v]
-        for b in ends if a else ():  # v is root: nothing came before it
-            c = arc.get(b)
-            if c and c[2] == failed and queue.index(b) <= queue.index(v):
-                return None
-        while a:
-            if type(a) is not Arc:
-                a = arc[a[1]] = Arc(*a)
-            leg.append(a)
-            a = arc[a[0]]
-        return leg
-
-
-def cycle_through_arc_without(net: FlowNetwork, rows, target, failed,
-                              st_arc: bool = False, tree=None):
-    """Simple cycle, as a tuple of Arcs, through the reverse arc v->u of
-    target in the residual rows of a flow on net minus edge failed,
-    starting with that arc; None when there is none.
-
-    st_arc closes the cycle through the artificial s->t arc, which models
-    releasing one unit of value: u~>s, s->t, t~>v, from two searches. The
-    caller must know that no cycle avoids the artificial arc. Then what u
-    reaches is closed under residual arcs and misses v, so the legs are
-    disjoint and are the path one search scanning the arc would find.
-    The t~>v leg is read off tree, a BfsTree from t over rows (a new one
-    when None), where the tree can tell it."""
+def cycle_through_arc_without(net: FlowNetwork, rows, target, failed):
+    """Simple cycle through the reverse arc v->u of target in the residual
+    rows of a flow on net minus edge failed, as EdgeIds: target, then the
+    u~>v path a BFS from u finds, in path order; None when there is
+    none."""
     for eid in (failed, target):
         if eid not in net.edges:
             raise QueryError(f"unknown edge {eid!r}")
@@ -168,24 +98,38 @@ def cycle_through_arc_without(net: FlowNetwork, rows, target, failed,
     u, v = net.edges[target]
     if (target, u, True) not in rows[v]:
         raise QueryError(f"edge {target} carries no flow; it has no reverse arc")
-    legs = ((u, net.s), (net.t, v)) if st_arc else ((u, v),)
-    cycle = [Arc(v, u, target, True)]
-    for i, (src, dst) in enumerate(legs):
-        leg = (tree or BfsTree(rows, src)).path(
-            dst, failed, net.edges[failed]) if i else None
-        if leg is None:
-            parent = _search(rows, src, dst, failed)
-            if parent is None:
-                return None
-            leg = []
-            while dst != src:
-                x, eid, rev = parent[dst]
-                leg.append(Arc(x, dst, eid, rev))
-                dst = x
-        if i:
-            leg.append(Arc(net.s, net.t, ARTIFICIAL, False))
-        cycle += reversed(leg)
-    return tuple(cycle)
+    parent = _search(rows, u, v, failed)
+    if parent is None:
+        return None
+    leg = []
+    while v != u:
+        v, eid = parent[v]
+        leg.append(eid)
+    return (target, *reversed(leg))
+
+
+def released_unit(net: FlowNetwork, carried, target) -> list[int]:
+    """EdgeIds of the s-t path of an acyclic flow through target, an edge
+    it carries: target, the lowest-EdgeId carried out-edges from its head
+    to t, then the lowest-EdgeId carried in-edges back from its tail to
+    s. carried is the set of edges the flow carries."""
+    inc, (u, v) = net.graph.incidence(), net.edges[target]
+    path, seen = [target], {u, v}
+    for x, end, rev in ((v, net.t, False), (u, net.s, True)):
+        while x != end:
+            for eid, w, r in inc[x]:
+                if r == rev and eid in carried:
+                    break
+            else:
+                raise InternalInvariantError(
+                    "released unit: the flow walk finds no carried edge")
+            if w in seen:
+                raise InternalInvariantError(
+                    "released unit: the flow walk re-enters a vertex")
+            seen.add(w)
+            path.append(eid)
+            x = w
+    return path
 
 
 @dataclass(frozen=True)
@@ -230,27 +174,27 @@ class SensitivityOracle:
             raise QueryError(f"unknown edge {eid}")
 
     def __getstate__(self):
-        # the residual rows and trees are a cache _tree refills after a load
+        # the residual rows are a cache _residual_of refills after a load
         return {k: v for k, v in vars(self).items() if k != "_residual"}
 
-    def _tree(self, d: frozenset[int]) -> BfsTree:
-        """BFS tree from t over the residual rows of the canonical flow
-        whose delta against f-tilde is d (EMPTY for f-tilde), built on
-        first use and scanned only as far as queries ask."""
+    def _residual_of(self, d: frozenset[int]):
+        """(rows, carried) of the canonical flow whose delta against
+        f-tilde is d (EMPTY for f-tilde): its residual rows and the edges
+        it carries, built on first use."""
         cache = self.__dict__.setdefault("_residual", {})
-        tree = cache.get(d)
-        if tree is None:
+        res = cache.get(d)
+        if res is None:
             net, carried = self.pruned_net, (self.kept - self.null) ^ d
             inc = net.graph.incidence()
             if d:  # f-tilde's rows, rebuilt at the ends of d's edges
-                rows = list(self._tree(EMPTY).rows)
+                rows = list(self._residual_of(EMPTY)[0])
                 at = {x for eid in d for x in net.edges[eid]}
             else:
                 rows, at = [None] * net.n, range(net.n)
             for x in at:
                 rows[x] = [a for a in inc[x] if (a[0] in carried) == a[2]]
-            tree = cache[d] = BfsTree(rows, net.t)
-        return tree
+            res = cache[d] = rows, carried
+        return res
 
     # ---- single failure ----
 
@@ -279,13 +223,17 @@ class SensitivityOracle:
 
     # ---- dual failure ----
 
-    def report_flow_diff_dual(self, e: int, e2: int) -> FlowDiff:
-        """Max-flow after both e and e2 fail, as a delta against f-tilde."""
+    def _live(self, e: int, e2: int) -> list[int]:
+        """The kept edges of a dual-failure pair, once it is checked."""
         self._known(e)
         self._known(e2)
         if e == e2:
             raise QueryError("dual-failure query needs two distinct edges")
-        live = [x for x in (e, e2) if x in self.kept]
+        return [x for x in (e, e2) if x in self.kept]
+
+    def report_flow_diff_dual(self, e: int, e2: int) -> FlowDiff:
+        """Max-flow after both e and e2 fail, as a delta against f-tilde."""
+        live = self._live(e, e2)
         if not live:
             return FlowDiff(EMPTY, self.lam)
         if len(live) == 1:
@@ -304,25 +252,26 @@ class SensitivityOracle:
             return FlowDiff(d, val_f)
         # over the walk-pruned network, so rerouting cycles may use
         # calibration-removed edges. A critical edge in the pair fixes the
-        # value by the strip order; if it drops, no plain cycle exists and
-        # only the released-unit one is searched
-        net, tree = self.pruned_net, self._tree(d)
-        rows = tree.rows
+        # value by the strip order, and a plain cycle is searched only
+        # where it stays. Where it drops, e's flow gives up its unit
+        # through e2; that flow leaves e idle, so the unit avoids e
+        net, (rows, carried) = self.pruned_net, self._residual_of(d)
         crit_pair = e in crit or e2 in crit
         value = self._critical_value(e, e2) if crit_pair else val_f
-        cycle = cycle_through_arc_without(net, rows, e2, e, value < val_f,
-                                          tree)
-        if cycle is None and not crit_pair:
-            value -= 1
-            cycle = cycle_through_arc_without(net, rows, e2, e, True, tree)
-        if cycle is None:
-            raise InternalInvariantError(
-                f"no rerouting cycle for the post-failure value {value}")
-        if len({a.tail for a in cycle}) != len(cycle):
+        reroute = cycle_through_arc_without(net, rows, e2, e) \
+            if value == val_f else None
+        if reroute is None:
+            if value == val_f and crit_pair:
+                raise InternalInvariantError(
+                    f"no rerouting cycle for the post-failure value {value}")
+            if value < val_f - 1:
+                raise InternalInvariantError(
+                    f"post-failure value {value} drops more than one unit")
+            value, reroute = val_f - 1, released_unit(net, carried, e2)
+        elif len({x for eid in reroute for x in net.edges[eid]}) != \
+                len(reroute):
             raise InternalInvariantError("rerouting cycle repeats a vertex")
-        return FlowDiff(
-            d ^ frozenset(a.eid for a in cycle if a.eid is not ARTIFICIAL),
-            value)
+        return FlowDiff(d ^ frozenset(reroute), value)
 
     def _critical_value(self, e: int, e2: int) -> int:
         """Value after kept edges e and e2 fail, at least one critical:
@@ -336,11 +285,7 @@ class SensitivityOracle:
 
     def mincut_size_dual(self, e: int, e2: int) -> int:
         """Min-cut (= max-flow) value after both e and e2 fail."""
-        self._known(e)
-        self._known(e2)
-        if e == e2:
-            raise QueryError("dual-failure query needs two distinct edges")
-        live = [x for x in (e, e2) if x in self.kept]
+        live = self._live(e, e2)
         if not live:
             return self.lam
         crit = self.paths.path_of
@@ -352,10 +297,11 @@ class SensitivityOracle:
         # be routed around in the residual of the flow avoiding the first.
         # Calibration keeps only edges with nu <= lam+1, so both have nu =
         # lam+1 and lie in null(f, min+1) wherever they lie in null(f): the
-        # test below is e2 carrying flow in e's canonical flow.
-        u, v = self.pruned_net.edges[e2]
+        # test below is e2 carrying flow in e's canonical flow. e2's own
+        # reverse arc then joins its head to its tail, so the two ends stay
+        # strongly connected exactly when a plain cycle runs through it.
         d = self.flip.get(e, EMPTY)
-        if (e2 in self.null) == (e2 in d) and not strongly_connected_without(
-                self.pruned_net, self._tree(d).rows, u, v, e):
+        if (e2 in self.null) == (e2 in d) and cycle_through_arc_without(
+                self.pruned_net, self._residual_of(d)[0], e2, e) is None:
             return self.lam - 1
         return self.lam

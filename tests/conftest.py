@@ -1,10 +1,21 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
-from flowsentry.flows import Arc, UnitFlow
+from flowsentry.flows import UnitFlow
 from flowsentry.generators import matrix_x_vertex, matrix_y_vertex
 from flowsentry.graph import DirectedMultigraph, FlowNetwork
+
+
+class Arc(NamedTuple):
+    """A residual arc of a test host: a reverse arc where eid carries flow;
+    eid is None for the reference's artificial (s,t) arc."""
+
+    tail: int
+    head: int
+    eid: int | None
+    is_reverse: bool
 
 
 def make_net(n, edge_list, s=0, t=None):
@@ -150,8 +161,6 @@ def reconstruct_flow(oracle, diff, failures):
     the failed edges: toggles stay inside the pruned edge set, failed
     edges end up carrying nothing, and the result is a feasible flow of
     exactly the reported value."""
-    from flowsentry.flows import Arc, UnitFlow
-
     pruned = oracle.pruned_net
 
     def bit(eid):

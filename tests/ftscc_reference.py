@@ -7,20 +7,23 @@ per vertex the incidence entries that are residual arcs of one flow,
 which SensitivityOracle caches per canonical flow. The traversals here
 scan the graph's whole incidence list and test each entry against
 (kept, null); the queries build the canonical flow's null set
-``null ^ flip[e]`` just before a search. Scan order, and so every cycle
-and answer, must be the same; test_ftscc.py checks it.
+``null ^ flip[e]`` just before a search. Scan order, and so every plain
+cycle, must be the same; test_ftscc.py checks it.
 
-The released-unit cycle also has the single breadth-first search that
-the shipped two-search join replaced: one search from u that scans the
-artificial arc last among s's arcs. When no cycle avoids that arc, the
-two return equal Arcs.
+Where the value drops, the reference releases a unit by searching for a
+cycle through an artificial s->t arc (u~>s, s->t, t~>v), and MC2 asks
+whether u and v are strongly connected with two searches. The shipped
+queries walk e's flow for the unit and ask only for the plain cycle; the
+values must agree, and the toggled sets wherever the reference's cycle
+avoids the artificial arc.
 """
 
-from collections import deque
-
 from flowsentry.errors import InternalInvariantError, QueryError
-from flowsentry.flows import ARTIFICIAL, Arc
 from flowsentry.oracles import EMPTY, FlowDiff
+
+from conftest import Arc
+
+ARTIFICIAL = None  # EdgeId of the artificial (s,t) arc
 
 
 def residual_rows(net, kept, null):
@@ -139,35 +142,3 @@ def mincut_size_dual(o, e, e2) -> int:
             o.pruned_net, o.kept, o.null ^ d, u, v, e):
         return o.lam - 1
     return o.lam
-
-
-def released_unit_cycle_one_search(net, kept, null, target, failed):
-    """Simple cycle through the reverse arc of target, which carries flow
-    in (kept, null), and the artificial s->t arc, in the residual minus
-    edge failed, starting with the reverse arc; None when there is none."""
-    u, v = net.edges[target]
-    inc = net.graph.incidence()
-    parent = {u: None}
-    queue = deque([u])
-    while queue and v not in parent:
-        x = queue.popleft()
-        arcs = inc[x]
-        if x == net.s:
-            arcs = arcs + [(ARTIFICIAL, net.t, False)]
-        for eid, w, rev in arcs:
-            if w in parent or eid == failed or (
-                    eid in kept and eid not in null) != rev:
-                continue
-            parent[w] = (x, eid, rev)
-            if w == v:
-                break
-            queue.append(w)
-    if v not in parent:
-        return None
-    path = []
-    w = v
-    while w != u:
-        x, eid, rev = parent[w]
-        path.append(Arc(x, w, eid, rev))
-        w = x
-    return (Arc(v, u, target, True), *reversed(path))

@@ -30,6 +30,7 @@ UNRESOLVED_TRACE_TARGETS = {
     "flowsentry.kfault.build_mincut_oracle_raw",
     "flowsentry.oracles.build_ft_index",
     "flowsentry.oracles.decreases_by_k",
+    "flowsentry.oracles.strongly_connected_without",
     "flowsentry.kfault.decreases_by_k",
     "flowsentry.mincut.decreases_by_k",
     "flowsentry.kfault.report_nmc_after",

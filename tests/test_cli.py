@@ -479,6 +479,31 @@ class TestBuildAndOracleFile:
         assert code == 2 and out == ""
         assert "corrupt oracle file; rebuild it" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", "2"), ("lam", 1.0), ("net", None), ("entries", None),
+    ])
+    def test_kfault_field_of_wrong_type_exits_2(self, tmp_path, capsys,
+                                                field, value):
+        # a re-signed file whose k-fault oracle holds a field of another
+        # type is corrupt: it is refused on load, before any query reads it
+        graph, ob = tmp_path / "g.txt", tmp_path / "oracle.bin"
+        run(capsys, "gen", "--family", "random", "--size", "10",
+            "--seed", "1", "-o", str(graph))
+        run(capsys, "build", "-g", str(graph), "-o", str(ob))
+        digest = hashlib.sha256(graph.read_bytes()).digest()
+        k, sens, kf = load_oracle(str(ob), digest)
+        if field == "entries":
+            value = list(kf.entries)
+        cli.save_oracle(str(ob), k, digest, sens,
+                        dataclasses.replace(kf, **{field: value}))
+        qf = tmp_path / "q.txt"
+        for line in ("MCK 1 1", "RQ 1 1", "MCKP 0"):
+            qf.write_text(line + "\n")
+            code, out, err = run(capsys, "query", "-g", str(graph),
+                                 "--oracle", str(ob), "-q", str(qf))
+            assert (code, out) == (2, ""), line
+            assert "corrupt oracle file; rebuild it" in err
+
     def test_loaded_file_without_sensitivity_builds_nothing(
             self, tmp_path, capsys, monkeypatch):
         graph = tmp_path / "g.txt"
@@ -527,11 +552,11 @@ class TestBuildAndOracleFile:
 
     def test_loaded_oracle_answers_dual_queries_alike(self, tmp_path,
                                                       monkeypatch):
-        # gen_random(10, 1) runs both residual traversals; the loaded
-        # oracle starts with no residual rows and no BFS trees, and
-        # rebuilds its graph's incidence list, the rows and the trees on
-        # the first traversals. The single-failure queries read null and
-        # flip alone
+        # gen_random(10, 1) runs the plain-cycle search and the
+        # released-unit walk; the loaded oracle starts with no residual
+        # rows, and rebuilds its graph's incidence list, the rows and the
+        # carried sets on the first traversals. The single-failure queries
+        # read null and flip alone
         net = generate("random", [10], seed=1)
         sens = SensitivityOracle(net)
         path = tmp_path / "oracle.bin"
@@ -543,7 +568,7 @@ class TestBuildAndOracleFile:
         assert len({id(d) for d in loaded.flip.values()}) == \
             len({id(d) for d in sens.flip.values()}) < len(sens.flip)
         calls = {}
-        for name in ("cycle_through_arc_without", "strongly_connected_without"):
+        for name in ("cycle_through_arc_without", "released_unit"):
             def counted(*args, _fn=getattr(oracles, name), _name=name, **kw):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kw)
@@ -560,10 +585,8 @@ class TestBuildAndOracleFile:
             assert loaded.mincut_size_dual(e, e2) == \
                 sens.mincut_size_dual(e, e2), (e, e2)
         assert calls["cycle_through_arc_without"] > 0
-        assert calls["strongly_connected_without"] > 0
+        assert calls["released_unit"] > 0
         assert vars(loaded)["_residual"]
-        assert any(len(tree.queue) > 1
-                   for tree in vars(loaded)["_residual"].values())
         # the filled rows stay out of a file saved after the queries
         again = tmp_path / "again.bin"
         cli.save_oracle(str(again), 0, digest, loaded, None)
@@ -782,26 +805,39 @@ class TestInternalError:
         assert err.splitlines() == ["error: internal invariant violated: "
                                     "peel round 3: vertex 1 off balance by -1"]
 
-    def test_overlapping_rerouting_legs_exit_3(self, tmp_path, capsys,
-                                               monkeypatch):
-        # a strip-order value one too low sends MF2 to the released-unit
-        # cycle although a plain cycle exists; here the two legs meet,
-        # and the repeated-vertex check reports it
-        net = make_net(4, [(0, 1), (1, 3), (2, 2), (3, 3), (0, 0), (1, 2),
-                           (0, 3), (2, 1), (0, 2), (0, 2), (1, 3)], t=3)
-        real = SensitivityOracle._critical_value
-        monkeypatch.setattr(SensitivityOracle, "_critical_value",
-                            lambda self, e, e2: real(self, e, e2) - 1)
-        with pytest.raises(InternalInvariantError, match="repeats a vertex"):
-            SensitivityOracle(net).report_flow_diff_dual(0, 9)
-        g, qf = tmp_path / "g.txt", tmp_path / "q.txt"
+    @pytest.mark.parametrize("extra, carried, message", [
+        ([], {2}, "finds no carried edge"),
+        ([(2, 1), (1, 2)], {2, 4, 5}, "re-enters a vertex"),
+    ], ids=["breaks-off", "loops"])
+    def test_broken_released_unit_walk_exits_3(self, tmp_path, capsys,
+                                               extra, carried, message):
+        # both out-edges of s and both into t are critical, so failing
+        # edges 0 and 2 drops the value by the strip order and MF2 walks
+        # e = 0's canonical flow from edge 2. Tampered to carry only
+        # `carried`, that flow ends at b, or turns back into the walk
+        net = make_net(4, [(0, 1), (1, 3), (0, 2), (2, 3), *extra], t=3)
+        sens = SensitivityOracle(net)
+        sens.flip[0] = (sens.kept - sens.null) ^ frozenset(carried)
+        with pytest.raises(InternalInvariantError, match=message):
+            sens.report_flow_diff_dual(0, 2)
+        g, ob = tmp_path / "g.txt", tmp_path / "oracle.bin"
         g.write_text(serialize_network(net))
-        qf.write_text("MF2 1 10\n")
-        code, out, err = run(capsys, "query", "-g", str(g), "-q", str(qf))
-        assert code == 3
-        assert out == ""
-        assert err.splitlines() == ["error: internal invariant violated: "
-                                    "rerouting cycle repeats a vertex"]
+        cli.save_oracle(str(ob), 2, hashlib.sha256(g.read_bytes()).digest(),
+                        sens, None)
+        argv = ["query", "-g", str(g), "--oracle", str(ob), "-q", "-"]
+        want = ["error: internal invariant violated: released unit: the "
+                f"flow walk {message}"]
+        proc = subprocess.run([sys.executable, "-m", "flowsentry.cli", *argv],
+                              input="MF2 1 3\n", capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.splitlines() == want
+        # invariant checks are raises, not asserts: python -O keeps them
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "flowsentry.cli", *argv],
+            input="MF2 1 3\n", capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.splitlines() == want
 
 
 class TestVerifyCommand:
@@ -953,11 +989,14 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         proc = cli_O("build", "-g", str(graph), "-o", str(ob))
         assert proc.returncode == 0, proc.stderr
+        # both MF2 lines drop the value and release a unit of e's flow
         proc = cli_O("query", "-g", str(graph), "--oracle", str(ob), "-q", "-",
-                     stdin="MF2 1 2\nMC2 1 2\nMCK 1 1\nMCKP 2 1 2\nRQ 2 1 2\n")
+                     stdin="MF2 1 2\nMF2 9 2\nMC2 1 2\nMCK 1 1\nMCKP 2 1 2\n"
+                           "RQ 2 1 2\n")
         assert proc.returncode == 0, proc.stderr
         answers = proc.stdout.splitlines()
-        assert len(answers) == 5
+        assert len(answers) == 6
+        assert answers[1].startswith("MF2 9 2 => 1 [")
         # a re-signed file whose cut list is out of order: the k-fault
         # oracle checks its cut list on first use
         digest = hashlib.sha256(graph.read_bytes()).digest()

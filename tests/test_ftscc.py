@@ -1,7 +1,7 @@
-"""Fault-tolerant strong connectivity: the residual traversals the
-dual-failure queries run, the residual rows they read, and the sparse SCC
-certificate the family size bounds lean on (a verification-only witness,
-kept here)."""
+"""Fault-tolerant strong connectivity: the residual traversal and the
+flow walk the dual-failure queries run, the residual rows they read, and
+the sparse SCC certificate the family size bounds lean on (a
+verification-only witness, kept here)."""
 
 import itertools
 import pickle
@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import networkx as nx
 import pytest
 
-from flowsentry.errors import QueryError
+from flowsentry.bruteforce import brute_force
+from flowsentry.errors import InternalInvariantError, QueryError
 from flowsentry.flows import (
-    ARTIFICIAL,
-    Arc,
     UnitFlow,
     cancel_flow_cycles,
     max_flow,
@@ -25,15 +24,21 @@ from flowsentry.generators import gen_matrix, gen_random
 from flowsentry.graph import FlowNetwork, scc_from_adjacency
 from flowsentry.oracles import (
     EMPTY,
-    BfsTree,
     SensitivityOracle,
     cycle_through_arc_without,
-    strongly_connected_without,
+    released_unit,
 )
 
 import ftscc_reference as ref
-from conftest import make_net, random_net, residual_arcs, support
-from ftscc_reference import released_unit_cycle_one_search, residual_rows
+from conftest import (
+    Arc,
+    make_net,
+    random_net,
+    reconstruct_flow,
+    residual_arcs,
+    support,
+)
+from ftscc_reference import ARTIFICIAL, residual_rows
 
 
 def _scc_ids(n, arcs):
@@ -154,13 +159,26 @@ def rows_of(net, f):
     return residual_rows(net, *kept_null(net, f))
 
 
-def connected(net, f, x, y, failed):
-    return strongly_connected_without(net, rows_of(net, f), x, y, failed)
+def cycle(net, f, target, failed):
+    return cycle_through_arc_without(net, rows_of(net, f), target, failed)
 
 
-def cycle(net, f, target, failed, st_arc=False):
-    return cycle_through_arc_without(net, rows_of(net, f), target, failed,
-                                     st_arc)
+def assert_released_unit(net, carried, target, unit):
+    """unit, a collection of EdgeIds, is one simple s-t path through
+    target of edges in carried."""
+    unit = set(unit)
+    assert target in unit and unit <= carried
+    out = {}
+    for eid in unit:
+        out.setdefault(net.edges[eid][0], []).append(eid)
+    x, seen = net.s, {net.s}
+    while x != net.t:
+        assert len(out.get(x, ())) == 1, "not one chained path"
+        (eid,) = out.pop(x)
+        x = net.edges[eid][1]
+        assert x not in seen, "not simple"
+        seen.add(x)
+    assert not out, "edges off the path"
 
 
 def brute_scc_pairs(host, banned_eid):
@@ -224,34 +242,43 @@ class TestCertificate:
 
 
 class TestIndexQueries:
+    """The plain-cycle question MC2 and MF2 ask: a carried edge (u, v) has
+    a simple cycle through its reverse arc v->u exactly when u and v stay
+    strongly connected."""
+
     def test_bottleneck_hand_trace(self, bottleneck):
         # flow saturating a1,a2,b1,b2 leaves b3 as the only forward 1->2 arc
         f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
-        assert connected(bottleneck, f, 1, 2, 4) is False
-        assert connected(bottleneck, f, 1, 2, 2) is True
-        assert connected(bottleneck, f, 1, 2, 3) is True
+        assert cycle(bottleneck, f, 2, 4) is None
+        assert cycle(bottleneck, f, 2, 3) == (2, 4)
+        assert cycle(bottleneck, f, 3, 2) == (3, 4)
 
     def test_diamond_branches_never_connected(self, diamond):
         f = max_unit_flow(diamond)
-        for eid in diamond.edges:
-            assert connected(diamond, f, 1, 2, eid) is False
+        for target in support(f):
+            for eid in diamond.edges:
+                if eid != target:
+                    assert cycle(diamond, f, target, eid) is None
 
-    def test_same_vertex(self, diamond):
-        assert connected(diamond, max_unit_flow(diamond), 2, 2, 0) is True
+    def test_same_vertex(self):
+        # a carried self-loop's reverse arc is a cycle on its own
+        net = make_net(2, [(0, 1), (1, 1), (0, 1)])
+        f = UnitFlow(net, {0: 1, 1: 1, 2: 0})
+        assert cycle(net, f, 1, 0) == (1,)
 
     def test_unknown_edge_rejected(self, diamond):
         f = max_unit_flow(diamond)
         with pytest.raises(QueryError):
-            connected(diamond, f, 0, 1, 99)
+            cycle(diamond, f, 0, 99)
         with pytest.raises(QueryError):
-            connected(diamond, f, 0, 1, ARTIFICIAL)
+            cycle(diamond, f, 0, ARTIFICIAL)
         with pytest.raises(QueryError):
-            connected(diamond, f, -1, 1, 0)
+            cycle(diamond, f, 99, 0)
 
     def test_exhaustive_agreement(self):
         rng = random.Random(7003)
-        checked = 0
-        for _ in range(50):
+        checked = found = 0
+        for _ in range(200):
             net = random_net(rng, n_max=8, m_max=16)
             f = max_unit_flow(net)
             host = Host(net, residual_arcs(net, f))
@@ -259,30 +286,32 @@ class TestIndexQueries:
             rows = residual_rows(net, frozenset(support(f)), EMPTY)
             for eid in sorted(net.edges):
                 comp = brute_scc_pairs(host, eid)
-                for x in range(net.n):
-                    for y in range(net.n):
-                        got = strongly_connected_without(
-                            net, rows, x, y, eid)
-                        assert got == (comp[x] == comp[y]), (x, y, eid)
-                        checked += 1
-        assert checked > 5000
+                for target in support(f):
+                    if target == eid:
+                        continue
+                    u, v = net.edges[target]
+                    got = cycle_through_arc_without(net, rows, target, eid)
+                    assert (got is not None) == (comp[u] == comp[v]), \
+                        (target, eid)
+                    checked += 1
+                    found += got is not None
+        assert checked > 1500 and 0 < found < checked
 
 
 class TestCycleExtraction:
     def test_bottleneck_reroute(self, bottleneck):
         f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
-        found = cycle(bottleneck, f, 3, 2)
-        assert found is not None
-        assert [(a.tail, a.head, a.eid) for a in found] == \
-            [(2, 1, 3), (1, 2, 4)]
+        assert cycle(bottleneck, f, 3, 2) == (3, 4)
 
-    def test_diamond_needs_artificial_arc(self, diamond):
+    def test_diamond_releases_a_unit(self, diamond):
+        # no plain cycle: the unit through the edge is released instead,
+        # walked forward to t and back to s
         f = max_unit_flow(diamond)
         assert cycle(diamond, f, 1, 2) is None
-        found = cycle(diamond, f, 1, 2, st_arc=True)
-        assert found is not None
-        assert [(a.tail, a.head, a.eid) for a in found] == \
-            [(3, 1, 1), (1, 0, 0), (0, 3, ARTIFICIAL)]
+        carried = frozenset(support(f))
+        assert released_unit(diamond, carried, 1) == [1, 0]
+        assert released_unit(diamond, carried, 0) == [0, 1]
+        assert released_unit(diamond, carried, 3) == [3, 2]
 
     def test_zero_flow_target_rejected(self, bottleneck):
         f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
@@ -299,88 +328,91 @@ class TestCycleExtraction:
         found = 0
         for _ in range(60):
             net = random_net(rng, n_max=8, m_max=16)
-            use_st = bool(rng.getrandbits(1))
             f = max_unit_flow(net)
             rows = rows_of(net, f)
-            carrying = [e for e in sorted(net.edges) if f.values[e] > 0]
-            for target in carrying:
+            for target in support(f):
                 for failed in sorted(net.edges):
                     if failed == target:
                         continue
-                    arcs = cycle_through_arc_without(
+                    eids = cycle_through_arc_without(
                         net, rows, target, failed)
-                    # the released-unit cycle is asked for only where
-                    # no plain cycle exists, as its contract requires
-                    if use_st and arcs is None:
-                        arcs = cycle_through_arc_without(
-                            net, rows, target, failed, st_arc=True)
-                        if arcs is not None:
-                            assert any(a.eid is ARTIFICIAL for a in arcs)
-                    if arcs is None:
+                    if eids is None:
                         continue
                     found += 1
-                    tails = [a.tail for a in arcs]
-                    assert len(set(tails)) == len(tails), "not simple"
-                    assert all(a.eid != failed for a in arcs)
-                    assert any(a.eid == target and a.is_reverse
-                               for a in arcs)
-                    for a in arcs:
-                        if a.eid is ARTIFICIAL:
-                            assert use_st
-                            assert (a.tail, a.head) == (net.s, net.t)
-                        else:
-                            # a residual arc of f: reverse iff edge carries
-                            u, v = net.edges[a.eid]
-                            assert f.values[a.eid] == (1 if a.is_reverse else 0)
-                            assert (a.tail, a.head) == \
-                                ((v, u) if a.is_reverse else (u, v))
-                    for a, b in zip(arcs, arcs[1:]):
-                        assert a.head == b.tail
-                    assert arcs[-1].head == arcs[0].tail
+                    assert eids[0] == target and failed not in eids
+                    # after the reverse arc v->u, a chain of residual arcs
+                    # of f from u back to v: reverse iff the edge carries
+                    u, v = net.edges[target]
+                    x, seen = u, [v, u]
+                    for eid in eids[1:]:
+                        a, b = net.edges[eid]
+                        assert x == (b if f.values[eid] else a)
+                        x = a if f.values[eid] else b
+                        seen.append(x)
+                    assert x == v
+                    assert len(set(seen[1:])) == len(eids), "not simple"
         assert found > 50
 
 
 class TestReleasedUnitCycle:
-    """The released-unit cycle joined from two searches equals the one
-    search it replaced wherever no plain cycle exists."""
+    """The walk that releases one unit of an acyclic flow through an edge
+    it carries: one simple s-t path of carried edges, the lowest-EdgeId
+    carried out-edge at each step to t and the lowest-EdgeId carried
+    in-edge at each step back to s."""
 
     @staticmethod
-    def _check(net, kept, null, failed, targets):
-        """Compare on every target with no plain cycle; count the cycles."""
-        rows = residual_rows(net, kept, null)
-        found = 0
+    def _check(net, carried, targets):
         for target in targets:
-            if target == failed or cycle_through_arc_without(
-                    net, rows, target, failed) is not None:
-                continue
-            got = cycle_through_arc_without(net, rows, target, failed,
-                                            st_arc=True)
-            assert got == released_unit_cycle_one_search(
-                net, kept, null, target, failed), (target, failed)
-            found += got is not None
-        return found
+            path = released_unit(net, carried, target)
+            assert_released_unit(net, carried, target, path)
+            # target, then at each step the lowest-EdgeId carried edge:
+            # out of the vertex on the way to t, into it on the way to s
+            u, v = net.edges[target]
+            want = [target]
+            for x, end, side in ((v, net.t, 0), (u, net.s, 1)):
+                while x != end:
+                    eid = min(y for y in carried if net.edges[y][side] == x)
+                    want.append(eid)
+                    x = net.edges[eid][1 - side]
+            assert path == want
+        return len(targets)
 
     def test_random_flows(self):
         rng = random.Random(7005)
         found = 0
-        for _ in range(80):
-            net = random_net(rng, n_max=9, m_max=18)
-            kept, null = kept_null(net, max_unit_flow(net))
-            for failed in sorted(net.edges):
-                found += self._check(net, kept, null, failed,
-                                     sorted(kept - null))
+        for _ in range(300):
+            net = random_net(rng, n_max=10, m_max=40)
+            f = max_unit_flow(net)
+            carried = frozenset(support(f))
+            found += self._check(net, carried, sorted(carried))
+            # the flow minus the unit is a flow of one less value
+            for target in carried:
+                rest = carried - set(released_unit(net, carried, target))
+                g = UnitFlow(net, {x: int(x in rest) for x in net.edges})
+                g.check()
+                assert g.value == f.value - 1
         assert found > 1000
 
     def test_canonical_flows_of_matrix(self):
-        # the flows MF2 searches: each kept edge's canonical flow, with
-        # that edge failed
+        # the flows MF2 walks: each kept edge's canonical flow, which
+        # leaves that edge idle
         o = SensitivityOracle(gen_matrix(3, 4, seed=1))
         found = 0
         for e in sorted(o.kept):
-            null = o.null ^ o.flip.get(e, EMPTY)
-            found += self._check(o.pruned_net, o.kept, null, e,
-                                 sorted(o.kept - null))
+            carried = o.kept - (o.null ^ o.flip.get(e, EMPTY))
+            assert e not in carried
+            found += self._check(o.pruned_net, carried, sorted(carried))
         assert found > 1000
+
+    def test_broken_flow_raises(self):
+        # 0->1->2 with only the second edge carried: no way back to s
+        chain = make_net(3, [(0, 1), (1, 2)])
+        with pytest.raises(InternalInvariantError, match="no carried edge"):
+            released_unit(chain, frozenset({1}), 1)
+        # a carried cycle 1->2->1 hanging off the path: the walk loops
+        net = make_net(4, [(0, 1), (1, 2), (2, 1), (1, 3)], t=3)
+        with pytest.raises(InternalInvariantError, match="re-enters"):
+            released_unit(net, frozenset({0, 1, 2}), 1)
 
 
 def _same(new, reference):
@@ -415,13 +447,20 @@ def _oracle(name):
     return _oracles[name]
 
 
+def _eids(arcs):
+    """A reference cycle as the EdgeIds the shipped one returns."""
+    return arcs and tuple(a.eid for a in arcs)
+
+
 class TestReferenceIdentity:
-    """The row traversals and the queries on them answer as the (kept,
-    null) scans of ftscc_reference do: equal Arcs, bools and answers."""
+    """The row traversal and the queries on it answer as the (kept, null)
+    scans of ftscc_reference do: equal cycles and values, and equal
+    toggled sets except where the reference releases a unit through its
+    artificial arc."""
 
     def test_random_multigraphs(self):
         rng = random.Random(7006)
-        parallel = loops = cycles = released = fallbacks = 0
+        parallel = loops = cycles = 0
         for trial in range(300):
             net = random_net(rng, n_max=9, m_max=20)
             edges = sorted(net.edges)
@@ -433,66 +472,64 @@ class TestReferenceIdentity:
                                          if rng.random() < 0.5})
             null = kept - carrying
             rows = residual_rows(net, kept, null)
-            # one tree from t serves every failed edge of the trial
-            tree = BfsTree(rows, net.t)
             parallel += len(set(net.edges.values())) < net.m
             loops += any(u == v for u, v in net.edges.values())
             for failed in edges:
-                for x, y in itertools.combinations_with_replacement(
-                        range(net.n), 2):
-                    _same(lambda: strongly_connected_without(
-                              net, rows, x, y, failed),
-                          lambda: ref.strongly_connected_without(
-                              net, kept, null, x, y, failed))
                 for target in edges:
-                    for st_arc in (False, True):
-                        got = _same(lambda: cycle_through_arc_without(
-                                        net, rows, target, failed, st_arc),
-                                    lambda: ref.cycle_through_arc_without(
-                                        net, kept, null, target, failed,
-                                        st_arc))
-                        if got:
-                            assert all(type(a) is Arc for a in got)
-                            cycles += not st_arc
-                            released += st_arc
-                    # the released-unit cycle again, its t~>v leg read
-                    # off the trial's shared tree, grown by earlier asks
                     got = _same(lambda: cycle_through_arc_without(
-                                    net, rows, target, failed, True, tree),
-                                lambda: ref.cycle_through_arc_without(
-                                    net, kept, null, target, failed, True))
-                    if got:
-                        assert all(type(a) is Arc for a in got)
-                        fallbacks += tree.path(
-                            net.edges[target][1], failed,
-                            net.edges[failed]) is None
+                                    net, rows, target, failed),
+                                lambda: _eids(ref.cycle_through_arc_without(
+                                    net, kept, null, target, failed)))
+                    cycles += got is not None
+                    # a carried edge's reverse arc joins v to u, so the
+                    # cycle answers the reference's two-search question
+                    if target in carrying and target != failed:
+                        u, v = net.edges[target]
+                        assert (got is not None) == \
+                            ref.strongly_connected_without(
+                                net, kept, null, u, v, failed)
         assert parallel > 100 and loops > 100
-        assert cycles > 5000 and released > 5000
-        # the tree gives up where the failed edge found a vertex first
-        assert 0 < fallbacks < released // 2
+        assert cycles > 5000
 
     @staticmethod
     def _compare(o, pairs):
         """MF2 and MC2 on each pair against the reference; count the
-        pairs whose MF2 reroutes, e2 carrying flow in e's canonical flow."""
-        rerouted = 0
+        pairs whose MF2 reroutes, e2 carrying flow in e's canonical flow,
+        and those whose value drops there, releasing a unit."""
+        rerouted = released = 0
         for e, e2 in pairs:
-            assert o.report_flow_diff_dual(e, e2) == \
-                ref.report_flow_diff_dual(o, e, e2), (e, e2)
+            got = o.report_flow_diff_dual(e, e2)
+            want = ref.report_flow_diff_dual(o, e, e2)
+            assert got.new_value == want.new_value, (e, e2)
             assert o.mincut_size_dual(e, e2) == \
                 ref.mincut_size_dual(o, e, e2), (e, e2)
-            rerouted += e in o.kept and e2 in o.kept and \
+            carried = e in o.kept and e2 in o.kept and \
                 o.query_edge_flow(e, e2) == 1
-        return rerouted
+            rerouted += carried
+            if not (carried and got.new_value <
+                    o.report_flow_diff_single(e).new_value):
+                assert got == want, (e, e2)
+                continue
+            # the reference's cycle runs through its artificial arc; the
+            # answer is e's canonical flow less one unit through e2
+            d = o.flip.get(e, EMPTY)
+            assert_released_unit(o.pruned_net, o.kept - (o.null ^ d), e2,
+                                 got.toggled ^ d)
+            reconstruct_flow(o, got, [e, e2])
+            assert got.new_value == brute_force(o.pruned_net, [e, e2])[0]
+            released += 1
+        return rerouted, released
 
     def test_every_ordered_pair(self):
         # gen_random(8, 1) has max-flow 0: every query short-circuits
-        rerouted = 0
+        rerouted = released = 0
         for name in ("random8", "random10", "random14", "matrix3x4"):
             o = _oracle(name)
-            rerouted += self._compare(
+            counts = self._compare(
                 o, itertools.permutations(sorted(o.pruned_net.edges), 2))
-        assert rerouted > 1000
+            rerouted += counts[0]
+            released += counts[1]
+        assert rerouted > 1000 and released > 100
 
     @pytest.mark.parametrize("name", ["random60", "matrix6x8"])
     def test_seeded_pairs(self, name):
@@ -500,24 +537,27 @@ class TestReferenceIdentity:
         rng = random.Random(7007)
         edges = sorted(o.pruned_net.edges)
         pairs = [tuple(rng.sample(edges, 2)) for _ in range(20_000)]
-        assert self._compare(o, pairs) > 100
+        rerouted, released = self._compare(o, pairs)
+        assert rerouted > 100 and released > 10
 
 
 class TestResidualRows:
-    """SensitivityOracle's per-flow row cache."""
+    """SensitivityOracle's per-flow cache of residual rows and carried
+    sets."""
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_GRAPHS))
     def test_shared_copy_equals_scratch(self, name):
         # each canonical flow's rows equal rows built from scratch for it,
         # and only the rows at the ends of its delta's edges are its own
         o = _oracle(name)
-        net, base = o.pruned_net, o._tree(EMPTY).rows
+        net, (base, _) = o.pruned_net, o._residual_of(EMPTY)
         assert base == residual_rows(net, o.kept, o.null)
         deltas = set(o.flip.values())
         assert deltas or o.lam == 0
         for d in deltas:
-            rows = o._tree(d).rows
+            rows, carried = o._residual_of(d)
             assert rows == residual_rows(net, o.kept, o.null ^ d)
+            assert carried == o.kept - (o.null ^ d)
             ends = {x for eid in d for x in net.edges[eid]}
             assert all(rows[x] is base[x]
                        for x in range(net.n) if x not in ends)
@@ -531,9 +571,9 @@ class TestResidualRows:
             o.mincut_size_dual(e, e2)
         cache = vars(o)["_residual"]
         assert 1 < len(cache) <= len(set(o.flip.values())) + 1
-        # each entry is a flow's rows and its BFS tree from t; the
-        # released-unit cycles grew some of the trees
-        assert all(type(tree) is BfsTree for tree in cache.values())
-        assert any(len(tree.queue) > 1 for tree in cache.values())
+        # each entry is a flow's rows and the set of edges it carries
+        for d, (rows, carried) in cache.items():
+            assert len(rows) == o.pruned_net.n
+            assert carried == o.kept - (o.null ^ d)
         # the cache stays out of the pickled oracle
         assert pickle.dumps(o) == before

@@ -173,16 +173,17 @@ class TestFlowDiffDual:
 
     def test_critical_pair_searches_once(self, monkeypatch):
         # a critical edge in the pair fixes the value by the strip order,
-        # so MF2 makes one cycle search where e2 carries flow in e's
-        # canonical flow: the released-unit one when the value drops
+        # so where e2 carries flow in e's canonical flow MF2 searches once
+        # for a plain cycle if the value stays, and not at all if it drops:
+        # it walks e's flow for the unit through e2 instead
         net = gen_matrix(3, 4, seed=1)
         o = SensitivityOracle(net)
         calls = []
         real = oracles.cycle_through_arc_without
 
-        def counted(net, rows, target, failed, st_arc=False, tree=None):
-            calls.append(st_arc)
-            return real(net, rows, target, failed, st_arc, tree)
+        def counted(net, rows, target, failed):
+            calls.append((target, failed))
+            return real(net, rows, target, failed)
 
         monkeypatch.setattr(oracles, "cycle_through_arc_without", counted)
         crit = o.paths.path_of
@@ -197,7 +198,8 @@ class TestFlowDiffDual:
             carried = e in o.kept and e2 in o.kept and \
                 o.query_edge_flow(e, e2) == 1
             drop = d.new_value < o.report_flow_diff_single(e).new_value
-            assert searched == ([drop] if carried else []), (e, e2)
+            assert searched == ([(e2, e)] if carried and not drop else []), \
+                (e, e2)
             dropped += carried and drop
         assert dropped > 1000
 
