@@ -17,12 +17,13 @@ No flow is stored. The canonical flow after e fails carries edge x
 exactly when x is kept and (x not in null) != (x in flip[e]); an edge
 outside ``flip`` leaves f-tilde itself as its canonical flow. Queries
 run on lookups plus at most one search of the residual rows of one
-canonical flow (see "residual traversals" below), a cache filled on
-first use, never part of the oracle file. MF2 takes its value from the
-strip order when e or e2 is critical, else from whether a plain
-rerouting cycle exists. Where the value stays it toggles that cycle;
-where it drops, it removes the unit of e's canonical flow through e2,
-read by walking that flow, which is acyclic.
+canonical flow or one walk along its first carried edges (see "residual
+traversals" below), a cache filled on first use, never part of the
+oracle file. MF2 takes its value from the strip order when e or e2 is
+critical, else from whether a plain rerouting cycle exists. Where the
+value stays it toggles that cycle; where it drops, it removes the unit
+of e's canonical flow through e2, read by walking that flow, which is
+acyclic.
 
 Conventions the queries rely on:
   * edges outside every (s,t)-walk, and edges removed by calibration,
@@ -37,7 +38,7 @@ Conventions the queries rely on:
 """
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInvariantError, QueryError
 from .family import build_flow_family
@@ -47,6 +48,7 @@ from .mincut import build_mincut_oracle, precedes
 log = logging.getLogger(__name__)
 
 EMPTY = frozenset()
+DISTINCT = "dual-failure query needs two distinct edges"
 
 
 # ---- residual traversals ----
@@ -58,12 +60,19 @@ EMPTY = frozenset()
 # reverse: that order fixes the reported cycle. A unit of value is
 # released by walking the flow itself, not its residual: every canonical
 # flow is a sub-flow of the cycle-cancelled f_H, so it is acyclic and the
-# walks out of an edge it carries end at t and at s. SensitivityOracle.
-# _residual_of fills a canonical flow's rows and carried set on first use:
-# f-tilde's rows from the incidence list, any other's as a copy of
-# f-tilde's with only the rows at the endpoints of its delta's edges
-# rebuilt, so each costs O(n + sum of those degrees). The cache stays out
-# of the pickle, and the first traversals after a load refill it.
+# walks out of an edge it carries end at t and at s. Each step reads one
+# entry of two per-vertex lists, out[x], the first carried out-edge of x
+# in incidence order as (EdgeId, head), and into[x], the first carried
+# in-edge as (EdgeId, tail), None where x has none.
+# SensitivityOracle._residual_of fills a canonical flow's rows, carried
+# set and both lists on first use, in one pass over the incidence entries
+# of each vertex it builds: f-tilde's from the whole incidence list, any
+# other's as copies of f-tilde's with only the entries at the endpoints
+# of its delta's edges rebuilt, so each costs O(n + sum of those
+# degrees). The cache stays out of the pickle, and the first traversals
+# after a load refill it. Every entry is complete before one dict
+# assignment stores it, so threads querying one oracle at worst build an
+# equal entry twice.
 
 
 def _search(rows, src, dst, failed):
@@ -85,19 +94,20 @@ def _search(rows, src, dst, failed):
     return None
 
 
-def cycle_through_arc_without(net: FlowNetwork, rows, target, failed):
+def cycle_through_arc_without(net: FlowNetwork, rows, carried, target,
+                              failed):
     """Simple cycle through the reverse arc v->u of target in the residual
     rows of a flow on net minus edge failed, as EdgeIds: target, then the
     u~>v path a BFS from u finds, in path order; None when there is
-    none."""
+    none. carried is the set of edges the flow carries."""
     for eid in (failed, target):
         if eid not in net.edges:
             raise QueryError(f"unknown edge {eid!r}")
     if target == failed:
         raise QueryError("target edge coincides with the failed edge")
-    u, v = net.edges[target]
-    if (target, u, True) not in rows[v]:
+    if target not in carried:
         raise QueryError(f"edge {target} carries no flow; it has no reverse arc")
+    u, v = net.edges[target]
     parent = _search(rows, u, v, failed)
     if parent is None:
         return None
@@ -108,21 +118,21 @@ def cycle_through_arc_without(net: FlowNetwork, rows, target, failed):
     return (target, *reversed(leg))
 
 
-def released_unit(net: FlowNetwork, carried, target) -> list[int]:
+def released_unit(net: FlowNetwork, out, into, target) -> list[int]:
     """EdgeIds of the s-t path of an acyclic flow through target, an edge
-    it carries: target, the lowest-EdgeId carried out-edges from its head
-    to t, then the lowest-EdgeId carried in-edges back from its tail to
-    s. carried is the set of edges the flow carries."""
-    inc, (u, v) = net.graph.incidence(), net.edges[target]
+    it carries: target, the first carried out-edges from its head to t,
+    then the first carried in-edges back from its tail to s. out[x] and
+    into[x] are x's first carried out-edge as (EdgeId, head) and in-edge
+    as (EdgeId, tail) in incidence order, None where it has none."""
+    u, v = net.edges[target]
     path, seen = [target], {u, v}
-    for x, end, rev in ((v, net.t, False), (u, net.s, True)):
+    for x, end, step in ((v, net.t, out), (u, net.s, into)):
         while x != end:
-            for eid, w, r in inc[x]:
-                if r == rev and eid in carried:
-                    break
-            else:
+            edge = step[x]
+            if edge is None:
                 raise InternalInvariantError(
                     "released unit: the flow walk finds no carried edge")
+            eid, w = edge
             if w in seen:
                 raise InternalInvariantError(
                     "released unit: the flow walk re-enters a vertex")
@@ -132,8 +142,7 @@ def released_unit(net: FlowNetwork, carried, target) -> list[int]:
     return path
 
 
-@dataclass(frozen=True)
-class FlowDiff:
+class FlowDiff(NamedTuple):
     """Delta encoding of a post-failure max-flow against f-tilde.
 
     The reconstruction sends one unit on edge x iff f-tilde does XOR
@@ -173,46 +182,67 @@ class SensitivityOracle:
         if eid not in self.pruned_net.edges and eid not in self.walk_dropped:
             raise QueryError(f"unknown edge {eid}")
 
+    def _pair(self, e: int, x: int, same: str) -> tuple[bool, bool]:
+        """Whether e and x are kept, once both are known and distinct;
+        QueryError(same) when they coincide. A kept edge is known, so
+        only an edge outside kept is looked up."""
+        e_kept, x_kept = e in self.kept, x in self.kept
+        if not e_kept:
+            self._known(e)
+        if not x_kept:
+            self._known(x)
+        if e == x:
+            raise QueryError(same)
+        return e_kept, x_kept
+
     def __getstate__(self):
         # the residual rows are a cache _residual_of refills after a load
         return {k: v for k, v in vars(self).items() if k != "_residual"}
 
     def _residual_of(self, d: frozenset[int]):
-        """(rows, carried) of the canonical flow whose delta against
-        f-tilde is d (EMPTY for f-tilde): its residual rows and the edges
-        it carries, built on first use."""
+        """(rows, carried, out, into) of the canonical flow whose delta
+        against f-tilde is d (EMPTY for f-tilde): its residual rows, the
+        edges it carries, and per vertex its first carried out-edge as
+        (EdgeId, head) and first carried in-edge as (EdgeId, tail), or
+        None; built on first use."""
         cache = self.__dict__.setdefault("_residual", {})
         res = cache.get(d)
         if res is None:
             net, carried = self.pruned_net, (self.kept - self.null) ^ d
             inc = net.graph.incidence()
-            if d:  # f-tilde's rows, rebuilt at the ends of d's edges
-                rows = list(self._residual_of(EMPTY)[0])
+            if d:  # f-tilde's, rebuilt at the ends of d's edges
+                rows, _, out, into = self._residual_of(EMPTY)
+                rows, out, into = list(rows), list(out), list(into)
                 at = {x for eid in d for x in net.edges[eid]}
             else:
-                rows, at = [None] * net.n, range(net.n)
+                rows, out, into = ([None] * net.n for _ in range(3))
+                at = range(net.n)
             for x in at:
-                rows[x] = [a for a in inc[x] if (a[0] in carried) == a[2]]
-            res = cache[d] = rows, carried
+                row, first_out, first_in = [], None, None
+                for a in inc[x]:
+                    if (a[0] in carried) == a[2]:
+                        row.append(a)
+                        if a[2] and first_in is None:
+                            first_in = a[:2]
+                    elif first_out is None and not a[2]:
+                        first_out = a[:2]
+                rows[x], out[x], into[x] = row, first_out, first_in
+            res = cache[d] = rows, carried, out, into
         return res
 
     # ---- single failure ----
 
     def query_edge_flow(self, e: int, x: int) -> int:
         """Flow bit through x in the canonical max-flow after e fails."""
-        self._known(e)
-        self._known(x)
-        if e == x:
-            raise QueryError("edge x does not survive the failure of e")
-        if x not in self.kept:
+        if not self._pair(e, x, "edge x does not survive the failure of e")[1]:
             return 0
         return int((x not in self.null) != (x in self.flip.get(e, EMPTY)))
 
     def report_flow_diff_single(self, e: int) -> FlowDiff:
         """Max-flow after e fails, as a delta against f-tilde."""
-        self._known(e)
         d = self.flip.get(e)
-        if d is None:
+        if d is None:  # an edge in flip is kept, so known
+            self._known(e)
             return FlowDiff(EMPTY, self.lam)
         bound = 6 * self.pruned_net.n
         if len(d) > bound:
@@ -223,27 +253,19 @@ class SensitivityOracle:
 
     # ---- dual failure ----
 
-    def _live(self, e: int, e2: int) -> list[int]:
-        """The kept edges of a dual-failure pair, once it is checked."""
-        self._known(e)
-        self._known(e2)
-        if e == e2:
-            raise QueryError("dual-failure query needs two distinct edges")
-        return [x for x in (e, e2) if x in self.kept]
-
     def report_flow_diff_dual(self, e: int, e2: int) -> FlowDiff:
         """Max-flow after both e and e2 fail, as a delta against f-tilde."""
-        live = self._live(e, e2)
-        if not live:
-            return FlowDiff(EMPTY, self.lam)
-        if len(live) == 1:
-            if live[0] == e2:
+        e_kept, e2_kept = self._pair(e, e2, DISTINCT)
+        if not (e_kept and e2_kept):
+            if not (e_kept or e2_kept):
+                return FlowDiff(EMPTY, self.lam)
+            if e2_kept:
                 log.info(
                     "dual query (%d, %d): %d has no effect, "
                     "answering the single failure of %d",
                     e, e2, e, e2,
                 )
-            return self.report_flow_diff_single(live[0])
+            return self.report_flow_diff_single(e if e_kept else e2)
         d = self.flip.get(e, EMPTY)
         crit = self.paths.path_of
         val_f = self.lam - (e in crit)
@@ -255,10 +277,10 @@ class SensitivityOracle:
         # value by the strip order, and a plain cycle is searched only
         # where it stays. Where it drops, e's flow gives up its unit
         # through e2; that flow leaves e idle, so the unit avoids e
-        net, (rows, carried) = self.pruned_net, self._residual_of(d)
+        net, (rows, carried, out, into) = self.pruned_net, self._residual_of(d)
         crit_pair = e in crit or e2 in crit
         value = self._critical_value(e, e2) if crit_pair else val_f
-        reroute = cycle_through_arc_without(net, rows, e2, e) \
+        reroute = cycle_through_arc_without(net, rows, carried, e2, e) \
             if value == val_f else None
         if reroute is None:
             if value == val_f and crit_pair:
@@ -267,7 +289,7 @@ class SensitivityOracle:
             if value < val_f - 1:
                 raise InternalInvariantError(
                     f"post-failure value {value} drops more than one unit")
-            value, reroute = val_f - 1, released_unit(net, carried, e2)
+            value, reroute = val_f - 1, released_unit(net, out, into, e2)
         elif len({x for eid in reroute for x in net.edges[eid]}) != \
                 len(reroute):
             raise InternalInvariantError("rerouting cycle repeats a vertex")
@@ -285,12 +307,12 @@ class SensitivityOracle:
 
     def mincut_size_dual(self, e: int, e2: int) -> int:
         """Min-cut (= max-flow) value after both e and e2 fail."""
-        live = self._live(e, e2)
-        if not live:
+        e_kept, e2_kept = self._pair(e, e2, DISTINCT)
+        if not (e_kept or e2_kept):
             return self.lam
         crit = self.paths.path_of
-        if len(live) == 1:
-            return self.lam - (live[0] in crit)
+        if not (e_kept and e2_kept):
+            return self.lam - ((e if e_kept else e2) in crit)
         if e in crit or e2 in crit:
             return self._critical_value(e, e2)
         # both non-critical: the drop happens iff the second failure cannot
@@ -302,6 +324,6 @@ class SensitivityOracle:
         # strongly connected exactly when a plain cycle runs through it.
         d = self.flip.get(e, EMPTY)
         if (e2 in self.null) == (e2 in d) and cycle_through_arc_without(
-                self.pruned_net, self._residual_of(d)[0], e2, e) is None:
+                self.pruned_net, *self._residual_of(d)[:2], e2, e) is None:
             return self.lam - 1
         return self.lam

@@ -6,9 +6,11 @@ when x is in kept and not in null. The shipped traversals read rows,
 per vertex the incidence entries that are residual arcs of one flow,
 which SensitivityOracle caches per canonical flow. The traversals here
 scan the graph's whole incidence list and test each entry against
-(kept, null); the queries build the canonical flow's null set
-``null ^ flip[e]`` just before a search. Scan order, and so every plain
-cycle, must be the same; test_ftscc.py checks it.
+(kept, null), and so does first_carried, the reference for the first
+carried edges the released-unit walk reads; the queries build the
+canonical flow's null set ``null ^ flip[e]`` just before a search.
+Scan order, and so every plain cycle, must be the same; test_ftscc.py
+checks it.
 
 Where the value drops, the reference releases a unit by searching for a
 cycle through an artificial s->t arc (u~>s, s->t, t~>v), and MC2 asks
@@ -32,6 +34,19 @@ def residual_rows(net, kept, null):
     residual arcs, in incidence order."""
     return [[a for a in row if (a[0] in kept and a[0] not in null) == a[2]]
             for row in net.graph.incidence()]
+
+
+def first_carried(net, carried):
+    """Per vertex, the first carried out-edge as (EdgeId, head) and the
+    first carried in-edge as (EdgeId, tail), in incidence order, or None:
+    the entries the released-unit walk reads, found by scanning the whole
+    incidence list."""
+    def first(row, rev):
+        return next(((eid, w) for eid, w, r in row
+                     if r == rev and eid in carried), None)
+
+    inc = net.graph.incidence()
+    return [first(row, False) for row in inc], [first(row, True) for row in inc]
 
 
 def _search(net, kept, null, src, dst, failed):

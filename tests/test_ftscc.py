@@ -6,6 +6,8 @@ verification-only witness, kept here)."""
 import itertools
 import pickle
 import random
+import sys
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -38,7 +40,7 @@ from conftest import (
     residual_arcs,
     support,
 )
-from ftscc_reference import ARTIFICIAL, residual_rows
+from ftscc_reference import ARTIFICIAL, first_carried, residual_rows
 
 
 def _scc_ids(n, arcs):
@@ -160,7 +162,14 @@ def rows_of(net, f):
 
 
 def cycle(net, f, target, failed):
-    return cycle_through_arc_without(net, rows_of(net, f), target, failed)
+    return cycle_through_arc_without(net, rows_of(net, f),
+                                     frozenset(support(f)), target, failed)
+
+
+def walk(net, carried, target):
+    """released_unit over the first carried edges a scan of the incidence
+    list finds."""
+    return released_unit(net, *first_carried(net, carried), target)
 
 
 def assert_released_unit(net, carried, target, unit):
@@ -283,14 +292,16 @@ class TestIndexQueries:
             f = max_unit_flow(net)
             host = Host(net, residual_arcs(net, f))
             # the rows read an edge outside kept as carrying 0
-            rows = residual_rows(net, frozenset(support(f)), EMPTY)
+            carried = frozenset(support(f))
+            rows = residual_rows(net, carried, EMPTY)
             for eid in sorted(net.edges):
                 comp = brute_scc_pairs(host, eid)
                 for target in support(f):
                     if target == eid:
                         continue
                     u, v = net.edges[target]
-                    got = cycle_through_arc_without(net, rows, target, eid)
+                    got = cycle_through_arc_without(net, rows, carried,
+                                                    target, eid)
                     assert (got is not None) == (comp[u] == comp[v]), \
                         (target, eid)
                     checked += 1
@@ -309,9 +320,9 @@ class TestCycleExtraction:
         f = max_unit_flow(diamond)
         assert cycle(diamond, f, 1, 2) is None
         carried = frozenset(support(f))
-        assert released_unit(diamond, carried, 1) == [1, 0]
-        assert released_unit(diamond, carried, 0) == [0, 1]
-        assert released_unit(diamond, carried, 3) == [3, 2]
+        assert walk(diamond, carried, 1) == [1, 0]
+        assert walk(diamond, carried, 0) == [0, 1]
+        assert walk(diamond, carried, 3) == [3, 2]
 
     def test_zero_flow_target_rejected(self, bottleneck):
         f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
@@ -329,13 +340,13 @@ class TestCycleExtraction:
         for _ in range(60):
             net = random_net(rng, n_max=8, m_max=16)
             f = max_unit_flow(net)
-            rows = rows_of(net, f)
+            rows, carried = rows_of(net, f), frozenset(support(f))
             for target in support(f):
                 for failed in sorted(net.edges):
                     if failed == target:
                         continue
                     eids = cycle_through_arc_without(
-                        net, rows, target, failed)
+                        net, rows, carried, target, failed)
                     if eids is None:
                         continue
                     found += 1
@@ -358,12 +369,12 @@ class TestReleasedUnitCycle:
     """The walk that releases one unit of an acyclic flow through an edge
     it carries: one simple s-t path of carried edges, the lowest-EdgeId
     carried out-edge at each step to t and the lowest-EdgeId carried
-    in-edge at each step back to s."""
+    in-edge at each step back to s, each read off one list entry."""
 
     @staticmethod
     def _check(net, carried, targets):
         for target in targets:
-            path = released_unit(net, carried, target)
+            path = walk(net, carried, target)
             assert_released_unit(net, carried, target, path)
             # target, then at each step the lowest-EdgeId carried edge:
             # out of the vertex on the way to t, into it on the way to s
@@ -387,7 +398,7 @@ class TestReleasedUnitCycle:
             found += self._check(net, carried, sorted(carried))
             # the flow minus the unit is a flow of one less value
             for target in carried:
-                rest = carried - set(released_unit(net, carried, target))
+                rest = carried - set(walk(net, carried, target))
                 g = UnitFlow(net, {x: int(x in rest) for x in net.edges})
                 g.check()
                 assert g.value == f.value - 1
@@ -408,11 +419,11 @@ class TestReleasedUnitCycle:
         # 0->1->2 with only the second edge carried: no way back to s
         chain = make_net(3, [(0, 1), (1, 2)])
         with pytest.raises(InternalInvariantError, match="no carried edge"):
-            released_unit(chain, frozenset({1}), 1)
+            walk(chain, frozenset({1}), 1)
         # a carried cycle 1->2->1 hanging off the path: the walk loops
         net = make_net(4, [(0, 1), (1, 2), (2, 1), (1, 3)], t=3)
         with pytest.raises(InternalInvariantError, match="re-enters"):
-            released_unit(net, frozenset({0, 1, 2}), 1)
+            walk(net, frozenset({0, 1, 2}), 1)
 
 
 def _same(new, reference):
@@ -472,12 +483,13 @@ class TestReferenceIdentity:
                                          if rng.random() < 0.5})
             null = kept - carrying
             rows = residual_rows(net, kept, null)
+            carried = frozenset(carrying)
             parallel += len(set(net.edges.values())) < net.m
             loops += any(u == v for u, v in net.edges.values())
             for failed in edges:
                 for target in edges:
                     got = _same(lambda: cycle_through_arc_without(
-                                    net, rows, target, failed),
+                                    net, rows, carried, target, failed),
                                 lambda: _eids(ref.cycle_through_arc_without(
                                     net, kept, null, target, failed)))
                     cycles += got is not None
@@ -542,25 +554,42 @@ class TestReferenceIdentity:
 
 
 class TestResidualRows:
-    """SensitivityOracle's per-flow cache of residual rows and carried
-    sets."""
+    """SensitivityOracle's per-flow cache of residual rows, carried sets
+    and first carried edges."""
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_GRAPHS))
     def test_shared_copy_equals_scratch(self, name):
-        # each canonical flow's rows equal rows built from scratch for it,
-        # and only the rows at the ends of its delta's edges are its own
+        # each canonical flow's rows and first carried edges equal those
+        # built from scratch for it, and only the entries at the ends of
+        # its delta's edges are its own
         o = _oracle(name)
-        net, (base, _) = o.pruned_net, o._residual_of(EMPTY)
-        assert base == residual_rows(net, o.kept, o.null)
+        net, base = o.pruned_net, o._residual_of(EMPTY)
+        assert base[0] == residual_rows(net, o.kept, o.null)
+        assert base[2:] == first_carried(net, o.kept - o.null)
         deltas = set(o.flip.values())
         assert deltas or o.lam == 0
         for d in deltas:
-            rows, carried = o._residual_of(d)
+            rows, carried, out, into = o._residual_of(d)
             assert rows == residual_rows(net, o.kept, o.null ^ d)
             assert carried == o.kept - (o.null ^ d)
+            assert (out, into) == first_carried(net, carried)
             ends = {x for eid in d for x in net.edges[eid]}
-            assert all(rows[x] is base[x]
-                       for x in range(net.n) if x not in ends)
+            for got, shared in zip((rows, out, into),
+                                   (base[0], base[2], base[3])):
+                assert all(got[x] is shared[x]
+                           for x in range(net.n) if x not in ends)
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_GRAPHS))
+    def test_filled_cache_stays_out_of_the_pickle(self, name):
+        # a loaded oracle saved after every flow's entry is filled saves
+        # the bytes it saved before
+        o = pickle.loads(pickle.dumps(_oracle(name)))
+        assert "_residual" not in vars(o)
+        saved = pickle.dumps(o)
+        for d in {EMPTY, *o.flip.values()}:
+            o._residual_of(d)
+        assert len(vars(o)["_residual"]) == len(set(o.flip.values())) + 1
+        assert pickle.dumps(o) == saved
 
     def test_cache_holds_one_entry_per_flow(self):
         o = SensitivityOracle(gen_random(10, 1))
@@ -571,9 +600,45 @@ class TestResidualRows:
             o.mincut_size_dual(e, e2)
         cache = vars(o)["_residual"]
         assert 1 < len(cache) <= len(set(o.flip.values())) + 1
-        # each entry is a flow's rows and the set of edges it carries
-        for d, (rows, carried) in cache.items():
-            assert len(rows) == o.pruned_net.n
+        # each entry is a flow's rows, the set of edges it carries and its
+        # first carried out- and in-edge per vertex
+        for d, (rows, carried, out, into) in cache.items():
+            assert len(rows) == len(out) == len(into) == o.pruned_net.n
             assert carried == o.kept - (o.null ^ d)
         # the cache stays out of the pickled oracle
         assert pickle.dumps(o) == before
+
+    def test_threads_fill_one_oracle(self):
+        # each cache entry is built whole and stored by one assignment, so
+        # threads that fill a freshly loaded oracle's caches at once, from
+        # one barrier, answer as one thread does
+        o = _oracle("matrix3x4")
+        pairs = list(itertools.permutations(sorted(o.pruned_net.edges), 2))
+        want = [(o.report_flow_diff_dual(*p), o.mincut_size_dual(*p))
+                for p in pairs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                shared, got = pickle.loads(pickle.dumps(o)), {}
+                start = threading.Barrier(6, timeout=60)
+
+                def answer(i, shared=shared, got=got, start=start):
+                    start.wait()
+                    try:
+                        got[i] = [(shared.report_flow_diff_dual(*p),
+                                   shared.mincut_size_dual(*p))
+                                  for p in pairs]
+                    except Exception as exc:  # reported by the assert
+                        got[i] = exc
+
+                threads = [threading.Thread(target=answer, args=(i,))
+                           for i in range(6)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                assert all(got[i] == want for i in range(6))
+        finally:
+            sys.setswitchinterval(interval)

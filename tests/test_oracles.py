@@ -181,9 +181,9 @@ class TestFlowDiffDual:
         calls = []
         real = oracles.cycle_through_arc_without
 
-        def counted(net, rows, target, failed):
+        def counted(net, rows, carried, target, failed):
             calls.append((target, failed))
-            return real(net, rows, target, failed)
+            return real(net, rows, carried, target, failed)
 
         monkeypatch.setattr(oracles, "cycle_through_arc_without", counted)
         crit = o.paths.path_of
@@ -248,6 +248,82 @@ class TestMinCutDual:
                 assert o.mincut_size_dual(e2, e) == want, (e2, e)
                 checked += 1
         assert checked > 1500
+
+
+# query kind -> (library call, QueryError text for a pair of equal edges)
+PAIR_KINDS = {
+    "MFX": (SensitivityOracle.query_edge_flow,
+            "edge x does not survive the failure of e"),
+    "MF2": (SensitivityOracle.report_flow_diff_dual,
+            "dual-failure query needs two distinct edges"),
+    "MC2": (SensitivityOracle.mincut_size_dual,
+            "dual-failure query needs two distinct edges"),
+}
+SAME = object()  # stands for the kind's text for equal edges
+# EdgeIds of the oracle below: 0 is kept, 2 calibration-removed, 6
+# walk-dropped, 98 and 99 unknown
+PAIR_CASES = [
+    ((99, 0), "unknown edge 99"),
+    ((0, 99), "unknown edge 99"),
+    ((99, 2), "unknown edge 99"),
+    ((2, 99), "unknown edge 99"),
+    ((99, 6), "unknown edge 99"),
+    ((6, 99), "unknown edge 99"),
+    ((-1, 0), "unknown edge -1"),
+    ((98, 99), "unknown edge 98"),
+    ((99, 98), "unknown edge 99"),
+    ((99, 99), "unknown edge 99"),
+    ((0, 0), SAME),
+    ((2, 2), SAME),
+    ((6, 6), SAME),
+    ((0, 2), None),
+    ((2, 0), None),
+    ((0, 6), None),
+    ((6, 0), None),
+    ((2, 6), None),
+    ((6, 2), None),
+]
+
+
+class TestQueryErrors:
+    """The exact QueryError each query kind raises, and which of its
+    inputs raises first: an unknown edge in argument order, then equal
+    edges, whether the edges are kept, calibration-removed or
+    walk-dropped."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        # wide_bottleneck plus edge 6 into vertex 3, a dead end that
+        # walk-pruning drops
+        o = SensitivityOracle(make_net(4, [(0, 1), (0, 1), (1, 2), (1, 2),
+                                           (1, 2), (1, 2), (1, 3)], t=2))
+        assert 0 in o.kept and 2 in o.pruned_net.edges
+        assert 2 not in o.kept and o.walk_dropped == {6}
+        return o
+
+    @pytest.mark.parametrize("kind", sorted(PAIR_KINDS))
+    @pytest.mark.parametrize("pair, text", PAIR_CASES)
+    def test_pair_kinds(self, oracle, kind, pair, text):
+        query, same = PAIR_KINDS[kind]
+        if text is None:
+            query(oracle, *pair)
+            return
+        with pytest.raises(QueryError) as got:
+            query(oracle, *pair)
+        assert str(got.value) == (same if text is SAME else text)
+
+    @pytest.mark.parametrize("e, text", [
+        (99, "unknown edge 99"), (-1, "unknown edge -1"),
+        (0, None), (2, None), (6, None),
+    ])
+    def test_single_kinds(self, oracle, e, text):
+        # MF and MFD both answer from this call
+        if text is None:
+            oracle.report_flow_diff_single(e)
+            return
+        with pytest.raises(QueryError) as got:
+            oracle.report_flow_diff_single(e)
+        assert str(got.value) == text
 
 
 class TestDisconnected:
