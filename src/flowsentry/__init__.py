@@ -16,7 +16,6 @@ from .flows import (
 )
 from .generators import FAMILIES, generate
 from .graph import (
-    DirectedMultigraph,
     FlowNetwork,
     PrunedEdgeSet,
     parse_network,
@@ -41,7 +40,6 @@ from .verify import VerificationReport, run_verify
 __all__ = [
     "BuiltFamily",
     "CutPartition",
-    "DirectedMultigraph",
     "EnumerationBudgetExceeded",
     "FAMILIES",
     "FlowDiff",

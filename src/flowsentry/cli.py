@@ -27,17 +27,19 @@ from .kfault import (
 from .oracles import SensitivityOracle
 from .verify import run_verify
 
-# Oracle file layout, version 8 (stability across versions not promised):
+# Oracle file layout, version 9 (stability across versions not promised):
 #   8 bytes   magic b"FLOWSNTY"
 #   u16 LE    format version
 #   u16 LE    k the failure oracle was built for
 #   32 bytes  sha256 of the graph file bytes the oracle was built from
 #   32 bytes  sha256 of the payload
-#   rest      payload: pickle of {"sensitivity": ..., "kfault": ...}; the
-#             k-fault oracle holds the raw network, k, lam and its cut
-#             list as ascending source-side bitmasks
+#   rest      payload: pickle of {"sensitivity": ..., "kfault": ...}; each
+#             oracle holds one FlowNetwork (n, edges, s, t): the
+#             sensitivity oracle the walk-pruned one, the k-fault oracle
+#             the raw one with k, lam and its cut list as ascending
+#             source-side bitmasks
 ORACLE_MAGIC = b"FLOWSNTY"
-ORACLE_VERSION = 8
+ORACLE_VERSION = 9
 _HEADER = 76
 _NONE = type(None)
 

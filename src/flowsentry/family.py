@@ -145,8 +145,6 @@ def build_auxiliary(sub: CalibratedSubgraph) -> IntFlow:
     exactly this object.
     """
     lam = sub.lam
-    if lam < 1:
-        raise ValueError("auxiliary network needs lam >= 1")
     caps = {
         eid: lam + 1 if eid in sub.critical else lam for eid in sub.network.edges
     }
@@ -176,7 +174,7 @@ def peel_family_A(sub: CalibratedSubgraph, f_h: IntFlow) -> list[UnitFlow]:
     conservation with value lam, no flow on spent edges, flow on forced ones.
     """
     net, lam, n = sub.network, sub.lam, sub.network.n
-    arcs = net.graph.incidence()
+    arcs = net.incidence()
     h = dict(f_h.values)
     peeled: list[UnitFlow] = []
     for i in range(lam + 1, 0, -1):
@@ -306,7 +304,7 @@ class BuiltFamily:
 
 
 def build_flow_family(net: FlowNetwork) -> BuiltFamily:
-    """Run the full pipeline on a pruned network with lam >= 1.
+    """Run the full pipeline on a pruned network.
 
     Every later stage reads lam and the critical set from sub. If
     calibration deleted edges, calibrating sub.network again certifies it:
@@ -318,8 +316,6 @@ def build_flow_family(net: FlowNetwork) -> BuiltFamily:
     would repeat the first.
     """
     sub = calibrate(net)
-    if sub.lam < 1:
-        raise ValueError("flow family needs a connected instance (lam >= 1)")
     if sub.pruned:
         again = calibrate(sub.network)
         if again.lam != sub.lam:

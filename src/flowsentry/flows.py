@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graph import DirectedMultigraph, FlowNetwork, scc_from_adjacency
+from .graph import FlowNetwork, scc_from_adjacency
 
 
 class IntFlow:
@@ -32,23 +32,22 @@ class IntFlow:
 
     @property
     def value(self) -> int:
-        g = self.net.graph
-        s = self.net.s
-        out = sum(self.values[e] for e in g.out_edges(s))
-        inc = sum(self.values[e] for e in g.in_edges(s))
+        net = self.net
+        out = sum(self.values[e] for e in net.out_edges(net.s))
+        inc = sum(self.values[e] for e in net.in_edges(net.s))
         return out - inc
 
     def check(self) -> None:
         """Raise ValueError unless non-negativity and conservation hold."""
-        g = self.net.graph
+        net = self.net
         for eid, x in self.values.items():
             if x < 0:
                 raise ValueError(f"flow {x} on edge {eid} is negative")
-        for v in range(g.n):
-            if v in (self.net.s, self.net.t):
+        for v in range(net.n):
+            if v in (net.s, net.t):
                 continue
-            inc = sum(self.values[e] for e in g.in_edges(v))
-            out = sum(self.values[e] for e in g.out_edges(v))
+            inc = sum(self.values[e] for e in net.in_edges(v))
+            out = sum(self.values[e] for e in net.out_edges(v))
             if inc != out:
                 raise ValueError(f"conservation violated at vertex {v}: in={inc} out={out}")
 
@@ -74,14 +73,13 @@ def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None) -> IntF
     ``capacities`` defaults to 1 per edge, in which case a UnitFlow is
     returned.
     """
-    g = net.graph
-    caps = {eid: 1 for eid in g.edges} if capacities is None else {eid: int(capacities.get(eid, 0)) for eid in g.edges}
+    caps = {eid: 1 for eid in net.edges} if capacities is None else {eid: int(capacities.get(eid, 0)) for eid in net.edges}
     for eid, c in caps.items():
         if c < 0:
             raise ValueError(f"negative capacity {c} on edge {eid}")
-    flow = {eid: 0 for eid in g.edges}
+    flow = {eid: 0 for eid in net.edges}
     s, t = net.s, net.t
-    arcs = g.incidence()
+    arcs = net.incidence()
     while True:
         # BFS over residual arcs; parents recorded as (vertex, eid, is_reverse)
         parent: dict[int, tuple[int, int, bool]] = {s: (-1, -1, False)}
@@ -115,7 +113,7 @@ def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None) -> IntF
 def augment_unit(arcs, flow: dict[int, int], sources, sinks) -> list[int] | None:
     """Push one unit along a shortest path from sources to sinks in the unit residual.
 
-    arcs lists the live edges as DirectedMultigraph.incidence does: flow 0
+    arcs lists the live edges as FlowNetwork.incidence does: flow 0
     on one gives a forward residual arc, flow 1 a reverse arc, any other
     value neither. The path's edges are toggled in place and returned;
     toggling them again undoes the push. Returns None, leaving flow
@@ -151,7 +149,7 @@ class UnitResidual:
     __slots__ = ("edges", "arcs", "flow", "out", "count")
 
     def __init__(self, net: FlowNetwork, flow: dict[int, int]):
-        self.edges, self.arcs, self.flow = net.edges, net.graph.incidence(), dict(flow)
+        self.edges, self.arcs, self.flow = net.edges, net.incidence(), dict(flow)
         self.out, self.count = [0] * net.n, {}
         for eid, x in self.flow.items():
             if x in (0, 1):
@@ -245,9 +243,8 @@ def cancel_flow_cycles(net: FlowNetwork, f: IntFlow) -> IntFlow:
     rest of the package cares about and makes path decomposition valid.
     """
     values = dict(f.values)
-    g = net.graph
     while True:
-        cycle = _find_support_cycle(g, values)
+        cycle = _find_support_cycle(net, values)
         if cycle is None:
             break
         push = min(values[eid] for eid in cycle)
@@ -256,15 +253,15 @@ def cancel_flow_cycles(net: FlowNetwork, f: IntFlow) -> IntFlow:
     return type(f)(net, values)
 
 
-def _find_support_cycle(g: DirectedMultigraph, values) -> list[int] | None:
+def _find_support_cycle(net: FlowNetwork, values) -> list[int] | None:
     """A directed cycle (as EdgeIds) in the flow support, or None.
 
     Iterative DFS with vertex coloring; arcs scanned in ascending EdgeId
     order for determinism.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * g.n
-    for root in range(g.n):
+    color = [WHITE] * net.n
+    for root in range(net.n):
         if color[root] != WHITE:
             continue
         # stack holds (vertex, edge used to arrive); iters[v] resumes v's scan
@@ -274,10 +271,10 @@ def _find_support_cycle(g: DirectedMultigraph, values) -> list[int] | None:
             v, _ = stack[-1]
             if color[v] == WHITE:
                 color[v] = GRAY
-                iters[v] = (e for e in g.out_edges(v) if values[e] > 0)
+                iters[v] = (e for e in net.out_edges(v) if values[e] > 0)
             nxt = None
             for e in iters[v]:
-                w = g.head(e)
+                w = net.head(e)
                 if color[w] == GRAY:
                     # found a cycle: edges from w forward along path, plus e
                     idx = next(i for i, (x, _) in enumerate(stack) if x == w)
@@ -300,18 +297,17 @@ def decompose_into_paths(net: FlowNetwork, f: IntFlow) -> list[list[int]]:
     flow. Unit flows yield value-many paths that partition the support.
     Raises ValueError when the flow support contains a cycle.
     """
-    g = net.graph
     remaining = dict(f.values)
-    if _find_support_cycle(g, remaining) is not None:
+    if _find_support_cycle(net, remaining) is not None:
         raise ValueError("flow support contains a cycle; run cancel_flow_cycles first")
     paths: list[list[int]] = []
     for _ in range(f.value):
         v = net.s
         path: list[int] = []
         while v != net.t:
-            eid = next(e for e in g.out_edges(v) if remaining[e] > 0)
+            eid = next(e for e in net.out_edges(v) if remaining[e] > 0)
             remaining[eid] -= 1
             path.append(eid)
-            v = g.head(eid)
+            v = net.head(eid)
         paths.append(path)
     return paths

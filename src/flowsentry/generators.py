@@ -9,13 +9,12 @@ documented on the helpers the tests use.
 
 import random
 
-from .graph import DirectedMultigraph, FlowNetwork
+from .graph import FlowNetwork
 
 
 def gen_diamond() -> FlowNetwork:
     """s=0, a=1, b=2, t=3; two vertex-disjoint length-2 paths."""
-    g = DirectedMultigraph(4, {0: (0, 1), 1: (1, 3), 2: (0, 2), 3: (2, 3)})
-    return FlowNetwork(g, 0, 3)
+    return FlowNetwork(4, [(0, 1), (1, 3), (0, 2), (2, 3)], 0, 3)
 
 
 def gen_bottleneck(lam: int) -> FlowNetwork:
@@ -27,7 +26,7 @@ def gen_bottleneck(lam: int) -> FlowNetwork:
         edges[i] = (0, 1)
     for i in range(lam + 1):
         edges[lam + i] = (1, 2)
-    return FlowNetwork(DirectedMultigraph(3, edges), 0, 2)
+    return FlowNetwork(3, edges, 0, 2)
 
 
 def gen_twopaths(n: int) -> FlowNetwork:
@@ -66,7 +65,7 @@ def gen_twopaths(n: int) -> FlowNetwork:
         add(y(i), y(i + 1))
     for i in range(2, p):
         add(x(i), y(i))
-    return FlowNetwork(DirectedMultigraph(n, edges), s, t)
+    return FlowNetwork(n, edges, s, t)
 
 
 def gen_matrix(r: int, length: int, seed: int | None = None,
@@ -118,7 +117,7 @@ def gen_matrix(r: int, length: int, seed: int | None = None,
                 if matrices[k - 1][i - 1][j - 1]:
                     add(matrix_x_vertex(r, length, k, i),
                         matrix_y_vertex(r, length, k, j))
-    return FlowNetwork(DirectedMultigraph(n, edges), s, t)
+    return FlowNetwork(n, edges, s, t)
 
 
 def matrix_x_vertex(r: int, length: int, k: int, i: int) -> int:
@@ -165,7 +164,7 @@ def gen_random(n: int, seed: int, density: int = 35) -> FlowNetwork:
         for v in range(1, n - 1):
             if layers[u] > layers[v] and rng.randint(1, 300) <= density:
                 add(u, v)
-    return FlowNetwork(DirectedMultigraph(n, edges), s, t)
+    return FlowNetwork(n, edges, s, t)
 
 
 FAMILIES = ("random", "diamond", "bottleneck", "twopaths", "matrix")

@@ -1,4 +1,4 @@
-"""Directed multigraphs, network parsing, pruning, and reachability helpers.
+"""Flow networks, network parsing, pruning, and reachability helpers.
 
 Edges are addressed exclusively by integer EdgeId. Ids are stable under
 deletion (removing an edge never renumbers the survivors), which is what
@@ -15,25 +15,29 @@ from dataclasses import dataclass
 from .errors import ParseError
 
 
-class DirectedMultigraph:
-    """Directed multigraph with edges indexed by EdgeId.
+class FlowNetwork:
+    """A directed multigraph with edges indexed by EdgeId, a source s and
+    a sink t.
 
     Parallel edges and self-loops are permitted. Adjacency lists are kept
     sorted by EdgeId so every traversal in the package is deterministic.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "s", "t", "_adj")
 
-    def __init__(self, n: int, edges=None):
+    def __init__(self, n: int, edges, s: int, t: int):
         if n < 1:
             raise ValueError("vertex count must be at least 1")
-        self.n = n
+        if not (0 <= s < n and 0 <= t < n):
+            raise ValueError(f"source/sink ({s}, {t}) out of range for n={n}")
+        if s == t:
+            raise ValueError("source equals sink")
+        self.n, self.s, self.t = n, s, t
         self.edges: dict[int, tuple[int, int]] = {}
         self._adj = None
-        if edges is not None:
-            items = edges.items() if isinstance(edges, dict) else enumerate(edges)
-            for eid, (u, v) in items:
-                self.add_edge(u, v, eid)
+        items = edges.items() if isinstance(edges, dict) else enumerate(edges)
+        for eid, (u, v) in items:
+            self.add_edge(u, v, eid)
 
     def add_edge(self, u: int, v: int, eid: int | None = None) -> int:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -67,7 +71,8 @@ class DirectedMultigraph:
 
     def __getstate__(self):
         # the adjacency lists are a cache that _adjacency rebuilds on demand
-        return None, {"n": self.n, "edges": self.edges, "_adj": None}
+        return None, {"n": self.n, "edges": self.edges, "s": self.s,
+                      "t": self.t, "_adj": None}
 
     def out_edges(self, u: int) -> list[int]:
         """EdgeIds leaving u, ascending."""
@@ -88,54 +93,17 @@ class DirectedMultigraph:
     def head(self, eid: int) -> int:
         return self.edges[eid][1]
 
-    def without_edges(self, ids) -> "DirectedMultigraph":
+    def without_edges(self, ids) -> "FlowNetwork":
         """A copy with the given EdgeIds removed; survivors keep their ids."""
         drop = set(ids)
         kept = {eid: uv for eid, uv in self.edges.items() if eid not in drop}
-        return DirectedMultigraph(self.n, kept)
-
-    def __eq__(self, other):
-        if not isinstance(other, DirectedMultigraph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __repr__(self):
-        return f"DirectedMultigraph(n={self.n}, m={self.m})"
-
-
-class FlowNetwork:
-    """A directed multigraph with designated source and sink."""
-
-    __slots__ = ("graph", "s", "t")
-
-    def __init__(self, graph: DirectedMultigraph, s: int, t: int):
-        if not (0 <= s < graph.n and 0 <= t < graph.n):
-            raise ValueError(f"source/sink ({s}, {t}) out of range for n={graph.n}")
-        if s == t:
-            raise ValueError("source equals sink")
-        self.graph = graph
-        self.s = s
-        self.t = t
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def m(self) -> int:
-        return self.graph.m
-
-    @property
-    def edges(self) -> dict[int, tuple[int, int]]:
-        return self.graph.edges
-
-    def without_edges(self, ids) -> "FlowNetwork":
-        return FlowNetwork(self.graph.without_edges(ids), self.s, self.t)
+        return FlowNetwork(self.n, kept, self.s, self.t)
 
     def __eq__(self, other):
         if not isinstance(other, FlowNetwork):
             return NotImplemented
-        return self.graph == other.graph and self.s == other.s and self.t == other.t
+        return (self.n, self.s, self.t, self.edges) == \
+            (other.n, other.s, other.t, other.edges)
 
     def __repr__(self):
         return f"FlowNetwork(n={self.n}, m={self.m}, s={self.s}, t={self.t})"
@@ -206,8 +174,7 @@ def parse_network(text) -> FlowNetwork:
         raise ParseError(lineno + 1, "missing problem line")
     if len(edges) != m:
         raise ParseError(lineno + 1, f"expected {m} edge lines, found {len(edges)}")
-    graph = DirectedMultigraph(n, edges)
-    return FlowNetwork(graph, s - 1, t - 1)
+    return FlowNetwork(n, edges, s - 1, t - 1)
 
 
 def _ints(lineno: int, fields) -> list[int]:
@@ -234,7 +201,7 @@ def serialize_network(net: FlowNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reachable_set(g: DirectedMultigraph, src: int, excluded=(), reverse: bool = False) -> set[int]:
+def reachable_set(net: FlowNetwork, src: int, excluded=(), reverse: bool = False) -> set[int]:
     """Vertices reachable from src, optionally in the reverse graph,
     ignoring the EdgeIds in ``excluded``."""
     drop = excluded if isinstance(excluded, (set, frozenset)) else set(excluded)
@@ -242,11 +209,11 @@ def reachable_set(g: DirectedMultigraph, src: int, excluded=(), reverse: bool = 
     queue = deque([src])
     while queue:
         x = queue.popleft()
-        eids = g.in_edges(x) if reverse else g.out_edges(x)
+        eids = net.in_edges(x) if reverse else net.out_edges(x)
         for eid in eids:
             if eid in drop:
                 continue
-            u, v = g.edges[eid]
+            u, v = net.edges[eid]
             y = u if reverse else v
             if y not in seen:
                 seen.add(y)
@@ -263,8 +230,8 @@ def prune_to_st_paths(net: FlowNetwork) -> tuple[FlowNetwork, PrunedEdgeSet]:
     recorded in the returned PrunedEdgeSet. When t is unreachable from s
     the result is the empty network (``disconnected`` flag set).
     """
-    fwd = reachable_set(net.graph, net.s)
-    bwd = reachable_set(net.graph, net.t, reverse=True)
+    fwd = reachable_set(net, net.s)
+    bwd = reachable_set(net, net.t, reverse=True)
     keep = {}
     removed = set()
     for eid, (u, v) in net.edges.items():
@@ -272,9 +239,8 @@ def prune_to_st_paths(net: FlowNetwork) -> tuple[FlowNetwork, PrunedEdgeSet]:
             keep[eid] = (u, v)
         else:
             removed.add(eid)
-    disconnected = net.t not in fwd
-    pruned = FlowNetwork(DirectedMultigraph(net.n, keep), net.s, net.t)
-    return pruned, PrunedEdgeSet(frozenset(removed), disconnected)
+    pruned = FlowNetwork(net.n, keep, net.s, net.t)
+    return pruned, PrunedEdgeSet(frozenset(removed), net.t not in fwd)
 
 
 def scc_from_adjacency(n: int, succ: list[list[int]]) -> list[int]:

@@ -78,8 +78,8 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int) -> list[int]:
     Raises EnumerationBudgetExceeded when the search needs more than
     ENUMERATION_PROBE_BUDGET nodes.
     """
-    g, s, t = net.graph, net.s, net.t
-    arcs = g.incidence()
+    s, t = net.s, net.t
+    arcs = net.incidence()
     out = []
     probes = 0
     # (A, X, out-neighbours of A outside A, X and {t}, flow, flow value)
@@ -110,10 +110,10 @@ def enumerate_minimal_cuts(net: FlowNetwork, limit: int) -> list[int]:
         z = {eid for y in sinks for eid, w, rev in arcs[y] if rev and w in a}
         if len(z) > limit:
             continue
-        to_t = reachable_set(g, t, z, reverse=True)
-        if any(g.edges[eid][1] not in to_t for eid in z):
+        to_t = reachable_set(net, t, z, reverse=True)
+        if any(net.edges[eid][1] not in to_t for eid in z):
             continue
-        if reachable_set(g, s, z) != a:
+        if reachable_set(net, s, z) != a:
             raise InternalInvariantError("a leaf that is not a canonical side")
         out.append(sum(1 << v for v in a))
     out.sort()
@@ -146,7 +146,7 @@ def _check_failures(o: KFaultOracle, failures) -> tuple[int, ...]:
         raise QueryError(f"{len(f)} failures exceed the oracle's k={o.k}")
     if len(set(f)) != len(f):
         raise QueryError("failure set has repeated edges")
-    edges = o.net.graph.edges
+    edges = o.net.edges
     for eid in f:
         if eid not in edges:
             raise QueryError(f"unknown edge {eid}")
@@ -165,8 +165,8 @@ def _certify(o: KFaultOracle):
     the first in list order on a tie: the residual-reachable side of any
     max-flow, which lies in every min-cut side.
     """
-    g, n, s, t = o.net.graph, o.net.n, o.net.s, o.net.t
-    heads = [[(eid, g.edges[eid][1]) for eid in g.out_edges(u)]
+    net, n, s, t = o.net, o.net.n, o.net.s, o.net.t
+    heads = [[(eid, net.edges[eid][1]) for eid in net.out_edges(u)]
              for u in range(n)]
     sizes, cuts_of, parts = [], {}, []
     prev = 0

@@ -65,7 +65,7 @@ def crossing_edges(net: FlowNetwork, source_side) -> list[int]:
     """EdgeIds crossing the partition from the source side, ascending."""
     side = set(source_side)
     return sorted(
-        eid for eid, (u, v) in net.graph.edges.items() if u in side and v not in side
+        eid for eid, (u, v) in net.edges.items() if u in side and v not in side
     )
 
 
@@ -118,7 +118,7 @@ def build_path_system(pred, cls, critical, edge_paths,
     for i, path in enumerate(edge_paths):
         chain = [cls[net.s]]
         for eid in path:
-            u, v = net.graph.edges[eid]
+            u, v = net.edges[eid]
             if eid not in critical:
                 if cls[u] != cls[v]:
                     raise InternalInvariantError(

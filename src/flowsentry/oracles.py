@@ -33,8 +33,8 @@ Conventions the queries rely on:
     the walk-pruned network (rerouting cycles may travel through
     calibration-removed edges) and its value equals the max-flow of the
     original network minus the failures.
-  * a disconnected instance (max-flow 0) keeps no edge, so every query
-    short-circuits to 0.
+  * a disconnected instance builds like any other, with lam = 0 and
+    no kept edge, so every query answers 0.
 """
 
 import logging
@@ -54,7 +54,7 @@ DISTINCT = "dual-failure query needs two distinct edges"
 # ---- residual traversals ----
 #
 # A flow's residual is given as rows: rows[x] holds the entries of x's
-# incidence list (DirectedMultigraph.incidence) that are residual arcs of
+# incidence list (FlowNetwork.incidence) that are residual arcs of
 # the flow, an idle edge's forward entry and a carrying edge's reverse
 # one. The rows keep the incidence order, ascending EdgeId, forward before
 # reverse: that order fixes the reported cycle. A unit of value is
@@ -169,10 +169,6 @@ class SensitivityOracle:
     def __init__(self, net: FlowNetwork):
         pruned, info = prune_to_st_paths(net)
         self.pruned_net, self.walk_dropped = pruned, info.removed
-        if info.disconnected:
-            self.lam, self.kept, self.null, self.flip = 0, EMPTY, EMPTY, {}
-            self.paths = None
-            return
         bf = build_flow_family(pruned)
         self.lam, self.kept = bf.sub.lam, bf.sub.kept
         self.null, self.flip = bf.family.null, bf.family.flip
@@ -209,7 +205,7 @@ class SensitivityOracle:
         res = cache.get(d)
         if res is None:
             net, carried = self.pruned_net, (self.kept - self.null) ^ d
-            inc = net.graph.incidence()
+            inc = net.incidence()
             if d:  # f-tilde's, rebuilt at the ends of d's edges
                 rows, _, out, into = self._residual_of(EMPTY)
                 rows, out, into = list(rows), list(out), list(into)

@@ -24,6 +24,7 @@ from .kfault import (
     mincut_size_k,
     reachable_under_failures,
 )
+from .mincut import crossing_edges
 from .oracles import SensitivityOracle
 
 PROFILES = (
@@ -219,13 +220,8 @@ def _run_exhaustive_k(report, net, k, ncap):
                 continue
             report.count("MCKP")
             part = mincut_partition_k(oracle, combo)
-            live = [
-                eid
-                for eid, (u, v) in net.edges.items()
-                if eid not in combo
-                and u in part.source_side
-                and v not in part.source_side
-            ]
+            live = [eid for eid in crossing_edges(net, part.source_side)
+                    if eid not in combo]
             if (
                 net.s not in part.source_side
                 or net.t in part.source_side
@@ -268,16 +264,10 @@ def _run_sampled(report, net, count, seed):
 
 
 def _run_invariants(report, net):
-    pruned, info = prune_to_st_paths(net)
-
     def row(name, passed):
         report.invariants.append((name, bool(passed)))
 
-    if info.disconnected:
-        row("disconnected instance: every query short-circuits to 0", True)
-        report.counts["invariant"] = len(report.invariants)
-        return
-    bf = build_flow_family(pruned)
+    bf = build_flow_family(prune_to_st_paths(net)[0])
     fam, kept, critical = bf.family, bf.sub.kept, bf.sub.critical
     n, lam = bf.sub.network.n, bf.sub.lam
     # family B's null sets, from the flows: A's, then f-tilde's plus path i

@@ -44,7 +44,7 @@ def classify(net):
     """(lam, nu, critical) with nu probed on one max-flow of net."""
     f = max_flow(net)
     lam = f.value
-    flow, arcs = dict(f.values), net.graph.incidence()
+    flow, arcs = dict(f.values), net.incidence()
     nu = {eid: capped_nu(arcs, flow, net, eid, lam) for eid in sorted(net.edges)}
     return lam, nu, frozenset(e for e in nu if lam > 0 and nu[e] == lam)
 
@@ -54,7 +54,7 @@ def calibrate(net):
     EdgeId on the shrinking subgraph, deleting each edge with nu > lam+1."""
     f = max_flow(net)
     lam = f.value
-    flow, arcs = dict(f.values), list(net.graph.incidence())
+    flow, arcs = dict(f.values), list(net.incidence())
     nu = {}
     removed = []
     for eid in sorted(net.edges):

@@ -16,15 +16,16 @@ from dataclasses import dataclass, field
 
 from flowsentry.errors import InternalInvariantError, checked
 from flowsentry.flows import UnitFlow, max_flow
-from flowsentry.graph import DirectedMultigraph, FlowNetwork
+from flowsentry.graph import FlowNetwork
 
 
 @dataclass(frozen=True)
 class CirculationInstance:
     """Circulation with lower bounds: find g with lower <= g <= upper and
-    in(v) - out(v) = demand(v) at every vertex; a missing key reads 0."""
+    in(v) - out(v) = demand(v) at every vertex; a missing key reads 0.
+    The graph's source and sink play no part."""
 
-    graph: DirectedMultigraph
+    graph: FlowNetwork
     demand: dict[int, int] = field(default_factory=dict)
     lower: dict[int, int] = field(default_factory=dict)
     upper: dict[int, int] = field(default_factory=dict)
@@ -43,7 +44,7 @@ def solve_circulation(inst: CirculationInstance) -> dict[int, int] | None:
         return None
     n = g.n
     S, T = n, n + 1
-    aux = DirectedMultigraph(n + 2)
+    aux = FlowNetwork(n + 2, {}, S, T)
     aux_caps: dict[int, int] = {}
     orig_of: dict[int, int] = {}
     for eid in sorted(g.edges):
@@ -64,7 +65,7 @@ def solve_circulation(inst: CirculationInstance) -> dict[int, int] | None:
         elif surplus < 0:
             aid = aux.add_edge(v, T)
             aux_caps[aid] = -surplus
-    result = max_flow(FlowNetwork(aux, S, T), aux_caps)
+    result = max_flow(aux, aux_caps)
     if result.value != need:
         return None
     out = {eid: inst.lower.get(eid, 0) for eid in g.edges}
@@ -90,7 +91,7 @@ def peel_family_A(sub, f_h) -> list[UnitFlow]:
         demand = {net.s: -lam, net.t: lam}
         lower = {eid: 1 if h[eid] == i else 0 for eid in net.edges}
         upper = {eid: min(1, h[eid]) for eid in net.edges}
-        g = solve_circulation(CirculationInstance(net.graph, demand, lower, upper))
+        g = solve_circulation(CirculationInstance(net, demand, lower, upper))
         if g is None:
             raise InternalInvariantError(f"peel round {i}: circulation infeasible")
         f_i = checked(UnitFlow, net, g)

@@ -5,7 +5,7 @@ import pytest
 
 from flowsentry.flows import UnitFlow
 from flowsentry.generators import matrix_x_vertex, matrix_y_vertex
-from flowsentry.graph import DirectedMultigraph, FlowNetwork
+from flowsentry.graph import FlowNetwork
 
 
 class Arc(NamedTuple):
@@ -21,7 +21,7 @@ class Arc(NamedTuple):
 def make_net(n, edge_list, s=0, t=None):
     if t is None:
         t = n - 1
-    return FlowNetwork(DirectedMultigraph(n, edge_list), s, t)
+    return FlowNetwork(n, edge_list, s, t)
 
 
 def random_net(rng: random.Random, n_max=10, m_max=24):

@@ -33,7 +33,7 @@ def residual_rows(net, kept, null):
     built from scratch: per vertex, the incidence entries that are
     residual arcs, in incidence order."""
     return [[a for a in row if (a[0] in kept and a[0] not in null) == a[2]]
-            for row in net.graph.incidence()]
+            for row in net.incidence()]
 
 
 def first_carried(net, carried):
@@ -45,7 +45,7 @@ def first_carried(net, carried):
         return next(((eid, w) for eid, w, r in row
                      if r == rev and eid in carried), None)
 
-    inc = net.graph.incidence()
+    inc = net.incidence()
     return [first(row, False) for row in inc], [first(row, True) for row in inc]
 
 
@@ -56,7 +56,7 @@ def _search(net, kept, null, src, dst, failed):
     parent = {src: None}
     if src == dst:
         return parent
-    inc = net.graph.incidence()
+    inc = net.incidence()
     queue = [src]
     for x in queue:
         for eid, w, rev in inc[x]:

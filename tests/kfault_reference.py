@@ -50,7 +50,7 @@ def scan_minimal_cuts(net: FlowNetwork, limit: int):
         if not all(_on_st_path(net, z, eid) for eid in z):
             continue
         seen.add(z)
-        rest = net.graph.without_edges(z)
+        rest = net.without_edges(z)
         a = frozenset(reachable_set(rest, net.s))
         if net.t in a:
             raise InternalInvariantError("a cut that does not cut")
@@ -59,7 +59,7 @@ def scan_minimal_cuts(net: FlowNetwork, limit: int):
 
 
 def _on_st_path(net: FlowNetwork, z, eid) -> bool:
-    g = net.graph.without_edges(z - {eid})
+    g = net.without_edges(z - {eid})
     u, v = net.edges[eid]
     return u in reachable_set(g, net.s) and net.t in reachable_set(g, v)
 

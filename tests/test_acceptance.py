@@ -21,7 +21,7 @@ from flowsentry.generators import (
     gen_random,
     gen_twopaths,
 )
-from flowsentry.graph import DirectedMultigraph, prune_to_st_paths
+from flowsentry.graph import FlowNetwork, prune_to_st_paths
 from flowsentry.kfault import (
     build_kfault_oracle,
     mincut_partition_k,
@@ -254,8 +254,8 @@ def simple_st_paths(net):
         if v == net.t:
             out.append(tuple(path))
             return
-        for eid in sorted(net.graph.out_edges(v)):
-            w = net.graph.head(eid)
+        for eid in sorted(net.out_edges(v)):
+            w = net.head(eid)
             if w not in seen:
                 seen.add(w)
                 path.append(eid)
@@ -399,7 +399,7 @@ def test_ac08_circulation_feasibility():
         edges = [(u, v) for u, v in edges if u != v]
         if not edges:
             continue
-        g = DirectedMultigraph(n, edges)
+        g = FlowNetwork(n, edges, 0, n - 1)
         lower, upper = {}, {}
         for eid in range(len(edges)):
             lo = rng.randint(0, 2)

@@ -310,7 +310,7 @@ class TestBuildAndOracleFile:
         ob = tmp_path / "oracle.bin"
         run(capsys, "build", "-g", str(bottleneck_file), "-o", str(ob))
         blob = bytearray(ob.read_bytes())
-        old = cli.ORACLE_VERSION - 1
+        old = 8
         blob[8:10] = old.to_bytes(2, "little")
         ob.write_bytes(bytes(blob))
         qf = tmp_path / "q.txt"
@@ -594,16 +594,16 @@ class TestBuildAndOracleFile:
 
     @pytest.mark.parametrize("make, sha256", [
         (lambda: gen_random(60, 1),
-         "e3a525c0d96a995e06eede689fc229dd29e2348e8a65a1ab1d3d82f5b6ea0f47"),
+         "3d78b05f95d8fed731a341bf021009b62520cc59ec817a1afac140531074549d"),
         (lambda: gen_matrix(6, 8, seed=1),
-         "7b8e9ec3001229b71d82ff78ccac10d8c4f5f8e1b3391616185306080f358e8c"),
+         "c132d27b59140b86710b81585fa342d213e3ae1d21506e7e3bb81db0ef1a82cb"),
         # calibration deletes edges here, so the subgraph is re-classified
         (lambda: gen_random(120, 1),
-         "e9d1e696d17738ab4c6bd7f619833e59523badb322e5f51f3c09c752dea89610"),
+         "85fc0eaae5a947e7036c3a683fcb25018a40f0675793bf5e090d12a1ea4ecb58"),
         # the hard instance past lam = 16
         (lambda: gen_matrix(8, 2, seed=1),
-         "f704f410a03659c79fa2258fb63b27788a00931eb61a023e62ea1cb917c80576"),
-    ])
+         "d5194e05f679b41fa500788a4e6de1fc4579db69246a221ce630b275fb61d243"),
+    ], ids=["random60", "matrix6x8", "random120", "matrix8x2"])
     def test_oracle_bytes_pinned(self, make, sha256, tmp_path):
         # the file a build writes, as the benchmark saves it: a change to
         # the build that alters any stored byte must show up here
@@ -615,12 +615,12 @@ class TestBuildAndOracleFile:
 
     @pytest.mark.parametrize("make, k, sha256", [
         (lambda: gen_random(16, 1), 3,
-         "5aeb6b863d03978db4f4d4d9476f1317fdf0cd863ef3d8de75131017096d12e4"),
+         "a54a9dbcda01de0bf2486cf4c1e3a4232fd7d718e493e014add9920e4b48f8d5"),
         (lambda: gen_matrix(2, 4, seed=1), 3,
-         "cda5484a832b176c0b729d95b01de638e1d484ca1fa3e6e0e120cae122b08577"),
+         "2c342d692a092e9cdb2d9ffe1a971d1501faa419eaff793fdeda4acb3e485104"),
         (lambda: gen_twopaths(40), 2,
-         "29187419005522deefe61dd5adee46dd79285a67d7fbdd891f8fefd981b4d55d"),
-    ])
+         "3ce281e30907f901b2906c58f61ebcb3344c5ffdaa953ae8e8c53830f3e7d15f"),
+    ], ids=["random16-k3", "matrix2x4-k3", "twopaths40-k2"])
     def test_kfault_bytes_pinned(self, make, k, sha256, tmp_path):
         # the k-fault file, as the benchmark saves it: the cut list and its
         # order must not change
@@ -757,7 +757,7 @@ class TestInternalError:
 
         def starved(sub):
             f_h = real(sub)
-            for eid in sub.network.graph.out_edges(sub.network.s):
+            for eid in sub.network.out_edges(sub.network.s):
                 f_h.values[eid] = 0
             return f_h
 

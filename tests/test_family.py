@@ -513,12 +513,26 @@ class TestFamilyB:
             extend_family_B(list(bf.family.A), bf.sub)
 
 class TestOrchestrator:
-    def test_rejects_disconnected(self):
-        net = make_net(3, [(0, 1)])
+    def test_disconnected_builds_with_lam_0(self):
+        # t is unreachable, so the pruned network is empty and lam = 0:
+        # one empty flow in A, no paths, nothing kept, and every answer 0
+        net = make_net(4, [(0, 1), (1, 2), (2, 1), (3, 2)], t=3)
         pruned, info = prune_to_st_paths(net)
-        assert info.disconnected
-        with pytest.raises(ValueError):
-            build_flow_family(pruned)
+        assert info.disconnected and pruned.m == 0
+        bf = build_flow_family(pruned)
+        assert (bf.sub.lam, bf.sub.kept, bf.sub.critical) == \
+            (0, frozenset(), frozenset())
+        assert [f.value for f in bf.family.A] == [0]
+        assert bf.family.paths == () and bf.family.flip == {}
+        o = SensitivityOracle(net)
+        assert (o.lam, o.kept, o.null, o.flip) == (0, frozenset(), frozenset(), {})
+        assert o.paths.path_of == {}
+        for e in net.edges:
+            assert o.report_flow_diff_single(e) == (frozenset(), 0)
+            for x in net.edges.keys() - {e}:
+                assert o.query_edge_flow(e, x) == 0
+                assert o.report_flow_diff_dual(e, x) == (frozenset(), 0)
+                assert o.mincut_size_dual(e, x) == 0
 
     def test_subgraph_nu_bounded(self):
         rng = random.Random(4006)

@@ -13,7 +13,7 @@ from flowsentry.flows import (
     max_flow,
     residual_scc_ids,
 )
-from flowsentry.graph import DirectedMultigraph, reachable_set
+from flowsentry.graph import FlowNetwork, reachable_set
 from flowsentry.oracles import SensitivityOracle
 from circulation_reference import CirculationInstance, solve_circulation
 from conftest import (
@@ -134,7 +134,8 @@ def test_check_rejects_negative_flow(diamond):
 def residual_digraph(net, flow):
     """The residual arcs as a graph, each under its originating EdgeId."""
     arcs = residual_arcs(net, flow)
-    return DirectedMultigraph(net.n, {a.eid: (a.tail, a.head) for a in arcs})
+    return FlowNetwork(net.n, {a.eid: (a.tail, a.head) for a in arcs},
+                       net.s, net.t)
 
 
 def test_augmenting_path_exists_iff_not_maximum(diamond):
@@ -278,7 +279,7 @@ def test_decompose_partitions_support():
 
 
 def simple_circulation(n, edges, demand, lower, upper):
-    g = DirectedMultigraph(n, edges)
+    g = FlowNetwork(n, edges, 0, n - 1)
     return CirculationInstance(g, demand, lower, upper)
 
 
@@ -320,7 +321,7 @@ def test_circulation_bad_bounds_rejected():
 
 
 def test_hoffman_refuses_large_instances():
-    g = DirectedMultigraph(21)
+    g = FlowNetwork(21, {}, 0, 20)
     with pytest.raises(ValueError):
         hoffman_feasible(CirculationInstance(g))
 
@@ -331,7 +332,7 @@ def random_circulations(seed, count=200):
         n = rng.randint(2, 6)
         m = rng.randint(1, 10)
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
-        g = DirectedMultigraph(n, edges)
+        g = FlowNetwork(n, edges, 0, n - 1)
         lower = {e: rng.randint(0, 1) for e in range(m)}
         upper = {e: lower[e] + rng.randint(0, 2) for e in range(m)}
         raw = [rng.randint(-2, 2) for _ in range(n)]
@@ -383,7 +384,9 @@ def test_public_api_resolves():
         assert not hasattr(flowsentry, gone)
         assert not hasattr(mincut, gone)
     # the residual classes are a class-id list; callers know the rest
-    for module, gone in ((flows, "ResidualGraph"),
+    # one network type: the flow network is its own graph container
+    for module, gone in ((graph, "DirectedMultigraph"),
+                         (flows, "ResidualGraph"),
                          (mincut, "EquivalenceClasses"),
                          (mincut, "build_classes"),
                          (generators, "matrix_failure_pair"),
@@ -392,9 +395,8 @@ def test_public_api_resolves():
         assert not hasattr(module, gone)
     # graphs and flows are mutable, so they compare but do not hash
     net = make_net(3, [(0, 1), (1, 2)])
-    for obj in (net.graph, net, max_flow(net)):
+    for obj in (net, max_flow(net)):
         with pytest.raises(TypeError):
             hash(obj)
     assert net == make_net(3, [(0, 1), (1, 2)])
-    assert net.graph == DirectedMultigraph(3, [(0, 1), (1, 2)])
     assert net != make_net(3, [(0, 1), (1, 2), (0, 2)])

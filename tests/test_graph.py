@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from flowsentry.errors import ParseError
 from flowsentry.graph import (
-    DirectedMultigraph,
     FlowNetwork,
     parse_network,
     prune_to_st_paths,
@@ -107,9 +106,8 @@ def test_prune_keeps_diamond_intact(diamond):
 
 
 def test_prune_drops_vertex_off_all_st_paths(diamond):
-    g = DirectedMultigraph(5, dict(diamond.edges))
-    g.add_edge(4, 1)  # u=4 -> a, u unreachable from s
-    net = FlowNetwork(g, 0, 3)
+    net = FlowNetwork(5, dict(diamond.edges), 0, 3)
+    net.add_edge(4, 1)  # u=4 -> a, u unreachable from s
     pruned, removed = prune_to_st_paths(net)
     assert removed.removed == {4}
     assert pruned.edges == diamond.edges
@@ -178,28 +176,65 @@ def test_scc_long_path_recursion_safe():
 
 
 def test_reaches(diamond, chain):
-    assert 3 in reachable_set(diamond.graph, 0)
-    assert 0 not in reachable_set(diamond.graph, 3)
-    assert 0 in reachable_set(diamond.graph, 3, reverse=True)
-    assert 2 in reachable_set(chain.graph, 0)
-    assert 2 not in reachable_set(chain.graph, 0, excluded=[0])
-    assert 2 not in reachable_set(chain.graph, 0, excluded=[1])
+    assert 3 in reachable_set(diamond, 0)
+    assert 0 not in reachable_set(diamond, 3)
+    assert 0 in reachable_set(diamond, 3, reverse=True)
+    assert 2 in reachable_set(chain, 0)
+    assert 2 not in reachable_set(chain, 0, excluded=[0])
+    assert 2 not in reachable_set(chain, 0, excluded=[1])
 
 
 def test_without_edges_keeps_ids():
-    g = DirectedMultigraph(3, [(0, 1), (1, 2), (0, 2)])
+    g = make_net(3, [(0, 1), (1, 2), (0, 2)])
     h = g.without_edges([1])
     assert set(h.edges) == {0, 2}
     assert h.edges[2] == (0, 2)
     assert set(g.edges) == {0, 1, 2}  # original untouched
 
 
+def test_without_edges_keeps_source_and_sink():
+    net = make_net(4, [(2, 1), (1, 3), (2, 3)], s=2, t=1)
+    h = net.without_edges([1])
+    assert (h.n, h.s, h.t) == (4, 2, 1)
+    assert h == make_net(4, {0: (2, 1), 2: (2, 3)}, s=2, t=1)
+
+
+def test_equality_compares_source_and_sink():
+    edges = [(0, 1), (1, 2), (2, 0)]
+    net = make_net(3, edges)
+    assert net == make_net(3, edges, s=0, t=2)
+    assert net != make_net(3, edges, s=1, t=2)
+    assert net != make_net(3, edges, s=0, t=1)
+    assert net != make_net(4, edges, s=0, t=2)
+    assert net != make_net(3, edges[:2])
+
+
 def test_network_rejects_bad_endpoints():
-    g = DirectedMultigraph(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        FlowNetwork(g, 0, 0)
-    with pytest.raises(ValueError):
-        FlowNetwork(g, 0, 3)
+    with pytest.raises(ValueError, match="source equals sink"):
+        FlowNetwork(3, [(0, 1)], 0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        FlowNetwork(3, [(0, 1)], 0, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        FlowNetwork(3, [(0, 3)], 0, 2)
+
+
+@pytest.mark.parametrize("s, t", [(-1, 2), (3, 2), (0, -1), (0, 3)])
+def test_network_rejects_source_or_sink_out_of_range(s, t):
+    with pytest.raises(ValueError, match=r"source/sink .* out of range"):
+        FlowNetwork(3, [(0, 1), (1, 2)], s, t)
+
+
+def test_network_rejects_no_vertices():
+    with pytest.raises(ValueError, match="at least 1"):
+        FlowNetwork(0, [], 0, 0)
+
+
+def test_network_rejects_duplicate_edge_id():
+    net = FlowNetwork(3, {4: (0, 1)}, 0, 2)
+    with pytest.raises(ValueError, match="EdgeId 4 already present"):
+        net.add_edge(1, 2, 4)
+    assert net.edges == {4: (0, 1)}
+    assert net.add_edge(1, 2) == 5
 
 
 def merged_incidence(g):
@@ -219,7 +254,7 @@ class TestIncidence:
     EDGES = {5: (0, 1), 3: (1, 1), 0: (0, 1), 7: (1, 0), 2: (2, 1), 4: (1, 2)}
 
     def test_order_merges_out_and_in_edges(self):
-        g = DirectedMultigraph(3, self.EDGES)
+        g = FlowNetwork(3, self.EDGES, 0, 2)
         assert g.incidence() == merged_incidence(g)
         assert g.incidence()[1] == [
             (0, 0, True), (2, 2, True), (3, 1, False), (3, 1, True),
@@ -227,7 +262,7 @@ class TestIncidence:
         ]
 
     def test_add_edge_invalidates(self):
-        g = DirectedMultigraph(3, self.EDGES)
+        g = FlowNetwork(3, self.EDGES, 0, 2)
         before = g.incidence()
         g.add_edge(2, 0, 1)
         assert g.incidence() is not before
@@ -235,11 +270,12 @@ class TestIncidence:
         assert g.incidence()[0][:2] == [(0, 1, False), (1, 2, True)]
 
     def test_not_pickled_and_rebuilt(self):
-        g = DirectedMultigraph(3, self.EDGES)
+        g = FlowNetwork(3, self.EDGES, 2, 0)
         g.incidence()
         _, state = g.__getstate__()
-        assert state["_adj"] is None
-        assert len(pickle.dumps(g)) == len(pickle.dumps(DirectedMultigraph(3, self.EDGES)))
+        assert state == {"n": 3, "edges": self.EDGES, "s": 2, "t": 0,
+                         "_adj": None}
+        assert pickle.dumps(g) == pickle.dumps(FlowNetwork(3, self.EDGES, 2, 0))
         h = pickle.loads(pickle.dumps(g))
-        assert h == g
+        assert h == g and (h.s, h.t) == (2, 0)
         assert h.incidence() == g.incidence()

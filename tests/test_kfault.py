@@ -52,8 +52,8 @@ def brute_minimal_cuts(net, limit):
     are scanned, and a subset that already cuts is not grown further,
     since none of its supersets is minimal.
     """
-    from_s = reachable_set(net.graph, net.s)
-    to_t = reachable_set(net.graph, net.t, reverse=True)
+    from_s = reachable_set(net, net.s)
+    to_t = reachable_set(net, net.t, reverse=True)
     eids = sorted(e for e, (u, v) in net.edges.items()
                   if u in from_s and v in to_t)
     out = {}
@@ -108,7 +108,7 @@ class TestEnumeration:
     def test_partition_is_reachability_canonical(self, diamond):
         for mask in enumerate_minimal_cuts(diamond, 3):
             side = side_of(diamond, mask)
-            rest = diamond.graph.without_edges(crossing_edges(diamond, side))
+            rest = diamond.without_edges(crossing_edges(diamond, side))
             assert side == reachable_set(rest, diamond.s)
 
     def test_budget_refused(self, diamond, monkeypatch):
@@ -330,7 +330,7 @@ def reference_cuts(net, k):
             side = [v for v in range(net.n) if (mask >> v) & 1]
             first.setdefault(frozenset(crossing_edges(net, side)), mask)
     return lam, [
-        (z, frozenset(reachable_set(net.graph.without_edges(z), net.s)))
+        (z, frozenset(reachable_set(net.without_edges(z), net.s)))
         for z in sorted(cuts, key=first.__getitem__)
     ]
 

@@ -10,7 +10,7 @@ from flowsentry.errors import InternalInvariantError, QueryError
 from flowsentry.family import BuiltFamily, FlowFamily
 from flowsentry.flows import IntFlow
 from flowsentry.generators import gen_matrix, gen_random
-from flowsentry.graph import DirectedMultigraph
+from flowsentry.graph import FlowNetwork
 from flowsentry.kfault import build_kfault_oracle
 from flowsentry.oracles import FlowDiff, SensitivityOracle
 
@@ -353,7 +353,7 @@ def reached_objects(obj):
 class TestStoredEncoding:
     def test_pickled_size_stays_small(self):
         # f-tilde's null set, the flip deltas, the precedes tables and one
-        # graph: 4,830 bytes here. Storing any dropped table again fails
+        # graph: 4,786 bytes here. Storing any dropped table again fails
         # this: the critical set alone adds 71 bytes, the union of A's
         # null sets 157, the canonical table 932, the per-flow null sets
         # 2,446; the graph's incidence list would add 5 KB, the family's
@@ -362,9 +362,8 @@ class TestStoredEncoding:
         assert len(pickle.dumps(o)) < 4_890
 
     def test_kfault_pickled_size_stays_small(self):
-        # seven cuts, each with its canonical source side, the cut index
-        # and the graph: 1,194 bytes here. Storing each sink side as well
-        # adds 110
+        # seven cuts, each as its canonical source side, and the graph:
+        # 531 bytes here
         o = build_kfault_oracle(gen_random(16, 1), 3)
         assert len(o.entries) == 7
         assert len(pickle.dumps(o)) < 1_250
@@ -377,7 +376,7 @@ class TestStoredEncoding:
         reached = reached_objects(build())
         for cls in reached:
             assert not issubclass(cls, (IntFlow, FlowFamily, BuiltFamily)), cls
-        assert reached[DirectedMultigraph] == 1
+        assert reached[FlowNetwork] == 1
 
     def test_tampered_canonical_flow_raises(self, diamond):
         # f-tilde sends its unit into a over edge 0; with edge 0 failed, a

@@ -149,7 +149,7 @@ class TestInvariants:
         net = make_net(3, [(1, 0), (2, 1)])
         rep = run_verify(net, "invariants")
         assert rep.ok
-        assert len(rep.invariants) == 1
+        assert len(rep.invariants) == 11
 
     def test_random_all_pass(self):
         import random
