@@ -17,7 +17,6 @@ from .flows import (
 from .generators import FAMILIES, generate
 from .graph import (
     FlowNetwork,
-    PrunedEdgeSet,
     parse_network,
     prune_to_st_paths,
     serialize_network,
@@ -49,7 +48,6 @@ __all__ = [
     "InternalInvariantError",
     "KFaultOracle",
     "ParseError",
-    "PrunedEdgeSet",
     "QueryError",
     "SensitivityOracle",
     "UnitFlow",

@@ -27,7 +27,7 @@ from .kfault import (
 from .oracles import SensitivityOracle
 from .verify import run_verify
 
-# Oracle file layout, version 9 (stability across versions not promised):
+# Oracle file layout, version 10 (stability across versions not promised):
 #   8 bytes   magic b"FLOWSNTY"
 #   u16 LE    format version
 #   u16 LE    k the failure oracle was built for
@@ -35,11 +35,11 @@ from .verify import run_verify
 #   32 bytes  sha256 of the payload
 #   rest      payload: pickle of {"sensitivity": ..., "kfault": ...}; each
 #             oracle holds one FlowNetwork (n, edges, s, t): the
-#             sensitivity oracle the walk-pruned one, the k-fault oracle
-#             the raw one with k, lam and its cut list as ascending
-#             source-side bitmasks
+#             sensitivity oracle the walk-pruned one with the input's
+#             edge count, the k-fault oracle the raw one with k, lam and
+#             its cut list as ascending source-side bitmasks
 ORACLE_MAGIC = b"FLOWSNTY"
-ORACLE_VERSION = 9
+ORACLE_VERSION = 10
 _HEADER = 76
 _NONE = type(None)
 
@@ -135,6 +135,8 @@ def cmd_build(args) -> int:
     if args.output == "-":
         raise ValueError("build -o/--output cannot be -: the oracle file is "
                          "binary; name a file")
+    if args.k < 1:
+        raise ValueError(f"-k must be at least 1, got {args.k}")
     net, digest = _load_net(args.graph)
     sens = SensitivityOracle(net)
     try:
@@ -263,6 +265,8 @@ def cmd_query(args) -> int:
     if args.graph == args.queries == "-":
         raise ValueError("query -g/--graph and -q/--queries cannot both be -: "
                          "stdin holds one of them")
+    if args.k < 1:
+        raise ValueError(f"-k must be at least 1, got {args.k}")
     net, digest = _load_net(args.graph)
     preloaded = None
     k = args.k

@@ -226,12 +226,14 @@ class FlowFamily:
     """Family A and the encoding of family B: A plus g_i, f-tilde = A[0]
     with paths[i] zeroed, for each of f-tilde's lam decomposition paths.
 
-    null is null(f-tilde), the kept edges f-tilde leaves at 0, so null(g_i)
-    is null plus paths[i]. flip maps each kept edge f-tilde carries to the
-    delta against f-tilde of its canonical flow, a max-flow of the
-    calibrated subgraph minus that edge: paths[i] for a critical edge on
-    path i, null ^ null(A[j]) for a non-critical edge that A[j] is the first
-    member of A to leave at 0; one frozenset per path and per j.
+    flip maps each kept edge f-tilde carries to the delta against f-tilde
+    of its canonical flow, a max-flow of the calibrated subgraph minus
+    that edge: paths[i] for a critical edge on path i, the edges on which
+    f-tilde and A[j] differ for a non-critical edge that A[j] is the first
+    member of A to leave at 0; one frozenset per path and per j. Its key
+    set is the kept edges f-tilde carries, so null(f-tilde) is the kept
+    edges outside it, and e's canonical flow carries a kept x exactly
+    when (x in flip) != (x in flip[e]).
     Calibration keeps only edges with nu <= lam+1 and A saturates the
     critical edges, so null(f, min+1) is null(f) on A, and the union of
     A's null sets is the kept non-critical edges: neither is stored.
@@ -239,7 +241,6 @@ class FlowFamily:
 
     A: tuple[UnitFlow, ...]
     paths: tuple[tuple[int, ...], ...]
-    null: frozenset[int]
     flip: dict[int, frozenset[int]]
 
     @property
@@ -291,7 +292,7 @@ def extend_family_B(A: list[UnitFlow], sub: CalibratedSubgraph) -> FlowFamily:
             delta = deltas[j]
         if eid not in null:
             flip[eid] = delta
-    return FlowFamily(A=tuple(A), paths=paths, null=null, flip=flip)
+    return FlowFamily(A=tuple(A), paths=paths, flip=flip)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ about the same edge. Vertices are 0-based internally; the file format is
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import ParseError
 
@@ -107,19 +106,6 @@ class FlowNetwork:
 
     def __repr__(self):
         return f"FlowNetwork(n={self.n}, m={self.m}, s={self.s}, t={self.t})"
-
-
-@dataclass(frozen=True)
-class PrunedEdgeSet:
-    """Record of what pruning removed.
-
-    ``disconnected`` is the empty-network signal: the sink was unreachable
-    from the source, the pruned network has no edges, and every failure
-    query should be answered as max-flow 0.
-    """
-
-    removed: frozenset[int]
-    disconnected: bool
 
 
 def parse_network(text) -> FlowNetwork:
@@ -221,26 +207,19 @@ def reachable_set(net: FlowNetwork, src: int, excluded=(), reverse: bool = False
     return seen
 
 
-def prune_to_st_paths(net: FlowNetwork) -> tuple[FlowNetwork, PrunedEdgeSet]:
+def prune_to_st_paths(net: FlowNetwork) -> FlowNetwork:
     """Restrict the network to edges lying on some (s,t)-walk.
 
     An edge (u,v) survives iff u is reachable from s and v reaches t;
-    self-loops never survive. Vertex ids are not renumbered: vertices off
-    every (s,t)-walk simply become isolated, and the removed edges are
-    recorded in the returned PrunedEdgeSet. When t is unreachable from s
-    the result is the empty network (``disconnected`` flag set).
+    self-loops never survive. Vertex ids and EdgeIds are not renumbered:
+    vertices off every (s,t)-walk simply become isolated. When t is
+    unreachable from s the result has no edges.
     """
     fwd = reachable_set(net, net.s)
     bwd = reachable_set(net, net.t, reverse=True)
-    keep = {}
-    removed = set()
-    for eid, (u, v) in net.edges.items():
-        if u != v and u in fwd and v in bwd:
-            keep[eid] = (u, v)
-        else:
-            removed.add(eid)
-    pruned = FlowNetwork(net.n, keep, net.s, net.t)
-    return pruned, PrunedEdgeSet(frozenset(removed), net.t not in fwd)
+    keep = {eid: (u, v) for eid, (u, v) in net.edges.items()
+            if u != v and u in fwd and v in bwd}
+    return FlowNetwork(net.n, keep, net.s, net.t)
 
 
 def scc_from_adjacency(n: int, succ: list[list[int]]) -> list[int]:

@@ -4,28 +4,33 @@
 the graph and builds the flow family and the min-cut structure over the
 calibrated subgraph, then keeps only the paper's encoding, each table
 once:
-  * ``null``, the null set of the representative flow f-tilde: the
-    edges calibration kept that f-tilde leaves at 0;
-  * ``flip``, which maps each kept edge f-tilde carries to the delta of
-    its canonical flow (a max-flow avoiding that edge) against f-tilde.
-    A critical edge's canonical flow is g_i, f-tilde minus decomposition
-    path i, so its delta is path i. Edges that share a canonical flow
-    share one frozenset: at most 2*lam+1 deltas are stored;
+  * ``kept``, the edges calibration kept;
+  * ``flip``, which maps each kept edge the representative flow f-tilde
+    carries to the delta of its canonical flow (a max-flow avoiding that
+    edge) against f-tilde. Its key set is the set of edges f-tilde
+    carries, so f-tilde's null set, the kept edges it leaves at 0, is
+    not stored. A critical edge's canonical flow is g_i, f-tilde minus
+    decomposition path i, so its delta is path i. Edges that share a
+    canonical flow share one frozenset: at most 2*lam+1 deltas are
+    stored;
   * the path tables ``precedes`` reads, keyed by the critical edges;
-  * one graph, the walk-pruned network.
+  * one graph, the walk-pruned network, and the input's edge count m.
 No flow is stored. The canonical flow after e fails carries edge x
-exactly when x is kept and (x not in null) != (x in flip[e]); an edge
-outside ``flip`` leaves f-tilde itself as its canonical flow. Queries
-run on lookups plus at most one search of the residual rows of one
-canonical flow or one walk along its first carried edges (see "residual
-traversals" below), a cache filled on first use, never part of the
-oracle file. MF2 takes its value from the strip order when e or e2 is
-critical, else from whether a plain rerouting cycle exists. Where the
-value stays it toggles that cycle; where it drops, it removes the unit
-of e's canonical flow through e2, read by walking that flow, which is
-acyclic.
+exactly when (x in flip) != (x in flip[e]), which is 0 for every edge
+outside ``kept``; an edge outside ``flip`` leaves f-tilde itself as its
+canonical flow. Queries run on lookups plus at most one search of the
+residual rows of one canonical flow or one walk along its first carried
+edges (see "residual traversals" below), a cache filled on first use,
+never part of the oracle file. MF2 takes its value from the strip order
+when e or e2 is critical, else from whether a plain rerouting cycle
+exists. Where the value stays it toggles that cycle; where it drops, it
+removes the unit of e's canonical flow through e2, read by walking that
+flow, which is acyclic.
 
 Conventions the queries rely on:
+  * the input's EdgeIds are 0..m-1, as parse_network and the generators
+    number them, so an EdgeId is known exactly when it lies in that
+    range; the build raises ValueError on any other numbering.
   * edges outside every (s,t)-walk, and edges removed by calibration,
     have no effect on any max-flow value under at most two failures;
     they are dropped from failure sets up front.
@@ -158,24 +163,26 @@ class FlowDiff(NamedTuple):
 class SensitivityOracle:
     """Single- and dual-failure query oracle for one network.
 
-    Every EdgeId of the input network is in exactly one of
-    ``pruned_net.edges`` and ``walk_dropped``; only the calibrated
-    subgraph's edges, ``kept``, affect any answer. ``null`` and ``flip``
-    encode the 2*lam+1 family flows as described in the module
-    docstring; an edge is critical exactly when it is a key of
-    ``paths.path_of``.
+    The input's EdgeIds must be 0..m-1 (ValueError otherwise); those are
+    the known edges. ``pruned_net`` holds the ones on some (s,t)-walk,
+    and only the calibrated subgraph's edges, ``kept``, affect any
+    answer. ``flip`` encodes the 2*lam+1 family flows as described in
+    the module docstring; an edge is critical exactly when it is a key
+    of ``paths.path_of``.
     """
 
     def __init__(self, net: FlowNetwork):
-        pruned, info = prune_to_st_paths(net)
-        self.pruned_net, self.walk_dropped = pruned, info.removed
-        bf = build_flow_family(pruned)
+        if set(net.edges) != set(range(net.m)):
+            raise ValueError("SensitivityOracle needs the EdgeIds 0..m-1, "
+                             "as parse_network numbers them")
+        self.pruned_net, self.m = prune_to_st_paths(net), net.m
+        bf = build_flow_family(self.pruned_net)
         self.lam, self.kept = bf.sub.lam, bf.sub.kept
-        self.null, self.flip = bf.family.null, bf.family.flip
+        self.flip = bf.family.flip
         self.paths = build_mincut_oracle(bf)
 
     def _known(self, eid: int) -> None:
-        if eid not in self.pruned_net.edges and eid not in self.walk_dropped:
+        if not 0 <= eid < self.m:
             raise QueryError(f"unknown edge {eid}")
 
     def _pair(self, e: int, x: int, same: str) -> tuple[bool, bool]:
@@ -204,7 +211,7 @@ class SensitivityOracle:
         cache = self.__dict__.setdefault("_residual", {})
         res = cache.get(d)
         if res is None:
-            net, carried = self.pruned_net, (self.kept - self.null) ^ d
+            net, carried = self.pruned_net, self.flip.keys() ^ d
             inc = net.incidence()
             if d:  # f-tilde's, rebuilt at the ends of d's edges
                 rows, _, out, into = self._residual_of(EMPTY)
@@ -232,7 +239,7 @@ class SensitivityOracle:
         """Flow bit through x in the canonical max-flow after e fails."""
         if not self._pair(e, x, "edge x does not survive the failure of e")[1]:
             return 0
-        return int((x not in self.null) != (x in self.flip.get(e, EMPTY)))
+        return int((x in self.flip) != (x in self.flip.get(e, EMPTY)))
 
     def report_flow_diff_single(self, e: int) -> FlowDiff:
         """Max-flow after e fails, as a delta against f-tilde."""
@@ -266,7 +273,7 @@ class SensitivityOracle:
         crit = self.paths.path_of
         val_f = self.lam - (e in crit)
         # e2 idle in e's canonical flow: nothing to reroute
-        if (e2 in self.null) != (e2 in d):
+        if (e2 in self.flip) == (e2 in d):
             return FlowDiff(d, val_f)
         # over the walk-pruned network, so rerouting cycles may use
         # calibration-removed edges. A critical edge in the pair fixes the
@@ -319,7 +326,7 @@ class SensitivityOracle:
         # reverse arc then joins its head to its tail, so the two ends stay
         # strongly connected exactly when a plain cycle runs through it.
         d = self.flip.get(e, EMPTY)
-        if (e2 in self.null) == (e2 in d) and cycle_through_arc_without(
+        if (e2 in self.flip) != (e2 in d) and cycle_through_arc_without(
                 self.pruned_net, *self._residual_of(d)[:2], e2, e) is None:
             return self.lam - 1
         return self.lam

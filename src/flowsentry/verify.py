@@ -112,10 +112,10 @@ class VerificationReport:
 
 def _reconstructed_flow(oracle, diff, failures):
     """Apply a FlowDiff; returns the flow or a reason string."""
-    pruned, kept, null = oracle.pruned_net, oracle.kept, oracle.null
+    pruned, carried = oracle.pruned_net, oracle.flip.keys()
 
     def bit(eid):
-        return int((eid in kept and eid not in null) != (eid in diff.toggled))
+        return int((eid in carried) != (eid in diff.toggled))
 
     if not diff.toggled <= frozenset(pruned.edges):
         return "diff toggles edges outside the pruned network"
@@ -267,7 +267,7 @@ def _run_invariants(report, net):
     def row(name, passed):
         report.invariants.append((name, bool(passed)))
 
-    bf = build_flow_family(prune_to_st_paths(net)[0])
+    bf = build_flow_family(prune_to_st_paths(net))
     fam, kept, critical = bf.family, bf.sub.kept, bf.sub.critical
     n, lam = bf.sub.network.n, bf.sub.lam
     # family B's null sets, from the flows: A's, then f-tilde's plus path i
@@ -285,14 +285,14 @@ def _run_invariants(report, net):
     value, _ = brute_force(net)
     row("engine max-flow equals reference", value == lam)
     oracle = SensitivityOracle(net)
-    null = oracle.null
-    row("stored null set is null(f-tilde)", null == a_nulls[0])
+    carried = oracle.flip.keys()
+    row("flip's keys are the kept edges f-tilde carries",
+        carried == kept - a_nulls[0])
     # a critical edge's canonical flow is a g_i, a non-critical one's a
     # member of A, and neither carries its edge
-    row("null ^ flip[e] is the null set of e's canonical flow",
-        set(oracle.flip) == kept - null and all(
-            e in null ^ d
-            and null ^ d in (g_nulls if e in critical else a_nulls)
+    row("flip's keys ^ flip[e] are the edges e's canonical flow carries",
+        all(e not in carried ^ d and kept - (carried ^ d)
+            in (g_nulls if e in critical else a_nulls)
             for e, d in oracle.flip.items()))
     row("critical edges = keys of the path tables",
         set(oracle.paths.path_of) == critical)

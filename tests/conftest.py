@@ -164,9 +164,8 @@ def reconstruct_flow(oracle, diff, failures):
     pruned = oracle.pruned_net
 
     def bit(eid):
-        # f-tilde carries exactly the kept edges outside its null set
-        base = eid in oracle.kept and eid not in oracle.null
-        return int(base) ^ (1 if eid in diff.toggled else 0)
+        # f-tilde carries exactly the keys of flip
+        return int(eid in oracle.flip) ^ (1 if eid in diff.toggled else 0)
 
     assert diff.toggled <= frozenset(pruned.edges)
     for eid in failures:
@@ -191,8 +190,8 @@ def family_B(bf):
 
 def canonical_flow(bf, eid):
     """Kept edge eid's canonical flow, decoded from the stored encoding:
-    it carries x exactly when x is kept and not in null ^ flip[eid]."""
-    fam = bf.family
-    null = fam.null ^ fam.flip.get(eid, frozenset())
+    it carries a kept x exactly when (x in flip) != (x in flip[eid])."""
+    flip = bf.family.flip
+    d = flip.get(eid, frozenset())
     return UnitFlow(bf.sub.network,
-                    {x: int(x not in null) for x in bf.sub.kept})
+                    {x: int((x in flip) != (x in d)) for x in bf.sub.kept})

@@ -8,7 +8,7 @@ which SensitivityOracle caches per canonical flow. The traversals here
 scan the graph's whole incidence list and test each entry against
 (kept, null), and so does first_carried, the reference for the first
 carried edges the released-unit walk reads; the queries build the
-canonical flow's null set ``null ^ flip[e]`` just before a search.
+canonical flow's null set (canonical_null) just before a search.
 Scan order, and so every plain cycle, must be the same; test_ftscc.py
 checks it.
 
@@ -26,6 +26,13 @@ from flowsentry.oracles import EMPTY, FlowDiff
 from conftest import Arc
 
 ARTIFICIAL = None  # EdgeId of the artificial (s,t) arc
+
+
+def canonical_null(o, d):
+    """The null set of a SensitivityOracle's canonical flow whose delta
+    against f-tilde is d: f-tilde carries the keys of flip, so the flow
+    leaves idle the kept edges outside flip's keys ^ d."""
+    return o.kept - (o.flip.keys() ^ d)
 
 
 def residual_rows(net, kept, null):
@@ -120,9 +127,9 @@ def report_flow_diff_dual(o, e, e2) -> FlowDiff:
     d = o.flip.get(e, EMPTY)
     crit = o.paths.path_of
     val_f = o.lam - (e in crit)
-    if (e2 in o.null) != (e2 in d):
+    if (e2 in o.flip) == (e2 in d):
         return FlowDiff(d, val_f)
-    net, kept, null = o.pruned_net, o.kept, o.null ^ d
+    net, kept, null = o.pruned_net, o.kept, canonical_null(o, d)
     crit_pair = e in crit or e2 in crit
     value = o._critical_value(e, e2) if crit_pair else val_f
     cycle = cycle_through_arc_without(net, kept, null, e2, e, value < val_f)
@@ -153,7 +160,7 @@ def mincut_size_dual(o, e, e2) -> int:
         return o._critical_value(e, e2)
     u, v = o.pruned_net.edges[e2]
     d = o.flip.get(e, EMPTY)
-    if (e2 in o.null) == (e2 in d) and not strongly_connected_without(
-            o.pruned_net, o.kept, o.null ^ d, u, v, e):
+    if (e2 in o.flip) != (e2 in d) and not strongly_connected_without(
+            o.pruned_net, o.kept, canonical_null(o, d), u, v, e):
         return o.lam - 1
     return o.lam

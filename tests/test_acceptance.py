@@ -98,8 +98,8 @@ def corpus200():
 
 def built_families(corpus200):
     for net in fixture_nets() + corpus200:
-        pruned, info = prune_to_st_paths(net)
-        if info.disconnected:
+        pruned = prune_to_st_paths(net)
+        if not pruned.m:
             continue
         yield net, pruned, build_flow_family(pruned)
 
@@ -531,8 +531,8 @@ def test_ac09_structural_equivalences():
     )
     cuts_checked = 0
     for net in nets:
-        pruned, info = prune_to_st_paths(net)
-        assert not info.disconnected
+        pruned = prune_to_st_paths(net)
+        assert pruned.m
         cuts_checked += check_cut_antichain_equivalence(pruned)
 
     drop_sets = 0
@@ -545,10 +545,10 @@ def test_ac09_structural_equivalences():
         [16],
         1,
         lambda net: brute_force(net)[0] >= 2
-        and 36 <= len(prune_to_st_paths(net)[0].edges) <= 40,
+        and 36 <= len(prune_to_st_paths(net).edges) <= 40,
     )
     for net in a3_nets:
-        pruned, _ = prune_to_st_paths(net)
+        pruned = prune_to_st_paths(net)
         lam, _ = brute_force(pruned)
         o = build_mincut_oracle_raw(pruned)
         eids = sorted(pruned.edges)

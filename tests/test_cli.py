@@ -85,6 +85,17 @@ class TestGen:
 
 
 class TestQuery:
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_query_k_below_1_exits_2(self, bottleneck_file, tmp_path, capsys,
+                                     k):
+        # refused before any line is answered, the MF line included
+        qf = tmp_path / "q.txt"
+        qf.write_text("MF 1\nMCK 1 1\n")
+        code, out, err = run(capsys, "query", "-g", str(bottleneck_file),
+                             "-k", k, "-q", str(qf))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: -k must be at least 1, got {k}"]
+
     def test_all_query_kinds(self, bottleneck_file, tmp_path, capsys):
         net = parse_network(bottleneck_file.read_text())
         o = SensitivityOracle(net)
@@ -243,6 +254,17 @@ class TestQuery:
 
 
 class TestBuildAndOracleFile:
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_build_k_below_1_exits_2(self, tmp_path, capsys, k):
+        # refused before the graph is read, which does not exist here, and
+        # before any oracle is built or written
+        ob = tmp_path / "oracle.bin"
+        code, out, err = run(capsys, "build", "-g", str(tmp_path / "none.txt"),
+                             "-k", k, "-o", str(ob))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: -k must be at least 1, got {k}"]
+        assert not ob.exists()
+
     def test_round_trip_answers_match(self, bottleneck_file, tmp_path, capsys):
         ob = tmp_path / "oracle.bin"
         code, _, _ = run(capsys, "build", "-g", str(bottleneck_file),
@@ -310,7 +332,7 @@ class TestBuildAndOracleFile:
         ob = tmp_path / "oracle.bin"
         run(capsys, "build", "-g", str(bottleneck_file), "-o", str(ob))
         blob = bytearray(ob.read_bytes())
-        old = 8
+        old = 9
         blob[8:10] = old.to_bytes(2, "little")
         ob.write_bytes(bytes(blob))
         qf = tmp_path / "q.txt"
@@ -556,7 +578,7 @@ class TestBuildAndOracleFile:
         # released-unit walk; the loaded oracle starts with no residual
         # rows, and rebuilds its graph's incidence list, the rows and the
         # carried sets on the first traversals. The single-failure queries
-        # read null and flip alone
+        # read flip alone
         net = generate("random", [10], seed=1)
         sens = SensitivityOracle(net)
         path = tmp_path / "oracle.bin"
@@ -594,15 +616,15 @@ class TestBuildAndOracleFile:
 
     @pytest.mark.parametrize("make, sha256", [
         (lambda: gen_random(60, 1),
-         "3d78b05f95d8fed731a341bf021009b62520cc59ec817a1afac140531074549d"),
+         "f15112ad2546921855a2eaa236b721559dd9ce885ba4e7c66de51d4c1d047d2d"),
         (lambda: gen_matrix(6, 8, seed=1),
-         "c132d27b59140b86710b81585fa342d213e3ae1d21506e7e3bb81db0ef1a82cb"),
+         "f721a2bea0569078ffa90ab52f13c8cdb68cf0b96108b5f878efe51913dd4a8f"),
         # calibration deletes edges here, so the subgraph is re-classified
         (lambda: gen_random(120, 1),
-         "85fc0eaae5a947e7036c3a683fcb25018a40f0675793bf5e090d12a1ea4ecb58"),
+         "3084ae8b234a28353eef2f8069499470cab618c21b07b267abbbafa1df7419f0"),
         # the hard instance past lam = 16
         (lambda: gen_matrix(8, 2, seed=1),
-         "d5194e05f679b41fa500788a4e6de1fc4579db69246a221ce630b275fb61d243"),
+         "0c87d88568b4cbf0d7f2a3b75c15bf76ecb4c9bb5d4f762a0d3a159be893730b"),
     ], ids=["random60", "matrix6x8", "random120", "matrix8x2"])
     def test_oracle_bytes_pinned(self, make, sha256, tmp_path):
         # the file a build writes, as the benchmark saves it: a change to
@@ -615,11 +637,11 @@ class TestBuildAndOracleFile:
 
     @pytest.mark.parametrize("make, k, sha256", [
         (lambda: gen_random(16, 1), 3,
-         "a54a9dbcda01de0bf2486cf4c1e3a4232fd7d718e493e014add9920e4b48f8d5"),
+         "bd560e2b4351d7cb31be23792acbe2983196c69c59de0c8bca9f7da7bfb6b39d"),
         (lambda: gen_matrix(2, 4, seed=1), 3,
-         "2c342d692a092e9cdb2d9ffe1a971d1501faa419eaff793fdeda4acb3e485104"),
+         "a72106292a696562c6a51309fe5cc34cb13f0648c4576a240bed480ed59252ef"),
         (lambda: gen_twopaths(40), 2,
-         "3ce281e30907f901b2906c58f61ebcb3344c5ffdaa953ae8e8c53830f3e7d15f"),
+         "ad6a11f5c7e80e8ca60d867f99df9ad05353b234a88879a14679bd0cc4603446"),
     ], ids=["random16-k3", "matrix2x4-k3", "twopaths40-k2"])
     def test_kfault_bytes_pinned(self, make, k, sha256, tmp_path):
         # the k-fault file, as the benchmark saves it: the cut list and its
@@ -652,6 +674,27 @@ class TestBuildAndOracleFile:
                 assert "_certificate" in vars(o)
                 cli.save_oracle(str(path), k, digest, None, o)
                 assert path.read_bytes() == original
+
+    @pytest.mark.parametrize("tail", ["short", "not-a-pickle"])
+    def test_corrupt_signed_file_exits_2(self, bottleneck_file, tmp_path,
+                                         capsys, tail):
+        # the magic and fewer than the 76 header bytes; or a whole header,
+        # graph and payload digests correct, over a payload that is not a
+        # pickle
+        head = cli.ORACLE_MAGIC + struct.pack("<HH", cli.ORACLE_VERSION, 2)
+        graph = hashlib.sha256(bottleneck_file.read_bytes()).digest()
+        payload = b"not a pickle"
+        blob = head + bytes(40) if tail == "short" else \
+            head + graph + hashlib.sha256(payload).digest() + payload
+        ob = tmp_path / "oracle.bin"
+        ob.write_bytes(blob)
+        qf = tmp_path / "q.txt"
+        qf.write_text("MF 1\n")
+        code, out, err = run(capsys, "query", "-g", str(bottleneck_file),
+                             "--oracle", str(ob), "-q", str(qf))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: {ob} is a corrupt oracle file; rebuild it"]
 
     def test_corrupt_file_exits_2(self, bottleneck_file, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
@@ -691,7 +734,7 @@ class TestInternalError:
             return f
 
         monkeypatch.setattr(family, "max_flow", infeasible)
-        pruned, _ = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
+        pruned = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
         with pytest.raises(InternalInvariantError, match="outside"):
             build_flow_family(pruned)
         code, out, err = run(capsys, "build", "-g", str(bottleneck_file),
@@ -714,7 +757,7 @@ class TestInternalError:
 
         monkeypatch.setattr(oracles, "build_flow_family", corrupted)
         net = parse_network(bottleneck_file.read_text())
-        bf = corrupted(prune_to_st_paths(net)[0])
+        bf = corrupted(prune_to_st_paths(net))
         with pytest.raises(InternalInvariantError, match="outside"):
             mincut.build_mincut_oracle(bf)
         code, out, err = run(capsys, "build", "-g", str(bottleneck_file),
@@ -762,7 +805,7 @@ class TestInternalError:
             return f_h
 
         monkeypatch.setattr(family, "build_auxiliary", starved)
-        pruned, _ = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
+        pruned = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
         with pytest.raises(InternalInvariantError, match="round 3: infeasible"):
             build_flow_family(pruned)
         code, out, err = run(capsys, "build", "-g", str(bottleneck_file),
@@ -794,7 +837,7 @@ class TestInternalError:
                 monkeypatch.setattr(family, "augment_unit", augment)
 
         monkeypatch.setattr(family, "peel_family_A", leaky_peel)
-        pruned, _ = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
+        pruned = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
         with pytest.raises(InternalInvariantError,
                            match="round 3: vertex 1 off balance by -1"):
             build_flow_family(pruned)
@@ -817,7 +860,7 @@ class TestInternalError:
         # `carried`, that flow ends at b, or turns back into the walk
         net = make_net(4, [(0, 1), (1, 3), (0, 2), (2, 3), *extra], t=3)
         sens = SensitivityOracle(net)
-        sens.flip[0] = (sens.kept - sens.null) ^ frozenset(carried)
+        sens.flip[0] = frozenset(sens.flip.keys() ^ carried)
         with pytest.raises(InternalInvariantError, match=message):
             sens.report_flow_diff_dual(0, 2)
         g, ob = tmp_path / "g.txt", tmp_path / "oracle.bin"

@@ -32,7 +32,7 @@ from conftest import (
 
 
 def built(net):
-    pruned, _ = prune_to_st_paths(net)
+    pruned = prune_to_st_paths(net)
     return build_flow_family(pruned)
 
 
@@ -85,8 +85,8 @@ class TestClassify:
         rng = random.Random(4001)
         for _ in range(40):
             net = random_net(rng)
-            pruned, info = prune_to_st_paths(net)
-            if info.disconnected:
+            pruned = prune_to_st_paths(net)
+            if not pruned.m:
                 continue
             sub = calibrate(pruned)
             for eid in pruned.edges:
@@ -207,8 +207,8 @@ class TestCalibrate:
         rng = random.Random(4002)
         for _ in range(30):
             net = random_net(rng)
-            pruned, info = prune_to_st_paths(net)
-            if info.disconnected:
+            pruned = prune_to_st_paths(net)
+            if not pruned.m:
                 continue
             sub = calibrate(pruned)
             assert brute_max_flow_value(sub.network) == sub.lam
@@ -226,8 +226,8 @@ class TestCalibrate:
         # kept, pruned and critical sets, lam and capped nu
         rng = random.Random(4010)
         nets = [random_multigraph(rng) for _ in range(500)]
-        nets += [prune_to_st_paths(gen_random(60, 1))[0],
-                 prune_to_st_paths(gen_matrix(6, 8, seed=1))[0]]
+        nets += [prune_to_st_paths(gen_random(60, 1)),
+                 prune_to_st_paths(gen_matrix(6, 8, seed=1))]
         seen = dict.fromkeys(("lam 0", "parallel", "self-loop", "into s",
                               "out of t", "pruned", "reroute"), 0)
         for net in nets:
@@ -294,7 +294,7 @@ class TestAuxiliary:
         lambda: gen_matrix(6, 8, seed=1),
     ])
     def test_generated_caps_and_value(self, make):
-        auxiliary_flow(prune_to_st_paths(make())[0])
+        auxiliary_flow(prune_to_st_paths(make()))
 
 
 class TestPeel:
@@ -326,8 +326,8 @@ class TestPeel:
         checked = 0
         for _ in range(50):
             net = random_net(rng)
-            pruned, info = prune_to_st_paths(net)
-            if info.disconnected:
+            pruned = prune_to_st_paths(net)
+            if not pruned.m:
                 continue
             bf = built(net)
             checked += 1
@@ -348,8 +348,8 @@ class TestPeel:
                                                        (6, 8)) for s in (1, 2)]
         compared, deleted = 0, 0
         for net in nets:
-            pruned, info = prune_to_st_paths(net)
-            if info.disconnected:
+            pruned = prune_to_st_paths(net)
+            if not pruned.m:
                 continue
             bf = build_flow_family(pruned)
             want = circulation_reference.peel_family_A(bf.sub, bf.f_h)
@@ -410,23 +410,23 @@ class TestFamilyB:
         bf = built(diamond)
         for f in bf.family.A:
             assert all(f.values[e] == 1 for e in bf.sub.kept)
-        assert bf.family.null == frozenset()
+        assert bf.family.flip.keys() == bf.sub.kept
         assert bf.sub.kept == bf.sub.critical
 
     def test_bottleneck_null_sets(self, bottleneck):
         bf = built(bottleneck)
         fam = bf.family
         missing = [{b for b in (2, 3, 4) if f.values[b] == 0} for f in fam.A]
-        assert fam.null == missing[0]
+        assert fam.flip.keys() == bf.sub.kept - missing[0]
         assert set().union(*missing) == bf.sub.kept - bf.sub.critical
         # a b-edge f-tilde carries flips to the first member of A that
         # leaves it idle
         for b in {2, 3, 4} - missing[0]:
             j = next(j for j, z in enumerate(missing) if b in z)
-            assert fam.null ^ fam.flip[b] == missing[j]
+            assert bf.sub.kept - (fam.flip.keys() ^ fam.flip[b]) == missing[j]
         # g_1 zeroes one a-edge and one b-edge of f-tilde, which already had
         # one b-edge idle: the null set has exactly three edges.
-        null_g1 = fam.null | set(fam.paths[0])
+        null_g1 = missing[0] | set(fam.paths[0])
         assert len(null_g1) == 3
         assert len(null_g1 & {0, 1}) == 1
         assert len(null_g1 & {2, 3, 4}) == 2
@@ -445,7 +445,7 @@ class TestFamilyB:
                  gen_random(120, 1)]
         checked = 0
         for net in nets:
-            if prune_to_st_paths(net)[1].disconnected:
+            if not prune_to_st_paths(net).m:
                 continue
             bf = built(net)
             critical = bf.sub.critical
@@ -464,8 +464,8 @@ class TestFamilyB:
         checked = 0
         for _ in range(40):
             net = random_net(rng)
-            pruned, info = prune_to_st_paths(net)
-            if info.disconnected:
+            pruned = prune_to_st_paths(net)
+            if not pruned.m:
                 continue
             bf = built(net)
             for eid in sorted(bf.sub.kept):
@@ -483,14 +483,15 @@ class TestFamilyB:
         assert [f.values for f in family_B(a)] == [
             f.values for f in family_B(b)
         ]
-        assert (a.family.paths, a.family.null, a.family.flip) == \
-            (b.family.paths, b.family.null, b.family.flip)
+        assert (a.family.paths, a.family.flip) == \
+            (b.family.paths, b.family.flip)
         assert a.sub.kept == b.sub.kept
 
 
     def test_critical_edge_off_every_path_raises(self, bottleneck):
         bf = built(bottleneck)
-        idle = min(bf.family.null)  # a b-edge f-tilde leaves at 0
+        # a b-edge f-tilde leaves at 0
+        idle = min(bf.sub.kept - bf.family.flip.keys())
         sub = dataclasses.replace(bf.sub, critical=bf.sub.critical | {idle})
         with pytest.raises(InternalInvariantError,
                            match=f"critical edge {idle} missing"):
@@ -517,15 +518,15 @@ class TestOrchestrator:
         # t is unreachable, so the pruned network is empty and lam = 0:
         # one empty flow in A, no paths, nothing kept, and every answer 0
         net = make_net(4, [(0, 1), (1, 2), (2, 1), (3, 2)], t=3)
-        pruned, info = prune_to_st_paths(net)
-        assert info.disconnected and pruned.m == 0
+        pruned = prune_to_st_paths(net)
+        assert pruned.m == 0
         bf = build_flow_family(pruned)
         assert (bf.sub.lam, bf.sub.kept, bf.sub.critical) == \
             (0, frozenset(), frozenset())
         assert [f.value for f in bf.family.A] == [0]
         assert bf.family.paths == () and bf.family.flip == {}
         o = SensitivityOracle(net)
-        assert (o.lam, o.kept, o.null, o.flip) == (0, frozenset(), frozenset(), {})
+        assert (o.lam, o.kept, o.flip) == (0, frozenset(), {})
         assert o.paths.path_of == {}
         for e in net.edges:
             assert o.report_flow_diff_single(e) == (frozenset(), 0)
@@ -538,8 +539,8 @@ class TestOrchestrator:
         rng = random.Random(4006)
         for _ in range(20):
             net = random_net(rng)
-            pruned, info = prune_to_st_paths(net)
-            if info.disconnected:
+            pruned = prune_to_st_paths(net)
+            if not pruned.m:
                 continue
             bf = built(net)
             _, nu, critical = calibration_reference.classify(bf.sub.network)
@@ -558,7 +559,7 @@ class TestOrchestrator:
                  gen_matrix(8, 2, seed=1)]
         deleted = 0
         for net in nets:
-            sub = calibrate(prune_to_st_paths(net)[0])
+            sub = calibrate(prune_to_st_paths(net))
             again = calibrate(sub.network)
             assert again.pruned == frozenset()
             assert (again.lam, again.critical, again.kept) == \
@@ -600,7 +601,7 @@ class TestOrchestrator:
         # never runs augment_unit's arc scan. The certificate calibrates
         # the kept edges again, and runs only when calibration deleted
         # some (gen_random(60) yes, gen_matrix(6,8) no)
-        net = prune_to_st_paths(make())[0]
+        net = prune_to_st_paths(make())
         calls = {"idle": 0, "carried": 0, "levels": 0, "path": 0}
 
         def counted(name):

@@ -40,7 +40,12 @@ from conftest import (
     residual_arcs,
     support,
 )
-from ftscc_reference import ARTIFICIAL, first_carried, residual_rows
+from ftscc_reference import (
+    ARTIFICIAL,
+    canonical_null,
+    first_carried,
+    residual_rows,
+)
 
 
 def _scc_ids(n, arcs):
@@ -410,7 +415,7 @@ class TestReleasedUnitCycle:
         o = SensitivityOracle(gen_matrix(3, 4, seed=1))
         found = 0
         for e in sorted(o.kept):
-            carried = o.kept - (o.null ^ o.flip.get(e, EMPTY))
+            carried = o.flip.keys() ^ o.flip.get(e, EMPTY)
             assert e not in carried
             found += self._check(o.pruned_net, carried, sorted(carried))
         assert found > 1000
@@ -525,7 +530,7 @@ class TestReferenceIdentity:
             # the reference's cycle runs through its artificial arc; the
             # answer is e's canonical flow less one unit through e2
             d = o.flip.get(e, EMPTY)
-            assert_released_unit(o.pruned_net, o.kept - (o.null ^ d), e2,
+            assert_released_unit(o.pruned_net, o.flip.keys() ^ d, e2,
                                  got.toggled ^ d)
             reconstruct_flow(o, got, [e, e2])
             assert got.new_value == brute_force(o.pruned_net, [e, e2])[0]
@@ -564,14 +569,14 @@ class TestResidualRows:
         # its delta's edges are its own
         o = _oracle(name)
         net, base = o.pruned_net, o._residual_of(EMPTY)
-        assert base[0] == residual_rows(net, o.kept, o.null)
-        assert base[2:] == first_carried(net, o.kept - o.null)
+        assert base[0] == residual_rows(net, o.kept, canonical_null(o, EMPTY))
+        assert base[2:] == first_carried(net, o.flip.keys())
         deltas = set(o.flip.values())
         assert deltas or o.lam == 0
         for d in deltas:
             rows, carried, out, into = o._residual_of(d)
-            assert rows == residual_rows(net, o.kept, o.null ^ d)
-            assert carried == o.kept - (o.null ^ d)
+            assert rows == residual_rows(net, o.kept, canonical_null(o, d))
+            assert carried == o.kept - canonical_null(o, d)
             assert (out, into) == first_carried(net, carried)
             ends = {x for eid in d for x in net.edges[eid]}
             for got, shared in zip((rows, out, into),
@@ -604,7 +609,7 @@ class TestResidualRows:
         # first carried out- and in-edge per vertex
         for d, (rows, carried, out, into) in cache.items():
             assert len(rows) == len(out) == len(into) == o.pruned_net.n
-            assert carried == o.kept - (o.null ^ d)
+            assert carried == o.kept - canonical_null(o, d)
         # the cache stays out of the pickled oracle
         assert pickle.dumps(o) == before
 

@@ -98,56 +98,62 @@ def test_round_trip_property(data):
     assert parse_network(serialize_network(net)) == net
 
 
+def removed_by_prune(net):
+    """(pruned network, EdgeIds pruning dropped)."""
+    pruned = prune_to_st_paths(net)
+    return pruned, net.edges.keys() - pruned.edges.keys()
+
+
 def test_prune_keeps_diamond_intact(diamond):
-    pruned, removed = prune_to_st_paths(diamond)
-    assert pruned == diamond
-    assert removed.removed == frozenset()
-    assert not removed.disconnected
+    pruned, removed = removed_by_prune(diamond)
+    assert isinstance(pruned, FlowNetwork) and pruned == diamond
+    assert removed == set()
 
 
 def test_prune_drops_vertex_off_all_st_paths(diamond):
     net = FlowNetwork(5, dict(diamond.edges), 0, 3)
     net.add_edge(4, 1)  # u=4 -> a, u unreachable from s
-    pruned, removed = prune_to_st_paths(net)
-    assert removed.removed == {4}
+    pruned, removed = removed_by_prune(net)
+    assert removed == {4}
     assert pruned.edges == diamond.edges
 
 
 def test_prune_drops_dead_end_branch():
     # s -> a -> t plus a -> c where c goes nowhere
     net = make_net(4, [(0, 1), (1, 3), (1, 2)])
-    pruned, removed = prune_to_st_paths(net)
-    assert removed.removed == {2}
+    pruned, removed = removed_by_prune(net)
+    assert removed == {2}
     assert set(pruned.edges) == {0, 1}
 
 
 def test_prune_drops_self_loop():
     net = make_net(3, [(0, 1), (1, 1), (1, 2)])
-    pruned, removed = prune_to_st_paths(net)
-    assert removed.removed == {1}
+    pruned, removed = removed_by_prune(net)
+    assert removed == {1}
 
 
 def test_prune_keeps_cycle_edge_through_source():
     # s -> a, a -> s, a -> t: the back edge lies on the walk s,a,s,a,t
     net = make_net(3, [(0, 1), (1, 0), (1, 2)])
-    pruned, removed = prune_to_st_paths(net)
-    assert removed.removed == frozenset()
+    pruned, removed = removed_by_prune(net)
+    assert removed == set()
 
 
 def test_prune_disconnected_signals_empty_network():
+    # t unreachable from s: the pruned network has no edges
     net = make_net(4, [(0, 1), (2, 3)])
-    pruned, removed = prune_to_st_paths(net)
-    assert removed.disconnected
+    pruned, removed = removed_by_prune(net)
     assert pruned.m == 0
-    assert removed.removed == {0, 1}
+    assert removed == {0, 1}
+    assert (pruned.n, pruned.s, pruned.t) == (net.n, net.s, net.t)
 
 
 def test_prune_idempotent():
     net = make_net(6, [(0, 1), (1, 5), (0, 2), (2, 3), (1, 1), (4, 1), (2, 5)], t=5)
-    once, first = prune_to_st_paths(net)
-    twice, second = prune_to_st_paths(once)
+    once = prune_to_st_paths(net)
+    twice, second = removed_by_prune(once)
     assert twice == once
-    assert second.removed == frozenset()
+    assert second == set()
 
 
 def test_scc_two_cycle_merges():

@@ -80,8 +80,9 @@ class TestEdgeFlowQuery:
 class TestFlowDiffSingle:
     def test_zero_flow_edge_is_free(self, bottleneck):
         o = SensitivityOracle(bottleneck)
-        # null(f-tilde): the kept edges f-tilde leaves at 0
-        zeros = sorted(o.null)
+        # null(f-tilde): the kept edges f-tilde leaves at 0, those outside
+        # flip's keys
+        zeros = sorted(o.kept - o.flip.keys())
         assert set(zeros) <= o.kept
         assert zeros, "peel should leave some b-edge unused"
         for e in zeros:
@@ -104,7 +105,7 @@ class TestFlowDiffSingle:
     def test_walk_pruned_edge_is_no_effect(self):
         net = make_net(5, [(0, 1), (1, 3), (0, 2), (2, 3), (1, 4)], t=3)
         o = SensitivityOracle(net)
-        assert 4 in o.walk_dropped
+        assert 4 not in o.pruned_net.edges and o.m == 5
         d = o.report_flow_diff_single(4)
         assert d.toggled == frozenset() and d.new_value == 2
 
@@ -261,7 +262,7 @@ PAIR_KINDS = {
 }
 SAME = object()  # stands for the kind's text for equal edges
 # EdgeIds of the oracle below: 0 is kept, 2 calibration-removed, 6
-# walk-dropped, 98 and 99 unknown
+# walk-dropped, 7 (= m), 98 and 99 unknown
 PAIR_CASES = [
     ((99, 0), "unknown edge 99"),
     ((0, 99), "unknown edge 99"),
@@ -282,6 +283,8 @@ PAIR_CASES = [
     ((6, 0), None),
     ((2, 6), None),
     ((6, 2), None),
+    ((7, 0), "unknown edge 7"),
+    ((0, 7), "unknown edge 7"),
 ]
 
 
@@ -298,7 +301,7 @@ class TestQueryErrors:
         o = SensitivityOracle(make_net(4, [(0, 1), (0, 1), (1, 2), (1, 2),
                                            (1, 2), (1, 2), (1, 3)], t=2))
         assert 0 in o.kept and 2 in o.pruned_net.edges
-        assert 2 not in o.kept and o.walk_dropped == {6}
+        assert 2 not in o.kept and 6 not in o.pruned_net.edges and o.m == 7
         return o
 
     @pytest.mark.parametrize("kind", sorted(PAIR_KINDS))
@@ -314,6 +317,7 @@ class TestQueryErrors:
 
     @pytest.mark.parametrize("e, text", [
         (99, "unknown edge 99"), (-1, "unknown edge -1"),
+        (7, "unknown edge 7"),
         (0, None), (2, None), (6, None),
     ])
     def test_single_kinds(self, oracle, e, text):
@@ -324,6 +328,22 @@ class TestQueryErrors:
         with pytest.raises(QueryError) as got:
             oracle.report_flow_diff_single(e)
         assert str(got.value) == text
+
+
+class TestEdgeIds:
+    @pytest.mark.parametrize("edges", [
+        {1: (0, 1), 2: (1, 2)},
+        {0: (0, 1), 2: (1, 2)},
+        {0: (0, 1), -1: (1, 2)},
+    ], ids=["from-1", "gap", "negative"])
+    def test_noncontiguous_ids_raise(self, edges):
+        # the oracle knows an EdgeId by its range, 0..m-1
+        with pytest.raises(ValueError, match="EdgeIds 0..m-1"):
+            SensitivityOracle(FlowNetwork(3, edges, 0, 2))
+
+    def test_contiguous_ids_in_any_order_build(self):
+        o = SensitivityOracle(FlowNetwork(3, {1: (1, 2), 0: (0, 1)}, 0, 2))
+        assert (o.m, o.lam) == (2, 1)
 
 
 class TestDisconnected:
@@ -352,31 +372,37 @@ def reached_objects(obj):
 
 class TestStoredEncoding:
     def test_pickled_size_stays_small(self):
-        # f-tilde's null set, the flip deltas, the precedes tables and one
-        # graph: 4,786 bytes here. Storing any dropped table again fails
-        # this: the critical set alone adds 71 bytes, the union of A's
-        # null sets 157, the canonical table 932, the per-flow null sets
-        # 2,446; the graph's incidence list would add 5 KB, the family's
-        # flows 47 KB
+        # the kept set, the flip deltas, the precedes tables, the edge
+        # count and one graph: 4,696 bytes here. Storing any dropped table
+        # again fails this: f-tilde's null set alone adds 80 bytes, the
+        # critical set 71, the union of A's null sets 157, the canonical
+        # table 932, the per-flow null sets 2,446; the graph's incidence
+        # list would add 5 KB, the family's flows 47 KB
         o = SensitivityOracle(gen_random(40, 1))
-        assert len(pickle.dumps(o)) < 4_890
+        assert len(pickle.dumps(o)) < 4_750
 
     def test_kfault_pickled_size_stays_small(self):
         # seven cuts, each as its canonical source side, and the graph:
-        # 531 bytes here
+        # 531 bytes here. Storing the certificate's derived tables again
+        # fails this: each cut's Z adds 88 bytes, the EdgeId -> cuts index
+        # 137, the partitions 323
         o = build_kfault_oracle(gen_random(16, 1), 3)
         assert len(o.entries) == 7
-        assert len(pickle.dumps(o)) < 1_250
+        assert len(pickle.dumps(o)) < 560
 
-    @pytest.mark.parametrize("build", [
-        lambda: SensitivityOracle(gen_random(40, 1)),
-        lambda: build_kfault_oracle(gen_random(12, 1), 2),
+    @pytest.mark.parametrize("build, fields", [
+        (lambda: SensitivityOracle(gen_random(40, 1)),
+         ["pruned_net", "m", "lam", "kept", "flip", "paths"]),
+        (lambda: build_kfault_oracle(gen_random(12, 1), 2),
+         ["net", "k", "lam", "entries"]),
     ], ids=["sensitivity", "kfault"])
-    def test_stores_no_flow_and_one_graph(self, build):
-        reached = reached_objects(build())
+    def test_stores_no_flow_and_one_graph(self, build, fields):
+        o = build()
+        reached = reached_objects(o)
         for cls in reached:
             assert not issubclass(cls, (IntFlow, FlowFamily, BuiltFamily)), cls
         assert reached[FlowNetwork] == 1
+        assert list(vars(pickle.loads(pickle.dumps(o)))) == fields
 
     def test_tampered_canonical_flow_raises(self, diamond):
         # f-tilde sends its unit into a over edge 0; with edge 0 failed, a
@@ -386,6 +412,35 @@ class TestStoredEncoding:
         o.flip[0] = frozenset()
         with pytest.raises(InternalInvariantError, match="no rerouting cycle"):
             o.report_flow_diff_dual(0, 1)
+
+    def test_value_dropping_two_units_raises(self, diamond):
+        # 0 and 2 are critical and share a min-cut: the strip order drops
+        # the value to 0, one unit below e's canonical value. A strip order
+        # that claimed one unit more is caught before a unit is released
+        o = SensitivityOracle(diamond)
+        assert o.report_flow_diff_dual(0, 2).new_value == 0
+        o._critical_value = lambda e, e2: o.lam - 3
+        with pytest.raises(InternalInvariantError,
+                           match="post-failure value -1 drops more than one "
+                                 "unit"):
+            o.report_flow_diff_dual(0, 2)
+
+    def test_cycle_repeating_a_vertex_raises(self, wide_bottleneck,
+                                             monkeypatch):
+        # failing x->t edges 3 and 4 reroutes through edge 2 on a plain
+        # cycle; a cycle search that returned its last edge twice passes
+        # a vertex twice
+        o = SensitivityOracle(wide_bottleneck)
+        real = oracles.cycle_through_arc_without
+
+        def doubled(*args):
+            cycle = real(*args)
+            return (*cycle, cycle[-1])
+
+        monkeypatch.setattr(oracles, "cycle_through_arc_without", doubled)
+        with pytest.raises(InternalInvariantError,
+                           match="rerouting cycle repeats a vertex"):
+            o.report_flow_diff_dual(3, 4)
 
     def test_tampered_null_set_raises(self, diamond):
         o = SensitivityOracle(diamond)

@@ -123,7 +123,7 @@ class TestHardInstance:
         # crossing edges idle, more than 2n = 68 of them, so no per-flow
         # O(n) bound holds on the null sets; the answers are still exact
         net = gen_matrix(8, 2, seed=1)
-        bf = build_flow_family(prune_to_st_paths(net)[0])
+        bf = build_flow_family(prune_to_st_paths(net))
         assert bf.sub.lam == 16
         assert min(sum(f.values[e] == 0 for e in bf.sub.kept)
                    for f in bf.family.A) > 2 * net.n
@@ -141,7 +141,7 @@ class TestInvariants:
         assert rows["|B| = 2*lam+1"] is True
         assert rows["sum over A of f_i = f_H edgewise"] is True
         # diamond has lam=2, so |A|=3 and |B|=5
-        bf = build_flow_family(prune_to_st_paths(diamond)[0])
+        bf = build_flow_family(prune_to_st_paths(diamond))
         assert len(bf.family.A) == 3
         assert len(family_B(bf)) == 5
 
@@ -171,8 +171,8 @@ class TestInvariants:
         assert rep.ok, rep.render()
         rows = dict(rep.invariants)
         for name in (
-            "stored null set is null(f-tilde)",
-            "null ^ flip[e] is the null set of e's canonical flow",
+            "flip's keys are the kept edges f-tilde carries",
+            "flip's keys ^ flip[e] are the edges e's canonical flow carries",
             "critical edges = keys of the path tables",
             "at most 2*lam+1 distinct flip deltas",
         ):
@@ -191,9 +191,10 @@ class TestInvariants:
 
         monkeypatch.setattr(verify, "SensitivityOracle", Swapped)
         rows = dict(run_verify(bottleneck, "invariants").invariants)
-        assert rows["null ^ flip[e] is the null set of e's canonical flow"] \
-            is False
-        assert rows["stored null set is null(f-tilde)"] is True
+        assert rows[
+            "flip's keys ^ flip[e] are the edges e's canonical flow carries"
+        ] is False
+        assert rows["flip's keys are the kept edges f-tilde carries"] is True
 
 
 class TestReporting:
