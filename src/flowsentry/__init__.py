@@ -9,11 +9,7 @@ from .errors import (
     QueryError,
 )
 from .family import BuiltFamily, FlowFamily, build_flow_family
-from .flows import (
-    IntFlow,
-    UnitFlow,
-    max_flow,
-)
+from .flows import IntFlow, max_flow
 from .generators import FAMILIES, generate
 from .graph import (
     FlowNetwork,
@@ -50,7 +46,6 @@ __all__ = [
     "ParseError",
     "QueryError",
     "SensitivityOracle",
-    "UnitFlow",
     "VerificationReport",
     "brute_force",
     "build_flow_family",

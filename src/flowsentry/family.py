@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from .errors import InternalInvariantError, checked
 from .flows import (
     IntFlow,
-    UnitFlow,
     UnitResidual,
     augment_unit,
     cancel_flow_cycles,
@@ -80,7 +79,8 @@ def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
     """Delete every edge whose nu exceeds lam+1, evaluated in the shrinking subgraph.
 
     One probe per edge, in ascending EdgeId order, on the unit residual of
-    one max-flow, from which each deleted edge leaves as a dead edge. nu
+    one max-flow, which lam augmentations from s to t build on that
+    residual and from which each deleted edge leaves as a dead edge. nu
     never grows under deletion, so one pass reaches the fixpoint;
     build_flow_family certifies it by calibrating the output again if any
     edge was deleted. Deleting an edge with nu >= lam+2 changes no cut of
@@ -90,9 +90,10 @@ def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
     outputs depend on the visit order and on max-flow values only, not on
     which max-flow the reroutes leave.
     """
-    f = max_flow(net)
-    lam = f.value
-    res = UnitResidual(net, f.values)
+    res, lam = UnitResidual(net, dict.fromkeys(net.edges, 0)), 0
+    while res.augment(1 << net.s, 1 << net.t):
+        lam += 1
+    f = IntFlow(net, res.flow)
     nu: dict[int, int] = {}
     removed: list[int] = []
     for eid in sorted(net.edges):
@@ -103,13 +104,10 @@ def calibrate(net: FlowNetwork) -> CalibratedSubgraph:
         carried = res.flow[eid]
         res.delete(eid)
         removed.append(eid)
-        path = res.path(1 << u, 1 << v) if carried else []
-        if path is None:
+        if carried and res.augment(1 << u, 1 << v) is None:
             raise InternalInvariantError(
                 f"no flow reroutes around deleted edge {eid}"
             )
-        for x in path:
-            res.toggle(x)
     current = net.without_edges(removed) if removed else net
     kept = frozenset(current.edges)
     bound = lam * net.n + 2 * net.n * (lam + 1)
@@ -157,7 +155,7 @@ def build_auxiliary(sub: CalibratedSubgraph) -> IntFlow:
     return cancel_flow_cycles(sub.network, f_h)
 
 
-def peel_family_A(sub: CalibratedSubgraph, f_h: IntFlow) -> list[UnitFlow]:
+def peel_family_A(sub: CalibratedSubgraph, f_h: IntFlow) -> list[IntFlow]:
     """Peel lam+1 unit max-flows out of f_H, returned as [f_1, ..., f_{lam+1}].
 
     Round i (from lam+1 down to 1) finds a 0/1 flow g of value lam with
@@ -176,7 +174,7 @@ def peel_family_A(sub: CalibratedSubgraph, f_h: IntFlow) -> list[UnitFlow]:
     net, lam, n = sub.network, sub.lam, sub.network.n
     arcs = net.incidence()
     h = dict(f_h.values)
-    peeled: list[UnitFlow] = []
+    peeled: list[IntFlow] = []
     for i in range(lam + 1, 0, -1):
         surplus, state = [0] * n, {}
         surplus[net.s], surplus[net.t] = lam, -lam
@@ -214,7 +212,7 @@ def peel_family_A(sub: CalibratedSubgraph, f_h: IntFlow) -> list[UnitFlow]:
         for v, b in enumerate(balance):
             if b:
                 raise InternalInvariantError(f"peel round {i}: vertex {v} off balance by {b}")
-        peeled.append(checked(UnitFlow, net, g))
+        peeled.append(IntFlow(net, g))
     if any(h.values()):
         raise InternalInvariantError("peel left residue; sum(f_i) != f_H")
     peeled.reverse()
@@ -239,16 +237,16 @@ class FlowFamily:
     A's null sets is the kept non-critical edges: neither is stored.
     """
 
-    A: tuple[UnitFlow, ...]
+    A: tuple[IntFlow, ...]
     paths: tuple[tuple[int, ...], ...]
     flip: dict[int, frozenset[int]]
 
     @property
-    def f_tilde(self) -> UnitFlow:
+    def f_tilde(self) -> IntFlow:
         return self.A[0]
 
 
-def extend_family_B(A: list[UnitFlow], sub: CalibratedSubgraph) -> FlowFamily:
+def extend_family_B(A: list[IntFlow], sub: CalibratedSubgraph) -> FlowFamily:
     """Decompose f-tilde into paths and encode family B against it.
 
     No per-flow bound is put on the null sets: they are subsets of the

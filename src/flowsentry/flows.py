@@ -1,8 +1,10 @@
 """Integral max-flow, residual graphs, flow canonicalization and path
 decomposition.
 
-Flows are 0/1 (UnitFlow) except the auxiliary max-flow f_H, the one flow
-max_flow builds under general capacities, so no flow stores capacities.
+Every flow is an IntFlow. All of them are 0/1 except the auxiliary
+max-flow f_H, the one flow max_flow solves under general capacities, so no
+flow stores capacities. Unit flows are grown one augmenting path at a time,
+by augment_unit's arc scan or by UnitResidual's mask search.
 
 Everything here is deterministic: augmenting paths are shortest paths
 discovered by BFS that scans arcs in ascending EdgeId order (forward arc
@@ -57,23 +59,13 @@ class IntFlow:
         return f"{type(self).__name__}(value={self.value})"
 
 
-class UnitFlow(IntFlow):
-    """0/1 flow under unit capacities."""
-
-    def __init__(self, net: FlowNetwork, values: dict[int, int]):
-        super().__init__(net, values)
-        for eid, x in self.values.items():
-            if x not in (0, 1):
-                raise ValueError(f"unit flow has value {x} on edge {eid}")
-
-
-def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None) -> IntFlow:
-    """Deterministic integral max-flow (shortest augmenting paths).
-
-    ``capacities`` defaults to 1 per edge, in which case a UnitFlow is
-    returned.
+def max_flow(net: FlowNetwork, capacities: dict[int, int]) -> IntFlow:
+    """Deterministic integral max-flow under capacities (shortest augmenting
+    paths); an edge absent from capacities has capacity 0. The build solves
+    only the auxiliary network H with it: unit flows augment one path at a
+    time (augment_unit, UnitResidual.augment).
     """
-    caps = {eid: 1 for eid in net.edges} if capacities is None else {eid: int(capacities.get(eid, 0)) for eid in net.edges}
+    caps = {eid: int(capacities.get(eid, 0)) for eid in net.edges}
     for eid, c in caps.items():
         if c < 0:
             raise ValueError(f"negative capacity {c} on edge {eid}")
@@ -105,8 +97,6 @@ def max_flow(net: FlowNetwork, capacities: dict[int, int] | None = None) -> IntF
         push = min((caps[eid] - flow[eid]) if not is_rev else flow[eid] for eid, is_rev in path)
         for eid, is_rev in path:
             flow[eid] += -push if is_rev else push
-    if capacities is None:
-        return UnitFlow(net, flow)
     return IntFlow(net, flow)
 
 
@@ -166,6 +156,14 @@ class UnitResidual:
         self._arc(eid, -1)
         self.flow[eid] ^= 1
         self._arc(eid, 1)
+
+    def augment(self, sources: int, sinks: int) -> list[int] | None:
+        """Push one unit along path(sources, sinks) and return its edges;
+        None, leaving the flow as it was, when there is no such path."""
+        path = self.path(sources, sinks)
+        for eid in path or ():
+            self.toggle(eid)
+        return path
 
     def delete(self, eid: int) -> None:
         self._arc(eid, -1)

@@ -43,7 +43,7 @@ from .errors import (
     InternalInvariantError,
     QueryError,
 )
-from .flows import augment_unit, max_flow
+from .flows import augment_unit
 from .graph import FlowNetwork, reachable_set
 from .mincut import CutPartition
 
@@ -135,7 +135,9 @@ class KFaultOracle:
 def build_kfault_oracle(net: FlowNetwork, k: int) -> KFaultOracle:
     if k < 1:
         raise ValueError("k must be at least 1")
-    lam = max_flow(net).value
+    arcs, flow, lam = net.incidence(), dict.fromkeys(net.edges, 0), 0
+    while augment_unit(arcs, flow, (net.s,), {net.t}):
+        lam += 1
     return KFaultOracle(net=net, k=k, lam=lam,
                         entries=tuple(enumerate_minimal_cuts(net, lam + k - 1)))
 

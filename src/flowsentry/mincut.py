@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, QueryError, checked
 from .family import BuiltFamily
-from .flows import UnitFlow, residual_scc_ids
+from .flows import IntFlow, residual_scc_ids
 from .graph import FlowNetwork, scc_from_adjacency
 
 
@@ -69,7 +69,7 @@ def crossing_edges(net: FlowNetwork, source_side) -> list[int]:
     )
 
 
-def strip_pred(net: FlowNetwork, cls, critical, f: UnitFlow) -> list[list[int]]:
+def strip_pred(net: FlowNetwork, cls, critical, f: IntFlow) -> list[list[int]]:
     """Each class's strip predecessors, ascending: the classes its arcs in
     the residual graph of the max-flow f enter. cls is the class-id list
     of that residual graph's SCCs.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .bruteforce import brute_force
 from .family import build_flow_family
-from .flows import UnitFlow
+from .flows import IntFlow
 from .graph import FlowNetwork, prune_to_st_paths
 from .kfault import (
     build_kfault_oracle,
@@ -123,7 +123,7 @@ def _reconstructed_flow(oracle, diff, failures):
         if eid in pruned.edges and bit(eid):
             return f"diff routes flow through failed edge {eid}"
     net = pruned.without_edges(failures)
-    flow = UnitFlow(net, {eid: bit(eid) for eid in net.edges})
+    flow = IntFlow(net, {eid: bit(eid) for eid in net.edges})
     try:
         flow.check()
     except ValueError as exc:

@@ -15,7 +15,9 @@ the tests' source of nu.
 """
 
 from flowsentry.errors import InternalInvariantError
-from flowsentry.flows import augment_unit, max_flow
+from flowsentry.flows import augment_unit
+
+from conftest import unit_max_flow
 
 # nu of an edge that crosses no s-t partition (tail t, head s, or a
 # self-loop): above any lam+1 at the scales the library accepts
@@ -42,7 +44,7 @@ def capped_nu(arcs, flow, net, eid, lam):
 
 def classify(net):
     """(lam, nu, critical) with nu probed on one max-flow of net."""
-    f = max_flow(net)
+    f = unit_max_flow(net)
     lam = f.value
     flow, arcs = dict(f.values), net.incidence()
     nu = {eid: capped_nu(arcs, flow, net, eid, lam) for eid in sorted(net.edges)}
@@ -52,7 +54,7 @@ def classify(net):
 def calibrate(net):
     """(lam, kept, pruned, critical, nu): one probe per edge in ascending
     EdgeId on the shrinking subgraph, deleting each edge with nu > lam+1."""
-    f = max_flow(net)
+    f = unit_max_flow(net)
     lam = f.value
     flow, arcs = dict(f.values), list(net.incidence())
     nu = {}

@@ -14,8 +14,8 @@ stay byte-identical.
 
 from dataclasses import dataclass, field
 
-from flowsentry.errors import InternalInvariantError, checked
-from flowsentry.flows import UnitFlow, max_flow
+from flowsentry.errors import InternalInvariantError
+from flowsentry.flows import IntFlow, max_flow
 from flowsentry.graph import FlowNetwork
 
 
@@ -74,14 +74,14 @@ def solve_circulation(inst: CirculationInstance) -> dict[int, int] | None:
     return out
 
 
-def peel_family_A(sub, f_h) -> list[UnitFlow]:
+def peel_family_A(sub, f_h) -> list[IntFlow]:
     """[f_1, ..., f_{lam+1}] peeled from f_H: round i (from lam+1 down to 1)
     solves a circulation with demands d(s) = -lam, d(t) = +lam, upper
     bounds min(1, h_i(e)) and lower bound 1 exactly where h_i(e) == i."""
     net = sub.network
     lam = sub.lam
     h = dict(f_h.values)
-    peeled: list[UnitFlow] = []
+    peeled: list[IntFlow] = []
     for i in range(lam + 1, 0, -1):
         for eid, val in h.items():
             if not 0 <= val <= i:
@@ -94,7 +94,7 @@ def peel_family_A(sub, f_h) -> list[UnitFlow]:
         g = solve_circulation(CirculationInstance(net, demand, lower, upper))
         if g is None:
             raise InternalInvariantError(f"peel round {i}: circulation infeasible")
-        f_i = checked(UnitFlow, net, g)
+        f_i = IntFlow(net, g)
         if f_i.value != lam:
             raise InternalInvariantError(
                 f"peel round {i}: flow value {f_i.value} != lam = {lam}"

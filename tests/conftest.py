@@ -3,7 +3,7 @@ from typing import NamedTuple
 
 import pytest
 
-from flowsentry.flows import UnitFlow
+from flowsentry.flows import IntFlow, max_flow
 from flowsentry.generators import matrix_x_vertex, matrix_y_vertex
 from flowsentry.graph import FlowNetwork
 
@@ -62,6 +62,11 @@ def matrix_failure_pair(net, r, length, k, i, j):
     for eid, uv in net.edges.items():
         by_pair.setdefault(uv, eid)
     return by_pair[(u1, v1)], by_pair[(u2, v2)]
+
+
+def unit_max_flow(net):
+    """max_flow under unit capacities: a 0/1 max-flow of net."""
+    return max_flow(net, dict.fromkeys(net.edges, 1))
 
 
 def residual_arcs(net, flow):
@@ -172,7 +177,7 @@ def reconstruct_flow(oracle, diff, failures):
         if eid in pruned.edges:
             assert bit(eid) == 0, f"reconstruction uses failed edge {eid}"
     net = pruned.without_edges(failures)
-    flow = UnitFlow(net, {eid: bit(eid) for eid in net.edges})
+    flow = IntFlow(net, {eid: bit(eid) for eid in net.edges})
     flow.check()
     assert flow.value == diff.new_value
     return flow
@@ -182,7 +187,7 @@ def family_B(bf):
     """The 2*lam+1 flows of family B, rebuilt from a BuiltFamily's A and
     paths: the members of A, then g_i, f-tilde with path i zeroed."""
     fam = bf.family
-    extra = [UnitFlow(bf.sub.network,
+    extra = [IntFlow(bf.sub.network,
                       {**fam.f_tilde.values, **dict.fromkeys(p, 0)})
              for p in fam.paths]
     return [*fam.A, *extra]
@@ -193,5 +198,5 @@ def canonical_flow(bf, eid):
     it carries a kept x exactly when (x in flip) != (x in flip[eid])."""
     flip = bf.family.flip
     d = flip.get(eid, frozenset())
-    return UnitFlow(bf.sub.network,
+    return IntFlow(bf.sub.network,
                     {x: int((x in flip) != (x in d)) for x in bf.sub.kept})

@@ -19,7 +19,6 @@ from flowsentry.errors import QueryError
 from flowsentry.flows import (
     cancel_flow_cycles,
     decompose_into_paths,
-    max_flow,
     residual_scc_ids,
 )
 from flowsentry.graph import FlowNetwork
@@ -33,6 +32,7 @@ from flowsentry.mincut import (
 )
 
 from calibration_reference import classify
+from conftest import unit_max_flow
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def build_mincut_oracle_raw(net: FlowNetwork) -> MinCutStructure:
     lam, _, critical = classify(net)
     if lam < 1:
         raise ValueError("mincut oracle needs lam >= 1")
-    f = cancel_flow_cycles(net, max_flow(net))
+    f = cancel_flow_cycles(net, unit_max_flow(net))
     return _structure(net, lam, critical, f)
 
 

@@ -27,6 +27,7 @@ UNRESOLVED_TRACE_TARGETS = {
     "flowsentry.family.classify_edges",
     "flowsentry.mincut.classify_edges",
     "flowsentry.mincut.max_flow",
+    "flowsentry.kfault.max_flow",
     "flowsentry.kfault.build_mincut_oracle_raw",
     "flowsentry.oracles.build_ft_index",
     "flowsentry.oracles.decreases_by_k",

@@ -725,15 +725,16 @@ class TestInternalError:
     def test_infeasible_build_flow_exits_3(self, bottleneck_file, tmp_path,
                                            capsys, monkeypatch):
         # the build checks flows it made itself, so a failed check is a
-        # bug (exit 3), not the usage error its ValueError would map to
-        real = family.max_flow
+        # bug (exit 3), not the usage error its ValueError would map to;
+        # calibrate's snapshot of its max-flow is the first IntFlow built
+        real = family.IntFlow
 
-        def infeasible(net, capacities=None):
-            f = real(net, capacities)
+        def infeasible(net, values):
+            f = real(net, values)
             f.values[min(net.edges)] += 1
             return f
 
-        monkeypatch.setattr(family, "max_flow", infeasible)
+        monkeypatch.setattr(family, "IntFlow", infeasible)
         pruned = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
         with pytest.raises(InternalInvariantError, match="outside"):
             build_flow_family(pruned)

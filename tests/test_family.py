@@ -15,7 +15,6 @@ from flowsentry.family import (
     extend_family_B,
     peel_family_A,
 )
-from flowsentry.flows import max_flow
 from flowsentry.generators import gen_matrix, gen_random
 from flowsentry.graph import prune_to_st_paths
 from flowsentry.oracles import SensitivityOracle
@@ -28,6 +27,7 @@ from conftest import (
     family_B,
     make_net,
     random_net,
+    unit_max_flow,
 )
 
 
@@ -39,7 +39,7 @@ def built(net):
 def probed_nu(net):
     """lam and family._capped_nu of every edge, probed in ascending EdgeId
     on the unit residual of one max-flow of net."""
-    f = max_flow(net)
+    f = unit_max_flow(net)
     res = flows.UnitResidual(net, f.values)
     return f.value, {eid: family._capped_nu(res, net, eid, f.value)
                      for eid in sorted(net.edges)}
@@ -124,7 +124,7 @@ class TestClassify:
         seen = {"augmented": 0, "carried": 0}
         for _ in range(30):
             net = random_net(rng)
-            f = max_flow(net)
+            f = unit_max_flow(net)
             _, ref_nu, _ = calibration_reference.classify(net)
             fresh = flows.UnitResidual(net, f.values)
             res = flows.UnitResidual(net, f.values)
@@ -240,7 +240,7 @@ class TestCalibrate:
                 lam, {e: min(x, lam + 2) for e, x in nu.items()})
             assert sub.critical == critical
             ends = list(net.edges.values())
-            f = max_flow(net)
+            f = unit_max_flow(net)
             seen["lam 0"] += lam == 0
             seen["parallel"] += len(set(ends)) < len(ends)
             seen["self-loop"] += any(u == v for u, v in ends)
@@ -595,14 +595,16 @@ class TestOrchestrator:
     @pytest.mark.parametrize("make", [lambda: gen_random(60, 1),
                                       lambda: gen_matrix(6, 8, seed=1)])
     def test_one_probe_per_edge(self, make, monkeypatch):
-        # calibration probes each walk-pruned edge once: one reachability
-        # search at most, after one path search if the edge carries flow,
-        # and one more path search per deleted edge that carried flow. It
-        # never runs augment_unit's arc scan. The certificate calibrates
-        # the kept edges again, and runs only when calibration deleted
-        # some (gen_random(60) yes, gen_matrix(6,8) no)
+        # calibration builds its max-flow with lam+1 path searches, the last
+        # finding none. Then it probes each walk-pruned edge once: one
+        # reachability search at most, after one path search if the edge
+        # carries flow, and one more path search per deleted edge that
+        # carried flow. It never runs augment_unit's arc scan. The
+        # certificate calibrates the kept edges again, and runs only when
+        # calibration deleted some (gen_random(60) yes, gen_matrix(6,8) no)
         net = prune_to_st_paths(make())
         calls = {"idle": 0, "carried": 0, "levels": 0, "path": 0}
+        initial = {}
 
         def counted(name):
             real = getattr(flows.UnitResidual, name)
@@ -613,6 +615,8 @@ class TestOrchestrator:
             monkeypatch.setattr(flows.UnitResidual, name, wrapper)
 
         def probe(res, net, eid, lam):
+            if not initial:
+                initial.update(calls)
             calls["carried" if res.flow[eid] else "idle"] += 1
             return real_probe(res, net, eid, lam)
 
@@ -626,9 +630,12 @@ class TestOrchestrator:
         monkeypatch.setattr(family, "augment_unit", no_scan)
         sub = calibrate(net)
         m, kept = len(net.edges), len(sub.kept)
+        assert initial["path"] == initial["levels"] == sub.lam + 1
+        path = calls["path"] - initial["path"]
+        levels = calls["levels"] - initial["levels"]
         assert calls["idle"] + calls["carried"] == m
-        assert 0 < calls["path"] <= calls["carried"] + (m - kept)
-        assert calls["levels"] <= m + calls["path"] <= 2 * m + (m - kept)
+        assert 0 < path <= calls["carried"] + (m - kept)
+        assert levels <= m + path <= 2 * m + (m - kept)
         monkeypatch.undo()
 
         calibrated = []

@@ -7,7 +7,6 @@ import flowsentry
 from flowsentry import flows, generators, graph, mincut
 from flowsentry.flows import (
     IntFlow,
-    UnitFlow,
     cancel_flow_cycles,
     decompose_into_paths,
     max_flow,
@@ -23,6 +22,7 @@ from conftest import (
     random_net,
     residual_arcs,
     support,
+    unit_max_flow,
 )
 
 
@@ -40,19 +40,18 @@ def nx_max_flow_value(net):
 
 
 def test_diamond_max_flow(diamond):
-    f = max_flow(diamond)
-    assert isinstance(f, UnitFlow)
+    f = unit_max_flow(diamond)
     assert f.value == 2
     assert support(f) == [0, 1, 2, 3]
     f.check()
 
 
 def test_bottleneck_max_flow_is_deterministic(bottleneck):
-    f = max_flow(bottleneck)
+    f = unit_max_flow(bottleneck)
     assert f.value == 2
     # lowest-EdgeId augmenting: a1+b1 first, then a2+b2, b3 untouched
     assert support(f) == [0, 1, 2, 3]
-    assert max_flow(bottleneck).values == f.values
+    assert unit_max_flow(bottleneck).values == f.values
 
 
 def test_capacitated_max_flow(diamond):
@@ -77,14 +76,14 @@ def test_max_flow_matches_networkx_on_random_graphs():
     rng = random.Random(431)
     for _ in range(60):
         net = random_net(rng)
-        assert max_flow(net).value == nx_max_flow_value(net)
+        assert unit_max_flow(net).value == nx_max_flow_value(net)
 
 
 def test_max_flow_matches_cut_duality_on_random_graphs():
     rng = random.Random(77)
     for _ in range(40):
         net = random_net(rng, n_max=8, m_max=18)
-        assert max_flow(net).value == brute_max_flow_value(net)
+        assert unit_max_flow(net).value == brute_max_flow_value(net)
 
 
 # residual_scc_ids lists no arcs. These tests read conftest's residual_arcs;
@@ -92,26 +91,26 @@ def test_max_flow_matches_cut_duality_on_random_graphs():
 
 
 def test_residual_of_saturating_flow(diamond):
-    arcs = residual_arcs(diamond, max_flow(diamond))
+    arcs = residual_arcs(diamond, unit_max_flow(diamond))
     assert all(a.is_reverse for a in arcs)
     assert len(arcs) == 4
 
 
 def test_residual_of_zero_flow(diamond):
-    arcs = residual_arcs(diamond, UnitFlow(diamond, {}))
+    arcs = residual_arcs(diamond, IntFlow(diamond, {}))
     assert all(not a.is_reverse for a in arcs)
     assert [(a.tail, a.head) for a in arcs] == list(diamond.edges.values())
 
 
 def test_residual_bottleneck_shape(bottleneck):
-    arcs = residual_arcs(bottleneck, max_flow(bottleneck))
+    arcs = residual_arcs(bottleneck, unit_max_flow(bottleneck))
     forward = [a for a in arcs if not a.is_reverse]
     assert [a.eid for a in forward] == [4]  # only b3 unsaturated
     assert len([a for a in arcs if a.is_reverse]) == 4
 
 
 def test_residual_rejects_infeasible_flow(diamond):
-    bad = UnitFlow(diamond, {0: 1})  # edge into a with no edge out
+    bad = IntFlow(diamond, {0: 1})  # edge into a with no edge out
     with pytest.raises(ValueError, match="conservation"):
         residual_scc_ids(diamond, bad)
 
@@ -139,14 +138,14 @@ def residual_digraph(net, flow):
 
 
 def test_augmenting_path_exists_iff_not_maximum(diamond):
-    partial = UnitFlow(diamond, {0: 1, 1: 1})  # one unit, over s->a->t
+    partial = IntFlow(diamond, {0: 1, 1: 1})  # one unit, over s->a->t
     assert diamond.t in reachable_set(residual_digraph(diamond, partial), diamond.s)
-    full = max_flow(diamond)
+    full = unit_max_flow(diamond)
     assert diamond.t not in reachable_set(residual_digraph(diamond, full), diamond.s)
 
 
 def test_residual_banned_edges_vanish_from_traversal(bottleneck):
-    r = residual_digraph(bottleneck, max_flow(bottleneck))
+    r = residual_digraph(bottleneck, unit_max_flow(bottleneck))
     t = bottleneck.t
     assert 1 in reachable_set(r, t)  # x reachable from t via b1 or b2 reversed
     assert 1 in reachable_set(r, t, excluded=(2,))  # via b2 reversed
@@ -198,7 +197,7 @@ def test_unit_residual_augments_to_a_max_flow():
             value += 1
             assert more == (res.path(*ends) is not None)
         assert value == brute_max_flow_value(net)
-        f = UnitFlow(net, res.flow)
+        f = IntFlow(net, res.flow)
         f.check()
         assert f.value == value
         fresh = flows.UnitResidual(net, res.flow)
@@ -206,14 +205,14 @@ def test_unit_residual_augments_to_a_max_flow():
 
 
 def test_cancel_noop_on_acyclic(diamond):
-    f = max_flow(diamond)
+    f = unit_max_flow(diamond)
     assert cancel_flow_cycles(diamond, f).values == f.values
 
 
 def test_cancel_removes_isolated_cycle():
     # s->t path plus a disjoint 3-cycle 1->2->3->1 carrying flow
     net = make_net(5, [(0, 4), (1, 2), (2, 3), (3, 1)], t=4)
-    f = UnitFlow(net, {0: 1, 1: 1, 2: 1, 3: 1})
+    f = IntFlow(net, {0: 1, 1: 1, 2: 1, 3: 1})
     g = cancel_flow_cycles(net, f)
     assert g.value == 1
     assert support(g) == [0]
@@ -222,7 +221,7 @@ def test_cancel_removes_isolated_cycle():
 def test_cancel_removes_cycle_through_source():
     # flow s->a->t plus a cycle s->a->s; support edges: (s,a) x2 parallel? use distinct edges
     net = make_net(3, [(0, 1), (1, 0), (1, 2), (0, 1)], t=2)
-    f = UnitFlow(net, {0: 1, 1: 1, 2: 1, 3: 1})
+    f = IntFlow(net, {0: 1, 1: 1, 2: 1, 3: 1})
     f.check()
     g = cancel_flow_cycles(net, f)
     assert g.value == 1
@@ -234,7 +233,7 @@ def test_cancel_preserves_value_on_random_flows():
     rng = random.Random(2024)
     for _ in range(100):
         net = random_net(rng)
-        f = max_flow(net)
+        f = unit_max_flow(net)
         g = cancel_flow_cycles(net, f)
         g.check()
         assert g.value == f.value
@@ -242,22 +241,22 @@ def test_cancel_preserves_value_on_random_flows():
 
 
 def test_decompose_diamond(diamond):
-    paths = decompose_into_paths(diamond, max_flow(diamond))
+    paths = decompose_into_paths(diamond, unit_max_flow(diamond))
     assert paths == [[0, 1], [2, 3]]
 
 
 def test_decompose_bottleneck(bottleneck):
-    paths = decompose_into_paths(bottleneck, max_flow(bottleneck))
+    paths = decompose_into_paths(bottleneck, unit_max_flow(bottleneck))
     assert paths == [[0, 2], [1, 3]]
 
 
 def test_decompose_zero_flow(diamond):
-    assert decompose_into_paths(diamond, UnitFlow(diamond, {})) == []
+    assert decompose_into_paths(diamond, IntFlow(diamond, {})) == []
 
 
 def test_decompose_rejects_cyclic_flow():
     net = make_net(5, [(0, 4), (1, 2), (2, 3), (3, 1)], t=4)
-    f = UnitFlow(net, {0: 1, 1: 1, 2: 1, 3: 1})
+    f = IntFlow(net, {0: 1, 1: 1, 2: 1, 3: 1})
     with pytest.raises(ValueError):
         decompose_into_paths(net, f)
 
@@ -266,7 +265,7 @@ def test_decompose_partitions_support():
     rng = random.Random(99)
     for _ in range(50):
         net = random_net(rng)
-        f = cancel_flow_cycles(net, max_flow(net))
+        f = cancel_flow_cycles(net, unit_max_flow(net))
         paths = decompose_into_paths(net, f)
         used = [e for p in paths for e in p]
         assert sorted(used) == support(f)
@@ -363,7 +362,7 @@ def test_max_flow_repeated_runs_identical():
     rng = random.Random(5)
     for _ in range(20):
         net = random_net(rng)
-        assert max_flow(net).values == max_flow(net).values
+        assert unit_max_flow(net).values == unit_max_flow(net).values
 
 
 def test_public_api_resolves():
@@ -387,6 +386,7 @@ def test_public_api_resolves():
     # one network type: the flow network is its own graph container
     for module, gone in ((graph, "DirectedMultigraph"),
                          (flows, "ResidualGraph"),
+                         (flows, "UnitFlow"),
                          (mincut, "EquivalenceClasses"),
                          (mincut, "build_classes"),
                          (generators, "matrix_failure_pair"),
@@ -395,7 +395,7 @@ def test_public_api_resolves():
         assert not hasattr(module, gone)
     # graphs and flows are mutable, so they compare but do not hash
     net = make_net(3, [(0, 1), (1, 2)])
-    for obj in (net, max_flow(net)):
+    for obj in (net, unit_max_flow(net)):
         with pytest.raises(TypeError):
             hash(obj)
     assert net == make_net(3, [(0, 1), (1, 2)])

@@ -16,12 +16,7 @@ import pytest
 
 from flowsentry.bruteforce import brute_force
 from flowsentry.errors import InternalInvariantError, QueryError
-from flowsentry.flows import (
-    UnitFlow,
-    cancel_flow_cycles,
-    max_flow,
-    residual_scc_ids,
-)
+from flowsentry.flows import IntFlow, cancel_flow_cycles, residual_scc_ids
 from flowsentry.generators import gen_matrix, gen_random
 from flowsentry.graph import FlowNetwork, scc_from_adjacency
 from flowsentry.oracles import (
@@ -39,6 +34,7 @@ from conftest import (
     reconstruct_flow,
     residual_arcs,
     support,
+    unit_max_flow,
 )
 from ftscc_reference import (
     ARTIFICIAL,
@@ -143,11 +139,11 @@ def _host(net, f, st_arc):
 
 
 def zero_host(net, st_arc=False):
-    return _host(net, UnitFlow(net, {}), st_arc)
+    return _host(net, IntFlow(net, {}), st_arc)
 
 
 def max_unit_flow(net):
-    return cancel_flow_cycles(net, max_flow(net))
+    return cancel_flow_cycles(net, unit_max_flow(net))
 
 
 def flow_host(net, st_arc=False):
@@ -262,7 +258,7 @@ class TestIndexQueries:
 
     def test_bottleneck_hand_trace(self, bottleneck):
         # flow saturating a1,a2,b1,b2 leaves b3 as the only forward 1->2 arc
-        f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
+        f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
         assert cycle(bottleneck, f, 2, 4) is None
         assert cycle(bottleneck, f, 2, 3) == (2, 4)
         assert cycle(bottleneck, f, 3, 2) == (3, 4)
@@ -277,7 +273,7 @@ class TestIndexQueries:
     def test_same_vertex(self):
         # a carried self-loop's reverse arc is a cycle on its own
         net = make_net(2, [(0, 1), (1, 1), (0, 1)])
-        f = UnitFlow(net, {0: 1, 1: 1, 2: 0})
+        f = IntFlow(net, {0: 1, 1: 1, 2: 0})
         assert cycle(net, f, 1, 0) == (1,)
 
     def test_unknown_edge_rejected(self, diamond):
@@ -316,7 +312,7 @@ class TestIndexQueries:
 
 class TestCycleExtraction:
     def test_bottleneck_reroute(self, bottleneck):
-        f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
+        f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
         assert cycle(bottleneck, f, 3, 2) == (3, 4)
 
     def test_diamond_releases_a_unit(self, diamond):
@@ -330,12 +326,12 @@ class TestCycleExtraction:
         assert walk(diamond, carried, 3) == [3, 2]
 
     def test_zero_flow_target_rejected(self, bottleneck):
-        f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
+        f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
         with pytest.raises(QueryError):
             cycle(bottleneck, f, 4, 2)
 
     def test_target_equals_failed_rejected(self, bottleneck):
-        f = UnitFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
+        f = IntFlow(bottleneck, {0: 1, 1: 1, 2: 1, 3: 1, 4: 0})
         with pytest.raises(QueryError):
             cycle(bottleneck, f, 2, 2)
 
@@ -404,7 +400,7 @@ class TestReleasedUnitCycle:
             # the flow minus the unit is a flow of one less value
             for target in carried:
                 rest = carried - set(walk(net, carried, target))
-                g = UnitFlow(net, {x: int(x in rest) for x in net.edges})
+                g = IntFlow(net, {x: int(x in rest) for x in net.edges})
                 g.check()
                 assert g.value == f.value - 1
         assert found > 1000

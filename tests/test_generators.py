@@ -13,7 +13,7 @@ from flowsentry.generators import (
 )
 from flowsentry.graph import serialize_network
 
-from conftest import matrix_failure_pair
+from conftest import matrix_failure_pair, unit_max_flow
 
 
 def count_simple_paths(net, failures=()):
@@ -177,8 +177,6 @@ class TestBruteForce:
         assert value == 1
 
     def test_agrees_with_engine_on_random(self):
-        from flowsentry.flows import max_flow
-
         for seed in range(30):
             net = gen_random(12, seed)
-            assert brute_force(net)[0] == max_flow(net).value
+            assert brute_force(net)[0] == unit_max_flow(net).value

@@ -11,7 +11,6 @@ from flowsentry.errors import (
     InternalInvariantError,
     QueryError,
 )
-from flowsentry.flows import max_flow
 from flowsentry.generators import (
     gen_bottleneck,
     gen_diamond,
@@ -29,7 +28,7 @@ from flowsentry.kfault import (
 )
 from flowsentry.mincut import crossing_edges
 
-from conftest import brute_max_flow_value, make_net, random_net
+from conftest import brute_max_flow_value, make_net, random_net, unit_max_flow
 import kfault_reference
 from kfault_reference import cut_list, scan_minimal_cuts, side_of
 
@@ -131,7 +130,7 @@ class TestEnumeration:
         nets += [gen_matrix(2, 3, seed=1), gen_twopaths(10), gen_diamond(),
                  gen_bottleneck(2)]
         for net in nets:
-            lam = max_flow(net).value
+            lam = unit_max_flow(net).value
             # the scan keeps or drops each cut regardless of the limit but
             # for the size test, so one scan serves every limit
             want = scan_minimal_cuts(net, lam + 3)
@@ -388,10 +387,10 @@ class TestOnePassQuery:
     def test_no_max_flow_at_query_time(self, bottleneck, monkeypatch):
         o = build_kfault_oracle(bottleneck, 3)
 
-        def refuse(net):
-            raise AssertionError("max_flow called at query time")
+        def refuse(*args):
+            raise AssertionError("augment_unit called at query time")
 
-        monkeypatch.setattr(flowsentry.kfault, "max_flow", refuse)
+        monkeypatch.setattr(flowsentry.kfault, "augment_unit", refuse)
         assert mincut_partition_k(o, [2]).source_side == frozenset({0})
         assert mincut_partition_k(o, []).source_side == frozenset({0})
         assert mincut_partition_k(o, [0, 2, 3]).source_side == \
