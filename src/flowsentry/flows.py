@@ -1,10 +1,9 @@
 """Integral max-flow, residual graphs, flow canonicalization and path
 decomposition.
 
-Every flow is an IntFlow. All of them are 0/1 except the auxiliary
-max-flow f_H, the one flow max_flow solves under general capacities, so no
-flow stores capacities. Unit flows are grown one augmenting path at a time,
-by augment_unit's arc scan or by UnitResidual's mask search.
+Every flow is an IntFlow, 0/1 except the auxiliary max-flow f_H, the one
+flow max_flow solves under capacities, so no flow stores capacities. Unit
+flows grow a path at a time (augment_unit, UnitResidual.augment).
 
 Everything here is deterministic: augmenting paths are shortest paths
 discovered by BFS that scans arcs in ascending EdgeId order (forward arc
@@ -60,11 +59,9 @@ class IntFlow:
 
 
 def max_flow(net: FlowNetwork, capacities: dict[int, int]) -> IntFlow:
-    """Deterministic integral max-flow under capacities (shortest augmenting
-    paths); an edge absent from capacities has capacity 0. The build solves
-    only the auxiliary network H with it: unit flows augment one path at a
-    time (augment_unit, UnitResidual.augment).
-    """
+    """Deterministic integral max-flow (shortest augmenting paths) under
+    capacities, 0 for an edge they omit. The build solves only the
+    auxiliary network H with it."""
     caps = {eid: int(capacities.get(eid, 0)) for eid in net.edges}
     for eid, c in caps.items():
         if c < 0:

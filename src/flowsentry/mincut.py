@@ -105,10 +105,10 @@ def build_path_system(pred, cls, critical, edge_paths,
     Non-critical edges on a decomposition path are saturated, hence
     intra-class, so dropping them leaves a contiguous class walk; the
     surviving critical edges of the lam paths are edge-disjoint and cover all
-    critical edges. The first-reach tables are filled with one sweep per
-    path node, latest position first, that follows pred (strip_pred: the
-    classes each class's residual arcs enter) back from it, so each class
-    records the earliest position it reaches.
+    critical edges. Each first-reach table is filled by one sweep along its
+    path, earliest position first, following pred (strip_pred: the classes
+    each class's residual arcs enter) back into classes not yet reached: the
+    first position to reach a class is its earliest. Keys ascend by class.
     """
     chains: list[list[int]] = []
     path_of: dict[int, int] = {}
@@ -147,18 +147,15 @@ def build_path_system(pred, cls, critical, edge_paths,
     first: list[dict[int, int]] = []
     for chain in chains:
         reach_first: dict[int, int] = {}
-        # Latest-to-earliest sweep; overwriting leaves the earliest position.
-        for pos in range(len(chain) - 1, -1, -1):
-            stack = [chain[pos]]
-            seen = {chain[pos]}
+        for pos, c in enumerate(chain):
+            reach_first.setdefault(c, pos)
+            stack = [c]
             while stack:
-                c = stack.pop()
-                reach_first[c] = pos
-                for p in pred[c]:
-                    if p not in seen:
-                        seen.add(p)
+                for p in pred[stack.pop()]:
+                    if p not in reach_first:
+                        reach_first[p] = pos
                         stack.append(p)
-        first.append(reach_first)
+        first.append(dict(sorted(reach_first.items())))
 
     return PathSystem(
         path_of=path_of,

@@ -616,15 +616,15 @@ class TestBuildAndOracleFile:
 
     @pytest.mark.parametrize("make, sha256", [
         (lambda: gen_random(60, 1),
-         "f15112ad2546921855a2eaa236b721559dd9ce885ba4e7c66de51d4c1d047d2d"),
+         "fa07978514d851514b19270d55f2422aadf692d14d220e854d83ae29e9c3a5a6"),
         (lambda: gen_matrix(6, 8, seed=1),
-         "f721a2bea0569078ffa90ab52f13c8cdb68cf0b96108b5f878efe51913dd4a8f"),
+         "27c17db1cfe08b569a3bc2b24d8406ee33f47cc2e8336903859c7ae11fbf005b"),
         # calibration deletes edges here, so the subgraph is re-classified
         (lambda: gen_random(120, 1),
-         "3084ae8b234a28353eef2f8069499470cab618c21b07b267abbbafa1df7419f0"),
+         "411f6e03d7a5b9337b72a963efac5bdfbd15f6afa113350bebd4f90afb7df809"),
         # the hard instance past lam = 16
         (lambda: gen_matrix(8, 2, seed=1),
-         "0c87d88568b4cbf0d7f2a3b75c15bf76ecb4c9bb5d4f762a0d3a159be893730b"),
+         "8306c772077efee5021c50fa8f25c3faaa00e859f47d287747c6938717aaa669"),
     ], ids=["random60", "matrix6x8", "random120", "matrix8x2"])
     def test_oracle_bytes_pinned(self, make, sha256, tmp_path):
         # the file a build writes, as the benchmark saves it: a change to
@@ -696,6 +696,23 @@ class TestBuildAndOracleFile:
         assert err.splitlines() == [
             f"error: {ob} is a corrupt oracle file; rebuild it"]
 
+    def test_payload_digest_mismatch_exits_2(self, bottleneck_file, tmp_path,
+                                             capsys):
+        # a built file whose payload is sound but whose payload digest
+        # (header bytes 44-75) is not the payload's
+        ob = tmp_path / "oracle.bin"
+        run(capsys, "build", "-g", str(bottleneck_file), "-o", str(ob))
+        blob = bytearray(ob.read_bytes())
+        blob[44] ^= 0x01
+        ob.write_bytes(bytes(blob))
+        qf = tmp_path / "q.txt"
+        qf.write_text("MF 1\n")
+        code, out, err = run(capsys, "query", "-g", str(bottleneck_file),
+                             "--oracle", str(ob), "-q", str(qf))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: {ob} is a corrupt oracle file; rebuild it"]
+
     def test_corrupt_file_exits_2(self, bottleneck_file, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage-not-an-oracle")
@@ -743,6 +760,37 @@ class TestInternalError:
         assert code == 3
         assert out == ""
         assert err.startswith("error: internal invariant violated: flow 2 on")
+
+    def test_criticality_disagreement_exits_3(self, bottleneck_file, tmp_path,
+                                              capsys, monkeypatch):
+        # a probe that reports nu = lam on x -> t edge 2, which shares its
+        # residual SCC with t, makes calibrate's two criticality tests
+        # disagree. Invariant checks are raises, not asserts: python -O
+        # keeps this one too
+        real = family._capped_nu
+        monkeypatch.setattr(
+            family, "_capped_nu",
+            lambda res, net, eid, lam: lam if eid == 2 else real(res, net, eid, lam))
+        pruned = prune_to_st_paths(parse_network(bottleneck_file.read_text()))
+        with pytest.raises(InternalInvariantError,
+                           match="criticality tests disagree on edge 2: nu=2 lam=2"):
+            build_flow_family(pruned)
+        oracle = tmp_path / "oracle.bin"
+        argv = ["build", "-g", str(bottleneck_file), "-o", str(oracle)]
+        want = ["error: internal invariant violated: "
+                "criticality tests disagree on edge 2: nu=2 lam=2"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.splitlines()) == (3, "", want)
+        script = ("import sys\nfrom flowsentry import cli, family\n"
+                  "real = family._capped_nu\n"
+                  "family._capped_nu = lambda res, net, eid, lam: "
+                  "lam if eid == 2 else real(res, net, eid, lam)\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script, *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.splitlines() == want
+        assert not oracle.exists()
 
     def test_infeasible_mincut_flow_exits_3(self, bottleneck_file, tmp_path,
                                             capsys, monkeypatch):

@@ -649,3 +649,87 @@ class TestOrchestrator:
         o = SensitivityOracle(make())
         assert len(o.kept) == kept
         assert len(calibrated) == 1 + (kept < m)
+
+
+class TestBuildGuards:
+    """Guards an honest build never fires, each driven by a tampered input
+    or a patched stage, and each raising its own text. The criticality
+    cross-check is fired in test_cli.py, through main()."""
+
+    # s=0, t=3: s -> 2 is the one critical edge (capacity 2 in H), 2 -> t
+    # twice, and 1 -> 2, which nothing reaches, so f_H leaves it at 0
+    SPARSE = [(1, 2), (2, 3), (2, 3), (0, 2)]
+
+    def test_calibration_edge_bound(self, monkeypatch):
+        # a probe that keeps every edge, on one s-t edge and ten self-loops:
+        # 11 kept edges, past lam*n + 2n(lam+1) = 10
+        net = make_net(2, [(0, 1)] + [(0, 0)] * 10)
+        monkeypatch.setattr(family, "_capped_nu",
+                            lambda res, net, eid, lam: lam + 1)
+        with pytest.raises(InternalInvariantError,
+                           match="calibrated subgraph has 11 edges, bound is 10"):
+            calibrate(net)
+
+    def test_auxiliary_value(self, bottleneck):
+        # at lam = 3, H's capacities (4 into x twice, 3 out of it three
+        # times) admit 8, not 12
+        sub = dataclasses.replace(calibrate(bottleneck), lam=3)
+        with pytest.raises(InternalInvariantError,
+                           match=r"auxiliary max-flow is 8, expected "
+                                 r"lam\*\(lam\+1\) = 12"):
+            build_auxiliary(sub)
+
+    def test_decomposition_count(self, bottleneck):
+        bf = built(bottleneck)
+        sub = dataclasses.replace(bf.sub, lam=3)
+        with pytest.raises(InternalInvariantError,
+                           match="f-tilde decomposed into 2 paths, expected 3"):
+            extend_family_B(list(bf.family.A), sub)
+
+    def test_peel_identity(self, bottleneck, monkeypatch):
+        # f_H gains a unit on edge 0 after the peel read it
+        def tampered(sub, f_h):
+            A = real(sub, f_h)
+            f_h.values[0] += 1
+            return A
+
+        real = family.peel_family_A
+        monkeypatch.setattr(family, "peel_family_A", tampered)
+        with pytest.raises(InternalInvariantError,
+                           match="peel identity broken on edge 0: 3 != 4"):
+            build_flow_family(bottleneck)
+
+    @pytest.mark.parametrize("h, message", [
+        ({3: 3}, r"peel round 2: h\(3\) = 3 out of \[0, 2\]"),
+        ({3: -1}, r"peel round 2: h\(3\) = -1 out of \[0, 2\]"),
+        # a unit on an edge outside the subgraph, which no round can take
+        ({9: 1}, r"peel left residue; sum\(f_i\) != f_H"),
+    ], ids=["above-round", "negative", "residue"])
+    def test_peel_rejects_tampered_f_h(self, h, message):
+        sub = calibrate(make_net(4, self.SPARSE, t=3))
+        f_h = build_auxiliary(sub)
+        assert f_h.values == {0: 0, 1: 1, 2: 1, 3: 2}
+        f_h.values.update(h)
+        with pytest.raises(InternalInvariantError, match=message):
+            peel_family_A(sub, f_h)
+
+    @pytest.mark.parametrize("edge, state, message", [
+        (0, 3, "peel round 2: flow on spent edge 0"),
+        (3, 2, "peel round 2: forced edge 3 idle"),
+    ], ids=["spent", "forced"])
+    def test_peel_rejects_a_tampered_round(self, edge, state, message,
+                                           monkeypatch):
+        # round 2 forces edge 3 and augments once, from 2 to t; after that
+        # augmentation edge 0, which f_H left at 0, carries a unit, or the
+        # forced edge 3 is dropped
+        def tampered(arcs, flow, sources, sinks):
+            path = real(arcs, flow, sources, sinks)
+            flow[edge] = state
+            return path
+
+        sub = calibrate(make_net(4, self.SPARSE, t=3))
+        f_h = build_auxiliary(sub)
+        real = family.augment_unit
+        monkeypatch.setattr(family, "augment_unit", tampered)
+        with pytest.raises(InternalInvariantError, match=message):
+            peel_family_A(sub, f_h)

@@ -8,6 +8,7 @@ import pytest
 
 from flowsentry.errors import InternalInvariantError, QueryError
 from flowsentry.family import build_flow_family
+from flowsentry.generators import gen_matrix, gen_random, gen_twopaths
 from flowsentry.graph import prune_to_st_paths
 from flowsentry.mincut import build_mincut_oracle, crossing_edges, precedes
 from conftest import brute_max_flow_value, make_net, random_net
@@ -174,6 +175,42 @@ class TestPathSystem:
         o, _, _ = oracle_for(bottleneck)
         assert o.paths.path_of == {0: 0, 1: 1}
         assert o.paths.position == {0: 0, 1: 0}
+
+    def test_first_reach_is_earliest_reachable_position(self):
+        # first_reach[i][x] is the earliest position on path i whose class
+        # x reaches along strip arcs; each table lists its classes ascending
+        rng = random.Random(5003)
+        nets = [random_net(rng, n_max=9, m_max=20) for _ in range(40)]
+        nets += [gen_random(n, 1) for n in (12, 20, 40)]
+        nets += [gen_matrix(3, 4, seed=1), gen_twopaths(12)]
+        done = 0
+        for net in nets:
+            if not prune_to_st_paths(net).m:
+                continue
+            o, _, _ = oracle_for(net)
+            ps, succ = o.paths, {}
+            for a, b, _ in strip_arcs(o):
+                succ.setdefault(a, set()).add(b)
+            for i, table in enumerate(ps.first_reach):
+                edges = sorted((ps.position[e], e) for e, p in ps.path_of.items()
+                               if p == i)
+                chain = [o.classes.source_class]
+                chain += [ps.head_class[e] for _, e in edges]
+                want = {}
+                for x in range(o.classes.class_count):
+                    seen, stack = {x}, [x]
+                    while stack:
+                        for y in succ.get(stack.pop(), ()):
+                            if y not in seen:
+                                seen.add(y)
+                                stack.append(y)
+                    pos = [p for p, c in enumerate(chain) if c in seen]
+                    if pos:
+                        want[x] = pos[0]
+                assert table == want
+                assert list(table) == sorted(table)
+            done += 1
+        assert done > 20
 
 
 class TestPrecedes:
