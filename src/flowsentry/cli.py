@@ -15,7 +15,7 @@ import sys
 from . import kfault
 from .errors import InternalInvariantError, ParseError, QueryError
 from .generators import FAMILIES, generate
-from .graph import FlowNetwork, parse_network, serialize_network
+from .graph import FlowNetwork, ascii_int, parse_network, serialize_network
 from .kfault import (
     EnumerationBudgetExceeded,
     KFaultOracle,
@@ -192,7 +192,7 @@ class _QueryContext:
 def _parse_eid(tok: str, lineno: int, ctx) -> int:
     """The graph's EdgeId for a typed 1-based one; errors name it as typed."""
     try:
-        v = int(tok)
+        v = ascii_int(tok)
     except ValueError:
         raise ParseError(lineno, f"{tok!r} is not an integer")
     if v < 1:
@@ -206,7 +206,7 @@ def _failure_list(toks, lineno: int, ctx) -> list[int]:
     if not toks:
         raise ParseError(lineno, "missing failure count")
     try:
-        j = int(toks[0])
+        j = ascii_int(toks[0])
     except ValueError:
         raise ParseError(lineno, f"bad failure count {toks[0]!r}")
     if j < 0:

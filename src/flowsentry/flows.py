@@ -33,24 +33,24 @@ class IntFlow:
 
     @property
     def value(self) -> int:
-        net = self.net
-        out = sum(self.values[e] for e in net.out_edges(net.s))
-        inc = sum(self.values[e] for e in net.in_edges(net.s))
-        return out - inc
+        values = self.values
+        return sum(-values[e] if rev else values[e]
+                   for e, _, rev in self.net.incidence()[self.net.s])
 
     def check(self) -> None:
         """Raise ValueError unless non-negativity and conservation hold."""
-        net = self.net
-        for eid, x in self.values.items():
+        net, values = self.net, self.values
+        for eid, x in values.items():
             if x < 0:
                 raise ValueError(f"flow {x} on edge {eid} is negative")
+        inc, out = [0] * net.n, [0] * net.n
+        for eid, (u, v) in net.edges.items():
+            out[u] += values[eid]
+            inc[v] += values[eid]
         for v in range(net.n):
-            if v in (net.s, net.t):
-                continue
-            inc = sum(self.values[e] for e in net.in_edges(v))
-            out = sum(self.values[e] for e in net.out_edges(v))
-            if inc != out:
-                raise ValueError(f"conservation violated at vertex {v}: in={inc} out={out}")
+            if v not in (net.s, net.t) and inc[v] != out[v]:
+                raise ValueError(
+                    f"conservation violated at vertex {v}: in={inc[v]} out={out[v]}")
 
     __hash__ = None  # values is mutable
 
@@ -222,13 +222,9 @@ def residual_scc_ids(net: FlowNetwork, flow: IntFlow) -> list[int]:
         if x not in (0, 1):
             raise ValueError(f"flow {x} on edge {eid} outside [0, 1]")
     flow.check()
-    succ: list[set[int]] = [set() for _ in range(net.n)]
-    for eid, (u, v) in net.edges.items():
-        if flow.values[eid]:
-            succ[v].add(u)
-        else:
-            succ[u].add(v)
-    return scc_from_adjacency(net.n, [sorted(x) for x in succ])
+    values = flow.values
+    return scc_from_adjacency(net.n, [[w for eid, w, rev in row if values[eid] == rev]
+                                      for row in net.incidence()])
 
 
 def cancel_flow_cycles(net: FlowNetwork, f: IntFlow) -> IntFlow:
@@ -255,6 +251,7 @@ def _find_support_cycle(net: FlowNetwork, values) -> list[int] | None:
     order for determinism.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
+    arcs = net.incidence()
     color = [WHITE] * net.n
     for root in range(net.n):
         if color[root] != WHITE:
@@ -266,10 +263,10 @@ def _find_support_cycle(net: FlowNetwork, values) -> list[int] | None:
             v, _ = stack[-1]
             if color[v] == WHITE:
                 color[v] = GRAY
-                iters[v] = (e for e in net.out_edges(v) if values[e] > 0)
+                iters[v] = ((e, w) for e, w, rev in arcs[v]
+                            if not rev and values[e] > 0)
             nxt = None
-            for e in iters[v]:
-                w = net.head(e)
+            for e, w in iters[v]:
                 if color[w] == GRAY:
                     # found a cycle: edges from w forward along path, plus e
                     idx = next(i for i, (x, _) in enumerate(stack) if x == w)
@@ -295,14 +292,15 @@ def decompose_into_paths(net: FlowNetwork, f: IntFlow) -> list[list[int]]:
     remaining = dict(f.values)
     if _find_support_cycle(net, remaining) is not None:
         raise ValueError("flow support contains a cycle; run cancel_flow_cycles first")
+    arcs = net.incidence()
     paths: list[list[int]] = []
     for _ in range(f.value):
         v = net.s
         path: list[int] = []
         while v != net.t:
-            eid = next(e for e in net.out_edges(v) if remaining[e] > 0)
+            eid, v = next((e, w) for e, w, rev in arcs[v]
+                          if not rev and remaining[e] > 0)
             remaining[eid] -= 1
             path.append(eid)
-            v = net.head(eid)
         paths.append(path)
     return paths

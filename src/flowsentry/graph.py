@@ -3,8 +3,10 @@
 Edges are addressed exclusively by integer EdgeId. Ids are stable under
 deletion (removing an edge never renumbers the survivors), which is what
 lets failure queries, calibration, and the verification harness all talk
-about the same edge. Vertices are 0-based internally; the file format is
-1-based.
+about the same edge. A network is never changed once built: deleting
+edges makes a new one (without_edges). Its one adjacency structure is the
+incidence list, which every traversal in the package reads. Vertices are
+0-based internally; the file format is 1-based.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from .errors import ParseError
 
 class FlowNetwork:
     """A directed multigraph with edges indexed by EdgeId, a source s and
-    a sink t.
+    a sink t, immutable once built.
 
-    Parallel edges and self-loops are permitted. Adjacency lists are kept
-    sorted by EdgeId so every traversal in the package is deterministic.
+    Parallel edges and self-loops are permitted. The one adjacency
+    structure is the incidence list, kept in ascending EdgeId order so
+    every traversal in the package is deterministic.
     """
 
     __slots__ = ("n", "edges", "s", "t", "_adj")
@@ -36,61 +39,34 @@ class FlowNetwork:
         self._adj = None
         items = edges.items() if isinstance(edges, dict) else enumerate(edges)
         for eid, (u, v) in items:
-            self.add_edge(u, v, eid)
-
-    def add_edge(self, u: int, v: int, eid: int | None = None) -> int:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge endpoints ({u}, {v}) out of range for n={self.n}")
-        if eid is None:
-            eid = max(self.edges, default=-1) + 1
-        elif eid in self.edges:
-            raise ValueError(f"EdgeId {eid} already present")
-        self.edges[eid] = (u, v)
-        self._adj = None
-        return eid
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge endpoints ({u}, {v}) out of range for n={n}")
+            self.edges[eid] = (u, v)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def _adjacency(self):
-        """(out-lists, in-lists, incidence list), built on first use."""
-        if self._adj is None:
-            out: list[list[int]] = [[] for _ in range(self.n)]
-            inc: list[list[int]] = [[] for _ in range(self.n)]
-            arcs: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.n)]
-            for eid in sorted(self.edges):
-                u, v = self.edges[eid]
-                out[u].append(eid)
-                inc[v].append(eid)
-                arcs[u].append((eid, v, False))
-                arcs[v].append((eid, u, True))
-            self._adj = out, inc, arcs
-        return self._adj
-
     def __getstate__(self):
-        # the adjacency lists are a cache that _adjacency rebuilds on demand
+        # the incidence list is a cache that incidence() rebuilds on demand
         return None, {"n": self.n, "edges": self.edges, "s": self.s,
                       "t": self.t, "_adj": None}
-
-    def out_edges(self, u: int) -> list[int]:
-        """EdgeIds leaving u, ascending."""
-        return self._adjacency()[0][u]
-
-    def in_edges(self, v: int) -> list[int]:
-        """EdgeIds entering v, ascending."""
-        return self._adjacency()[1][v]
 
     def incidence(self) -> list[list[tuple[int, int, bool]]]:
         """Per vertex v, (EdgeId, other end, is_reverse) for each edge at v,
         is_reverse True where v is the head; ascending EdgeId, a self-loop's
-        forward entry first. This is the scan order of every residual
-        traversal: a forward entry is an arc of spare capacity, a reverse
-        entry an arc of flow."""
-        return self._adjacency()[2]
-
-    def head(self, eid: int) -> int:
-        return self.edges[eid][1]
+        forward entry first. Built on first use. This is the scan order of
+        every traversal: the forward entries at v are its out-edges, the
+        reverse entries its in-edges; in a residual search a forward entry
+        is an arc of spare capacity, a reverse entry an arc of flow."""
+        if self._adj is None:
+            arcs: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.n)]
+            for eid in sorted(self.edges):
+                u, v = self.edges[eid]
+                arcs[u].append((eid, v, False))
+                arcs[v].append((eid, u, True))
+            self._adj = arcs
+        return self._adj
 
     def without_edges(self, ids) -> "FlowNetwork":
         """A copy with the given EdgeIds removed; survivors keep their ids."""
@@ -163,11 +139,21 @@ def parse_network(text) -> FlowNetwork:
     return FlowNetwork(n, edges, s - 1, t - 1)
 
 
+def ascii_int(tok: str) -> int:
+    """int(tok) for ASCII decimal digits after an optional sign. Raises
+    ValueError on anything else, also where int() would read a number, as
+    from "1_0" or full-width digits."""
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII decimal integer: {tok!r}")
+    return int(tok)
+
+
 def _ints(lineno: int, fields) -> list[int]:
     out = []
     for f in fields:
         try:
-            out.append(int(f))
+            out.append(ascii_int(f))
         except ValueError:
             raise ParseError(lineno, f"expected integer, got {f!r}") from None
     return out
@@ -191,17 +177,12 @@ def reachable_set(net: FlowNetwork, src: int, excluded=(), reverse: bool = False
     """Vertices reachable from src, optionally in the reverse graph,
     ignoring the EdgeIds in ``excluded``."""
     drop = excluded if isinstance(excluded, (set, frozenset)) else set(excluded)
+    arcs = net.incidence()
     seen = {src}
     queue = deque([src])
     while queue:
-        x = queue.popleft()
-        eids = net.in_edges(x) if reverse else net.out_edges(x)
-        for eid in eids:
-            if eid in drop:
-                continue
-            u, v = net.edges[eid]
-            y = u if reverse else v
-            if y not in seen:
+        for eid, y, rev in arcs[queue.popleft()]:
+            if rev == reverse and y not in seen and eid not in drop:
                 seen.add(y)
                 queue.append(y)
     return seen

@@ -31,9 +31,13 @@ is itself an entry that F would hit. Every later query costs
 O(k log k + sum over e in F of the number of cuts holding e). The
 certificate stays out of the pickle.
 
-Everything here works on the raw input network: minimal cuts of size up
-to lam+k-1 may use edges that walk-pruning or calibration would remove,
-so neither is applied.
+Everything here works on the raw input network. Walk-pruning would keep
+every edge of a minimal cut, since each lies on an (s,t)-path, but it
+would change the canonical sides that MCKP reports: a vertex s reaches
+off every (s,t)-walk belongs to the raw side and not to the pruned one.
+Calibration removes edges that lie in no cut of size up to lam+1, and
+from k = 3 on the minimal cuts of size up to lam+k-1 may use them.
+Neither is applied.
 """
 
 from dataclasses import dataclass
@@ -168,8 +172,8 @@ def _certify(o: KFaultOracle):
     max-flow, which lies in every min-cut side.
     """
     net, n, s, t = o.net, o.net.n, o.net.s, o.net.t
-    heads = [[(eid, net.edges[eid][1]) for eid in net.out_edges(u)]
-             for u in range(n)]
+    heads = [[(eid, v) for eid, v, rev in row if not rev]
+             for row in net.incidence()]
     sizes, cuts_of, parts = [], {}, []
     prev = 0
     for i, mask in enumerate(o.entries):

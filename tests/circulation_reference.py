@@ -1,10 +1,10 @@
 """A circulation solver with lower bounds, and the flow family's peel as
 it stood when it solved one such circulation per round.
 
-solve_circulation: the standard reduction to one max-flow; every auxiliary
-edge takes the next free id as it is added, super arcs only where a vertex
-has a nonzero surplus. test_flows.py and test_acceptance.py (AC8) check it
-against conftest.hoffman_feasible.
+solve_circulation: the standard reduction to one max-flow; the auxiliary
+edges take ids 0.. in order, the graph's edges by EdgeId and then the
+super arcs, only where a vertex has a nonzero surplus. test_flows.py and
+test_acceptance.py (AC8) check it against conftest.hoffman_feasible.
 
 peel_family_A: round i solves the lower-bound circulation with
 solve_circulation. test_family.py checks that family.peel_family_A, which
@@ -44,28 +44,29 @@ def solve_circulation(inst: CirculationInstance) -> dict[int, int] | None:
         return None
     n = g.n
     S, T = n, n + 1
-    aux = FlowNetwork(n + 2, {}, S, T)
+    aux_edges: list[tuple[int, int]] = []
     aux_caps: dict[int, int] = {}
     orig_of: dict[int, int] = {}
+    # surplus(v): net amount v must ship out after lower bounds are routed
+    surplus = [-inst.demand.get(v, 0) for v in range(n)]
     for eid in sorted(g.edges):
         u, v = g.edges[eid]
-        aid = aux.add_edge(u, v)
-        aux_caps[aid] = inst.upper.get(eid, 0) - inst.lower.get(eid, 0)
-        orig_of[aid] = eid
+        lo = inst.lower.get(eid, 0)
+        surplus[v] += lo
+        surplus[u] -= lo
+        aux_caps[len(aux_edges)] = inst.upper.get(eid, 0) - lo
+        orig_of[len(aux_edges)] = eid
+        aux_edges.append((u, v))
     need = 0
     for v in range(n):
-        # surplus(v): net amount v must ship out after lower bounds are routed
-        inc = sum(inst.lower.get(e, 0) for e in g.in_edges(v))
-        out = sum(inst.lower.get(e, 0) for e in g.out_edges(v))
-        surplus = inc - out - inst.demand.get(v, 0)
-        if surplus > 0:
-            aid = aux.add_edge(S, v)
-            aux_caps[aid] = surplus
-            need += surplus
-        elif surplus < 0:
-            aid = aux.add_edge(v, T)
-            aux_caps[aid] = -surplus
-    result = max_flow(aux, aux_caps)
+        if surplus[v] > 0:
+            aux_caps[len(aux_edges)] = surplus[v]
+            aux_edges.append((S, v))
+            need += surplus[v]
+        elif surplus[v] < 0:
+            aux_caps[len(aux_edges)] = -surplus[v]
+            aux_edges.append((v, T))
+    result = max_flow(FlowNetwork(n + 2, aux_edges, S, T), aux_caps)
     if result.value != need:
         return None
     out = {eid: inst.lower.get(eid, 0) for eid in g.edges}

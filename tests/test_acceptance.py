@@ -254,9 +254,8 @@ def simple_st_paths(net):
         if v == net.t:
             out.append(tuple(path))
             return
-        for eid in sorted(net.out_edges(v)):
-            w = net.head(eid)
-            if w not in seen:
+        for eid, w, rev in net.incidence()[v]:
+            if not rev and w not in seen:
                 seen.add(w)
                 path.append(eid)
                 walk(w)
@@ -427,10 +426,11 @@ def test_ac08_circulation_feasibility():
             for eid in g.edges:
                 x = sol.get(eid, 0)
                 assert lower.get(eid, 0) <= x <= upper.get(eid, 0)
-            for v in range(n):
-                inc = sum(sol.get(e, 0) for e in g.in_edges(v))
-                out = sum(sol.get(e, 0) for e in g.out_edges(v))
-                assert inc - out == demand.get(v, 0)
+            balance = [0] * n  # in - out per vertex
+            for eid, (u, v) in g.edges.items():
+                balance[v] += sol.get(eid, 0)
+                balance[u] -= sol.get(eid, 0)
+            assert balance == [demand.get(v, 0) for v in range(n)]
         done += 1
     assert 0 < feasible < 500  # both outcomes genuinely exercised
     print(f"AC8 PASS: reference circulation solver and feasibility test "

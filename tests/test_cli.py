@@ -213,6 +213,22 @@ class TestQuery:
         assert (code, out) == (2, "")
         assert err == "error: line 1: negative failure count -1\n"
 
+    @pytest.mark.parametrize("line, message", [
+        # int() alone would read these as 10, 2 and 0
+        ("MF 1_0", "'1_0' is not an integer"),
+        ("MF2 1 \uff12", "'\uff12' is not an integer"),
+        ("MCK \uff10", "bad failure count '\uff10'"),
+        ("RQ 1 1_0", "'1_0' is not an integer"),
+    ])
+    def test_integers_take_ascii_digits_only(self, bottleneck_file, tmp_path,
+                                             capsys, line, message):
+        qf = tmp_path / "q.txt"
+        qf.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "query", "-g", str(bottleneck_file),
+                             "-q", str(qf))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 1: {message}\n"
+
     def test_malformed_graph_exits_2(self, tmp_path, capsys):
         g = tmp_path / "g.txt"
         g.write_text("p 3 1 1 3\ne 1\n")
@@ -849,8 +865,9 @@ class TestInternalError:
 
         def starved(sub):
             f_h = real(sub)
-            for eid in sub.network.out_edges(sub.network.s):
-                f_h.values[eid] = 0
+            for eid, _, rev in sub.network.incidence()[sub.network.s]:
+                if not rev:
+                    f_h.values[eid] = 0
             return f_h
 
         monkeypatch.setattr(family, "build_auxiliary", starved)

@@ -351,10 +351,11 @@ def test_circulation_agrees_with_hoffman_on_random_instances():
             feasible_count += 1
             for eid in g.edges:
                 assert inst.lower.get(eid, 0) <= sol[eid] <= inst.upper.get(eid, 0)
-            for v in range(n):
-                inc = sum(sol[e] for e in g.in_edges(v))
-                out = sum(sol[e] for e in g.out_edges(v))
-                assert inc - out == inst.demand.get(v, 0)
+            balance = [0] * n  # in - out per vertex
+            for eid, (u, v) in g.edges.items():
+                balance[v] += sol[eid]
+                balance[u] -= sol[eid]
+            assert balance == [inst.demand.get(v, 0) for v in range(n)]
     assert agree == 200 and feasible_count > 10
 
 

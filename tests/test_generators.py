@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from flowsentry.bruteforce import brute_force
+from flowsentry.errors import InternalInvariantError
 from flowsentry.generators import (
     gen_bottleneck,
     gen_diamond,
@@ -180,3 +181,20 @@ class TestBruteForce:
         for seed in range(30):
             net = gen_random(12, seed)
             assert brute_force(net)[0] == unit_max_flow(net).value
+
+    def test_duality_check_fires(self):
+        # the edge map gains an s -> t edge after the flow has read it, so
+        # the cut crosses one edge more than the flow's value
+        class Growing(dict):
+            reads = 0
+
+            def items(self):
+                self.reads += 1
+                extra = {99: (0, 3)} if self.reads > 1 else {}
+                return {**self, **extra}.items()
+
+        net = gen_diamond()
+        net.edges = Growing(net.edges)
+        with pytest.raises(InternalInvariantError,
+                           match="max-flow/min-cut duality broke"):
+            brute_force(net)

@@ -51,6 +51,10 @@ def test_parse_parallel_edges_get_distinct_ids():
         ("p 2 2 1 2\ne 1 2", 3, "expected 2 edge lines"),
         ("p 2 1 1 2\nq 1 2", 2, "unknown line type"),
         ("p 2 x 1 2", 1, "expected integer"),
+        # int() alone would read these as 10, 2 and 1
+        ("p 2 1 1 2\ne 1 1_0", 2, "expected integer, got '1_0'"),
+        ("p \uff12 1 1 2", 1, "expected integer, got '\uff12'"),
+        ("p 3 1 1 3\ne 0_1 3", 2, "expected integer, got '0_1'"),
         ("p 2 1 1 2\np 2 1 1 2", 2, "duplicate problem line"),
         ("# nothing\n", 2, "missing problem line"),
         ("p 2 1 1 2\ne 1", 2, "got 1 fields"),
@@ -111,8 +115,8 @@ def test_prune_keeps_diamond_intact(diamond):
 
 
 def test_prune_drops_vertex_off_all_st_paths(diamond):
-    net = FlowNetwork(5, dict(diamond.edges), 0, 3)
-    net.add_edge(4, 1)  # u=4 -> a, u unreachable from s
+    # u=4 -> a, u unreachable from s
+    net = FlowNetwork(5, {**diamond.edges, 4: (4, 1)}, 0, 3)
     pruned, removed = removed_by_prune(net)
     assert removed == {4}
     assert pruned.edges == diamond.edges
@@ -235,23 +239,15 @@ def test_network_rejects_no_vertices():
         FlowNetwork(0, [], 0, 0)
 
 
-def test_network_rejects_duplicate_edge_id():
-    net = FlowNetwork(3, {4: (0, 1)}, 0, 2)
-    with pytest.raises(ValueError, match="EdgeId 4 already present"):
-        net.add_edge(1, 2, 4)
-    assert net.edges == {4: (0, 1)}
-    assert net.add_edge(1, 2) == 5
-
-
 def merged_incidence(g):
-    """Reference incidence list: a merge of out_edges and in_edges per
-    vertex, by EdgeId, an edge's out-entry before its in-entry."""
-    rows = []
-    for v in range(g.n):
-        entries = [(eid, g.head(eid), False) for eid in g.out_edges(v)]
-        entries += [(eid, g.edges[eid][0], True) for eid in g.in_edges(v)]
-        rows.append(sorted(entries, key=lambda a: (a[0], a[2])))
-    return rows
+    """Reference incidence list: per vertex, an out-entry for each edge it
+    is the tail of and an in-entry for each it is the head of, by EdgeId,
+    an edge's out-entry before its in-entry."""
+    rows = [[] for _ in range(g.n)]
+    for eid, (u, v) in g.edges.items():
+        rows[u].append((eid, v, False))
+        rows[v].append((eid, u, True))
+    return [sorted(row, key=lambda a: (a[0], a[2])) for row in rows]
 
 
 class TestIncidence:
@@ -266,14 +262,6 @@ class TestIncidence:
             (0, 0, True), (2, 2, True), (3, 1, False), (3, 1, True),
             (4, 2, False), (5, 0, True), (7, 0, False),
         ]
-
-    def test_add_edge_invalidates(self):
-        g = FlowNetwork(3, self.EDGES, 0, 2)
-        before = g.incidence()
-        g.add_edge(2, 0, 1)
-        assert g.incidence() is not before
-        assert g.incidence() == merged_incidence(g)
-        assert g.incidence()[0][:2] == [(0, 1, False), (1, 2, True)]
 
     def test_not_pickled_and_rebuilt(self):
         g = FlowNetwork(3, self.EDGES, 2, 0)

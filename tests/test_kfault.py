@@ -120,6 +120,19 @@ class TestEnumeration:
         with pytest.raises(EnumerationBudgetExceeded):
             build_kfault_oracle(diamond, 1)
 
+    def test_leaf_that_is_not_canonical_raises(self, diamond, monkeypatch):
+        # the side check reads t into every forward reach, which no leaf's
+        # A holds
+        def tampered(net, src, excluded=(), reverse=False):
+            seen = real(net, src, excluded, reverse)
+            return seen if reverse else seen | {net.t}
+
+        real = flowsentry.kfault.reachable_set
+        monkeypatch.setattr(flowsentry.kfault, "reachable_set", tampered)
+        with pytest.raises(InternalInvariantError,
+                           match="a leaf that is not a canonical side"):
+            build_kfault_oracle(diamond, 1)
+
     def test_identical_to_subset_scan(self):
         # the source sides of the reference subset scan's partitions, in
         # its order

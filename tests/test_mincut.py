@@ -8,9 +8,16 @@ import pytest
 
 from flowsentry.errors import InternalInvariantError, QueryError
 from flowsentry.family import build_flow_family
+from flowsentry.flows import residual_scc_ids
 from flowsentry.generators import gen_matrix, gen_random, gen_twopaths
 from flowsentry.graph import prune_to_st_paths
-from flowsentry.mincut import build_mincut_oracle, crossing_edges, precedes
+from flowsentry.mincut import (
+    build_mincut_oracle,
+    build_path_system,
+    crossing_edges,
+    precedes,
+    strip_pred,
+)
 from conftest import brute_max_flow_value, make_net, random_net
 from mincut_reference import (
     build_mincut_oracle_raw,
@@ -211,6 +218,52 @@ class TestPathSystem:
                 assert list(table) == sorted(table)
             done += 1
         assert done > 20
+
+
+class TestStageGuards:
+    """strip_pred and build_path_system handed a broken intermediate of an
+    honest build, each raising its own guard's text. On the diamond plus
+    a -> b, f-tilde carries the paths (0, 1) and (2, 3), each vertex is a
+    class of its own, and the idle edge 4 is not critical."""
+
+    @pytest.fixture
+    def stage(self):
+        net = make_net(4, [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)])
+        bf = build_flow_family(net)
+        f = bf.family.f_tilde
+        cls = residual_scc_ids(net, f)
+        assert (cls, bf.sub.critical, bf.family.paths) == \
+            ([0, 1, 2, 3], {0, 1, 2, 3}, ((0, 1), (2, 3)))
+        return net, f, cls, bf.sub.critical, bf.family.paths
+
+    # s and t in one class, a and b in the other: s -> a and a -> t give
+    # strip arcs both ways, and path 0 leaves the class it ends in
+    CYCLIC = [0, 1, 1, 0]
+
+    def test_cyclic_class_list(self, stage):
+        net, f, _, critical, _ = stage
+        with pytest.raises(InternalInvariantError,
+                           match="strip graph contains a cycle"):
+            strip_pred(net, self.CYCLIC, critical, f)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"critical": {0, 2, 3}},
+         "saturated non-critical edge 1 crosses classes"),
+        ({"critical": {0, 1, 2, 3, 4}},
+         "paths do not cover the critical edges"),
+        ({"paths": ((1, 0), (2, 3))}, "path 0 jumps classes at edge 1"),
+        ({"paths": ((0, 1), (0, 1))}, "critical edge 0 on two paths"),
+        ({"paths": ((0,), (2, 3))}, "path 0 does not end at the sink class"),
+        ({"cls": CYCLIC}, "path revisits a class"),
+    ], ids=["missing-critical", "extra-critical", "reordered", "repeated",
+            "truncated", "cyclic"])
+    def test_path_system_guards(self, stage, change, message):
+        net, f, cls, critical, paths = stage
+        pred = strip_pred(net, cls, critical, f)
+        args = {"cls": cls, "critical": critical, "paths": paths, **change}
+        with pytest.raises(InternalInvariantError, match=message):
+            build_path_system(pred, args["cls"], args["critical"],
+                              args["paths"], net)
 
 
 class TestPrecedes:

@@ -49,3 +49,39 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(PACKAGE)}:{line} {name}"
                    for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def test_every_top_level_definition_is_named():
+    # a function or class that no code under src/, tests/ or perfbench/
+    # names outside its own body is left over from code that went; a
+    # string naming it counts, as monkeypatch.setattr and __all__ use them
+    root = Path(__file__).resolve().parents[1]
+    defs = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, path.resolve(), node.lineno,
+                             node.end_lineno))
+    assert len(defs) > 50
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                uses.setdefault(name, []).append((path.resolve(), node.lineno))
+    unnamed = [
+        f"{path.relative_to(PACKAGE.resolve())}:{first} {name}"
+        for name, path, first, last in defs
+        if all(p == path and first <= line <= last
+               for p, line in uses.get(name, ()))
+    ]
+    assert unnamed == []
