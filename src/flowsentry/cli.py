@@ -303,10 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a benchmark instance")
     g.add_argument("--family", required=True, choices=FAMILIES)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=ascii_int, default=0)
     g.add_argument(
         "--size",
-        type=int,
+        type=ascii_int,
         action="append",
         help="size parameter; repeat for families taking several",
     )
@@ -315,13 +315,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="build and serialize the oracles")
     b.add_argument("-g", "--graph", required=True)
-    b.add_argument("-k", type=int, default=2)
+    b.add_argument("-k", type=ascii_int, default=2)
     b.add_argument("-o", "--output", required=True)
     b.set_defaults(func=cmd_build)
 
     q = sub.add_parser("query", help="answer failure queries from a file")
     q.add_argument("-g", "--graph", required=True)
-    q.add_argument("-k", type=int, default=2)
+    q.add_argument("-k", type=ascii_int, default=2)
     q.add_argument("-q", "--queries", required=True,
                    help="query file, or - for stdin")
     q.add_argument("--oracle", default=None,

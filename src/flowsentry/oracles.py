@@ -27,6 +27,13 @@ exists. Where the value stays it toggles that cycle; where it drops, it
 removes the unit of e's canonical flow through e2, read by walking that
 flow, which is acyclic.
 
+Answers are shared immutable objects. An edge's single-failure answer is
+built on its first query that returns it and kept in a second cache,
+also outside the oracle file; every known edge outside ``flip`` shares
+one no-effect answer. MF, MFD, and MF2 where the pair's answer is a
+single failure's (an edge outside ``kept``, or e2 idle in e's canonical
+flow) return that one object.
+
 Conventions the queries rely on:
   * the input's EdgeIds are 0..m-1, as parse_network and the generators
     number them, so an EdgeId is known exactly when it lies in that
@@ -54,6 +61,7 @@ log = logging.getLogger(__name__)
 
 EMPTY = frozenset()
 DISTINCT = "dual-failure query needs two distinct edges"
+_NO_EFFECT = object()  # the answer cache's key for the no-effect answer
 
 
 # ---- residual traversals ----
@@ -77,7 +85,8 @@ DISTINCT = "dual-failure query needs two distinct edges"
 # degrees). The cache stays out of the pickle, and the first traversals
 # after a load refill it. Every entry is complete before one dict
 # assignment stores it, so threads querying one oracle at worst build an
-# equal entry twice.
+# equal entry twice. SensitivityOracle._answer keeps the single-failure
+# answers the same way.
 
 
 def _search(rows, src, dst, failed):
@@ -153,7 +162,9 @@ class FlowDiff(NamedTuple):
     The reconstruction sends one unit on edge x iff f-tilde does XOR
     x is in ``toggled``. It is feasible in the walk-pruned network minus
     the failures and its value is ``new_value``, the true max-flow of
-    the network minus the failures.
+    the network minus the failures. An answer is immutable, so the
+    oracle shares it: every query that returns an edge's single-failure
+    answer returns one object.
     """
 
     toggled: frozenset[int]
@@ -185,22 +196,44 @@ class SensitivityOracle:
         if not 0 <= eid < self.m:
             raise QueryError(f"unknown edge {eid}")
 
-    def _pair(self, e: int, x: int, same: str) -> tuple[bool, bool]:
-        """Whether e and x are kept, once both are known and distinct;
-        QueryError(same) when they coincide. A kept edge is known, so
-        only an edge outside kept is looked up."""
-        e_kept, x_kept = e in self.kept, x in self.kept
-        if not e_kept:
-            self._known(e)
-        if not x_kept:
-            self._known(x)
-        if e == x:
-            raise QueryError(same)
-        return e_kept, x_kept
+    def _refuse(self, e: int, x: int, same: str):
+        """Raise the QueryError for a pair that is not two known, distinct
+        edges: an unknown edge in argument order, else QueryError(same).
+        The pair queries call it only once their inline check failed."""
+        self._known(e)
+        self._known(x)
+        raise QueryError(same)
 
     def __getstate__(self):
-        # the residual rows are a cache _residual_of refills after a load
-        return {k: v for k, v in vars(self).items() if k != "_residual"}
+        # the residual rows and the answers are caches refilled after a load
+        return {k: v for k, v in vars(self).items()
+                if k not in ("_residual", "_answers")}
+
+    def _answer(self, e: int) -> FlowDiff:
+        """e's single-failure answer, built on e's first query and shared
+        by every later query that returns it. Every known edge outside
+        flip shares one no-effect answer, stored under _NO_EFFECT when
+        the cache is made."""
+        try:
+            return self._answers[e]
+        except KeyError:
+            answers = self._answers
+        except AttributeError:
+            answers = self.__dict__.setdefault(
+                "_answers", {_NO_EFFECT: FlowDiff(EMPTY, self.lam)})
+        d = self.flip.get(e)
+        if d is None:  # an edge in flip is kept, so known
+            self._known(e)
+            answer = answers[_NO_EFFECT]
+        else:
+            bound = 6 * self.pruned_net.n
+            if len(d) > bound:
+                raise InternalInvariantError(
+                    f"flow diff of edge {e} has {len(d)} edges, "
+                    f"bound is {bound}")
+            answer = FlowDiff(d, self.lam - (e in self.paths.path_of))
+        answers[e] = answer
+        return answer
 
     def _residual_of(self, d: frozenset[int]):
         """(rows, carried, out, into) of the canonical flow whose delta
@@ -237,44 +270,40 @@ class SensitivityOracle:
 
     def query_edge_flow(self, e: int, x: int) -> int:
         """Flow bit through x in the canonical max-flow after e fails."""
-        if not self._pair(e, x, "edge x does not survive the failure of e")[1]:
+        m = self.m
+        if e == x or not (0 <= e < m and 0 <= x < m):
+            self._refuse(e, x, "edge x does not survive the failure of e")
+        if x not in self.kept:
             return 0
         return int((x in self.flip) != (x in self.flip.get(e, EMPTY)))
 
     def report_flow_diff_single(self, e: int) -> FlowDiff:
         """Max-flow after e fails, as a delta against f-tilde."""
-        d = self.flip.get(e)
-        if d is None:  # an edge in flip is kept, so known
-            self._known(e)
-            return FlowDiff(EMPTY, self.lam)
-        bound = 6 * self.pruned_net.n
-        if len(d) > bound:
-            raise InternalInvariantError(
-                f"flow diff of edge {e} has {len(d)} edges, bound is {bound}"
-            )
-        return FlowDiff(d, self.lam - (e in self.paths.path_of))
+        return self._answer(e)
 
     # ---- dual failure ----
 
     def report_flow_diff_dual(self, e: int, e2: int) -> FlowDiff:
         """Max-flow after both e and e2 fail, as a delta against f-tilde."""
-        e_kept, e2_kept = self._pair(e, e2, DISTINCT)
-        if not (e_kept and e2_kept):
-            if not (e_kept or e2_kept):
-                return FlowDiff(EMPTY, self.lam)
-            if e2_kept:
+        m, kept = self.m, self.kept
+        if e == e2 or not (0 <= e < m and 0 <= e2 < m):
+            self._refuse(e, e2, DISTINCT)
+        if e not in kept or e2 not in kept:
+            if e2 in kept:
                 log.info(
                     "dual query (%d, %d): %d has no effect, "
                     "answering the single failure of %d",
                     e, e2, e, e2,
                 )
-            return self.report_flow_diff_single(e if e_kept else e2)
-        d = self.flip.get(e, EMPTY)
+                return self._answer(e2)
+            return self._answer(e)  # the no-effect one if e is not kept
+        flip = self.flip
+        d = flip.get(e, EMPTY)
+        # e2 idle in e's canonical flow: nothing to reroute
+        if (e2 in flip) == (e2 in d):
+            return self._answer(e)
         crit = self.paths.path_of
         val_f = self.lam - (e in crit)
-        # e2 idle in e's canonical flow: nothing to reroute
-        if (e2 in self.flip) == (e2 in d):
-            return FlowDiff(d, val_f)
         # over the walk-pruned network, so rerouting cycles may use
         # calibration-removed edges. A critical edge in the pair fixes the
         # value by the strip order, and a plain cycle is searched only
@@ -310,7 +339,10 @@ class SensitivityOracle:
 
     def mincut_size_dual(self, e: int, e2: int) -> int:
         """Min-cut (= max-flow) value after both e and e2 fail."""
-        e_kept, e2_kept = self._pair(e, e2, DISTINCT)
+        m, kept = self.m, self.kept
+        if e == e2 or not (0 <= e < m and 0 <= e2 < m):
+            self._refuse(e, e2, DISTINCT)
+        e_kept, e2_kept = e in kept, e2 in kept
         if not (e_kept or e2_kept):
             return self.lam
         crit = self.paths.path_of

@@ -41,10 +41,10 @@ def parse_profile(text: str) -> tuple[str, tuple[int, ...]]:
     t = text.strip()
     if t in ("exhaustive-1", "exhaustive-2", "invariants"):
         return t, ()
-    m = re.fullmatch(r"exhaustive-k\(\s*(\d+)\s*,\s*(\d+)\s*\)", t)
+    m = re.fullmatch(r"exhaustive-k\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)", t)
     if m:
         return "exhaustive-k", (int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"sampled\(\s*(\d+)\s*,\s*(\d+)\s*\)", t)
+    m = re.fullmatch(r"sampled\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)", t)
     if m:
         return "sampled", (int(m.group(1)), int(m.group(2)))
     raise ValueError(

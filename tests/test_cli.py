@@ -1047,6 +1047,26 @@ class TestVerifyCommand:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "random", "--size", "\uff16", "-o", "out.txt"],
+        ["gen", "--family", "random", "--size", "6", "--seed", "1_0", "-o",
+         "out.txt"],
+        ["build", "-g", "graph.txt", "-k", "1_0", "-o", "out.txt"],
+        ["query", "-g", "graph.txt", "-k", "\uff12", "-q", "-"],
+    ], ids=["gen-size", "gen-seed", "build-k", "query-k"])
+    def test_option_integers_take_ascii_digits_only(self, tmp_path, capsys,
+                                                    monkeypatch, argv):
+        # a usage error, as in graph and query files: int() alone would
+        # read 1_0 as 10 and full-width digits as ASCII ones
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        option, value = argv[-4:-2]
+        assert f"argument {option}: invalid ascii_int value: {value!r}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
     @pytest.mark.parametrize("argv, stdin", [
         (["verify", "--profile", "exhaustive-2"], None),
         (["query", "-q", "-"], b"MF2 1 2\nMC2 1 2\n"),

@@ -582,23 +582,29 @@ class TestResidualRows:
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_GRAPHS))
     def test_filled_cache_stays_out_of_the_pickle(self, name):
-        # a loaded oracle saved after every flow's entry is filled saves
-        # the bytes it saved before
+        # a loaded oracle saved after every flow's entry and every edge's
+        # answer is filled saves the bytes it saved before
         o = pickle.loads(pickle.dumps(_oracle(name)))
-        assert "_residual" not in vars(o)
+        assert not {"_residual", "_answers"} & vars(o).keys()
         saved = pickle.dumps(o)
         for d in {EMPTY, *o.flip.values()}:
             o._residual_of(d)
+        for e in range(o.m):
+            o.report_flow_diff_single(e)
         assert len(vars(o)["_residual"]) == len(set(o.flip.values())) + 1
+        # each known edge's answer, and the no-effect one they may share
+        assert len(vars(o)["_answers"]) == o.m + 1
         assert pickle.dumps(o) == saved
 
     def test_cache_holds_one_entry_per_flow(self):
         o = SensitivityOracle(gen_random(10, 1))
         before = pickle.dumps(o)
-        assert "_residual" not in vars(o)
+        assert not {"_residual", "_answers"} & vars(o).keys()
         for e, e2 in itertools.permutations(sorted(o.pruned_net.edges), 2):
             o.report_flow_diff_dual(e, e2)
             o.mincut_size_dual(e, e2)
+        for e in range(o.m):
+            o.report_flow_diff_single(e)
         cache = vars(o)["_residual"]
         assert 1 < len(cache) <= len(set(o.flip.values())) + 1
         # each entry is a flow's rows, the set of edges it carries and its
@@ -606,7 +612,8 @@ class TestResidualRows:
         for d, (rows, carried, out, into) in cache.items():
             assert len(rows) == len(out) == len(into) == o.pruned_net.n
             assert carried == o.kept - canonical_null(o, d)
-        # the cache stays out of the pickled oracle
+        # the caches stay out of the pickled oracle
+        assert "_answers" in vars(o)
         assert pickle.dumps(o) == before
 
     def test_threads_fill_one_oracle(self):

@@ -205,6 +205,57 @@ class TestFlowDiffDual:
         assert dropped > 1000
 
 
+class TestSharedAnswers:
+    """Each single-failure answer is built once per oracle and every
+    query that returns it returns that one object."""
+
+    @pytest.fixture
+    def oracle(self):
+        # edges f-tilde leaves idle both inside and outside kept
+        o = SensitivityOracle(gen_random(12, 1))
+        idle = set(range(o.m)) - o.flip.keys()
+        assert idle & o.kept and idle - o.kept
+        return o
+
+    def test_edges_outside_flip_share_one_answer(self, oracle):
+        o = oracle
+        idle = [e for e in range(o.m) if e not in o.flip]
+        first = o.report_flow_diff_single(idle[-1])
+        assert first == FlowDiff(frozenset(), o.lam)
+        assert all(o.report_flow_diff_single(e) is first for e in idle)
+        outside = [e for e in idle if e not in o.kept]
+        assert o.report_flow_diff_dual(*outside[:2]) is first
+
+    def test_dual_shares_the_single_answer(self, oracle):
+        # a pair with one edge outside kept, or whose second edge is idle
+        # in the first's canonical flow, answers with a single failure's
+        # answer; the dual query comes first, so it builds that answer
+        o = oracle
+        outside = min(set(range(o.m)) - o.kept)
+        idle_pairs = [(e, e2) for e in sorted(o.flip) for e2 in sorted(o.kept)
+                      if e2 != e and (e2 in o.flip) == (e2 in o.flip[e])]
+        assert idle_pairs
+        for e, e2 in idle_pairs:
+            assert o.report_flow_diff_dual(e, e2) is \
+                o.report_flow_diff_single(e)
+        for e in sorted(o.kept):
+            assert o.report_flow_diff_dual(outside, e) is \
+                o.report_flow_diff_dual(e, outside) is \
+                o.report_flow_diff_single(e)
+
+    def test_tampered_delta_raises_on_first_dual_query(self, diamond):
+        # the 6n bound is checked where an answer is built, whichever query
+        # builds it, and a refused answer is not stored
+        o = SensitivityOracle(diamond)
+        o.flip[0] = frozenset(range(100))
+        assert 1 in o.flip  # so 1 is idle in 0's tampered flow
+        for _ in range(2):
+            with pytest.raises(InternalInvariantError, match="bound is 24"):
+                o.report_flow_diff_dual(0, 1)
+        with pytest.raises(InternalInvariantError, match="bound is 24"):
+            o.report_flow_diff_single(0)
+
+
 class TestMinCutDual:
     def test_bottleneck_pairs(self, bottleneck):
         o = SensitivityOracle(bottleneck)

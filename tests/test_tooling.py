@@ -1,6 +1,7 @@
 """Checks over the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import flowsentry
@@ -85,3 +86,23 @@ def test_every_top_level_definition_is_named():
                for p, line in uses.get(name, ()))
     ]
     assert unnamed == []
+
+
+def test_runtime_imports_are_stdlib():
+    # the runtime needs nothing beyond the standard library (pyproject's
+    # dependencies = []): every absolute import names the package itself
+    # or a standard-library module; relative imports stay in the package
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update((name.split(".")[0], path.name) for name in names)
+    assert len({top for top, _ in found}) >= 10
+    assert sorted(f"{file}: {top}" for top, file in found
+                  if top != "flowsentry"
+                  and top not in sys.stdlib_module_names) == []

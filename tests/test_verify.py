@@ -32,7 +32,9 @@ class TestProfileParsing:
         )
 
     def test_unknown_rejected(self):
-        for bad in ("exhaustive-3", "sampled(5)", "sampled(a,b)", ""):
+        # numbers take ASCII digits only, as in graph and query files
+        for bad in ("exhaustive-3", "sampled(5)", "sampled(a,b)", "",
+                    "exhaustive-k(\uff13,16)", "sampled(10, \u0667)"):
             with pytest.raises(ValueError):
                 parse_profile(bad)
 
