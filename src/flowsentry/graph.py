@@ -125,7 +125,13 @@ def parse_network(text) -> FlowNetwork:
                 raise ParseError(lineno, f"more than {m} edge lines")
             if len(fields) != 3:
                 raise ParseError(lineno, f"expected 'e <u> <v>', got {len(fields) - 1} fields")
-            u, v = _ints(lineno, fields[1:])
+            _, a, b = fields
+            # on an ASCII line isdigit() holds exactly for the digits 0-9,
+            # which int() reads as ascii_int does
+            if line.isascii() and a.isdigit() and b.isdigit():
+                u, v = int(a), int(b)
+            else:
+                u, v = _ints(lineno, (a, b))
             for x in (u, v):
                 if not (1 <= x <= n):
                     raise ParseError(lineno, f"vertex {x} out of range 1..{n}")

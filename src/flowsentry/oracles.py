@@ -27,12 +27,18 @@ exists. Where the value stays it toggles that cycle; where it drops, it
 removes the unit of e's canonical flow through e2, read by walking that
 flow, which is acyclic.
 
-Answers are shared immutable objects. An edge's single-failure answer is
-built on its first query that returns it and kept in a second cache,
-also outside the oracle file; every known edge outside ``flip`` shares
-one no-effect answer. MF, MFD, and MF2 where the pair's answer is a
-single failure's (an edge outside ``kept``, or e2 idle in e's canonical
-flow) return that one object.
+Answers are shared immutable objects, kept in caches outside the oracle
+file. An edge's single-failure answer is built on its first query that
+returns it; every known edge outside ``flip`` shares one no-effect
+answer. MF, MFD, and MF2 where the pair's answer is a single failure's
+(an edge outside ``kept``, or e2 idle in e's canonical flow) return that
+one object. An MF2 answer that releases a unit is built on the first
+query for its canonical flow's delta d and e2, and kept per d twice:
+under e2, and under its toggled set, so every e2 whose walk gives the
+same unit shares one answer. d fixes the flow, so also its value, and
+the walk reads nothing else; a later query still runs every value check
+but no walk. Per d the answers number at most the edges the flow
+carries.
 
 Conventions the queries rely on:
   * the input's EdgeIds are 0..m-1, as parse_network and the generators
@@ -86,7 +92,8 @@ _NO_EFFECT = object()  # the answer cache's key for the no-effect answer
 # after a load refill it. Every entry is complete before one dict
 # assignment stores it, so threads querying one oracle at worst build an
 # equal entry twice. SensitivityOracle._answer keeps the single-failure
-# answers the same way.
+# answers the same way, and SensitivityOracle._release the MF2 answers
+# that release a unit.
 
 
 def _search(rows, src, dst, failed):
@@ -207,7 +214,7 @@ class SensitivityOracle:
     def __getstate__(self):
         # the residual rows and the answers are caches refilled after a load
         return {k: v for k, v in vars(self).items()
-                if k not in ("_residual", "_answers")}
+                if k not in ("_residual", "_answers", "_released")}
 
     def _answer(self, e: int) -> FlowDiff:
         """e's single-failure answer, built on e's first query and shared
@@ -309,23 +316,45 @@ class SensitivityOracle:
         # value by the strip order, and a plain cycle is searched only
         # where it stays. Where it drops, e's flow gives up its unit
         # through e2; that flow leaves e idle, so the unit avoids e
-        net, (rows, carried, out, into) = self.pruned_net, self._residual_of(d)
         crit_pair = e in crit or e2 in crit
         value = self._critical_value(e, e2) if crit_pair else val_f
-        reroute = cycle_through_arc_without(net, rows, carried, e2, e) \
-            if value == val_f else None
-        if reroute is None:
-            if value == val_f and crit_pair:
+        if value == val_f:
+            net, (rows, carried, _, _) = self.pruned_net, self._residual_of(d)
+            reroute = cycle_through_arc_without(net, rows, carried, e2, e)
+            if reroute is not None:
+                if len({x for eid in reroute for x in net.edges[eid]}) != \
+                        len(reroute):
+                    raise InternalInvariantError(
+                        "rerouting cycle repeats a vertex")
+                return FlowDiff(d ^ frozenset(reroute), value)
+            if crit_pair:
                 raise InternalInvariantError(
                     f"no rerouting cycle for the post-failure value {value}")
-            if value < val_f - 1:
-                raise InternalInvariantError(
-                    f"post-failure value {value} drops more than one unit")
-            value, reroute = val_f - 1, released_unit(net, out, into, e2)
-        elif len({x for eid in reroute for x in net.edges[eid]}) != \
-                len(reroute):
-            raise InternalInvariantError("rerouting cycle repeats a vertex")
-        return FlowDiff(d ^ frozenset(reroute), value)
+        elif value < val_f - 1:
+            raise InternalInvariantError(
+                f"post-failure value {value} drops more than one unit")
+        try:
+            return self._released[d][0][e2]
+        except (AttributeError, KeyError):
+            return self._release(d, e2, val_f - 1)
+
+    def _release(self, d: frozenset[int], e2: int, value: int) -> FlowDiff:
+        """FlowDiff(d ^ P, value): P is the unit that the canonical flow
+        with delta d gives up through e2, an edge it carries
+        (released_unit), and value is that flow's value less one. Kept in
+        d's tables of _released, e2 -> answer and toggled set -> answer,
+        so every e2 whose walk gives the same unit shares one answer; for
+        a fixed d the toggled set is one-to-one with P, so the tables hold
+        no set the answers do not. d is key enough: flows are 0/1, so d
+        fixes the edges the flow carries, and a canonical flow of value
+        lam and one of value lam-1 never share a delta."""
+        _, _, out, into = self._residual_of(d)
+        toggled = d ^ frozenset(released_unit(self.pruned_net, out, into, e2))
+        by_edge, by_unit = self.__dict__.setdefault(
+            "_released", {}).setdefault(d, ({}, {}))
+        answer = by_unit.setdefault(toggled, FlowDiff(toggled, value))
+        by_edge[e2] = answer
+        return answer
 
     def _critical_value(self, e: int, e2: int) -> int:
         """Value after kept edges e and e2 fail, at least one critical:

@@ -35,6 +35,12 @@ def test_parse_accepts_bytes_comments_and_blanks():
     assert net.edges == {0: (0, 1)}
 
 
+def test_parse_signed_ascii_vertices():
+    # a sign is not a digit, so such a line takes ascii_int's checks
+    net = parse_network("p 3 2 +1 3\ne +1 3\ne 1 +0003\n")
+    assert net.edges == {0: (0, 2), 1: (0, 2)}
+
+
 def test_parse_parallel_edges_get_distinct_ids():
     net = parse_network("p 2 3 1 2\ne 1 2\ne 1 2\ne 2 1\n")
     assert net.edges == {0: (0, 1), 1: (0, 1), 2: (1, 0)}
@@ -55,6 +61,11 @@ def test_parse_parallel_edges_get_distinct_ids():
         ("p 2 1 1 2\ne 1 1_0", 2, "expected integer, got '1_0'"),
         ("p \uff12 1 1 2", 1, "expected integer, got '\uff12'"),
         ("p 3 1 1 3\ne 0_1 3", 2, "expected integer, got '0_1'"),
+        # str.isdigit() holds for these, which are not ASCII
+        ("p 2 1 1 2\ne 1 \uff12", 2, "expected integer, got '\uff12'"),
+        ("p 2 1 1 2\ne \u00b2 1", 2, "expected integer, got '\u00b2'"),
+        ("p 3 1 1 3\ne 1 \u0663", 2, "expected integer, got '\u0663'"),
+        ("p 3 1 1 3\ne -1 3", 2, "vertex -1 out of range 1..3"),
         ("p 2 1 1 2\np 2 1 1 2", 2, "duplicate problem line"),
         ("# nothing\n", 2, "missing problem line"),
         ("p 2 1 1 2\ne 1", 2, "got 1 fields"),

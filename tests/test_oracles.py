@@ -256,6 +256,81 @@ class TestSharedAnswers:
             o.report_flow_diff_single(0)
 
 
+class TestReleasedUnits:
+    """Each MF2 answer that releases a unit is built once per canonical
+    flow and unit, and every later query for it returns that object."""
+
+    @staticmethod
+    def _drops(o):
+        """Every ordered pair of o's kept edges whose MF2 answer releases
+        a unit: both kept, e2 carried in e's canonical flow, the value
+        below e's single-failure value; with that answer."""
+        found = {}
+        for e, e2 in itertools.permutations(sorted(o.kept), 2):
+            got = o.report_flow_diff_dual(e, e2)
+            if o.query_edge_flow(e, e2) == 1 and \
+                    got.new_value < o.report_flow_diff_single(e).new_value:
+                found[e, e2] = got
+        return found
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        o = SensitivityOracle(gen_matrix(3, 4, seed=1))
+        return o, self._drops(o)
+
+    def test_repeated_query_walks_once(self, matrix, monkeypatch):
+        o, drops = matrix
+        walks = []
+        real = oracles.released_unit
+        monkeypatch.setattr(oracles, "released_unit",
+                            lambda *args: walks.append(args) or real(*args))
+        assert len(drops) > 100
+        for (e, e2), first in drops.items():
+            assert o.report_flow_diff_dual(e, e2) is first
+        assert walks == []
+
+    def test_one_unit_shares_one_answer(self, matrix):
+        # e2 on the walk from another carried edge of the same flow may
+        # release the same unit: its answer is then the same object
+        o, drops = matrix
+        by_unit = {}
+        for (e, e2), got in drops.items():
+            by_unit.setdefault((o.flip.get(e, oracles.EMPTY), got.toggled),
+                               set()).add((e2, id(got)))
+        assert all(len({i for _, i in v}) == 1 for v in by_unit.values())
+        assert max(len({x for x, _ in v}) for v in by_unit.values()) > 1
+
+    @pytest.mark.parametrize("make", [lambda: gen_random(10, 1),
+                                      lambda: gen_matrix(3, 4, seed=1)],
+                             ids=["random10", "matrix3x4"])
+    def test_entries_answer_as_a_fresh_oracle(self, make):
+        # each entry is the answer an oracle with empty caches gives the
+        # pair that filled it, and a flow shares at most one answer per
+        # edge it carries
+        o = SensitivityOracle(make())
+        pristine = pickle.dumps(o)
+        drops = self._drops(o)
+        tables = vars(o)["_released"]
+        assert drops and set(tables) <= set(o.flip.values()) | {oracles.EMPTY}
+        entries = 0
+        for d, (by_edge, by_unit) in tables.items():
+            carried = o.flip.keys() ^ d
+            assert by_edge.keys() <= carried
+            assert len(by_unit) <= len(carried)
+            assert {id(a) for a in by_edge.values()} == \
+                {id(a) for a in by_unit.values()}
+            for e2, answer in by_edge.items():
+                e = next(e for (e, x), got in drops.items()
+                         if x == e2 and got is answer)
+                assert o.flip.get(e, oracles.EMPTY) == d
+                fresh = pickle.loads(pristine)
+                assert fresh.report_flow_diff_dual(e, e2) == answer
+                assert by_unit[answer.toggled] is answer
+                entries += 1
+        assert entries == len({(o.flip.get(e, oracles.EMPTY), e2)
+                               for e, e2 in drops})
+
+
 class TestMinCutDual:
     def test_bottleneck_pairs(self, bottleneck):
         o = SensitivityOracle(bottleneck)

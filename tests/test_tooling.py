@@ -106,3 +106,41 @@ def test_runtime_imports_are_stdlib():
     assert sorted(f"{file}: {top}" for top, file in found
                   if top != "flowsentry"
                   and top not in sys.stdlib_module_names) == []
+
+
+def test_query_caches_stay_out_of_the_pickle():
+    # a cache a query stores in an oracle's __dict__, as o.__dict__[name]
+    # = ... or o.__dict__.setdefault(name, ...), is refilled after a load;
+    # the oracle class's __getstate__ must name it, or the file would
+    # carry it and change with the queries asked before a save
+    stored, excluded = {}, {}
+    for module in ("oracles.py", "kfault.py"):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)):
+                target, key = node.value, node.slice
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "setdefault" and node.args):
+                target, key = node.func.value, node.args[0]
+            else:
+                continue
+            if (isinstance(target, ast.Attribute)
+                    and target.attr == "__dict__"
+                    and isinstance(key, ast.Constant)):
+                names.add(key.value)
+        stored[module] = names
+        getstates = [fn for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef)
+                     for fn in cls.body
+                     if isinstance(fn, ast.FunctionDef)
+                     and fn.name == "__getstate__"]
+        assert len(getstates) == 1, module
+        excluded[module] = {node.value for node in ast.walk(getstates[0])
+                            if isinstance(node, ast.Constant)
+                            and isinstance(node.value, str)}
+    assert stored["oracles.py"] >= {"_residual", "_answers", "_released"}
+    assert stored["kfault.py"] >= {"_certificate"}
+    assert all(stored[m] <= excluded[m] for m in stored), (stored, excluded)
