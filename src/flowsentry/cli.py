@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 import argparse
 import gc
 import hashlib
+import io
 import os
 import pickle
 import struct
@@ -24,22 +25,23 @@ from .kfault import (
     mincut_size_k,
     reachable_under_failures,
 )
+from .mincut import PathSystem
 from .oracles import SensitivityOracle
 from .verify import run_verify
 
-# Oracle file layout, version 10 (stability across versions not promised):
+# Oracle file layout, version 11 (stability across versions not promised):
 #   8 bytes   magic b"FLOWSNTY"
 #   u16 LE    format version
 #   u16 LE    k the failure oracle was built for
 #   32 bytes  sha256 of the graph file bytes the oracle was built from
 #   32 bytes  sha256 of the payload
-#   rest      payload: pickle of {"sensitivity": ..., "kfault": ...}; each
-#             oracle holds one FlowNetwork (n, edges, s, t): the
-#             sensitivity oracle the walk-pruned one with the input's
-#             edge count, the k-fault oracle the raw one with k, lam and
-#             its cut list as ascending source-side bitmasks
+#   rest      payload: pickle of {"sensitivity": ..., "kfault": ...}: the
+#             walk-pruned FlowNetwork (n, edges, s, t), the input's edge
+#             count and a strip record per critical edge; the raw network,
+#             k, lam and the cut list as ascending source-side bitmasks. A
+#             pruning that drops no edge keeps the raw one, pickled once.
 ORACLE_MAGIC = b"FLOWSNTY"
-ORACLE_VERSION = 10
+ORACLE_VERSION = 11
 _HEADER = 76
 _NONE = type(None)
 
@@ -83,6 +85,20 @@ def _kfault_shaped(kf) -> bool:
         and type(kf.entries) is tuple)
 
 
+class _OracleUnpickler(pickle.Unpickler):
+    """Resolves only the classes an oracle file holds, so a payload that
+    names any other global (os.system, builtins.eval) fails to load
+    instead of calling it."""
+
+    CLASSES = {(c.__module__, c.__qualname__): c for c in (
+        SensitivityOracle, KFaultOracle, FlowNetwork, PathSystem)}
+
+    def find_class(self, module, name):
+        if (module, name) in self.CLASSES:
+            return self.CLASSES[module, name]
+        raise pickle.UnpicklingError(f"{module}.{name} is not an oracle class")
+
+
 def load_oracle(path: str, digest: bytes):
     """Returns (k, sensitivity, kfault); raises ValueError on any mismatch."""
     with open(path, "rb") as fh:
@@ -110,7 +126,7 @@ def load_oracle(path: str, digest: bytes):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        payload = pickle.loads(blob[_HEADER:])
+        payload = _OracleUnpickler(io.BytesIO(blob[_HEADER:])).load()
         if (type(payload) is dict
                 and payload.keys() == {"sensitivity", "kfault"}
                 and isinstance(payload["sensitivity"],

@@ -199,14 +199,14 @@ def prune_to_st_paths(net: FlowNetwork) -> FlowNetwork:
 
     An edge (u,v) survives iff u is reachable from s and v reaches t;
     self-loops never survive. Vertex ids and EdgeIds are not renumbered:
-    vertices off every (s,t)-walk simply become isolated. When t is
-    unreachable from s the result has no edges.
+    vertices off every (s,t)-walk become isolated. No edge survives when t
+    is unreachable from s; when every edge survives, net itself is returned.
     """
     fwd = reachable_set(net, net.s)
     bwd = reachable_set(net, net.t, reverse=True)
     keep = {eid: (u, v) for eid, (u, v) in net.edges.items()
             if u != v and u in fwd and v in bwd}
-    return FlowNetwork(net.n, keep, net.s, net.t)
+    return net if len(keep) == net.m else FlowNetwork(net.n, keep, net.s, net.t)
 
 
 def scc_from_adjacency(n: int, succ: list[list[int]]) -> list[int]:

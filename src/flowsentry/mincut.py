@@ -12,8 +12,8 @@ them, are the SCCs of the residual graph of a max-flow, given as the
 class-id list flows.residual_scc_ids returns: ids[v] is v's class, so
 the source class is ids[s] and the sink class ids[t]. The strip graph is
 the reversed condensation of that residual graph, so it is never built:
-the sweep that fills the path tables reads, for each class, the classes
-its residual arcs enter.
+the sweep that fills the first-reach tables reads, for each class, the
+classes its residual arcs enter.
 
 Everything is built against one reference max-flow and is immutable after
 construction.
@@ -36,20 +36,18 @@ class PathSystem:
     They describe lam edge-disjoint source-to-sink class paths: the
     reference flow's decomposition paths, cut down to their critical
     edges. A class is an entry of the class-id list of the reference
-    flow's residual SCCs (see the module docstring). path_of maps each
-    critical EdgeId to its path index, so its keys are exactly the
-    critical edges; position maps it to the position of its tail class on
-    that path (the source class is position 0), and head_class to the
-    class its strip arc enters. first_reach[i] maps any class x to the
-    earliest position on path i whose class is reachable from x in the
-    strip graph (absent when none is). The strip predecessors of a class
-    are the classes its residual arcs enter, so the sweep that fills
+    flow's residual SCCs (see the module docstring). critical maps each
+    critical EdgeId, and no other, to its record (path, position, head):
+    the index of the path carrying it, the position of its tail class on
+    that path (the source class is position 0), and the class its strip
+    arc enters. first_reach[i] maps each such head class that reaches
+    path i in the strip graph to the earliest position on path i whose
+    class it reaches; no other class is a key. The strip predecessors of a
+    class are the classes its residual arcs enter, so the sweep that fills
     first_reach follows residual arcs forward from each class of the path.
     """
 
-    path_of: dict[int, int]
-    position: dict[int, int]
-    head_class: dict[int, int]
+    critical: dict[int, tuple[int, int, int]]
     first_reach: tuple[dict[int, int], ...]
 
 
@@ -108,12 +106,11 @@ def build_path_system(pred, cls, critical, edge_paths,
     critical edges. Each first-reach table is filled by one sweep along its
     path, earliest position first, following pred (strip_pred: the classes
     each class's residual arcs enter) back into classes not yet reached: the
-    first position to reach a class is its earliest. Keys ascend by class.
+    first position to reach a class is its earliest. Only the head classes
+    of critical edges are kept, keys ascending by class.
     """
     chains: list[list[int]] = []
-    path_of: dict[int, int] = {}
-    position: dict[int, int] = {}
-    head_class: dict[int, int] = {}
+    records: dict[int, tuple[int, int, int]] = {}
 
     for i, path in enumerate(edge_paths):
         chain = [cls[net.s]]
@@ -129,11 +126,9 @@ def build_path_system(pred, cls, critical, edge_paths,
                 raise InternalInvariantError(
                     f"path {i} jumps classes at edge {eid}"
                 )
-            if eid in path_of:
+            if eid in records:
                 raise InternalInvariantError(f"critical edge {eid} on two paths")
-            path_of[eid] = i
-            position[eid] = len(chain) - 1
-            head_class[eid] = cls[v]
+            records[eid] = (i, len(chain) - 1, cls[v])
             chain.append(cls[v])
         if chain[-1] != cls[net.t]:
             raise InternalInvariantError(f"path {i} does not end at the sink class")
@@ -141,9 +136,10 @@ def build_path_system(pred, cls, critical, edge_paths,
             raise InternalInvariantError("path revisits a class")
         chains.append(chain)
 
-    if set(path_of) != critical:
+    if set(records) != critical:
         raise InternalInvariantError("paths do not cover the critical edges")
 
+    heads = {head for _, _, head in records.values()}
     first: list[dict[int, int]] = []
     for chain in chains:
         reach_first: dict[int, int] = {}
@@ -155,14 +151,10 @@ def build_path_system(pred, cls, critical, edge_paths,
                     if p not in reach_first:
                         reach_first[p] = pos
                         stack.append(p)
-        first.append(dict(sorted(reach_first.items())))
+        first.append({c: pos for c, pos in sorted(reach_first.items())
+                      if c in heads})
 
-    return PathSystem(
-        path_of=path_of,
-        position=position,
-        head_class=head_class,
-        first_reach=tuple(first),
-    )
+    return PathSystem(critical=records, first_reach=tuple(first))
 
 
 def precedes(ps: PathSystem, e_a: int, e_b: int) -> bool:
@@ -171,10 +163,12 @@ def precedes(ps: PathSystem, e_a: int, e_b: int) -> bool:
     Constant-time: with P the path carrying e_b, e_a precedes e_b exactly when
     the head class of e_a reaches some class on P no later than e_b's tail.
     """
-    if e_a not in ps.path_of or e_b not in ps.path_of:
+    crit = ps.critical
+    if e_a not in crit or e_b not in crit:
         raise QueryError(f"precedes needs critical edges, got {e_a}, {e_b}")
-    pos = ps.first_reach[ps.path_of[e_b]].get(ps.head_class[e_a])
-    return pos is not None and pos <= ps.position[e_b]
+    path, position, _ = crit[e_b]
+    pos = ps.first_reach[path].get(crit[e_a][2])
+    return pos is not None and pos <= position
 
 
 def build_mincut_oracle(bf: BuiltFamily) -> PathSystem:

@@ -13,7 +13,8 @@ once:
     decomposition path i, so its delta is path i. Edges that share a
     canonical flow share one frozenset: at most 2*lam+1 deltas are
     stored;
-  * the path tables ``precedes`` reads, keyed by the critical edges;
+  * the tables ``precedes`` reads: one strip record per critical edge,
+    and per path the first position each record's head class reaches;
   * one graph, the walk-pruned network, and the input's edge count m.
 No flow is stored. The canonical flow after e fails carries edge x
 exactly when (x in flip) != (x in flip[e]), which is 0 for every edge
@@ -186,7 +187,7 @@ class SensitivityOracle:
     and only the calibrated subgraph's edges, ``kept``, affect any
     answer. ``flip`` encodes the 2*lam+1 family flows as described in
     the module docstring; an edge is critical exactly when it is a key
-    of ``paths.path_of``.
+    of ``paths.critical``.
     """
 
     def __init__(self, net: FlowNetwork):
@@ -238,7 +239,7 @@ class SensitivityOracle:
                 raise InternalInvariantError(
                     f"flow diff of edge {e} has {len(d)} edges, "
                     f"bound is {bound}")
-            answer = FlowDiff(d, self.lam - (e in self.paths.path_of))
+            answer = FlowDiff(d, self.lam - (e in self.paths.critical))
         answers[e] = answer
         return answer
 
@@ -309,7 +310,7 @@ class SensitivityOracle:
         # e2 idle in e's canonical flow: nothing to reroute
         if (e2 in flip) == (e2 in d):
             return self._answer(e)
-        crit = self.paths.path_of
+        crit = self.paths.critical
         val_f = self.lam - (e in crit)
         # over the walk-pruned network, so rerouting cycles may use
         # calibration-removed edges. A critical edge in the pair fixes the
@@ -360,7 +361,7 @@ class SensitivityOracle:
         """Value after kept edges e and e2 fail, at least one critical:
         the drop is 2 iff both are critical and lie in one min-cut, that
         is iff no strip path orders them."""
-        crit = self.paths.path_of
+        crit = self.paths.critical
         if e in crit and e2 in crit and not (
                 precedes(self.paths, e, e2) or precedes(self.paths, e2, e)):
             return self.lam - 2
@@ -374,7 +375,7 @@ class SensitivityOracle:
         e_kept, e2_kept = e in kept, e2 in kept
         if not (e_kept or e2_kept):
             return self.lam
-        crit = self.paths.path_of
+        crit = self.paths.critical
         if not (e_kept and e2_kept):
             return self.lam - ((e if e_kept else e2) in crit)
         if e in crit or e2 in crit:

@@ -294,8 +294,8 @@ def _run_invariants(report, net):
         all(e not in carried ^ d and kept - (carried ^ d)
             in (g_nulls if e in critical else a_nulls)
             for e, d in oracle.flip.items()))
-    row("critical edges = keys of the path tables",
-        set(oracle.paths.path_of) == critical)
+    row("critical edges = keys of the strip records",
+        set(oracle.paths.critical) == critical)
     row("at most 2*lam+1 distinct flip deltas",
         len({id(d) for d in oracle.flip.values()}) <= 2 * lam + 1)
     report.counts["invariant"] = len(report.invariants)

@@ -125,7 +125,7 @@ def report_flow_diff_dual(o, e, e2) -> FlowDiff:
     if len(live) == 1:
         return o.report_flow_diff_single(live[0])
     d = o.flip.get(e, EMPTY)
-    crit = o.paths.path_of
+    crit = o.paths.critical
     val_f = o.lam - (e in crit)
     if (e2 in o.flip) == (e2 in d):
         return FlowDiff(d, val_f)
@@ -153,7 +153,7 @@ def mincut_size_dual(o, e, e2) -> int:
     live = [x for x in (e, e2) if x in o.kept]
     if not live:
         return o.lam
-    crit = o.paths.path_of
+    crit = o.paths.critical
     if len(live) == 1:
         return o.lam - (live[0] in crit)
     if e in crit or e2 in crit:

@@ -2,8 +2,9 @@
 definition, decrease-by-k and nearest-min-cut queries, and size
 accounting.
 
-The shipped oracles keep only the path tables and read the strip-graph
-order through mincut.precedes; the build passes the classes around as
+The shipped oracles keep only the path tables, one strip record per
+critical edge and per path the first positions the records' head classes
+reach, and read the strip-graph order through mincut.precedes; the build passes the classes around as
 the class-id list of f's residual SCCs. MinCutStructure adds the
 classes as a record, the predecessor lists and the critical set they
 were built from, so that strip_arcs can derive the strip graph from the
@@ -114,11 +115,11 @@ def pred_of_arcs(o: MinCutStructure) -> list[list[int]]:
 
 def word_count(o: MinCutStructure) -> int:
     """Machine words the build keeps: the class of every vertex and the
-    path tables (size-bound accounting)."""
+    path tables, a strip record counting as its key plus three words
+    (size-bound accounting)."""
     words = len(o.classes.class_of) + 3
     words += sum(2 * len(f) for f in o.paths.first_reach)
-    words += 2 * len(o.paths.path_of) + 2 * len(o.paths.position)
-    words += 2 * len(o.paths.head_class)
+    words += 4 * len(o.paths.critical)
     return words
 
 
@@ -158,17 +159,18 @@ def report_nmc_after(o: MinCutStructure, F) -> CutPartition:
 
     Requires decreases_by_k(o, F); a vertex lands on the source side exactly
     when its class reaches the tail class of some failed edge in the strip
-    graph (checked through the first-reach table, one lookup per failed edge).
+    graph (found by following strip_arcs back from those tail classes).
     """
     edges = list(F)
     if not decreases_by_k(o, edges):
         raise QueryError("report_nmc_after needs a decrease-by-k failure set")
-    targets = [(o.paths.path_of[e], o.paths.position[e]) for e in edges]
-    side = []
-    for v, c in enumerate(o.classes.class_of):
-        for p, limit in targets:
-            pos = o.paths.first_reach[p].get(c)
-            if pos is not None and pos <= limit:
-                side.append(v)
-                break
-    return CutPartition(source_side=frozenset(side))
+    cls, pred = o.classes.class_of, pred_of_arcs(o)
+    reach = {cls[o.net.edges[e][0]] for e in edges}
+    stack = list(reach)
+    while stack:
+        for p in pred[stack.pop()]:
+            if p not in reach:
+                reach.add(p)
+                stack.append(p)
+    return CutPartition(source_side=frozenset(
+        v for v, c in enumerate(cls) if c in reach))

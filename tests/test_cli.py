@@ -35,6 +35,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+class _Call:
+    """Pickles as a call of fn(arg), as a tampered oracle file might."""
+
+    def __init__(self, fn, arg):
+        self.fn, self.arg = fn, arg
+
+    def __reduce__(self):
+        return self.fn, (self.arg,)
+
+
 @pytest.fixture
 def bottleneck_file(tmp_path, capsys):
     path = tmp_path / "graph.txt"
@@ -345,19 +355,94 @@ class TestBuildAndOracleFile:
 
     def test_old_format_version_exits_2(self, bottleneck_file, tmp_path,
                                         capsys):
+        # version 10 stored three per-edge strip dicts where version 11
+        # stores one record per critical edge
         ob = tmp_path / "oracle.bin"
         run(capsys, "build", "-g", str(bottleneck_file), "-o", str(ob))
         blob = bytearray(ob.read_bytes())
-        old = 9
-        blob[8:10] = old.to_bytes(2, "little")
-        ob.write_bytes(bytes(blob))
         qf = tmp_path / "q.txt"
         qf.write_text("MF2 1 3\n")
-        code, _, err = run(capsys, "query", "-g", str(bottleneck_file),
-                           "--oracle", str(ob), "-q", str(qf))
-        assert code == 2
-        assert (f"format version {old}, this build reads version "
-                f"{cli.ORACLE_VERSION}") in err
+        for old in (9, 10):
+            blob[8:10] = old.to_bytes(2, "little")
+            ob.write_bytes(bytes(blob))
+            code, _, err = run(capsys, "query", "-g", str(bottleneck_file),
+                               "--oracle", str(ob), "-q", str(qf))
+            assert code == 2
+            assert (f"format version {old}, this build reads version "
+                    f"{cli.ORACLE_VERSION}") in err
+
+    def test_default_build_pickles_one_network(self, tmp_path, capsys):
+        # walk-pruning drops no edge of gen_random(60, 1), so both oracles
+        # hold the input network and the file pickles it once: 9,370 bytes,
+        # where a second copy of the graph would add 7,223
+        graph, ob = tmp_path / "g.txt", tmp_path / "oracle.bin"
+        graph.write_text(serialize_network(gen_random(60, 1)))
+        net = parse_network(graph.read_text())
+        sens, kf = SensitivityOracle(net), kfault.build_kfault_oracle(net, 2)
+        assert sens.pruned_net is kf.net is net
+        code, _, _ = run(capsys, "build", "-g", str(graph), "-o", str(ob))
+        assert code == 0
+        assert ob.stat().st_size <= 9_400
+        digest = hashlib.sha256(graph.read_bytes()).digest()
+        _, sens, kf = load_oracle(str(ob), digest)
+        assert sens.pruned_net is kf.net
+        assert sens.pruned_net == net
+
+    def test_pruned_build_keeps_two_networks(self, tmp_path, capsys):
+        # walk-pruning drops edges of gen_random(16, 1): the sensitivity
+        # oracle keeps the pruned network, the k-fault oracle the raw one,
+        # and the loaded file answers as brute force does
+        net = gen_random(16, 1)
+        pruned = prune_to_st_paths(net)
+        assert 0 < pruned.m < net.m
+        graph, ob = tmp_path / "g.txt", tmp_path / "oracle.bin"
+        graph.write_text(serialize_network(net))
+        code, _, _ = run(capsys, "build", "-g", str(graph), "-o", str(ob))
+        assert code == 0
+        _, sens, kf = load_oracle(str(ob),
+                                  hashlib.sha256(graph.read_bytes()).digest())
+        assert sens.pruned_net is not kf.net
+        assert (sens.pruned_net, kf.net) == (pruned, net)
+        for e in net.edges:
+            want = brute_force(net, [e])[0]
+            assert sens.report_flow_diff_single(e).new_value == want, e
+            assert kfault.mincut_size_k(kf, [e]) == want, e
+        for e, e2 in itertools.combinations(net.edges, 2):
+            want = brute_force(net, [e, e2])[0]
+            assert sens.report_flow_diff_dual(e, e2).new_value == want, (e, e2)
+            assert sens.mincut_size_dual(e2, e) == want, (e, e2)
+            assert kfault.mincut_size_k(kf, [e, e2]) == want, (e, e2)
+
+    @pytest.mark.parametrize("call", ["system", "eval"])
+    def test_payload_naming_another_global_exits_2(self, bottleneck_file,
+                                                   tmp_path, call):
+        # a re-signed payload that would run a command on unpickling is
+        # refused: the loader resolves only the oracle classes, so nothing
+        # runs, also under python -O
+        marker = tmp_path / "marker"
+        fn, arg = (os.system, f"touch {shlex.quote(str(marker))}") \
+            if call == "system" else \
+            (eval, f"open({str(marker)!r}, 'w').close()")
+        payload = pickle.dumps({"sensitivity": _Call(fn, arg),
+                                "kfault": None})
+        ob = tmp_path / "oracle.bin"
+        ob.write_bytes(cli.ORACLE_MAGIC
+                       + struct.pack("<HH", cli.ORACLE_VERSION, 2)
+                       + hashlib.sha256(bottleneck_file.read_bytes()).digest()
+                       + hashlib.sha256(payload).digest() + payload)
+        argv = ["-m", "flowsentry.cli", "query", "-g", str(bottleneck_file),
+                "--oracle", str(ob), "-q", "-"]
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, *argv],
+                                  input="MF 1\n", capture_output=True,
+                                  text=True)
+            assert (proc.returncode, proc.stdout) == (2, ""), flags
+            assert proc.stderr == \
+                f"error: {ob} is a corrupt oracle file; rebuild it\n"
+            assert not marker.exists(), flags
+        # the payload is live: a plain unpickling runs it
+        pickle.loads(payload)
+        assert marker.exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "flipped"])
     def test_damaged_file_exits_2(self, bottleneck_file, tmp_path, capsys,
@@ -632,15 +717,15 @@ class TestBuildAndOracleFile:
 
     @pytest.mark.parametrize("make, sha256", [
         (lambda: gen_random(60, 1),
-         "fa07978514d851514b19270d55f2422aadf692d14d220e854d83ae29e9c3a5a6"),
+         "0a90775d8c9dd0073e8c413c439d04ca8a92a9853360e27484bc6f3591875dd4"),
         (lambda: gen_matrix(6, 8, seed=1),
-         "27c17db1cfe08b569a3bc2b24d8406ee33f47cc2e8336903859c7ae11fbf005b"),
+         "46676263407caa1468aff040854df9e4e86b4fba032abb7311cdc3f8a6b4a1b2"),
         # calibration deletes edges here, so the subgraph is re-classified
         (lambda: gen_random(120, 1),
-         "411f6e03d7a5b9337b72a963efac5bdfbd15f6afa113350bebd4f90afb7df809"),
+         "e90fa8d815ad2b5dc3d6f8243922e0fea46fc1c80a53013411c31c4d2388e940"),
         # the hard instance past lam = 16
         (lambda: gen_matrix(8, 2, seed=1),
-         "8306c772077efee5021c50fa8f25c3faaa00e859f47d287747c6938717aaa669"),
+         "ffdcf74577591f653889b2614522ee614a2b23ed235d23bbeb42a141e77757ba"),
     ], ids=["random60", "matrix6x8", "random120", "matrix8x2"])
     def test_oracle_bytes_pinned(self, make, sha256, tmp_path):
         # the file a build writes, as the benchmark saves it: a change to
@@ -653,11 +738,11 @@ class TestBuildAndOracleFile:
 
     @pytest.mark.parametrize("make, k, sha256", [
         (lambda: gen_random(16, 1), 3,
-         "bd560e2b4351d7cb31be23792acbe2983196c69c59de0c8bca9f7da7bfb6b39d"),
+         "a4d81f01fad1d7d5746d61d7f37bce939a5d78a20af4c44239843982efd851e6"),
         (lambda: gen_matrix(2, 4, seed=1), 3,
-         "a72106292a696562c6a51309fe5cc34cb13f0648c4576a240bed480ed59252ef"),
+         "db620ac3ff9c0b3397fa7fc3ebc3f5365a0e5c2d366e6521dc65312986c07685"),
         (lambda: gen_twopaths(40), 2,
-         "ad6a11f5c7e80e8ca60d867f99df9ad05353b234a88879a14679bd0cc4603446"),
+         "cde36c21eaa4800c900534c475b76a6a4b45c3fc5bc3ef9500f613ca1f5d6e88"),
     ], ids=["random16-k3", "matrix2x4-k3", "twopaths40-k2"])
     def test_kfault_bytes_pinned(self, make, k, sha256, tmp_path):
         # the k-fault file, as the benchmark saves it: the cut list and its

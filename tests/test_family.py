@@ -527,7 +527,7 @@ class TestOrchestrator:
         assert bf.family.paths == () and bf.family.flip == {}
         o = SensitivityOracle(net)
         assert (o.lam, o.kept, o.flip) == (0, frozenset(), {})
-        assert o.paths.path_of == {}
+        assert o.paths.critical == {}
         for e in net.edges:
             assert o.report_flow_diff_single(e) == (frozenset(), 0)
             for x in net.edges.keys() - {e}:

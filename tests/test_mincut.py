@@ -170,22 +170,24 @@ class TestPathSystem:
     def test_diamond_paths_and_ranks(self, diamond):
         o, _, _ = oracle_for(diamond)
         ps = o.paths
-        # class paths (0, 1, 3) over edges 0, 1 and (0, 2, 3) over 2, 3
-        assert ps.path_of == {0: 0, 1: 0, 2: 1, 3: 1}
-        assert ps.position == {0: 0, 1: 1, 2: 0, 3: 1}
-        assert ps.head_class == {0: 1, 1: 3, 2: 2, 3: 3}
-        # a class always reaches itself first
-        assert ps.first_reach[0][0] == 0
-        assert ps.first_reach[0][1] == 1
+        # class paths (0, 1, 3) over edges 0, 1 and (0, 2, 3) over 2, 3;
+        # each record is (path, position, head class)
+        assert ps.critical == {0: (0, 0, 1), 1: (0, 1, 3),
+                               2: (1, 0, 2), 3: (1, 1, 3)}
+        # only head classes are keys, and a class reaches itself first:
+        # the source class 0 heads no critical edge
+        assert ps.first_reach == ({1: 1, 2: 2, 3: 2}, {1: 2, 2: 1, 3: 2})
 
     def test_bottleneck_parallel_paths(self, bottleneck):
         o, _, _ = oracle_for(bottleneck)
-        assert o.paths.path_of == {0: 0, 1: 1}
-        assert o.paths.position == {0: 0, 1: 0}
+        assert {e: r[:2] for e, r in o.paths.critical.items()} == \
+            {0: (0, 0), 1: (1, 0)}
 
     def test_first_reach_is_earliest_reachable_position(self):
-        # first_reach[i][x] is the earliest position on path i whose class
-        # x reaches along strip arcs; each table lists its classes ascending
+        # the records' keys are the critical set; first_reach[i][x] is the
+        # earliest position on path i whose class x reaches along strip
+        # arcs, its keys exactly the head classes that reach path i, listed
+        # ascending
         rng = random.Random(5003)
         nets = [random_net(rng, n_max=9, m_max=20) for _ in range(40)]
         nets += [gen_random(n, 1) for n in (12, 20, 40)]
@@ -196,15 +198,17 @@ class TestPathSystem:
                 continue
             o, _, _ = oracle_for(net)
             ps, succ = o.paths, {}
+            assert set(ps.critical) == o.critical
+            heads = {h for _, _, h in ps.critical.values()}
             for a, b, _ in strip_arcs(o):
                 succ.setdefault(a, set()).add(b)
             for i, table in enumerate(ps.first_reach):
-                edges = sorted((ps.position[e], e) for e, p in ps.path_of.items()
-                               if p == i)
+                edges = sorted((pos, e) for e, (p, pos, _) in
+                               ps.critical.items() if p == i)
                 chain = [o.classes.source_class]
-                chain += [ps.head_class[e] for _, e in edges]
+                chain += [ps.critical[e][2] for _, e in edges]
                 want = {}
-                for x in range(o.classes.class_count):
+                for x in heads:
                     seen, stack = {x}, [x]
                     while stack:
                         for y in succ.get(stack.pop(), ()):

@@ -187,7 +187,7 @@ class TestFlowDiffDual:
             return real(net, rows, carried, target, failed)
 
         monkeypatch.setattr(oracles, "cycle_through_arc_without", counted)
-        crit = o.paths.path_of
+        crit = o.paths.critical
         dropped = 0
         for e, e2 in itertools.permutations(sorted(net.edges), 2):
             calls.clear()
@@ -499,13 +499,14 @@ def reached_objects(obj):
 class TestStoredEncoding:
     def test_pickled_size_stays_small(self):
         # the kept set, the flip deltas, the precedes tables, the edge
-        # count and one graph: 4,696 bytes here. Storing any dropped table
+        # count and one graph: 4,557 bytes here. Storing any dropped table
         # again fails this: f-tilde's null set alone adds 80 bytes, the
-        # critical set 71, the union of A's null sets 157, the canonical
+        # critical set 71, a per-edge dict of paths, positions or head
+        # classes 113, the union of A's null sets 157, the canonical
         # table 932, the per-flow null sets 2,446; the graph's incidence
         # list would add 5 KB, the family's flows 47 KB
         o = SensitivityOracle(gen_random(40, 1))
-        assert len(pickle.dumps(o)) < 4_750
+        assert len(pickle.dumps(o)) < 4_610
 
     def test_kfault_pickled_size_stays_small(self):
         # seven cuts, each as its canonical source side, and the graph:

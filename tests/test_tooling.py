@@ -1,10 +1,15 @@
 """Checks over the package source itself."""
 
 import ast
+import pickletools
 import sys
 from pathlib import Path
 
 import flowsentry
+from flowsentry import cli
+from flowsentry.generators import gen_matrix, gen_random
+from flowsentry.kfault import build_kfault_oracle
+from flowsentry.oracles import SensitivityOracle
 
 PACKAGE = Path(flowsentry.__file__).parent
 
@@ -144,3 +149,37 @@ def test_query_caches_stay_out_of_the_pickle():
     assert stored["oracles.py"] >= {"_residual", "_answers", "_released"}
     assert stored["kfault.py"] >= {"_certificate"}
     assert all(stored[m] <= excluded[m] for m in stored), (stored, excluded)
+
+
+def pickled_globals(payload: bytes) -> set[tuple[str, str]]:
+    """The (module, name) of every global a pickle names, read off its
+    opcodes: GLOBAL carries both, STACK_GLOBAL takes the last two strings
+    pushed, which may come back from the memo."""
+    found, memo, pushed = set(), [], []
+    for op, arg, _ in pickletools.genops(payload):
+        if op.name in ("PROTO", "FRAME"):
+            continue
+        if op.name == "MEMOIZE":
+            memo.append(pushed[-1])
+            continue
+        if op.name == "GLOBAL":
+            found.add(tuple(arg.split(" ", 1)))
+        elif op.name == "STACK_GLOBAL":
+            found.add(tuple(pushed[-2:]))
+        if op.name in ("BINGET", "LONG_BINGET"):
+            pushed.append(memo[arg])
+        else:
+            pushed.append(arg if "UNICODE" in op.name else None)
+    return found
+
+
+def test_oracle_files_name_only_the_allowed_classes(tmp_path):
+    # load_oracle resolves only the classes on its allow-list. A build names
+    # exactly those: no other global, so every built file loads, and no
+    # class on the list that a file does not need
+    path = tmp_path / "oracle.bin"
+    for net, k in ((gen_random(16, 1), 3), (gen_matrix(2, 3, seed=1), 2)):
+        cli.save_oracle(str(path), k, bytes(32), SensitivityOracle(net),
+                        build_kfault_oracle(net, k))
+        found = pickled_globals(path.read_bytes()[cli._HEADER:])
+        assert found == set(cli._OracleUnpickler.CLASSES), found

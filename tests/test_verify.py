@@ -175,7 +175,7 @@ class TestInvariants:
         for name in (
             "flip's keys are the kept edges f-tilde carries",
             "flip's keys ^ flip[e] are the edges e's canonical flow carries",
-            "critical edges = keys of the path tables",
+            "critical edges = keys of the strip records",
             "at most 2*lam+1 distinct flip deltas",
         ):
             assert rows[name] is True
